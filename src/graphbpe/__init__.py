@@ -27,6 +27,7 @@ from graphbpe.generator import (
     replay_trajectory,
     start_generation,
 )
+from graphbpe.merging import apply_operations
 from graphbpe.metrics import compute_descriptors, evaluate
 from graphbpe.miner import (
     MergeOperation,
@@ -40,7 +41,6 @@ from graphbpe.miner import (
 from graphbpe.tokenizer import (
     Fragmentation,
     Trajectory,
-    apply_operations,
     extract_trajectory,
     fragmentize,
 )

@@ -139,12 +139,6 @@ class MolGraph:
     def order_sum_x2(self, atom_id: int) -> int:
         return sum(ORDER_X2[self.bonds[bidx].order] for _, bidx in self._adjacency[atom_id])
 
-    def bond_between(self, a: int, b: int) -> Bond | None:
-        for nbr, bidx in self._adjacency[a]:
-            if nbr == b:
-                return self.bonds[bidx]
-        return None
-
     def is_connected(self) -> bool:
         if not self.atoms:
             return True

@@ -34,7 +34,13 @@ from graphbpe.fileio import (
     write_trajectories,
     write_vocabulary,
 )
-from graphbpe.generator import DISTRIBUTIONAL, GREEDY, FrequencyPolicy, generate
+from graphbpe.generator import (
+    DEFAULT_MAX_STEPS,
+    DISTRIBUTIONAL,
+    GREEDY,
+    FrequencyPolicy,
+    generate,
+)
 from graphbpe.metrics import evaluate, format_report
 from graphbpe.miner import mine_corpus
 from graphbpe.tokenizer import extract_trajectory, fragmentize
@@ -58,7 +64,11 @@ class UsageError(Exception):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated settings for one invocation; input paths checked up front."""
+    """Validated settings for one invocation; input paths checked up front.
+
+    Options the subcommand does not take are None; every default lives in
+    ``_build_parser``.
+    """
 
     subcommand: str
     corpus: Path | None = None
@@ -70,15 +80,27 @@ class RunConfig:
     report: Path | None = None
     trajectories: Path | None = None
     out: Path | None = None
-    num_ops: int = 0
-    num: int = 0
-    seed: int = 0
-    mode: str = GREEDY
+    num_ops: int | None = None
+    num: int | None = None
+    seed: int | None = None
+    mode: str | None = None
     top_k: int | None = None
-    temperature: float = 1.0
-    cyclize_weight: float = 1.0
-    threads: int = 1
-    max_steps: int = 100
+    temperature: float | None = None
+    cyclize_weight: float | None = None
+    threads: int | None = None
+    max_steps: int | None = None
+
+
+# (option, valid value test, usage error), checked when the subcommand has it
+_CHECKS = (
+    ("num_ops", lambda v: v >= 0, "--num-ops must be >= 0"),
+    ("threads", lambda v: v >= 1, "--threads must be >= 1"),
+    ("num", lambda v: v >= 0, "--num must be >= 0"),
+    ("temperature", lambda v: v > 0, "--temperature must be > 0"),
+    ("cyclize_weight", lambda v: v >= 0, "--cyclize-weight must be >= 0"),
+    ("top_k", lambda v: v is None or v >= 1, "--top-k must be >= 1"),
+    ("max_steps", lambda v: v >= 1, "--max-steps must be >= 1"),
+)
 
 
 def _input_path(value: str | None, flag: str) -> Path | None:
@@ -91,57 +113,25 @@ def _input_path(value: str | None, flag: str) -> Path | None:
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    sub = args.subcommand
-    num_ops = getattr(args, "num_ops", 0)
-    threads = getattr(args, "threads", 1)
-    num = getattr(args, "num", 0)
-    temperature = getattr(args, "temperature", 1.0)
-    cyclize_weight = getattr(args, "cyclize_weight", 1.0)
-    top_k = getattr(args, "top_k", None)
-    max_steps = getattr(args, "max_steps", 100)
-    if num_ops < 0:
-        raise UsageError("--num-ops must be >= 0")
-    if threads < 1:
-        raise UsageError("--threads must be >= 1")
-    if num < 0:
-        raise UsageError("--num must be >= 0")
-    if temperature <= 0:
-        raise UsageError("--temperature must be > 0")
-    if cyclize_weight < 0:
-        raise UsageError("--cyclize-weight must be >= 0")
-    if top_k is not None and top_k < 1:
-        raise UsageError("--top-k must be >= 1")
-    if max_steps < 1:
-        raise UsageError("--max-steps must be >= 1")
-    vocab = _input_path(getattr(args, "vocab", None), "--vocab")
-    attach = None
-    if sub == "generate":
-        attach_arg = getattr(args, "attach", None)
-        attach = Path(attach_arg) if attach_arg else vocab.parent / "attach.txt"
+    values = dict(vars(args))
+    for name, valid, message in _CHECKS:
+        if name in values and not valid(values[name]):
+            raise UsageError(message)
+    for name in ("vocab", "corpus", "ops", "generated", "train"):
+        if name in values:
+            values[name] = _input_path(values[name], f"--{name}")
+    for name in ("report", "trajectories", "out"):
+        if name in values:
+            values[name] = Path(values[name]) if values[name] else None
+    if values["subcommand"] == "generate":
+        attach = values["vocab"].parent / "attach.txt"
+        if values["attach"]:
+            attach = Path(values["attach"])
         if not attach.is_file():
             raise UsageError(f"attachment table not found: {attach}")
-    mode_arg = getattr(args, "mode", "greedy")
-    return RunConfig(
-        subcommand=sub,
-        corpus=_input_path(getattr(args, "corpus", None), "--corpus"),
-        ops=_input_path(getattr(args, "ops", None), "--ops"),
-        vocab=vocab,
-        attach=attach,
-        generated=_input_path(getattr(args, "generated", None), "--generated"),
-        train=_input_path(getattr(args, "train", None), "--train"),
-        report=Path(args.report) if getattr(args, "report", None) else None,
-        trajectories=Path(args.trajectories) if getattr(args, "trajectories", None) else None,
-        out=Path(args.out) if getattr(args, "out", None) else None,
-        num_ops=num_ops,
-        num=num,
-        seed=getattr(args, "seed", 0),
-        mode=GREEDY if mode_arg == "greedy" else DISTRIBUTIONAL,
-        top_k=top_k,
-        temperature=temperature,
-        cyclize_weight=cyclize_weight,
-        threads=threads,
-        max_steps=max_steps,
-    )
+        values["attach"] = attach
+        values["mode"] = GREEDY if values["mode"] == "greedy" else DISTRIBUTIONAL
+    return RunConfig(**values)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -178,7 +168,7 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--temperature", type=float, default=1.0)
     gen.add_argument("--cyclize-weight", type=float, default=1.0)
     gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--max-steps", type=int, default=100)
+    gen.add_argument("--max-steps", type=int, default=DEFAULT_MAX_STEPS)
     gen.add_argument("--out", required=True, help="output .smi path")
 
     ev = sub.add_parser("eval", help="distribution-learning metrics")

@@ -19,7 +19,14 @@ from pathlib import Path
 
 from graphbpe.chem import BOND_ORDERS, MolGraph, parse_smiles
 from graphbpe.errors import CorpusError, FileFormatError, FormatVersionError, GraphBpeError
-from graphbpe.miner import MergeOperation, Motif, MotifVocabulary, SiteType, motif_site_meta
+from graphbpe.miner import (
+    MergeOperation,
+    Motif,
+    MotifVocabulary,
+    SiteType,
+    attachment_key,
+    motif_site_meta,
+)
 from graphbpe.tokenizer import Trajectory, TrajectoryStep
 
 OPS_HEADER = "graphbpe-ops v1"
@@ -170,6 +177,8 @@ def read_vocabulary(
             frequency = int(freq_str)
         except ValueError as exc:
             raise FileFormatError(f"bad frequency {freq_str!r}", line_number) from exc
+        if frequency < 1:
+            raise FileFormatError(f"frequency {frequency} is not positive", line_number)
         try:
             expected_sites = _format_sites(smiles)
         except GraphBpeError as exc:
@@ -187,6 +196,9 @@ def read_vocabulary(
             attach_lines = handle.read().splitlines()
         if not attach_lines or attach_lines[0] != ATTACH_HEADER:
             _raise_version(ATTACH_HEADER, attach_lines[0] if attach_lines else "")
+        known_sites = {
+            (m.smiles, cid, order) for m in motifs.values() for _, order, cid in m.sites
+        }
         for line_number, line in enumerate(attach_lines[1:], start=2):
             if not line:
                 continue
@@ -195,12 +207,14 @@ def read_vocabulary(
                 raise FileFormatError("expected '<siteA>\\t<siteB>\\t<count>'", line_number)
             site_a = _parse_site_token(parts[0], line_number)
             site_b = _parse_site_token(parts[1], line_number)
+            for token, site in zip(parts, (site_a, site_b)):
+                if site not in known_sites:
+                    raise FileFormatError(f"{token!r} is not a vocabulary site", line_number)
             try:
                 count = int(parts[2])
             except ValueError as exc:
                 raise FileFormatError(f"bad count {parts[2]!r}", line_number) from exc
-            key = (site_a, site_b) if site_a <= site_b else (site_b, site_a)
-            attachments[key] += count
+            attachments[attachment_key(site_a, site_b)] += count
     return MotifVocabulary(motifs, dict(attachments))
 
 

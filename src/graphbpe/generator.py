@@ -25,7 +25,7 @@ from graphbpe.errors import (
     NoCompatibleCandidateError,
     UnknownMotifError,
 )
-from graphbpe.miner import Motif, MotifVocabulary, SiteType
+from graphbpe.miner import Candidate, Motif, MotifVocabulary, SiteType
 from graphbpe.tokenizer import Trajectory
 
 GREEDY = "greedy"
@@ -33,17 +33,6 @@ DISTRIBUTIONAL = "distributional"
 DEFAULT_MAX_STEPS = 100
 
 _SEED_MIX = 0x9E3779B97F4A7C15  # odd constant; decorrelates per-molecule streams
-
-
-@dataclass(frozen=True)
-class Candidate:
-    """One selectable connection: a vocabulary site or an open partial site."""
-
-    kind: str  # "vocab" | "partial"
-    site_type: SiteType
-    order: str
-    motif: Motif | None = None
-    star_atom: int = 0  # vocab: atom id in the motif graph; partial: assembly star id
 
 
 class Policy:
@@ -102,25 +91,6 @@ class FrequencyPolicy(Policy):
         return scores
 
 
-def _vocab_candidates(vocab: MotifVocabulary) -> dict[str, list[Candidate]]:
-    """Vocabulary connection sites grouped by bond order, in a fixed order."""
-    cached = getattr(vocab, "_candidate_index", None)
-    if cached is None:
-        cached = {}
-        for motif, star_atom, order, class_id in vocab.connection_sites():
-            cached.setdefault(order, []).append(
-                Candidate(
-                    kind="vocab",
-                    site_type=(motif.smiles, class_id, order),
-                    order=order,
-                    motif=motif,
-                    star_atom=star_atom,
-                )
-            )
-        vocab._candidate_index = cached
-    return cached
-
-
 @dataclass
 class GenerationState:
     """Partial molecule under assembly plus its FIFO of open sites.
@@ -145,14 +115,6 @@ class GenerationState:
     @property
     def terminal(self) -> bool:
         return not self.queue
-
-    def open_sites(self) -> list[int]:
-        return list(self.queue)
-
-    def live_star_count(self) -> int:
-        return sum(
-            1 for i, atom in enumerate(self.atoms) if self.alive[i] and atom.is_connection_site
-        )
 
     def _bond_pair(self, a: int, b: int) -> tuple[int, int]:
         return (a, b) if a < b else (b, a)
@@ -293,7 +255,7 @@ def generation_step(
     focus = state.queue.popleft()
     focus_type = state.site_type_of[focus]
     _, focus_order = state.anchor_of[focus]
-    vocab_candidates = _vocab_candidates(vocab).get(focus_order, [])
+    vocab_candidates = vocab.candidates_by_order.get(focus_order, [])
     partial_candidates = _partial_candidates(state, focus)
     candidates = vocab_candidates + partial_candidates
     if not candidates:

@@ -3,7 +3,10 @@
 State starts as one fragment per atom with bond adjacency inherited from the
 molecule and evolves by merging adjacent fragment pairs. Each fragment-pair
 edge carries the canonical pattern string of the merged union, kept current
-incrementally so repeated scans stay cheap.
+incrementally so repeated scans stay cheap. ``apply_operation`` is the one
+merge primitive: the miner drives it pattern by pattern, and
+``apply_operations`` replays a learned operation list for the vocabulary
+builder and the tokenizer.
 """
 from __future__ import annotations
 
@@ -16,29 +19,12 @@ from graphbpe.errors import NotAdjacentError
 
 
 @dataclass(frozen=True)
-class Fragment:
-    """A connected set of atoms inside one parent molecule."""
+class MergeOperation:
+    """One learned operation: merge every edge whose union is ``pattern``."""
 
-    mol: MolGraph
-    atom_ids: frozenset[int]
-
-    def pattern(self) -> str:
-        sub, _ = self.mol.subgraph(self.atom_ids)
-        return write_smiles(sub)
-
-
-def merge_fragments(fi: Fragment, fj: Fragment) -> Fragment:
-    """Union of two adjacent fragments; includes every cross bond implicitly."""
-    if fi.mol is not fj.mol:
-        raise NotAdjacentError("fragments belong to different molecules")
-    adjacent = any(
-        fi.mol.bonds[bidx].other(a) in fj.atom_ids
-        for a in fi.atom_ids
-        for _, bidx in fi.mol.neighbors(a)
-    )
-    if not adjacent:
-        raise NotAdjacentError("fragments share no molecule bond")
-    return Fragment(fi.mol, fi.atom_ids | fj.atom_ids)
+    rank: int
+    pattern: str
+    observed_count: int
 
 
 class MergingGraph:
@@ -78,13 +64,6 @@ class MergingGraph:
 
     def fragment_count(self) -> int:
         return len(self.frag_atoms)
-
-    def fragments(self) -> list[Fragment]:
-        parts = sorted(self.frag_atoms.values(), key=lambda atoms: min(atoms))
-        return [Fragment(self.mol, frozenset(atoms)) for atoms in parts]
-
-    def pattern_counts(self) -> Counter[str]:
-        return Counter(self.key_counts)
 
     def merge(self, fa: int, fb: int, counter: Counter | None = None) -> int:
         """Merge two adjacent fragments; returns the fresh fragment id.
@@ -152,6 +131,14 @@ class MergingGraph:
                 self.merge(fa, fb, counter)
                 merged += 1
         return merged
+
+
+def apply_operations(mol: MolGraph, ops: list[MergeOperation]) -> MergingGraph:
+    """Run every merge operation in rank order over a fresh merging graph."""
+    state = MergingGraph(mol)
+    for op in ops:
+        state.apply_operation(op.pattern)
+    return state
 
 
 @dataclass(frozen=True)

@@ -11,21 +11,23 @@ from __future__ import annotations
 
 import multiprocessing as mp
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache, reduce
 
 from graphbpe.chem import MolGraph, canonical_rank, parse_smiles
-from graphbpe.merging import BrokenBond, MergingGraph, MotifInstance, extract_motifs
+from graphbpe.errors import GraphBpeError
+from graphbpe.merging import (
+    BrokenBond,
+    MergeOperation,
+    MergingGraph,
+    MotifInstance,
+    apply_operations,
+    extract_motifs,
+)
 
 # (motif smiles, site symmetry class, bond order)
 SiteType = tuple[str, int, str]
-
-
-@dataclass(frozen=True)
-class MergeOperation:
-    rank: int
-    pattern: str
-    observed_count: int
 
 
 @lru_cache(maxsize=None)
@@ -87,6 +89,17 @@ class Motif:
         raise KeyError(f"atom {star_atom} is not a connection site of {self.smiles}")
 
 
+@dataclass(frozen=True)
+class Candidate:
+    """One selectable connection: a vocabulary site or an open partial site."""
+
+    kind: str  # "vocab" | "partial"
+    site_type: SiteType
+    order: str
+    motif: Motif | None = None
+    star_atom: int = 0  # vocab: atom id in the motif graph; partial: assembly star id
+
+
 class MotifVocabulary:
     """Motifs keyed by canonical string plus site-pair attachment counts."""
 
@@ -110,16 +123,21 @@ class MotifVocabulary:
     def ordered_motifs(self) -> list[Motif]:
         return [self.motifs[s] for s in sorted(self.motifs)]
 
-    def connection_sites(self) -> list[tuple[Motif, int, str, int]]:
-        """Every vocabulary site as (motif, star atom, bond order, class id)."""
-        sites = []
+    @cached_property
+    def candidates_by_order(self) -> dict[str, list[Candidate]]:
+        """Every vocabulary site as a generation candidate, grouped by bond
+        order in motif then canonical site order; built once per vocabulary."""
+        out: dict[str, list[Candidate]] = {}
         for motif in self.ordered_motifs():
             for star_atom, order, class_id in motif.sites:
-                sites.append((motif, star_atom, order, class_id))
-        return sites
+                site_type = (motif.smiles, class_id, order)
+                out.setdefault(order, []).append(
+                    Candidate("vocab", site_type, order, motif, star_atom)
+                )
+        return out
 
     def attachment_count(self, a: SiteType, b: SiteType) -> int:
-        return self.attachment_counts.get(_attachment_key(a, b), 0)
+        return self.attachment_counts.get(attachment_key(a, b), 0)
 
     @classmethod
     def from_counters(
@@ -127,13 +145,11 @@ class MotifVocabulary:
         motif_counter: Counter[str],
         attachment_counter: Counter[tuple[SiteType, SiteType]],
     ) -> "MotifVocabulary":
-        motifs = {
-            smiles: Motif(smiles, count) for smiles, count in motif_counter.items()
-        }
+        motifs = {smiles: Motif(smiles, count) for smiles, count in motif_counter.items()}
         return cls(motifs, dict(attachment_counter))
 
 
-def _attachment_key(a: SiteType, b: SiteType) -> tuple[SiteType, SiteType]:
+def attachment_key(a: SiteType, b: SiteType) -> tuple[SiteType, SiteType]:
     return (a, b) if a <= b else (b, a)
 
 
@@ -167,62 +183,58 @@ def _instance_site_type(instance: MotifInstance, broken: BrokenBond) -> SiteType
     return (instance.smiles, class_id, order)
 
 
-def _vocabulary_payload(
-    states: list[MergingGraph],
-) -> tuple[Counter[str], Counter[tuple[SiteType, SiteType]], int, int]:
-    motif_counter: Counter[str] = Counter()
-    attach_counter: Counter[tuple[SiteType, SiteType]] = Counter()
-    fragment_total = 0
-    for state in states:
-        instances, broken = extract_motifs(state)
-        fragment_total += len(instances)
-        for instance in instances.values():
-            motif_counter[instance.smiles] += 1
-        for bb in broken:
-            site_a = _instance_site_type(instances[bb.fid_a], bb)
-            site_b = _instance_site_type(instances[bb.fid_b], bb)
-            attach_counter[_attachment_key(site_a, site_b)] += 1
-    return motif_counter, attach_counter, fragment_total, len(states)
+class _Shard:
+    """The merging graphs of one slice of the corpus.
 
+    The sequential engine is a single shard; each parallel worker serves one.
+    """
 
-class _SequentialEngine:
-    def __init__(self, corpus: list[MolGraph]):
-        self.states = [MergingGraph(mol) for mol in corpus]
+    def __init__(self, states: list[MergingGraph]):
+        self.states = states
 
-    def initial_counts(self) -> Counter[str]:
+    def counts(self) -> Counter[str]:
         return count_pair_patterns(self.states)
 
     def apply(self, pattern: str) -> Counter[str]:
+        """Merge ``pattern`` everywhere; returns the pattern-count delta."""
         delta: Counter[str] = Counter()
         for state in self.states:
             if state.key_counts.get(pattern):
                 state.apply_operation(pattern, delta)
         return delta
 
-    def vocabulary_payload(self):
-        return _vocabulary_payload(self.states)
-
-    def close(self) -> None:
-        pass
+    def payload(self) -> tuple[Counter[str], Counter[tuple[SiteType, SiteType]], int]:
+        """Motif counts, attachment counts and the number of fragments."""
+        motif_counter: Counter[str] = Counter()
+        attach_counter: Counter[tuple[SiteType, SiteType]] = Counter()
+        fragment_total = 0
+        for state in self.states:
+            instances, broken = extract_motifs(state)
+            fragment_total += len(instances)
+            for instance in instances.values():
+                motif_counter[instance.smiles] += 1
+            for bb in broken:
+                site_a = _instance_site_type(instances[bb.fid_a], bb)
+                site_b = _instance_site_type(instances[bb.fid_b], bb)
+                attach_counter[attachment_key(site_a, site_b)] += 1
+        return motif_counter, attach_counter, fragment_total
 
 
 def _worker_main(conn, corpus: list[MolGraph]) -> None:
-    states = [MergingGraph(mol) for mol in corpus]
-    conn.send(count_pair_patterns(states))
-    while True:
-        message = conn.recv()
-        if message[0] == "apply":
-            pattern = message[1]
-            delta: Counter[str] = Counter()
-            for state in states:
-                if state.key_counts.get(pattern):
-                    state.apply_operation(pattern, delta)
-            conn.send(delta)
-        elif message[0] == "vocab":
-            conn.send(_vocabulary_payload(states))
-        else:
-            conn.close()
-            return
+    """Serve ``_Shard`` method calls over ``conn`` until told to stop."""
+    shard = _Shard([MergingGraph(mol) for mol in corpus])
+    for name, *args in iter(conn.recv, ("stop",)):
+        conn.send(getattr(shard, name)(*args))
+
+
+def _add(total, reply):
+    """Sum two shard replies of the same shape."""
+    if isinstance(total, tuple):
+        return tuple(map(_add, total, reply))
+    if isinstance(total, Counter):
+        total.update(reply)  # unlike ``+``, keeps negative deltas
+        return total
+    return total + reply
 
 
 class _ParallelEngine:
@@ -234,65 +246,66 @@ class _ParallelEngine:
         self.connections = []
         self.processes = []
         for shard_id in range(workers):
-            shard = corpus[shard_id::workers]
             parent_conn, child_conn = ctx.Pipe()
-            proc = ctx.Process(target=_worker_main, args=(child_conn, shard))
+            proc = ctx.Process(target=_worker_main, args=(child_conn, corpus[shard_id::workers]))
             proc.start()
             child_conn.close()
             self.connections.append(parent_conn)
             self.processes.append(proc)
 
-    def initial_counts(self) -> Counter[str]:
-        total: Counter[str] = Counter()
-        for conn in self.connections:
-            total.update(conn.recv())
-        return total
+    def _call(self, name: str, *args):
+        try:
+            for conn in self.connections:
+                conn.send((name, *args))
+            replies = [conn.recv() for conn in self.connections]
+        except (EOFError, OSError) as exc:
+            for proc in self.processes:
+                proc.terminate()
+            raise GraphBpeError("a mining worker process died") from exc
+        return reduce(_add, replies)
+
+    def counts(self) -> Counter[str]:
+        return self._call("counts")
 
     def apply(self, pattern: str) -> Counter[str]:
-        for conn in self.connections:
-            conn.send(("apply", pattern))
-        delta: Counter[str] = Counter()
-        for conn in self.connections:
-            for key, value in conn.recv().items():
-                delta[key] += value
-        return delta
+        return self._call("apply", pattern)
 
-    def vocabulary_payload(self):
-        for conn in self.connections:
-            conn.send(("vocab",))
-        motif_counter: Counter[str] = Counter()
-        attach_counter: Counter = Counter()
-        fragment_total = 0
-        molecule_total = 0
-        for conn in self.connections:
-            motifs, attach, fragments, molecules = conn.recv()
-            motif_counter.update(motifs)
-            attach_counter.update(attach)
-            fragment_total += fragments
-            molecule_total += molecules
-        return motif_counter, attach_counter, fragment_total, molecule_total
+    def payload(self) -> tuple[Counter[str], Counter[tuple[SiteType, SiteType]], int]:
+        return self._call("payload")
 
     def close(self) -> None:
         for conn in self.connections:
             try:
                 conn.send(("stop",))
-                conn.close()
-            except (BrokenPipeError, OSError):
+            except OSError:
                 pass
+            conn.close()
         for proc in self.processes:
             proc.join(timeout=10)
             if proc.is_alive():
                 proc.terminate()
+                proc.join()
 
 
-def _make_engine(corpus: list[MolGraph], threads: int):
-    if threads > 1 and len(corpus) > 1:
-        return _ParallelEngine(corpus, min(threads, len(corpus)))
-    return _SequentialEngine(corpus)
+@contextmanager
+def _engine(corpus: list[MolGraph], num_operations: int, threads: int):
+    """Check ``num_operations``, then open one shard over the whole corpus
+    or up to ``threads`` forked workers; workers are stopped on exit."""
+    if num_operations < 0:
+        raise ValueError("num_operations must be >= 0")
+    workers = min(threads, len(corpus))
+    if workers < 2:
+        yield _Shard([MergingGraph(mol) for mol in corpus])
+        return
+    engine = _ParallelEngine(corpus, workers)
+    try:
+        yield engine
+    finally:
+        engine.close()
 
 
 def _learn_loop(engine, num_operations: int) -> list[MergeOperation]:
-    counter = engine.initial_counts()
+    counter = engine.counts()
     ops: list[MergeOperation] = []
     for rank in range(num_operations):
         if not counter:
@@ -311,13 +324,8 @@ def learn_merging_operations(
     Stops early when no fragment-pair edges remain. Runtime is linear in the
     corpus size for a fixed operation count.
     """
-    if num_operations < 0:
-        raise ValueError("num_operations must be >= 0")
-    engine = _make_engine(corpus, threads)
-    try:
+    with _engine(corpus, num_operations, threads) as engine:
         return _learn_loop(engine, num_operations)
-    finally:
-        engine.close()
 
 
 @dataclass(frozen=True)
@@ -331,16 +339,11 @@ def mine_corpus(
     corpus: list[MolGraph], num_operations: int, threads: int = 1
 ) -> MiningResult:
     """Run both phases: learn operations, then collect the motif vocabulary."""
-    if num_operations < 0:
-        raise ValueError("num_operations must be >= 0")
-    engine = _make_engine(corpus, threads)
-    try:
+    with _engine(corpus, num_operations, threads) as engine:
         ops = _learn_loop(engine, num_operations)
-        motifs, attach, fragment_total, molecule_total = engine.vocabulary_payload()
-    finally:
-        engine.close()
+        motifs, attach, fragment_total = engine.payload()
     vocabulary = MotifVocabulary.from_counters(motifs, attach)
-    mean = fragment_total / molecule_total if molecule_total else 0.0
+    mean = fragment_total / len(corpus) if corpus else 0.0
     return MiningResult(ops, vocabulary, mean)
 
 
@@ -352,11 +355,5 @@ def build_motif_vocabulary(
     Every broken bond contributes one "*" site to each side and one
     attachment-table increment for the site-type pair.
     """
-    states = []
-    for mol in corpus:
-        state = MergingGraph(mol)
-        for op in ops:
-            state.apply_operation(op.pattern)
-        states.append(state)
-    motifs, attach, _, _ = _vocabulary_payload(states)
+    motifs, attach, _ = _Shard([apply_operations(mol, ops) for mol in corpus]).payload()
     return MotifVocabulary.from_counters(motifs, attach)

@@ -1,9 +1,11 @@
 """Fragmentize molecules with a learned operation list and extract trajectories.
 
-Applying the operations sequentially reproduces the exact partition the miner
-saw during vocabulary construction, so the operation list acts as a tokenizer
-for arbitrary molecules. Trajectories replay a molecule's assembly through
-the generator's queue discipline for roundtrip testing and policy fitting.
+Applying the operations sequentially (``graphbpe.merging.apply_operations``,
+the pass the vocabulary builder runs too) reproduces the exact partition the
+miner saw during vocabulary construction, so the operation list acts as a
+tokenizer for arbitrary molecules. Trajectories replay a molecule's assembly
+through the generator's queue discipline for roundtrip testing and policy
+fitting.
 """
 from __future__ import annotations
 
@@ -11,16 +13,8 @@ from collections import deque
 from dataclasses import dataclass
 
 from graphbpe.chem import MolGraph
-from graphbpe.merging import MergingGraph, MotifInstance, extract_motifs
-from graphbpe.miner import MergeOperation, motif_site_meta
-
-
-def apply_operations(mol: MolGraph, ops: list[MergeOperation]) -> MergingGraph:
-    """Run every merge operation in rank order over a fresh merging graph."""
-    state = MergingGraph(mol)
-    for op in ops:
-        state.apply_operation(op.pattern)
-    return state
+from graphbpe.merging import MergeOperation, MotifInstance, apply_operations, extract_motifs
+from graphbpe.miner import motif_site_meta
 
 
 @dataclass(frozen=True)

@@ -90,6 +90,13 @@ def _attrs(mol: MolGraph, i: int) -> tuple:
     return (a.element, a.formal_charge, a.aromatic, a.explicit_h, a.bracket)
 
 
+def _bond_between(mol: MolGraph, a: int, b: int):
+    for nbr, bidx in mol.neighbors(a):
+        if nbr == b:
+            return mol.bonds[bidx]
+    return None
+
+
 def isomorphic(g1: MolGraph, g2: MolGraph) -> bool:
     """Attribute-preserving graph isomorphism by plain backtracking.
 
@@ -112,7 +119,7 @@ def isomorphic(g1: MolGraph, g2: MolGraph) -> bool:
     def edges_consistent(i: int, j: int) -> bool:
         for nbr, bidx in g1.neighbors(i):
             if nbr in mapping:
-                other = g2.bond_between(j, mapping[nbr])
+                other = _bond_between(g2, j, mapping[nbr])
                 if other is None or other.order != g1.bonds[bidx].order:
                     return False
         return True

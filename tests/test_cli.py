@@ -127,6 +127,34 @@ class TestGenerate:
                     "--num", "3", "--out", workdir / "gen.smi"])
         assert code == 2
 
+    @pytest.mark.parametrize("frequency", ["0", "-4"])
+    def test_non_positive_frequency_exit_3(self, workdir, capsys, frequency):
+        run(["mine", "--corpus", workdir / "corpus.smi", "--num-ops", "2",
+             "--out", workdir / "mined"])
+        path = workdir / "mined" / "vocab.txt"
+        lines = path.read_text().splitlines()
+        smiles, _, sites = lines[2].split("\t")
+        lines[2] = f"{smiles}\t{frequency}\t{sites}"
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        code = run(["generate", "--vocab", path, "--num", "3", "--out", workdir / "gen.smi"])
+        assert code == 3
+        assert "line 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("site", ["*CC*|1|single", "*N|7|double"])
+    def test_attachment_to_unknown_site_exit_3(self, workdir, capsys, site):
+        run(["mine", "--corpus", workdir / "corpus.smi", "--num-ops", "2",
+             "--out", workdir / "mined"])
+        path = workdir / "mined" / "attach.txt"
+        with path.open("a") as handle:
+            handle.write(f"{site}\t*NC|0|single\t1\n")
+        last = len(path.read_text().splitlines())
+        capsys.readouterr()
+        code = run(["generate", "--vocab", workdir / "mined" / "vocab.txt",
+                    "--num", "3", "--out", workdir / "gen.smi"])
+        assert code == 3
+        assert f"line {last}" in capsys.readouterr().err
+
 
 class TestEval:
     def test_self_evaluation(self, workdir, capsys):

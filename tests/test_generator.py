@@ -105,7 +105,11 @@ class TestStep:
         policy = FrequencyPolicy(vocab)
         state = start_generation(vocab, policy, 5, DISTRIBUTIONAL)
         while not state.terminal and state.step_count < 30:
-            assert state.live_star_count() == len(state.queue)
+            live_stars = sum(
+                1 for alive, atom in zip(state.alive, state.atoms)
+                if alive and atom.is_connection_site
+            )
+            assert live_stars == len(state.queue)
             generation_step(state, vocab, policy, DISTRIBUTIONAL)
         assert state.terminal or state.step_count >= 30
 

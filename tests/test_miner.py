@@ -1,11 +1,13 @@
+import multiprocessing
+import os
 from collections import Counter
 from random import Random
 
 import pytest
 
 from graphbpe.chem import parse_smiles
-from graphbpe.errors import NotAdjacentError
-from graphbpe.merging import Fragment, MergingGraph, merge_fragments
+from graphbpe.errors import GraphBpeError, NotAdjacentError
+from graphbpe.merging import MergingGraph
 from graphbpe.miner import (
     build_motif_vocabulary,
     count_pair_patterns,
@@ -16,36 +18,41 @@ from graphbpe.miner import (
 from helpers import group_by_isomorphism, isomorphic, random_molecule
 
 
+def merged_subgraph(mol, *groups):
+    """Merge each atom group into one fragment (each atom bonded to one
+    listed before it), then merge the groups in order; returns the induced
+    subgraph of the final fragment."""
+    state = MergingGraph(mol)
+    fids = []
+    for group in groups:
+        fid = group[0]
+        for atom in group[1:]:
+            fid = state.merge(fid, atom)
+        fids.append(fid)
+    fid = fids[0]
+    for other in fids[1:]:
+        fid = state.merge(fid, other)
+    sub, _ = mol.subgraph(state.frag_atoms[fid])
+    return sub
+
+
 class TestMergeFragments:
     def test_ethane_pair(self):
-        mol = parse_smiles("CC")
-        merged = merge_fragments(
-            Fragment(mol, frozenset({0})), Fragment(mol, frozenset({1}))
-        )
-        sub, _ = mol.subgraph(merged.atom_ids)
+        sub = merged_subgraph(parse_smiles("CC"), [0], [1])
         assert len(sub.atoms) == 2 and len(sub.bonds) == 1
 
     def test_cyclopropane_includes_both_cross_bonds(self):
-        mol = parse_smiles("C1CC1")
-        merged = merge_fragments(
-            Fragment(mol, frozenset({0, 1})), Fragment(mol, frozenset({2}))
-        )
-        sub, _ = mol.subgraph(merged.atom_ids)
+        sub = merged_subgraph(parse_smiles("C1CC1"), [0, 1], [2])
         assert len(sub.bonds) == 3
 
     def test_benzene_half_merge(self):
-        mol = parse_smiles("c1ccccc1")
-        ring_ids = list(range(6))
-        merged = merge_fragments(
-            Fragment(mol, frozenset(ring_ids[:4])), Fragment(mol, frozenset(ring_ids[4:]))
-        )
-        sub, _ = mol.subgraph(merged.atom_ids)
+        sub = merged_subgraph(parse_smiles("c1ccccc1"), [0, 1, 2, 3], [4, 5])
         assert len(sub.bonds) == 6  # full ring: both cross bonds included
 
     def test_not_adjacent(self):
-        mol = parse_smiles("CCC")
+        state = MergingGraph(parse_smiles("CCC"))
         with pytest.raises(NotAdjacentError):
-            merge_fragments(Fragment(mol, frozenset({0})), Fragment(mol, frozenset({2})))
+            state.merge(0, 2)
 
 
 class TestCountPairPatterns:
@@ -157,6 +164,15 @@ class TestLearning:
         assert learn_merging_operations(sub, 25) == learn_merging_operations(
             sub, 25, threads=4
         )
+
+    def test_dead_worker_raises_graphbpe_error(self, monkeypatch):
+        corpus = [parse_smiles(s) for s in ["CC", "CN", "CNN", "CN=O", "CC=O"]]
+        # workers are forked, so they inherit the patch; the parent never
+        # applies an operation itself when it runs workers
+        monkeypatch.setattr(MergingGraph, "apply_operation", lambda *args: os._exit(1))
+        with pytest.raises(GraphBpeError, match="worker"):
+            mine_corpus(corpus, 2, threads=2)
+        assert multiprocessing.active_children() == []
 
     def test_prefix_property(self, corpus_1k):
         _, mols = corpus_1k
