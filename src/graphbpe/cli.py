@@ -24,6 +24,7 @@ from graphbpe.errors import (
     ValenceError,
 )
 from graphbpe.fileio import (
+    format_sites,
     load_corpus,
     read_operations,
     read_smiles_lines,
@@ -268,8 +269,7 @@ def _cmd_inspect_vocab(cfg: RunConfig) -> int:
     motifs = sorted(vocab.ordered_motifs(), key=lambda m: (-m.frequency, m.smiles))
     print(f"{len(motifs)} motifs")
     for motif in motifs:
-        sites = ",".join(f"{star}:{cls}:{order}" for star, order, cls in motif.sites) or "-"
-        print(f"{motif.frequency}\t{motif.smiles}\t{sites}")
+        print(f"{motif.frequency}\t{motif.smiles}\t{format_sites(motif.smiles)}")
     return EXIT_OK
 
 

@@ -111,7 +111,8 @@ def _raise_version(expected: str, found: str) -> None:
     raise FormatVersionError(f"expected header {expected!r}, found {found!r}")
 
 
-def _format_sites(smiles: str) -> str:
+def format_sites(smiles: str) -> str:
+    """A motif's site list as written in a vocabulary line."""
     sites = motif_site_meta(smiles)
     if not sites:
         return "-"
@@ -122,7 +123,7 @@ def write_vocabulary(path: str | Path, vocab: MotifVocabulary) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(VOCAB_HEADER + "\n")
         for motif in vocab.ordered_motifs():
-            handle.write(f"{motif.smiles}\t{motif.frequency}\t{_format_sites(motif.smiles)}\n")
+            handle.write(f"{motif.smiles}\t{motif.frequency}\t{format_sites(motif.smiles)}\n")
 
 
 def write_attachments(path: str | Path, vocab: MotifVocabulary) -> None:
@@ -180,7 +181,7 @@ def read_vocabulary(
         if frequency < 1:
             raise FileFormatError(f"frequency {frequency} is not positive", line_number)
         try:
-            expected_sites = _format_sites(smiles)
+            expected_sites = format_sites(smiles)
         except GraphBpeError as exc:
             raise FileFormatError(f"bad motif {smiles!r}: {exc}", line_number) from exc
         if sites_str != expected_sites:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from random import Random
 
 import numpy as np
@@ -36,9 +36,10 @@ _SEED_MIX = 0x9E3779B97F4A7C15  # odd constant; decorrelates per-molecule stream
 
 
 class Policy:
-    """Scoring contract: finite scores, one shared pool per decision.
+    """Scoring contract: one finite score per candidate, independent of the
+    other candidates; vocabulary and open-site pools come in separate calls.
 
-    ``context_free=True`` declares that connection scores depend only on the
+    ``context_free=True`` declares that vocabulary scores depend only on the
     focus site type, enabling score-vector caching across molecules.
     """
 
@@ -95,9 +96,10 @@ class FrequencyPolicy(Policy):
 class GenerationState:
     """Partial molecule under assembly plus its FIFO of open sites.
 
-    Consumed "*" atoms are tombstoned rather than deleted; ``finalize``
-    compacts the numbering. ``rng_seed`` is the opaque randomness source
-    standing in for a latent vector.
+    ``start``, ``attach`` and ``cyclize`` are the only assembly moves; each
+    attach or cyclize counts one step. Consumed "*" atoms are tombstoned
+    rather than deleted; ``finalize`` compacts the numbering. ``rng_seed``
+    is the opaque randomness source standing in for a latent vector.
     """
 
     rng_seed: int
@@ -119,7 +121,7 @@ class GenerationState:
     def _bond_pair(self, a: int, b: int) -> tuple[int, int]:
         return (a, b) if a < b else (b, a)
 
-    def place_motif(self, motif: Motif) -> int:
+    def _place_motif(self, motif: Motif) -> int:
         """Copy a motif instance into the assembly; returns the atom offset."""
         offset = len(self.atoms)
         graph = motif.graph
@@ -134,7 +136,26 @@ class GenerationState:
             self.anchor_of[star] = (anchor, order)
         return offset
 
-    def merge_sites(self, star_a: int, star_b: int) -> None:
+    def start(self, motif: Motif) -> None:
+        """Place the first motif and enqueue its sites in canonical atom order."""
+        offset = self._place_motif(motif)
+        self.queue.extend(offset + star_atom for star_atom, _, _ in motif.sites)
+
+    def attach(self, focus: int, motif: Motif, star_atom: int) -> None:
+        """Bond a new copy of ``motif`` at its site ``star_atom`` to ``focus``
+        and enqueue the copy's other sites."""
+        offset = self._place_motif(motif)
+        self._merge_sites(focus, offset + star_atom)
+        self.queue.extend(offset + s for s, _, _ in motif.sites if s != star_atom)
+        self.step_count += 1
+
+    def cyclize(self, focus: int, star: int) -> None:
+        """Close a ring by bonding ``focus`` to the queued open site ``star``."""
+        self.queue.remove(star)
+        self._merge_sites(focus, star)
+        self.step_count += 1
+
+    def _merge_sites(self, star_a: int, star_b: int) -> None:
         """Replace two open "*" sites with one real bond between their anchors."""
         anchor_a, order_a = self.anchor_of[star_a]
         anchor_b, order_b = self.anchor_of[star_b]
@@ -152,24 +173,15 @@ class GenerationState:
             self.alive[star] = False
         self.bonds[pair] = order_a
 
-    def enqueue_new_sites(self, motif: Motif, offset: int, skip_star: int) -> None:
-        for star_atom, _, _ in motif.sites:
-            if star_atom != skip_star:
-                self.queue.append(offset + star_atom)
-
-    def partial_molgraph(self) -> tuple[MolGraph, dict[int, int]]:
-        """Live assembly as a MolGraph plus the assembly-id -> new-id map."""
-        mapping = {}
-        atoms = []
-        for i, atom in enumerate(self.atoms):
-            if self.alive[i]:
-                mapping[i] = len(atoms)
-                atoms.append(atom)
+    def partial_molgraph(self) -> MolGraph:
+        """Live assembly as a MolGraph, atoms renumbered in assembly order."""
+        live = [i for i, alive in enumerate(self.alive) if alive]
+        new_id = {old: new for new, old in enumerate(live)}
         bonds = tuple(
-            make_bond(mapping[a], mapping[b], order)
+            make_bond(new_id[a], new_id[b], order)
             for (a, b), order in sorted(self.bonds.items())
         )
-        return MolGraph(tuple(atoms), bonds), mapping
+        return MolGraph(tuple(self.atoms[i] for i in live), bonds)
 
 
 def _softmax_sample(scores: np.ndarray, temperature: float, rng: Random) -> int:
@@ -210,10 +222,7 @@ def start_generation(
     motifs = vocab.ordered_motifs()
     state = GenerationState(rng_seed=seed)
     scores = np.asarray(policy.score_start(seed, motifs), dtype=float)
-    chosen = motifs[_select(scores, mode, state.rng, policy.temperature, top_k)]
-    offset = state.place_motif(chosen)
-    for star_atom, _, _ in chosen.sites:
-        state.queue.append(offset + star_atom)
+    state.start(motifs[_select(scores, mode, state.rng, policy.temperature, top_k)])
     return state
 
 
@@ -226,14 +235,7 @@ def _partial_candidates(state: GenerationState, focus: int) -> list[Candidate]:
             continue
         if state._bond_pair(anchor, focus_anchor) in state.bonds:
             continue
-        out.append(
-            Candidate(
-                kind="partial",
-                site_type=state.site_type_of[star],
-                order=order,
-                star_atom=star,
-            )
-        )
+        out.append(Candidate("partial", state.site_type_of[star], star_atom=star))
     return out
 
 
@@ -248,7 +250,10 @@ def generation_step(
     """Resolve one focus site: attach a vocabulary motif or cyclize.
 
     Candidates are vocabulary sites plus the partial molecule's other open
-    sites, restricted to the focus site's bond order.
+    sites, restricted to the focus site's bond order. The two pools are
+    scored in separate policy calls; a ``context_free`` policy's vocabulary
+    scores are kept in ``score_cache`` per focus site type (``None``: a
+    fresh cache for this call).
     """
     if state.terminal:
         raise ValueError("generation state is already terminal")
@@ -262,56 +267,36 @@ def generation_step(
         raise NoCompatibleCandidateError(
             f"no candidate shares the focus bond order {focus_order!r}"
         )
-    if policy.context_free and score_cache is not None:
-        vocab_scores = score_cache.get(focus_type)
-        if vocab_scores is None:
-            vocab_scores = np.asarray(
-                policy.score_connections(state.rng_seed, focus_type, vocab_candidates),
-                dtype=float,
-            )
-            score_cache[focus_type] = vocab_scores
-        if partial_candidates:
-            partial_scores = np.asarray(
-                policy.score_connections(state.rng_seed, focus_type, partial_candidates),
-                dtype=float,
-            )
-            scores = np.concatenate([vocab_scores, partial_scores])
-        else:
-            scores = vocab_scores
-    else:
-        scores = np.asarray(
-            policy.score_connections(state.rng_seed, focus_type, candidates), dtype=float
+    if score_cache is None or not policy.context_free:
+        score_cache = {}
+
+    def score(pool: list[Candidate]) -> np.ndarray:
+        return np.asarray(
+            policy.score_connections(state.rng_seed, focus_type, pool), dtype=float
         )
+
+    scores = score_cache.get(focus_type)
+    if scores is None:
+        scores = score_cache[focus_type] = score(vocab_candidates)
+    if partial_candidates:
+        scores = np.concatenate([scores, score(partial_candidates)])
     chosen = candidates[_select(scores, mode, state.rng, policy.temperature, top_k)]
     if chosen.kind == "vocab":
-        offset = state.place_motif(chosen.motif)
-        state.merge_sites(focus, offset + chosen.star_atom)
-        state.enqueue_new_sites(chosen.motif, offset, chosen.star_atom)
+        state.attach(focus, chosen.motif, chosen.star_atom)
     else:
-        state.queue.remove(chosen.star_atom)
-        state.merge_sites(focus, chosen.star_atom)
-    state.step_count += 1
+        state.cyclize(focus, chosen.star_atom)
     return state
 
 
 def _recompute_hydrogens(atoms: list[Atom], mol: MolGraph) -> list[Atom]:
     out = []
     for i, atom in enumerate(atoms):
-        if atom.bracket or atom.is_connection_site:
-            out.append(atom)
-            continue
-        implicit = implicit_hydrogens(
-            atom.element, atom.formal_charge, mol.order_sum_x2(i)
-        )
-        if implicit != atom.implicit_h:
-            atom = Atom(
-                element=atom.element,
-                formal_charge=atom.formal_charge,
-                aromatic=atom.aromatic,
-                explicit_h=atom.explicit_h,
-                implicit_h=implicit,
-                bracket=atom.bracket,
+        if not (atom.bracket or atom.is_connection_site):
+            implicit = implicit_hydrogens(
+                atom.element, atom.formal_charge, mol.order_sum_x2(i)
             )
+            if implicit != atom.implicit_h:
+                atom = replace(atom, implicit_h=implicit)
         out.append(atom)
     return out
 
@@ -341,15 +326,7 @@ def repair_aromatic_rings(mol: MolGraph) -> MolGraph:
                 for _, bidx in current.neighbors(atom_id)
             )
             if not still_aromatic and atoms[atom_id].aromatic:
-                old = atoms[atom_id]
-                atoms[atom_id] = Atom(
-                    element=old.element,
-                    formal_charge=old.formal_charge,
-                    aromatic=False,
-                    explicit_h=old.explicit_h,
-                    implicit_h=old.implicit_h,
-                    bracket=old.bracket,
-                )
+                atoms[atom_id] = replace(atoms[atom_id], aromatic=False)
         current = MolGraph(tuple(atoms), tuple(bonds))
     atoms = _recompute_hydrogens(atoms, current)
     return MolGraph(tuple(atoms), tuple(bonds))
@@ -359,7 +336,7 @@ def finalize(state: GenerationState) -> MolGraph:
     """Compact the terminal assembly and repair invalid aromatic rings."""
     if not state.terminal:
         raise ValueError("cannot finalize: open connection sites remain")
-    mol, _ = state.partial_molgraph()
+    mol = state.partial_molgraph()
     repaired = repair_aromatic_rings(mol)
     if not valence_check(repaired):
         raise IrreparableValenceError(
@@ -422,10 +399,7 @@ def replay_trajectory(trajectory: Trajectory, vocab: MotifVocabulary) -> MolGrap
     if trajectory.start_motif not in vocab:
         raise UnknownMotifError(f"start motif {trajectory.start_motif!r} not in vocabulary")
     state = GenerationState(rng_seed=0)
-    start = vocab[trajectory.start_motif]
-    offset = state.place_motif(start)
-    for star_atom, _, _ in start.sites:
-        state.queue.append(offset + star_atom)
+    state.start(vocab[trajectory.start_motif])
     for step in trajectory.steps:
         if state.terminal:
             raise IncompatibleBondError("trajectory continues past a terminal state")
@@ -438,20 +412,15 @@ def replay_trajectory(trajectory: Trajectory, vocab: MotifVocabulary) -> MolGrap
                 raise IncompatibleBondError(
                     f"atom {step.site} is not a connection site of {step.motif!r}"
                 )
-            offset = state.place_motif(motif)
-            state.merge_sites(focus, offset + step.site)
-            state.enqueue_new_sites(motif, offset, step.site)
+            state.attach(focus, motif, step.site)
         elif step.kind == "cyclize":
             if step.target is None or not 0 <= step.target < len(state.queue):
                 raise IncompatibleBondError(
                     f"cyclize target {step.target} outside the open-site queue"
                 )
-            target_star = state.queue[step.target]
-            del state.queue[step.target]
-            state.merge_sites(focus, target_star)
+            state.cyclize(focus, state.queue[step.target])
         else:
             raise ValueError(f"unknown trajectory step kind {step.kind!r}")
-        state.step_count += 1
     if not state.terminal:
         raise IncompatibleBondError("trajectory ended with open connection sites")
     return finalize(state)

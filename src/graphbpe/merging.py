@@ -62,9 +62,6 @@ class MergingGraph:
         union = self.frag_atoms[fa] + self.frag_atoms[fb]
         return tuple(sorted(self.ranks[a] for a in union))
 
-    def fragment_count(self) -> int:
-        return len(self.frag_atoms)
-
     def merge(self, fa: int, fb: int, counter: Counter | None = None) -> int:
         """Merge two adjacent fragments; returns the fresh fragment id.
 

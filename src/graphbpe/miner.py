@@ -18,10 +18,8 @@ from functools import cached_property, lru_cache, reduce
 from graphbpe.chem import MolGraph, canonical_rank, parse_smiles
 from graphbpe.errors import GraphBpeError
 from graphbpe.merging import (
-    BrokenBond,
     MergeOperation,
     MergingGraph,
-    MotifInstance,
     apply_operations,
     extract_motifs,
 )
@@ -78,16 +76,6 @@ class Motif:
         """(star atom id, bond order, class id), sorted by canonical atom rank."""
         return motif_site_meta(self.smiles)
 
-    @property
-    def atom_count(self) -> int:
-        return sum(1 for a in self.graph.atoms if not a.is_connection_site)
-
-    def site_type(self, star_atom: int) -> SiteType:
-        for atom_id, order, class_id in self.sites:
-            if atom_id == star_atom:
-                return (self.smiles, class_id, order)
-        raise KeyError(f"atom {star_atom} is not a connection site of {self.smiles}")
-
 
 @dataclass(frozen=True)
 class Candidate:
@@ -95,7 +83,6 @@ class Candidate:
 
     kind: str  # "vocab" | "partial"
     site_type: SiteType
-    order: str
     motif: Motif | None = None
     star_atom: int = 0  # vocab: atom id in the motif graph; partial: assembly star id
 
@@ -132,7 +119,7 @@ class MotifVocabulary:
             for star_atom, order, class_id in motif.sites:
                 site_type = (motif.smiles, class_id, order)
                 out.setdefault(order, []).append(
-                    Candidate("vocab", site_type, order, motif, star_atom)
+                    Candidate("vocab", site_type, motif, star_atom)
                 )
         return out
 
@@ -176,11 +163,12 @@ def _merge_delta(dst: Counter[str], delta: Counter[str]) -> None:
             del dst[key]
 
 
-def _instance_site_type(instance: MotifInstance, broken: BrokenBond) -> SiteType:
-    star_atom = instance.star_for_bond[broken.bond_index]
-    meta = {atom_id: (order, cid) for atom_id, order, cid in motif_site_meta(instance.smiles)}
-    order, class_id = meta[star_atom]
-    return (instance.smiles, class_id, order)
+def site_type(smiles: str, star_atom: int) -> SiteType:
+    """The type of the connection site at atom ``star_atom`` of motif ``smiles``."""
+    for atom_id, order, class_id in motif_site_meta(smiles):
+        if atom_id == star_atom:
+            return (smiles, class_id, order)
+    raise KeyError(f"atom {star_atom} is not a connection site of {smiles}")
 
 
 class _Shard:
@@ -214,8 +202,10 @@ class _Shard:
             for instance in instances.values():
                 motif_counter[instance.smiles] += 1
             for bb in broken:
-                site_a = _instance_site_type(instances[bb.fid_a], bb)
-                site_b = _instance_site_type(instances[bb.fid_b], bb)
+                site_a, site_b = (
+                    site_type(inst.smiles, inst.star_for_bond[bb.bond_index])
+                    for inst in (instances[bb.fid_a], instances[bb.fid_b])
+                )
                 attach_counter[attachment_key(site_a, site_b)] += 1
         return motif_counter, attach_counter, fragment_total
 

@@ -21,7 +21,7 @@ from graphbpe.generator import (
     replay_trajectory,
     start_generation,
 )
-from graphbpe.miner import Motif, MotifVocabulary, mine_corpus
+from graphbpe.miner import Motif, MotifVocabulary, mine_corpus, site_type
 from graphbpe.tokenizer import Trajectory, TrajectoryStep
 
 
@@ -32,9 +32,7 @@ def micro_vocab(*entries, attachments=None):
 
 def seeded_state(motif: Motif, seed: int = 0) -> GenerationState:
     state = GenerationState(rng_seed=seed)
-    offset = state.place_motif(motif)
-    for star, _, _ in motif.sites:
-        state.queue.append(offset + star)
+    state.start(motif)
     return state
 
 
@@ -69,8 +67,8 @@ class TestStep:
         ring = Motif("*c1:c:c:c:c:c:1", 3)
         bromine = Motif("*Br", 5)
         chlorine = Motif("*Cl", 1)
-        ring_site = ring.site_type(ring.sites[0][0])
-        br_site = bromine.site_type(bromine.sites[0][0])
+        ring_site = site_type(ring.smiles, ring.sites[0][0])
+        br_site = site_type(bromine.smiles, bromine.sites[0][0])
         attachments = {tuple(sorted([ring_site, br_site])): 10}
         vocab = MotifVocabulary(
             {m.smiles: m for m in (ring, bromine, chlorine)}, attachments
@@ -197,10 +195,30 @@ class TestGenerate:
         ]
         assert runs[0] == runs[1] == runs[2]
 
+    def test_cached_and_uncached_scoring_agree(self, corpus_1k):
+        class Counting(FrequencyPolicy):
+            calls = 0
+
+            def score_connections(self, context, focus, candidates):
+                self.calls += 1
+                return super().score_connections(context, focus, candidates)
+
+        _, molecules = corpus_1k
+        vocab = mine_corpus(molecules[:80], 30).vocabulary
+        cached, uncached = Counting(vocab), Counting(vocab)
+        uncached.context_free = False
+        runs = [
+            [write_smiles(m) for m in generate(vocab, policy, 40, DISTRIBUTIONAL,
+                                               seed=5, top_k=10)[0]]
+            for policy in (cached, uncached)
+        ]
+        assert runs[0] and runs[0] == runs[1]
+        assert 0 < cached.calls < uncached.calls
+
     def test_max_step_guard_reports_aborts(self):
         # two-site chain motif with self-attachment counts: grows unboundedly
         chain = Motif("*CC*", 50)
-        site = chain.site_type(chain.sites[0][0])
+        site = site_type(chain.smiles, chain.sites[0][0])
         vocab = MotifVocabulary({chain.smiles: chain},
                                 {tuple(sorted([site, site])): 100})
         policy = FrequencyPolicy(vocab)

@@ -222,8 +222,8 @@ class TestVocabulary:
         corpus = [parse_smiles("CCO")]
         vocab = build_motif_vocabulary(corpus, [])
         for motif in vocab.ordered_motifs():
-            assert motif.atom_count == 1
             graph = motif.graph
+            assert sum(1 for a in graph.atoms if not a.is_connection_site) == 1
             stars = sum(1 for a in graph.atoms if a.is_connection_site)
             assert stars >= 1
 

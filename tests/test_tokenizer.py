@@ -25,7 +25,7 @@ class TestApplyOperations:
     def test_no_ops_yields_atom_partition(self):
         mol = parse_smiles("CC(=O)N")
         state = apply_operations(mol, [])
-        assert state.fragment_count() == len(mol.atoms)
+        assert len(state.frag_atoms) == len(mol.atoms)
 
     def test_matches_miner_partition_on_corpus(self, corpus_1k):
         _, mols = corpus_1k
