@@ -436,7 +436,7 @@ def write_smiles_with_order(mol: MolGraph) -> tuple[str, list[int]]:
             while digit in in_use:
                 digit += 1
             if digit > 99:
-                raise ValueError("too many simultaneously open rings")
+                raise RingClosureError("too many simultaneously open rings")
             digit_of[bidx] = digit
             in_use.add(digit)
             opens.setdefault(atom, []).append(digit)

@@ -2,12 +2,12 @@
 
 Exit codes: 0 success, 2 usage error, 3 input parse error, 4 artifact
 format/version error. All outputs are deterministic under fixed flags and
-seed, independent of the thread count.
+seed; ``mine --threads`` is accepted and ignored, since mining runs in one
+process.
 """
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -149,8 +149,8 @@ def _build_parser() -> argparse.ArgumentParser:
     mine.add_argument("--num-ops", type=int, required=True, metavar="K",
                       help="number of merge operations to learn")
     mine.add_argument("--out", required=True, help="output directory for the artifacts")
-    mine.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                      help="worker processes for counting (default: CPU count)")
+    mine.add_argument("--threads", type=int, default=1,
+                      help="ignored: mining runs in one process (kept for old command lines)")
 
     frag = sub.add_parser("fragmentize", help="tokenize molecules with learned operations")
     frag.add_argument("--corpus", required=True)
@@ -185,7 +185,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_mine(cfg: RunConfig) -> int:
     cfg.out.mkdir(parents=True, exist_ok=True)
     _, mols = load_corpus(cfg.corpus)
-    result = mine_corpus(mols, cfg.num_ops, threads=cfg.threads)
+    result = mine_corpus(mols, cfg.num_ops)
     write_operations(cfg.out / "ops.txt", result.operations)
     write_vocabulary(cfg.out / "vocab.txt", result.vocabulary)
     write_attachments(cfg.out / "attach.txt", result.vocabulary)

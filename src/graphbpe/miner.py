@@ -4,19 +4,15 @@ Learning keeps one merging graph per corpus molecule and a global counter of
 fragment-pair patterns, updated by exact deltas as merges happen. Each
 iteration picks the most frequent pattern (ties broken by the
 lexicographically smallest pattern string) and merges every edge matching it.
-Counting is commutative, so sharding molecules across worker processes
-produces byte-identical results for any worker count.
+Mining runs in one process, one operation at a time.
 """
 from __future__ import annotations
 
-import multiprocessing as mp
 from collections import Counter
-from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, lru_cache
 
 from graphbpe.chem import MolGraph, canonical_rank, parse_smiles
-from graphbpe.errors import GraphBpeError
 from graphbpe.merging import (
     MergeOperation,
     MergingGraph,
@@ -154,15 +150,6 @@ def _argmax_pattern(counter: Counter[str]) -> tuple[str, int]:
     return pattern, best
 
 
-def _merge_delta(dst: Counter[str], delta: Counter[str]) -> None:
-    for key, value in delta.items():
-        updated = dst[key] + value
-        if updated:
-            dst[key] = updated
-        else:
-            del dst[key]
-
-
 def site_type(smiles: str, star_atom: int) -> SiteType:
     """The type of the connection site at atom ``star_atom`` of motif ``smiles``."""
     for atom_id, order, class_id in motif_site_meta(smiles):
@@ -171,151 +158,54 @@ def site_type(smiles: str, star_atom: int) -> SiteType:
     raise KeyError(f"atom {star_atom} is not a connection site of {smiles}")
 
 
-class _Shard:
-    """The merging graphs of one slice of the corpus.
-
-    The sequential engine is a single shard; each parallel worker serves one.
-    """
-
-    def __init__(self, states: list[MergingGraph]):
-        self.states = states
-
-    def counts(self) -> Counter[str]:
-        return count_pair_patterns(self.states)
-
-    def apply(self, pattern: str) -> Counter[str]:
-        """Merge ``pattern`` everywhere; returns the pattern-count delta."""
-        delta: Counter[str] = Counter()
-        for state in self.states:
-            if state.key_counts.get(pattern):
-                state.apply_operation(pattern, delta)
-        return delta
-
-    def payload(self) -> tuple[Counter[str], Counter[tuple[SiteType, SiteType]], int]:
-        """Motif counts, attachment counts and the number of fragments."""
-        motif_counter: Counter[str] = Counter()
-        attach_counter: Counter[tuple[SiteType, SiteType]] = Counter()
-        fragment_total = 0
-        for state in self.states:
-            instances, broken = extract_motifs(state)
-            fragment_total += len(instances)
-            for instance in instances.values():
-                motif_counter[instance.smiles] += 1
-            for bb in broken:
-                site_a, site_b = (
-                    site_type(inst.smiles, inst.star_for_bond[bb.bond_index])
-                    for inst in (instances[bb.fid_a], instances[bb.fid_b])
-                )
-                attach_counter[attachment_key(site_a, site_b)] += 1
-        return motif_counter, attach_counter, fragment_total
+def _count_motifs(
+    states: list[MergingGraph],
+) -> tuple[Counter[str], Counter[tuple[SiteType, SiteType]], int]:
+    """Motif counts, attachment counts and the number of fragments."""
+    motif_counter: Counter[str] = Counter()
+    attach_counter: Counter[tuple[SiteType, SiteType]] = Counter()
+    fragment_total = 0
+    for state in states:
+        instances, broken = extract_motifs(state)
+        fragment_total += len(instances)
+        for instance in instances.values():
+            motif_counter[instance.smiles] += 1
+        for bb in broken:
+            site_a, site_b = (
+                site_type(inst.smiles, inst.star_for_bond[bb.bond_index])
+                for inst in (instances[bb.fid_a], instances[bb.fid_b])
+            )
+            attach_counter[attachment_key(site_a, site_b)] += 1
+    return motif_counter, attach_counter, fragment_total
 
 
-def _worker_main(conn, corpus: list[MolGraph]) -> None:
-    """Serve ``_Shard`` method calls over ``conn`` until told to stop."""
-    shard = _Shard([MergingGraph(mol) for mol in corpus])
-    for name, *args in iter(conn.recv, ("stop",)):
-        conn.send(getattr(shard, name)(*args))
-
-
-def _add(total, reply):
-    """Sum two shard replies of the same shape."""
-    if isinstance(total, tuple):
-        return tuple(map(_add, total, reply))
-    if isinstance(total, Counter):
-        total.update(reply)  # unlike ``+``, keeps negative deltas
-        return total
-    return total + reply
-
-
-class _ParallelEngine:
-    """Shards molecules across forked workers; aggregation is commutative,
-    so results match the sequential engine for any worker count."""
-
-    def __init__(self, corpus: list[MolGraph], workers: int):
-        ctx = mp.get_context("fork")
-        self.connections = []
-        self.processes = []
-        for shard_id in range(workers):
-            parent_conn, child_conn = ctx.Pipe()
-            proc = ctx.Process(target=_worker_main, args=(child_conn, corpus[shard_id::workers]))
-            proc.start()
-            child_conn.close()
-            self.connections.append(parent_conn)
-            self.processes.append(proc)
-
-    def _call(self, name: str, *args):
-        try:
-            for conn in self.connections:
-                conn.send((name, *args))
-            replies = [conn.recv() for conn in self.connections]
-        except (EOFError, OSError) as exc:
-            for proc in self.processes:
-                proc.terminate()
-            raise GraphBpeError("a mining worker process died") from exc
-        return reduce(_add, replies)
-
-    def counts(self) -> Counter[str]:
-        return self._call("counts")
-
-    def apply(self, pattern: str) -> Counter[str]:
-        return self._call("apply", pattern)
-
-    def payload(self) -> tuple[Counter[str], Counter[tuple[SiteType, SiteType]], int]:
-        return self._call("payload")
-
-    def close(self) -> None:
-        for conn in self.connections:
-            try:
-                conn.send(("stop",))
-            except OSError:
-                pass
-            conn.close()
-        for proc in self.processes:
-            proc.join(timeout=10)
-            if proc.is_alive():
-                proc.terminate()
-                proc.join()
-
-
-@contextmanager
-def _engine(corpus: list[MolGraph], num_operations: int, threads: int):
-    """Check ``num_operations``, then open one shard over the whole corpus
-    or up to ``threads`` forked workers; workers are stopped on exit."""
+def _learn(states: list[MergingGraph], num_operations: int) -> list[MergeOperation]:
+    """Merge the most frequent pattern everywhere, ``num_operations`` times;
+    every merge updates the corpus-wide counter as it happens."""
     if num_operations < 0:
         raise ValueError("num_operations must be >= 0")
-    workers = min(threads, len(corpus))
-    if workers < 2:
-        yield _Shard([MergingGraph(mol) for mol in corpus])
-        return
-    engine = _ParallelEngine(corpus, workers)
-    try:
-        yield engine
-    finally:
-        engine.close()
-
-
-def _learn_loop(engine, num_operations: int) -> list[MergeOperation]:
-    counter = engine.counts()
+    counter = count_pair_patterns(states)
     ops: list[MergeOperation] = []
     for rank in range(num_operations):
         if not counter:
             break
         pattern, count = _argmax_pattern(counter)
         ops.append(MergeOperation(rank, pattern, count))
-        _merge_delta(counter, engine.apply(pattern))
+        for state in states:
+            if state.key_counts.get(pattern):
+                state.apply_operation(pattern, counter)
     return ops
 
 
 def learn_merging_operations(
-    corpus: list[MolGraph], num_operations: int, threads: int = 1
+    corpus: list[MolGraph], num_operations: int
 ) -> list[MergeOperation]:
     """Learn up to ``num_operations`` merge operations from the corpus.
 
     Stops early when no fragment-pair edges remain. Runtime is linear in the
     corpus size for a fixed operation count.
     """
-    with _engine(corpus, num_operations, threads) as engine:
-        return _learn_loop(engine, num_operations)
+    return _learn([MergingGraph(mol) for mol in corpus], num_operations)
 
 
 @dataclass(frozen=True)
@@ -328,10 +218,14 @@ class MiningResult:
 def mine_corpus(
     corpus: list[MolGraph], num_operations: int, threads: int = 1
 ) -> MiningResult:
-    """Run both phases: learn operations, then collect the motif vocabulary."""
-    with _engine(corpus, num_operations, threads) as engine:
-        ops = _learn_loop(engine, num_operations)
-        motifs, attach, fragment_total = engine.payload()
+    """Run both phases: learn operations, then collect the motif vocabulary.
+
+    ``threads`` is accepted for existing callers and ignored: mining runs in
+    one process.
+    """
+    states = [MergingGraph(mol) for mol in corpus]
+    ops = _learn(states, num_operations)
+    motifs, attach, fragment_total = _count_motifs(states)
     vocabulary = MotifVocabulary.from_counters(motifs, attach)
     mean = fragment_total / len(corpus) if corpus else 0.0
     return MiningResult(ops, vocabulary, mean)
@@ -345,5 +239,5 @@ def build_motif_vocabulary(
     Every broken bond contributes one "*" site to each side and one
     attachment-table increment for the site-type pair.
     """
-    motifs, attach, _ = _Shard([apply_operations(mol, ops) for mol in corpus]).payload()
+    motifs, attach, _ = _count_motifs([apply_operations(mol, ops) for mol in corpus])
     return MotifVocabulary.from_counters(motifs, attach)

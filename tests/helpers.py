@@ -157,3 +157,35 @@ def group_by_isomorphism(graphs: list[MolGraph]) -> list[list[int]]:
             representatives.append(graph)
             groups.append([idx])
     return groups
+
+
+def fused_ladder_smiles(rings: int) -> str:
+    """Linearly fused saturated six-rings (``4 * rings + 2`` atoms), written
+    along a zigzag path so that at most two ring labels are open at once.
+
+    Rung ``i`` joins atoms ``u<i>`` and ``v<i>``; ring ``i`` runs
+    ``u<i> t<i> u<i+1> v<i+1> b<i> v<i>``. The path takes ``t<i>`` of even
+    rings and ``b<i>`` of odd ones; each other rail atom is a one-atom branch
+    whose ring label closes at the next rung on its rail.
+    """
+    path = ["v0", "u0"]
+    closes_at = {}  # path atom -> later path atom joined to it through a branch
+    for i in range(rings):
+        if i % 2 == 0:
+            path += [f"t{i}", f"u{i + 1}", f"v{i + 1}"]
+            closes_at[f"v{i}"] = f"v{i + 1}"
+        else:
+            path += [f"b{i}", f"v{i + 1}", f"u{i + 1}"]
+            closes_at[f"u{i}"] = f"u{i + 1}"
+    label_of = {}
+    tokens = []
+    for atom in path:
+        token = "C"
+        if atom in label_of:
+            token += str(label_of.pop(atom))
+        if atom in closes_at:
+            label = min({1, 2} - set(label_of.values()))
+            label_of[closes_at[atom]] = label
+            token += f"(C{label})"
+        tokens.append(token)
+    return "".join(tokens)

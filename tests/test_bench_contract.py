@@ -1,7 +1,9 @@
 """The benchmark's tracer names graphbpe functions and methods by string;
-each of them must still resolve, or a traced run silently measures nothing."""
+each of them must still resolve, or a traced run silently measures nothing.
+The benchmark also calls library functions with keywords that must stay."""
 import importlib
 import importlib.util
+import inspect
 import sys
 from pathlib import Path
 
@@ -30,3 +32,10 @@ def test_traced_methods_resolve():
         cls = getattr(importlib.import_module(module_name), class_name, None)
         assert cls is not None, f"{module_name}.{class_name}"
         assert callable(getattr(cls, method, None)), f"{module_name}.{class_name}.{method}"
+
+
+def test_mine_corpus_accepts_threads():
+    # bench/run.py passes threads= to mine_corpus in its mine and mine_2proc stages
+    import graphbpe
+
+    assert "threads" in inspect.signature(graphbpe.mine_corpus).parameters

@@ -1,6 +1,7 @@
 import pytest
 
 from graphbpe.cli import main
+from helpers import fused_ladder_smiles
 
 A1 = "CC\nCN\nCNN\nCN=O\nCC=O\n"
 
@@ -173,6 +174,15 @@ class TestEval:
                     "--report", workdir / "report.txt"])
         assert code == 0
         assert "validity=0.500000" in (workdir / "report.txt").read_text()
+
+    def test_unwritable_training_molecule_exit_3(self, workdir, capsys):
+        (workdir / "ladder.smi").write_text(fused_ladder_smiles(150) + "\n")
+        code = run(["eval", "--generated", workdir / "corpus.smi",
+                    "--train", workdir / "ladder.smi",
+                    "--report", workdir / "report.txt"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("input error:") and "Traceback" not in err
 
 
 class TestInspectVocab:

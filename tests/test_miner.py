@@ -1,12 +1,10 @@
-import multiprocessing
-import os
 from collections import Counter
 from random import Random
 
 import pytest
 
 from graphbpe.chem import parse_smiles
-from graphbpe.errors import GraphBpeError, NotAdjacentError
+from graphbpe.errors import NotAdjacentError
 from graphbpe.merging import MergingGraph
 from graphbpe.miner import (
     build_motif_vocabulary,
@@ -158,22 +156,6 @@ class TestLearning:
         ops = learn_merging_operations(corpus, 10)
         assert len(ops) == 1
 
-    def test_parallel_matches_sequential(self, corpus_1k):
-        _, mols = corpus_1k
-        sub = mols[:60]
-        assert learn_merging_operations(sub, 25) == learn_merging_operations(
-            sub, 25, threads=4
-        )
-
-    def test_dead_worker_raises_graphbpe_error(self, monkeypatch):
-        corpus = [parse_smiles(s) for s in ["CC", "CN", "CNN", "CN=O", "CC=O"]]
-        # workers are forked, so they inherit the patch; the parent never
-        # applies an operation itself when it runs workers
-        monkeypatch.setattr(MergingGraph, "apply_operation", lambda *args: os._exit(1))
-        with pytest.raises(GraphBpeError, match="worker"):
-            mine_corpus(corpus, 2, threads=2)
-        assert multiprocessing.active_children() == []
-
     def test_prefix_property(self, corpus_1k):
         _, mols = corpus_1k
         sub = mols[:40]
@@ -185,6 +167,8 @@ class TestPartitionInvariant:
         rng = Random(99)
         corpus = [random_molecule(rng, max_atoms=10) for _ in range(10)]
         states = [MergingGraph(m) for m in corpus]
+        # one counter shared by every state, as the miner keeps it
+        shared = count_pair_patterns(states)
         for _ in range(4):
             for state in states:
                 atoms = sorted(a for atoms in state.frag_atoms.values() for a in atoms)
@@ -205,7 +189,9 @@ class TestPartitionInvariant:
             best = max(counts.values())
             pattern = min(k for k, v in counts.items() if v == best)
             for state in states:
-                state.apply_operation(pattern)
+                state.apply_operation(pattern, shared)
+            assert shared == count_pair_patterns(states)
+            assert all(value > 0 for value in shared.values())
 
 
 class TestVocabulary:

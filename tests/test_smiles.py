@@ -12,7 +12,7 @@ from graphbpe.errors import (
     UnsupportedElementError,
     ValenceError,
 )
-from helpers import random_molecule
+from helpers import fused_ladder_smiles, random_molecule
 
 
 class TestParse:
@@ -143,6 +143,13 @@ class TestWrite:
         assert write_smiles(reparsed) == text
         assert len(reparsed.atoms) == len(mol.atoms)
         assert len(reparsed.bonds) == len(mol.bonds)
+
+    def test_too_many_open_rings_is_a_ring_closure_error(self):
+        # 602 atoms: the zigzag input needs two ring labels, the canonical
+        # traversal more than the 99 that SMILES can spell
+        mol = parse_smiles(fused_ladder_smiles(150))
+        with pytest.raises(RingClosureError, match="too many simultaneously open rings"):
+            write_smiles(mol)
 
     def test_valence_closure_on_accepted_strings(self, corpus_1k):
         _, mols = corpus_1k
