@@ -44,7 +44,7 @@ from graphbpe.generator import (
 )
 from graphbpe.metrics import evaluate, format_report
 from graphbpe.miner import mine_corpus
-from graphbpe.tokenizer import extract_trajectory, fragmentize
+from graphbpe.tokenizer import fragmentation_trajectory, fragmentize
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -205,7 +205,7 @@ def _cmd_fragmentize(cfg: RunConfig) -> int:
         frag = fragmentize(mol, ops)
         lines.append(f"{mol_id}\t" + "|".join(frag.motif_strings()))
         if cfg.trajectories:
-            trajectories.append(extract_trajectory(mol, ops))
+            trajectories.append(fragmentation_trajectory(frag))
     text = "".join(line + "\n" for line in lines)
     if cfg.out:
         cfg.out.write_text(text, encoding="utf-8")

@@ -319,11 +319,10 @@ def repair_aromatic_rings(mol: MolGraph) -> MolGraph:
         for bidx in ring_bond_ids:
             bond = bonds[bidx]
             bonds[bidx] = make_bond(bond.a, bond.b, "single")
-        current = MolGraph(tuple(atoms), tuple(bonds))
         for atom_id in ring_atoms:
+            # bond orders change, neighbour lists do not
             still_aromatic = any(
-                current.bonds[bidx].order == "aromatic"
-                for _, bidx in current.neighbors(atom_id)
+                bonds[bidx].order == "aromatic" for _, bidx in mol.neighbors(atom_id)
             )
             if not still_aromatic and atoms[atom_id].aromatic:
                 atoms[atom_id] = replace(atoms[atom_id], aromatic=False)

@@ -6,7 +6,10 @@ edge carries the canonical pattern string of the merged union, kept current
 incrementally so repeated scans stay cheap. ``apply_operation`` is the one
 merge primitive: the miner drives it pattern by pattern, and
 ``apply_operations`` replays a learned operation list for the vocabulary
-builder and the tokenizer.
+builder and the tokenizer. ``extract_motifs`` turns a final partition into
+the one ``Fragmentation`` record of a molecule (connection-aware motifs plus
+the two sites each broken bond joins) that the tokenizer, the vocabulary
+builder and trajectories all read.
 """
 from __future__ import annotations
 
@@ -28,7 +31,8 @@ class MergeOperation:
 
 
 class MergingGraph:
-    """Mutable fragment partition of one molecule plus fragment adjacency."""
+    """Mutable fragment partition of one molecule; the keys of ``edges`` are
+    its adjacent fragment pairs."""
 
     def __init__(self, mol: MolGraph):
         self.mol = mol
@@ -36,14 +40,11 @@ class MergingGraph:
         self.frag_of = list(range(len(mol.atoms)))
         self.frag_atoms: dict[int, list[int]] = {i: [i] for i in range(len(mol.atoms))}
         self._next_fid = len(mol.atoms)
-        self.adj: dict[int, set[int]] = {i: set() for i in self.frag_atoms}
         self.edges: dict[tuple[int, int], str] = {}
         self.key_counts: Counter[str] = Counter()
         for bond in mol.bonds:
             pair = self._pair(bond.a, bond.b)
             if pair not in self.edges:
-                self.adj[pair[0]].add(pair[1])
-                self.adj[pair[1]].add(pair[0])
                 key = self._pattern(*pair)
                 self.edges[pair] = key
                 self.key_counts[key] += 1
@@ -71,45 +72,37 @@ class MergingGraph:
         pair = self._pair(fa, fb)
         if pair not in self.edges:
             raise NotAdjacentError(f"fragments {fa} and {fb} are not adjacent")
-        dead_pairs = {pair}
-        for fid in (fa, fb):
-            for nb in self.adj[fid]:
-                dead_pairs.add(self._pair(fid, nb))
+        union = self.frag_atoms.pop(fa) + self.frag_atoms.pop(fb)
+        # every edge of fa or fb dies; the fragments they reach become
+        # neighbours of the union
+        dead_pairs = set()
+        neighbors = set()
+        for atom in union:
+            own = self.frag_of[atom]
+            for nbr, _ in self.mol.neighbors(atom):
+                other = self.frag_of[nbr]
+                if other != own:
+                    dead_pairs.add(self._pair(own, other))
+                    if other != fa and other != fb:
+                        neighbors.add(other)
+        counts = (self.key_counts,) if counter is None else (self.key_counts, counter)
         for dead in dead_pairs:
             key = self.edges.pop(dead)
-            self.key_counts[key] -= 1
-            if not self.key_counts[key]:
-                del self.key_counts[key]
-            if counter is not None:
-                counter[key] -= 1
-                if not counter[key]:
-                    del counter[key]
-            x, y = dead
-            self.adj[x].discard(y)
-            self.adj[y].discard(x)
-        union = self.frag_atoms.pop(fa) + self.frag_atoms.pop(fb)
-        del self.adj[fa], self.adj[fb]
+            for count in counts:
+                count[key] -= 1
+                if not count[key]:
+                    del count[key]
         fnew = self._next_fid
         self._next_fid += 1
         self.frag_atoms[fnew] = union
         for atom in union:
             self.frag_of[atom] = fnew
-        neighbors = set()
-        for atom in union:
-            for nbr, _ in self.mol.neighbors(atom):
-                fid = self.frag_of[nbr]
-                if fid != fnew:
-                    neighbors.add(fid)
-        self.adj[fnew] = set()
         for nb in neighbors:
             new_pair = self._pair(fnew, nb)
             key = self._pattern(*new_pair)
             self.edges[new_pair] = key
-            self.key_counts[key] += 1
-            if counter is not None:
-                counter[key] += 1
-            self.adj[fnew].add(nb)
-            self.adj[nb].add(fnew)
+            for count in counts:
+                count[key] += 1
         return fnew
 
     def apply_operation(self, pattern: str, counter: Counter | None = None) -> int:
@@ -140,59 +133,75 @@ def apply_operations(mol: MolGraph, ops: list[MergeOperation]) -> MergingGraph:
 
 @dataclass(frozen=True)
 class MotifInstance:
-    """One fragment rendered as a connection-aware motif.
+    """One fragment rendered as a connection-aware motif."""
 
-    ``star_for_bond`` maps each broken molecule bond to the id of the "*"
-    atom standing in for it, in the atom numbering of ``parse(smiles)``.
-    """
-
-    fid: int
     smiles: str
     atom_count: int
     parent_atoms: tuple[int, ...]
-    star_for_bond: dict[int, int]
 
 
 @dataclass(frozen=True)
-class BrokenBond:
-    bond_index: int
-    fid_a: int
-    fid_b: int
+class BrokenBondLink:
+    """One broken bond as (motif index, star atom) on each side; a star atom
+    id is in the atom numbering of ``parse_smiles(motif.smiles)``."""
+
+    motif_a: int
+    star_a: int
+    motif_b: int
+    star_b: int
     order: str
 
 
-def extract_motifs(state: MergingGraph) -> tuple[dict[int, MotifInstance], list[BrokenBond]]:
-    """Turn the final partition into connection-aware motifs plus broken bonds."""
+@dataclass(frozen=True)
+class Fragmentation:
+    """Connection-aware motifs of one molecule plus how they were joined.
+
+    Motifs are ordered by their lowest parent atom; ``broken_bonds`` holds one
+    link per broken molecule bond, in molecule bond order, with ``motif_a`` on
+    the side of the bond's lower atom.
+    """
+
+    motifs: tuple[MotifInstance, ...]
+    broken_bonds: tuple[BrokenBondLink, ...]
+
+    def motif_strings(self) -> list[str]:
+        return [m.smiles for m in self.motifs]
+
+
+def extract_motifs(state: MergingGraph) -> Fragmentation:
+    """Turn the final partition into connection-aware motifs plus the links
+    of every broken bond."""
     mol = state.mol
-    broken: list[BrokenBond] = []
-    cross_of_frag: dict[int, list[int]] = {fid: [] for fid in state.frag_atoms}
+    parts = sorted(tuple(sorted(atoms)) for atoms in state.frag_atoms.values())
+    motif_of = [0] * len(mol.atoms)
+    for index, atoms in enumerate(parts):
+        for atom in atoms:
+            motif_of[atom] = index
+    cross: list[list[tuple[int, int]]] = [[] for _ in parts]  # (bond, anchor atom)
     for bidx, bond in enumerate(mol.bonds):
-        fa, fb = state.frag_of[bond.a], state.frag_of[bond.b]
-        if fa != fb:
-            broken.append(BrokenBond(bidx, fa, fb, bond.order))
-            cross_of_frag[fa].append(bidx)
-            cross_of_frag[fb].append(bidx)
-    instances: dict[int, MotifInstance] = {}
-    for fid, atom_ids in state.frag_atoms.items():
+        ma, mb = motif_of[bond.a], motif_of[bond.b]
+        if ma != mb:
+            cross[ma].append((bidx, bond.a))
+            cross[mb].append((bidx, bond.b))
+    motifs: list[MotifInstance] = []
+    star_of: dict[tuple[int, int], int] = {}  # (motif, bond) -> star atom id
+    for index, atom_ids in enumerate(parts):
         base, mapping = mol.subgraph(atom_ids)
         atoms = list(base.atoms)
         bonds = list(base.bonds)
         star_raw: dict[int, int] = {}
-        for bidx in cross_of_frag[fid]:
-            bond = mol.bonds[bidx]
-            anchor = bond.a if state.frag_of[bond.a] == fid else bond.b
-            star_id = len(atoms)
+        for bidx, anchor in cross[index]:
+            star_raw[bidx] = len(atoms)
             atoms.append(Atom(STAR))
-            bonds.append(make_bond(mapping[anchor], star_id, bond.order))
-            star_raw[bidx] = star_id
-        motif_graph = MolGraph(tuple(atoms), tuple(bonds))
-        smiles, order = write_smiles_with_order(motif_graph)
+            bonds.append(make_bond(mapping[anchor], star_raw[bidx], mol.bonds[bidx].order))
+        smiles, order = write_smiles_with_order(MolGraph(tuple(atoms), tuple(bonds)))
         pos_of_raw = {raw: i for i, raw in enumerate(order)}
-        instances[fid] = MotifInstance(
-            fid=fid,
-            smiles=smiles,
-            atom_count=len(base.atoms),
-            parent_atoms=tuple(sorted(atom_ids)),
-            star_for_bond={bidx: pos_of_raw[raw] for bidx, raw in star_raw.items()},
-        )
-    return instances, broken
+        for bidx, raw in star_raw.items():
+            star_of[index, bidx] = pos_of_raw[raw]
+        motifs.append(MotifInstance(smiles, len(base.atoms), atom_ids))
+    links = []
+    for bidx, bond in enumerate(mol.bonds):
+        ma, mb = motif_of[bond.a], motif_of[bond.b]
+        if ma != mb:
+            links.append(BrokenBondLink(ma, star_of[ma, bidx], mb, star_of[mb, bidx], bond.order))
+    return Fragmentation(tuple(motifs), tuple(links))

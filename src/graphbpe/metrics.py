@@ -44,11 +44,10 @@ def compute_descriptors(mol: MolGraph) -> DescriptorVector:
         counts[o] / total_bonds if total_bonds else 0.0
         for o in (SINGLE, DOUBLE, TRIPLE, AROMATIC)
     )
-    components = 1 if mol.is_connected() else _component_count(mol)
     return DescriptorVector(
         mol_weight=molecular_weight(mol),
         heavy_atom_count=heavy,
-        cycle_rank=len(mol.bonds) - heavy + components,
+        cycle_rank=len(mol.bonds) - heavy + _component_count(mol),
         aromatic_atom_fraction=aromatic / heavy,
         heteroatom_fraction=hetero / heavy,
         halogen_count=halogens,
@@ -90,6 +89,7 @@ _BOND_CHANNELS = (
     "bond_frac_triple",
     "bond_frac_aromatic",
 )
+_CHANNELS = _SCALAR_CHANNELS + tuple((name, False) for name in _BOND_CHANNELS)
 
 
 @dataclass
@@ -165,21 +165,13 @@ def evaluate(generated: list[MolGraph], training: list[MolGraph]) -> EvalReport:
     gen_values = _channel_values([compute_descriptors(m) for m in valid])
     channel_kl: dict[str, float] = {}
     channel_score: dict[str, float] = {}
-    for name, integer in _SCALAR_CHANNELS:
+    for name, integer in _CHANNELS:
         kl = _kl_divergence(
             *_histogram_pair(train_values[name], gen_values[name], integer)
         )
         channel_kl[name] = kl
         channel_score[name] = math.exp(-kl)
-    bond_scores = []
-    for name in _BOND_CHANNELS:
-        kl = _kl_divergence(
-            *_histogram_pair(train_values[name], gen_values[name], False)
-        )
-        channel_kl[name] = kl
-        score = math.exp(-kl)
-        channel_score[name] = score
-        bond_scores.append(score)
+    bond_scores = [channel_score[name] for name in _BOND_CHANNELS]
     descriptor_scores = [channel_score[name] for name, _ in _SCALAR_CHANNELS]
     descriptor_scores.append(sum(bond_scores) / len(bond_scores))
     kl_div_score = sum(descriptor_scores) / len(descriptor_scores)

@@ -166,15 +166,12 @@ def _count_motifs(
     attach_counter: Counter[tuple[SiteType, SiteType]] = Counter()
     fragment_total = 0
     for state in states:
-        instances, broken = extract_motifs(state)
-        fragment_total += len(instances)
-        for instance in instances.values():
-            motif_counter[instance.smiles] += 1
-        for bb in broken:
-            site_a, site_b = (
-                site_type(inst.smiles, inst.star_for_bond[bb.bond_index])
-                for inst in (instances[bb.fid_a], instances[bb.fid_b])
-            )
+        frag = extract_motifs(state)
+        fragment_total += len(frag.motifs)
+        motif_counter.update(frag.motif_strings())
+        for link in frag.broken_bonds:
+            site_a = site_type(frag.motifs[link.motif_a].smiles, link.star_a)
+            site_b = site_type(frag.motifs[link.motif_b].smiles, link.star_b)
             attach_counter[attachment_key(site_a, site_b)] += 1
     return motif_counter, attach_counter, fragment_total
 

@@ -3,9 +3,11 @@
 Applying the operations sequentially (``graphbpe.merging.apply_operations``,
 the pass the vocabulary builder runs too) reproduces the exact partition the
 miner saw during vocabulary construction, so the operation list acts as a
-tokenizer for arbitrary molecules. Trajectories replay a molecule's assembly
-through the generator's queue discipline for roundtrip testing and policy
-fitting.
+tokenizer for arbitrary molecules. ``graphbpe.merging.extract_motifs`` turns
+that partition into the molecule's one ``Fragmentation`` record, which the
+vocabulary builder also counts and trajectories read. Trajectories replay a
+molecule's assembly through the generator's queue discipline for roundtrip
+testing and policy fitting.
 """
 from __future__ import annotations
 
@@ -13,51 +15,12 @@ from collections import deque
 from dataclasses import dataclass
 
 from graphbpe.chem import MolGraph
-from graphbpe.merging import MergeOperation, MotifInstance, apply_operations, extract_motifs
+from graphbpe.merging import Fragmentation, MergeOperation, apply_operations, extract_motifs
 from graphbpe.miner import motif_site_meta
 
 
-@dataclass(frozen=True)
-class BrokenBondLink:
-    """One broken bond as (motif index, star atom) on each side."""
-
-    motif_a: int
-    star_a: int
-    motif_b: int
-    star_b: int
-    order: str
-
-
-@dataclass(frozen=True)
-class Fragmentation:
-    """Connection-aware motifs of one molecule plus how they were joined."""
-
-    motifs: tuple[MotifInstance, ...]
-    broken_bonds: tuple[BrokenBondLink, ...]
-
-    def motif_strings(self) -> list[str]:
-        return [m.smiles for m in self.motifs]
-
-
 def fragmentize(mol: MolGraph, ops: list[MergeOperation]) -> Fragmentation:
-    state = apply_operations(mol, ops)
-    instances, broken = extract_motifs(state)
-    ordered = sorted(instances.values(), key=lambda inst: inst.parent_atoms)
-    index_of = {inst.fid: i for i, inst in enumerate(ordered)}
-    links = []
-    for bb in sorted(broken, key=lambda b: b.bond_index):
-        inst_a = instances[bb.fid_a]
-        inst_b = instances[bb.fid_b]
-        links.append(
-            BrokenBondLink(
-                motif_a=index_of[bb.fid_a],
-                star_a=inst_a.star_for_bond[bb.bond_index],
-                motif_b=index_of[bb.fid_b],
-                star_b=inst_b.star_for_bond[bb.bond_index],
-                order=bb.order,
-            )
-        )
-    return Fragmentation(tuple(ordered), tuple(links))
+    return extract_motifs(apply_operations(mol, ops))
 
 
 @dataclass(frozen=True)
@@ -78,13 +41,17 @@ class Trajectory:
 
 
 def extract_trajectory(mol: MolGraph, ops: list[MergeOperation]) -> Trajectory:
+    """The assembly trajectory of ``mol`` fragmentized with ``ops``."""
+    return fragmentation_trajectory(fragmentize(mol, ops))
+
+
+def fragmentation_trajectory(frag: Fragmentation) -> Trajectory:
     """Ground-truth assembly order: largest motif first, then queue discipline.
 
     Each popped site either attaches the motif on the other side of its broken
     bond or, when that motif is already placed, records a cyclization against
     the partner's position in the open-site queue.
     """
-    frag = fragmentize(mol, ops)
     partner: dict[tuple[int, int], tuple[int, int, str]] = {}
     for link in frag.broken_bonds:
         partner[(link.motif_a, link.star_a)] = (link.motif_b, link.star_b, link.order)

@@ -1,6 +1,7 @@
 """The benchmark's tracer names graphbpe functions and methods by string;
 each of them must still resolve, or a traced run silently measures nothing.
-The benchmark also calls library functions with keywords that must stay."""
+The benchmark also calls library functions with keywords, and reads result
+attributes, that must stay."""
 import importlib
 import importlib.util
 import inspect
@@ -39,3 +40,31 @@ def test_mine_corpus_accepts_threads():
     import graphbpe
 
     assert "threads" in inspect.signature(graphbpe.mine_corpus).parameters
+
+
+def test_result_attributes_the_benchmark_reads():
+    # the attributes bench/run.py reads off mining, tokenizer, generation and
+    # evaluation results, reached through the same calls it makes
+    import graphbpe
+    from graphbpe.generator import DISTRIBUTIONAL
+
+    corpus = [graphbpe.parse_smiles(s) for s in ("CCO", "CC(=O)N", "c1ccccc1O", "CCN")]
+    result = graphbpe.mine_corpus(corpus, 3, threads=1)
+    assert all(isinstance(op, graphbpe.MergeOperation) for op in result.operations)
+    frag = graphbpe.fragmentize(corpus[2], result.operations)
+    assert sum(m.atom_count for m in frag.motifs) == len(corpus[2].atoms)
+    loaded = result.vocabulary
+    vocab = graphbpe.MotifVocabulary(loaded.motifs, loaded.attachment_counts)
+    assert vocab.motifs == loaded.motifs
+    assert vocab.attachment_counts == loaded.attachment_counts
+    molecules, report = graphbpe.generate(
+        vocab, graphbpe.FrequencyPolicy(vocab), 8, mode=DISTRIBUTIONAL, seed=1, top_k=5
+    )
+    failed = sum(report.failures.values())
+    assert report.emitted + report.aborted + failed == report.requested == 8
+    assert report.emitted == len(molecules) > 0
+    ev = graphbpe.evaluate(molecules, corpus)
+    for name in ("uniqueness", "novelty", "kl_div_score"):
+        assert isinstance(getattr(ev, name), float), name
+    for name in ("valid_count", "unique_count"):
+        assert isinstance(getattr(ev, name), int), name

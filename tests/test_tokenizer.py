@@ -79,6 +79,30 @@ class TestFragmentize:
             assert total_stars == 2 * len(frag.broken_bonds)
 
 
+    def test_links_name_the_star_sites(self, corpus_1k, ops_500):
+        _, mols = corpus_1k
+        for mol in mols[:40]:
+            frag = fragmentize(mol, ops_500[:50])
+            firsts = [m.parent_atoms[0] for m in frag.motifs]
+            assert firsts == sorted(firsts)
+            graphs = [parse_smiles(m.smiles) for m in frag.motifs]
+            linked = Counter()
+            for link in frag.broken_bonds:
+                for motif, star in ((link.motif_a, link.star_a), (link.motif_b, link.star_b)):
+                    graph = graphs[motif]
+                    assert graph.atoms[star].is_connection_site
+                    ((_, bidx),) = graph.neighbors(star)
+                    assert graph.bonds[bidx].order == link.order
+                    linked[motif, star] += 1
+            stars = Counter(
+                (motif, atom_id)
+                for motif, graph in enumerate(graphs)
+                for atom_id, atom in enumerate(graph.atoms)
+                if atom.is_connection_site
+            )
+            assert linked == stars  # every star in exactly one link
+
+
 class TestTrajectory:
     def test_single_motif_trajectory(self):
         corpus = [parse_smiles("CC")]
