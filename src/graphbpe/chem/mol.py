@@ -161,12 +161,20 @@ class MolGraph:
         ordered = sorted(atom_ids)
         mapping = {old: new for new, old in enumerate(ordered)}
         atoms = tuple(self.atoms[i] for i in ordered)
-        bonds = tuple(
-            make_bond(mapping[b.a], mapping[b.b], b.order)
-            for b in self.bonds
-            if b.a in mapping and b.b in mapping
-        )
+        induced = (self.bonds[i] for i in self.induced_bond_ids(mapping))
+        bonds = tuple(make_bond(mapping[b.a], mapping[b.b], b.order) for b in induced)
         return MolGraph(atoms, bonds), mapping
+
+    def induced_bond_ids(self, atom_ids) -> list[int]:
+        """Indices of the bonds with both ends in ``atom_ids`` (a set or
+        dict of atom ids), in molecule bond order; walks only those atoms'
+        neighbour lists."""
+        return sorted(
+            bidx
+            for atom in atom_ids
+            for nbr, bidx in self._adjacency[atom]
+            if nbr > atom and nbr in atom_ids
+        )
 
 
 def allowed_valences(element: str, charge: int) -> tuple[int, ...]:

@@ -33,14 +33,16 @@ DISTRIBUTIONAL = "distributional"
 DEFAULT_MAX_STEPS = 100
 
 _SEED_MIX = 0x9E3779B97F4A7C15  # odd constant; decorrelates per-molecule streams
+_START = "start"  # score-cache key of the start scores; the other keys are site types
 
 
 class Policy:
     """Scoring contract: one finite score per candidate, independent of the
     other candidates; vocabulary and open-site pools come in separate calls.
 
-    ``context_free=True`` declares that vocabulary scores depend only on the
-    focus site type, enabling score-vector caching across molecules.
+    ``context_free=True`` declares that start scores depend only on the
+    motifs and vocabulary scores only on the focus site type, so one
+    ``generate`` call scores the starts once and each focus site type once.
     """
 
     temperature: float = 1.0
@@ -215,13 +217,24 @@ def start_generation(
     seed: int,
     mode: str = GREEDY,
     top_k: int | None = None,
+    score_cache: dict | None = None,
 ) -> GenerationState:
-    """Pick the first motif and enqueue its sites in canonical atom order."""
+    """Pick the first motif and enqueue its sites in canonical atom order.
+
+    A ``context_free`` policy's ordered motifs and start scores are kept in
+    ``score_cache`` (``None``: a fresh cache for this call).
+    """
     if not len(vocab):
         raise EmptyVocabularyError("cannot generate from an empty vocabulary")
-    motifs = vocab.ordered_motifs()
+    if score_cache is None or not policy.context_free:
+        score_cache = {}
+    cached = score_cache.get(_START)
+    if cached is None:
+        motifs = vocab.ordered_motifs()
+        scores = np.asarray(policy.score_start(seed, motifs), dtype=float)
+        cached = score_cache[_START] = (motifs, scores)
+    motifs, scores = cached
     state = GenerationState(rng_seed=seed)
-    scores = np.asarray(policy.score_start(seed, motifs), dtype=float)
     state.start(motifs[_select(scores, mode, state.rng, policy.temperature, top_k)])
     return state
 
@@ -377,7 +390,7 @@ def generate(
     cache: dict = {}
     for index in range(n):
         state = start_generation(
-            vocab, policy, molecule_seed(seed, index), mode, top_k
+            vocab, policy, molecule_seed(seed, index), mode, top_k, score_cache=cache
         )
         try:
             while not state.terminal:

@@ -3,21 +3,37 @@
 State starts as one fragment per atom with bond adjacency inherited from the
 molecule and evolves by merging adjacent fragment pairs. Each fragment-pair
 edge carries the canonical pattern string of the merged union, kept current
-incrementally so repeated scans stay cheap. ``apply_operation`` is the one
-merge primitive: the miner drives it pattern by pattern, and
-``apply_operations`` replays a learned operation list for the vocabulary
-builder and the tokenizer. ``extract_motifs`` turns a final partition into
-the one ``Fragmentation`` record of a molecule (connection-aware motifs plus
-the two sites each broken bond joins) that the tokenizer, the vocabulary
-builder and trajectories all read.
+incrementally so repeated scans stay cheap.
+
+The same small unions recur across molecules, so ``union_pattern`` memoizes
+the pattern string on ``MergingGraph.union_key``, a string that encodes the
+union's exact induced labelled graph: its atoms in ascending atom-id order,
+each ``Atom`` value interned to a one-character code, and every induced bond
+as (new atom a, new atom b, order) in molecule bond order. That is exactly
+the graph ``write_smiles`` would be given for the union, so a hit returns the
+string a fresh write would return, even where the canonical form is not yet
+invariant; a miss decodes the key and calls ``write_smiles``. The memo is
+process-wide (an ``lru_cache``, like the miner's motif caches), cannot go
+stale because the key is the whole input, and ``union_pattern.cache_clear()``
+resets it.
+
+``apply_operation`` is the one merge primitive: the miner drives it pattern
+by pattern, and ``apply_operations`` replays a learned operation list for the
+vocabulary builder and the tokenizer. ``extract_motifs`` turns a final
+partition into the one ``Fragmentation`` record of a molecule
+(connection-aware motifs plus the two sites each broken bond joins) that the
+tokenizer, the vocabulary builder and trajectories all read.
 """
 from __future__ import annotations
 
+import sys
+import threading
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 
 from graphbpe.chem import MolGraph, canonical_rank, write_smiles, write_smiles_with_order
-from graphbpe.chem.mol import STAR, Atom, make_bond
+from graphbpe.chem.mol import BOND_ORDERS, STAR, Atom, make_bond
 from graphbpe.errors import NotAdjacentError
 
 
@@ -30,6 +46,39 @@ class MergeOperation:
     observed_count: int
 
 
+# atom codes of union_key; append-only, so a code never changes meaning
+_ATOM_CODES: dict[Atom, str] = {}
+_CODED_ATOMS: list[Atom] = []
+_CODES_LOCK = threading.Lock()
+_ORDER_CODES = {order: chr(i) for i, order in enumerate(BOND_ORDERS)}
+
+
+def _atom_code(atom: Atom) -> str:
+    code = _ATOM_CODES.get(atom)
+    if code is None:
+        with _CODES_LOCK:
+            code = _ATOM_CODES.get(atom)
+            if code is None:
+                # append first: a code another thread can read always decodes
+                _CODED_ATOMS.append(atom)
+                code = _ATOM_CODES[atom] = chr(len(_CODED_ATOMS) - 1)
+    return code
+
+
+@lru_cache(maxsize=None)
+def union_pattern(key: str) -> str:
+    """Canonical string of the labelled graph that ``key`` (a
+    ``MergingGraph.union_key``) encodes; interned, so the keys of isomorphic
+    unions share one string object."""
+    count = ord(key[0])
+    atoms = tuple(_CODED_ATOMS[ord(code)] for code in key[1 : count + 1])
+    bonds = tuple(
+        make_bond(ord(key[i]), ord(key[i + 1]), BOND_ORDERS[ord(key[i + 2])])
+        for i in range(count + 1, len(key), 3)
+    )
+    return sys.intern(write_smiles(MolGraph(atoms, bonds)))
+
+
 class MergingGraph:
     """Mutable fragment partition of one molecule; the keys of ``edges`` are
     its adjacent fragment pairs."""
@@ -40,6 +89,7 @@ class MergingGraph:
         self.frag_of = list(range(len(mol.atoms)))
         self.frag_atoms: dict[int, list[int]] = {i: [i] for i in range(len(mol.atoms))}
         self._next_fid = len(mol.atoms)
+        self._atom_codes = "".join(_atom_code(atom) for atom in mol.atoms)
         self.edges: dict[tuple[int, int], str] = {}
         self.key_counts: Counter[str] = Counter()
         for bond in mol.bonds:
@@ -54,9 +104,22 @@ class MergingGraph:
         return (fa, fb) if fa < fb else (fb, fa)
 
     def _pattern(self, fa: int, fb: int) -> str:
-        union = self.frag_atoms[fa] + self.frag_atoms[fb]
-        sub, _ = self.mol.subgraph(union)
-        return write_smiles(sub)
+        return union_pattern(self.union_key(self.frag_atoms[fa] + self.frag_atoms[fb]))
+
+    def union_key(self, atom_ids: list[int]) -> str:
+        """The exact induced labelled subgraph on ``atom_ids`` as one string:
+        the atom count, one code per atom in ascending atom-id order, then
+        three characters (new a, new b, order) per induced bond in molecule
+        bond order."""
+        ordered = sorted(atom_ids)
+        new_id = {old: new for new, old in enumerate(ordered)}
+        codes, bonds = self._atom_codes, self.mol.bonds
+        parts = [chr(len(ordered))]
+        parts += [codes[i] for i in ordered]
+        for bidx in self.mol.induced_bond_ids(new_id):
+            bond = bonds[bidx]
+            parts.append(chr(new_id[bond.a]) + chr(new_id[bond.b]) + _ORDER_CODES[bond.order])
+        return "".join(parts)
 
     def scan_key(self, fa: int, fb: int) -> tuple[int, ...]:
         """Deterministic edge ordering: sorted canonical ranks of the union."""

@@ -1,11 +1,13 @@
-"""Shared test utilities: random valid molecules, permutation tools, and an
-isomorphism matcher independent of the package's canonical ranking."""
+"""Shared test utilities: random valid molecules, permutation tools, mined
+artifacts as values, and an isomorphism matcher independent of the package's
+canonical ranking."""
 from __future__ import annotations
 
 from random import Random
 
 from graphbpe.chem import parse_smiles
 from graphbpe.chem.mol import Atom, MolGraph, check_molecule, implicit_hydrogens, make_bond
+from graphbpe.miner import mine_corpus
 
 _MAX_X2 = {"C": 8, "N": 6, "O": 4, "S": 4, "F": 2, "Cl": 2, "Br": 2}
 
@@ -83,6 +85,14 @@ def permute_molecule(mol: MolGraph, perm: list[int]) -> MolGraph:
         atoms[new] = mol.atoms[old]
     bonds = tuple(make_bond(perm[b.a], perm[b.b], b.order) for b in mol.bonds)
     return MolGraph(tuple(atoms), bonds)
+
+
+def mined(corpus: list[MolGraph], num_operations: int) -> tuple:
+    """What ``graphbpe mine`` writes, as values: ops, motif frequencies and
+    attachment counts."""
+    result = mine_corpus(corpus, num_operations)
+    motifs = {m.smiles: m.frequency for m in result.vocabulary.ordered_motifs()}
+    return result.operations, motifs, result.vocabulary.attachment_counts
 
 
 def _attrs(mol: MolGraph, i: int) -> tuple:

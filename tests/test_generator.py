@@ -198,6 +198,11 @@ class TestGenerate:
     def test_cached_and_uncached_scoring_agree(self, corpus_1k):
         class Counting(FrequencyPolicy):
             calls = 0
+            starts = 0
+
+            def score_start(self, context, motifs):
+                self.starts += 1
+                return super().score_start(context, motifs)
 
             def score_connections(self, context, focus, candidates):
                 self.calls += 1
@@ -214,6 +219,7 @@ class TestGenerate:
         ]
         assert runs[0] and runs[0] == runs[1]
         assert 0 < cached.calls < uncached.calls
+        assert (cached.starts, uncached.starts) == (1, 40)
 
     def test_max_step_guard_reports_aborts(self):
         # two-site chain motif with self-attachment counts: grows unboundedly

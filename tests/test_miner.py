@@ -3,9 +3,9 @@ from random import Random
 
 import pytest
 
-from graphbpe.chem import parse_smiles
+from graphbpe.chem import MolGraph, parse_smiles
 from graphbpe.errors import NotAdjacentError
-from graphbpe.merging import MergingGraph
+from graphbpe.merging import MergingGraph, union_pattern
 from graphbpe.miner import (
     build_motif_vocabulary,
     count_pair_patterns,
@@ -13,7 +13,7 @@ from graphbpe.miner import (
     mine_corpus,
     motif_site_meta,
 )
-from helpers import group_by_isomorphism, isomorphic, random_molecule
+from helpers import group_by_isomorphism, isomorphic, mined, permute_molecule, random_molecule
 
 
 def merged_subgraph(mol, *groups):
@@ -242,6 +242,30 @@ class TestVocabulary:
             m.smiles: m.frequency for m in result.vocabulary.ordered_motifs()
         }
         assert rebuilt.attachment_counts == result.vocabulary.attachment_counts
+
+
+def shuffled_molecule(mol, rng: Random):
+    """The same molecule with its atom ids and its bond list randomly permuted."""
+    perm = list(range(len(mol.atoms)))
+    rng.shuffle(perm)
+    permuted = permute_molecule(mol, perm)
+    bonds = list(permuted.bonds)
+    rng.shuffle(bonds)
+    return MolGraph(permuted.atoms, tuple(bonds))
+
+
+class TestInvariance:
+    """Mining depends on the molecules only: not on corpus order, atom or
+    bond numbering, or what the pattern memo already holds."""
+
+    def test_order_and_numbering_do_not_change_artifacts(self, corpus_1k):
+        _, mols = corpus_1k
+        corpus = mols[:150]
+        union_pattern.cache_clear()
+        expected = mined(corpus, 60)
+        assert mined(corpus[::-1], 60) == expected  # warm cache
+        rng = Random(2024)
+        assert mined([shuffled_molecule(m, rng) for m in corpus], 60) == expected
 
 
 class TestScaling:

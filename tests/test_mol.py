@@ -11,7 +11,7 @@ from graphbpe.chem import (
     ring_bonds,
     valence_check,
 )
-from graphbpe.chem.mol import failing_aromatic_rings
+from graphbpe.chem.mol import failing_aromatic_rings, make_bond
 from helpers import random_molecule
 
 
@@ -117,3 +117,17 @@ class TestAromaticRingCheck:
 
     def test_aromatic_chain_not_flagged(self):
         assert failing_aromatic_rings(parse_smiles("*:c:c:c:c:*")) == []
+
+
+class TestSubgraph:
+    def test_matches_a_scan_of_every_bond(self):
+        rng = Random(5)
+        for _ in range(60):
+            mol = random_molecule(rng, max_atoms=12)
+            atoms = rng.sample(range(len(mol.atoms)), rng.randint(1, len(mol.atoms)))
+            sub, mapping = mol.subgraph(atoms)
+            assert sub.atoms == tuple(mol.atoms[i] for i in sorted(atoms))
+            assert sub.bonds == tuple(
+                make_bond(mapping[b.a], mapping[b.b], b.order)
+                for b in mol.bonds if b.a in mapping and b.b in mapping
+            )
