@@ -13,7 +13,6 @@ from graphbpe.chem import (
     MolGraph,
     canonical_rank,
     parse_smiles,
-    ring_bonds,
     valence_check,
     write_smiles,
 )
@@ -71,7 +70,6 @@ __all__ = [
     "mine_corpus",
     "parse_smiles",
     "replay_trajectory",
-    "ring_bonds",
     "start_generation",
     "valence_check",
     "write_smiles",

@@ -22,9 +22,6 @@ ORDER_X2 = {SINGLE: 2, AROMATIC: 3, DOUBLE: 4, TRIPLE: 6}
 
 STAR = "*"
 
-SUPPORTED_ELEMENTS = frozenset({"B", "C", "N", "O", "F", "P", "S", "Cl", "Br", "I", STAR})
-AROMATIC_ELEMENTS = frozenset({"B", "C", "N", "O", "P", "S"})
-
 # (element, formal charge) -> allowed total valences
 VALENCES = {
     ("B", 0): (3,),
@@ -308,28 +305,6 @@ def check_molecule(mol: MolGraph) -> None:
         raise ValenceError(
             f"aromatic ring over atoms {atoms} fails the ring electron count"
         )
-
-
-def ring_bonds(mol: MolGraph) -> set[int]:
-    """Indices of all bonds lying on at least one cycle.
-
-    A bond is on a cycle exactly when its endpoints stay connected after
-    removing it; molecule graphs are small enough for the direct check.
-    """
-    on_ring: set[int] = set()
-    for skip, bond in enumerate(mol.bonds):
-        seen = {bond.a}
-        todo = deque([bond.a])
-        while todo:
-            cur = todo.popleft()
-            if cur == bond.b:
-                on_ring.add(skip)
-                break
-            for nbr, bidx in mol.neighbors(cur):
-                if bidx != skip and nbr not in seen:
-                    seen.add(nbr)
-                    todo.append(nbr)
-    return on_ring
 
 
 def molecular_weight(mol: MolGraph) -> float:

@@ -1,15 +1,19 @@
 """Command-line interface: mine, fragmentize, generate, eval, inspect-vocab.
 
-Exit codes: 0 success, 2 usage error, 3 input parse error, 4 artifact
-format/version error. All outputs are deterministic under fixed flags and
-seed; ``mine --threads`` is accepted and ignored, since mining runs in one
-process.
+Every option and its default is declared once, in ``_build_parser``;
+``_check_args`` validates the parsed namespace, which the ``_cmd_*``
+functions then read directly.
+
+Exit codes: 0 success, 2 usage error (including an output path whose
+directory does not exist), 3 input parse error (including a file that is not
+UTF-8), 4 artifact format/version error. All outputs are deterministic under
+fixed flags and seed; ``mine --threads`` is accepted and ignored, since
+mining runs in one process.
 """
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from graphbpe import __version__
@@ -63,35 +67,6 @@ class UsageError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated settings for one invocation; input paths checked up front.
-
-    Options the subcommand does not take are None; every default lives in
-    ``_build_parser``.
-    """
-
-    subcommand: str
-    corpus: Path | None = None
-    ops: Path | None = None
-    vocab: Path | None = None
-    attach: Path | None = None
-    generated: Path | None = None
-    train: Path | None = None
-    report: Path | None = None
-    trajectories: Path | None = None
-    out: Path | None = None
-    num_ops: int | None = None
-    num: int | None = None
-    seed: int | None = None
-    mode: str | None = None
-    top_k: int | None = None
-    temperature: float | None = None
-    cyclize_weight: float | None = None
-    threads: int | None = None
-    max_steps: int | None = None
-
-
 # (option, valid value test, usage error), checked when the subcommand has it
 _CHECKS = (
     ("num_ops", lambda v: v >= 0, "--num-ops must be >= 0"),
@@ -113,26 +88,43 @@ def _input_path(value: str | None, flag: str) -> Path | None:
     return path
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    values = dict(vars(args))
+def _output_path(value: str | None, flag: str, directory: bool) -> Path | None:
+    """A path that can be written: a file in an existing directory, or a
+    directory that exists or can be made."""
+    if value is None:
+        return None
+    path = Path(value)
+    if directory:
+        existing = next(p for p in (path, *path.parents) if p.exists())
+        if not existing.is_dir():
+            raise UsageError(f"{flag}: not a directory: {existing}")
+    elif not path.parent.is_dir():
+        raise UsageError(f"{flag}: no such directory: {path.parent}")
+    elif path.is_dir():
+        raise UsageError(f"{flag}: is a directory: {path}")
+    return path
+
+
+def _check_args(args: argparse.Namespace) -> argparse.Namespace:
+    """Validate the parsed options and resolve paths, before any work starts."""
+    given = vars(args)
     for name, valid, message in _CHECKS:
-        if name in values and not valid(values[name]):
+        if name in given and not valid(given[name]):
             raise UsageError(message)
     for name in ("vocab", "corpus", "ops", "generated", "train"):
-        if name in values:
-            values[name] = _input_path(values[name], f"--{name}")
+        if name in given:
+            given[name] = _input_path(given[name], f"--{name}")
+    directory = args.subcommand == "mine"  # only mine's --out names a directory
     for name in ("report", "trajectories", "out"):
-        if name in values:
-            values[name] = Path(values[name]) if values[name] else None
-    if values["subcommand"] == "generate":
-        attach = values["vocab"].parent / "attach.txt"
-        if values["attach"]:
-            attach = Path(values["attach"])
+        if name in given:
+            given[name] = _output_path(given[name], f"--{name}", directory)
+    if args.subcommand == "generate":
+        attach = Path(args.attach) if args.attach else args.vocab.parent / "attach.txt"
         if not attach.is_file():
             raise UsageError(f"attachment table not found: {attach}")
-        values["attach"] = attach
-        values["mode"] = GREEDY if values["mode"] == "greedy" else DISTRIBUTIONAL
-    return RunConfig(**values)
+        args.attach = attach
+        args.mode = GREEDY if args.mode == "greedy" else DISTRIBUTIONAL
+    return args
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -161,7 +153,6 @@ def _build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("generate", help="generate molecules with the frequency policy")
     gen.add_argument("--vocab", required=True, help="vocabulary file from 'mine'")
     gen.add_argument("--attach", help="attachment table (default: attach.txt next to --vocab)")
-    gen.add_argument("--ops", help="operations file; validated if given")
     gen.add_argument("--num", type=int, required=True, help="number of molecules")
     gen.add_argument("--mode", choices=["greedy", "sample"], default="sample")
     gen.add_argument("--top-k", type=int, default=None,
@@ -182,13 +173,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_mine(cfg: RunConfig) -> int:
-    cfg.out.mkdir(parents=True, exist_ok=True)
-    _, mols = load_corpus(cfg.corpus)
-    result = mine_corpus(mols, cfg.num_ops)
-    write_operations(cfg.out / "ops.txt", result.operations)
-    write_vocabulary(cfg.out / "vocab.txt", result.vocabulary)
-    write_attachments(cfg.out / "attach.txt", result.vocabulary)
+def _cmd_mine(args: argparse.Namespace) -> int:
+    _, mols = load_corpus(args.corpus)
+    result = mine_corpus(mols, args.num_ops)
+    args.out.mkdir(parents=True, exist_ok=True)
+    write_operations(args.out / "ops.txt", result.operations)
+    write_vocabulary(args.out / "vocab.txt", result.vocabulary)
+    write_attachments(args.out / "attach.txt", result.vocabulary)
     print(f"molecules={len(mols)}")
     print(f"operations={len(result.operations)}")
     print(f"motifs={len(result.vocabulary)}")
@@ -196,43 +187,41 @@ def _cmd_mine(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_fragmentize(cfg: RunConfig) -> int:
-    ops = read_operations(cfg.ops)
-    ids, mols = load_corpus(cfg.corpus)
+def _cmd_fragmentize(args: argparse.Namespace) -> int:
+    ops = read_operations(args.ops)
+    ids, mols = load_corpus(args.corpus)
     lines = []
     trajectories = []
     for mol_id, mol in zip(ids, mols):
         frag = fragmentize(mol, ops)
         lines.append(f"{mol_id}\t" + "|".join(frag.motif_strings()))
-        if cfg.trajectories:
+        if args.trajectories:
             trajectories.append(fragmentation_trajectory(frag))
     text = "".join(line + "\n" for line in lines)
-    if cfg.out:
-        cfg.out.write_text(text, encoding="utf-8")
+    if args.out:
+        args.out.write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
-    if cfg.trajectories:
-        write_trajectories(cfg.trajectories, trajectories)
+    if args.trajectories:
+        write_trajectories(args.trajectories, trajectories)
     return EXIT_OK
 
 
-def _cmd_generate(cfg: RunConfig) -> int:
-    if cfg.ops:
-        read_operations(cfg.ops)
-    vocab = read_vocabulary(cfg.vocab, cfg.attach)
+def _cmd_generate(args: argparse.Namespace) -> int:
+    vocab = read_vocabulary(args.vocab, args.attach)
     policy = FrequencyPolicy(
-        vocab, cyclize_weight=cfg.cyclize_weight, temperature=cfg.temperature
+        vocab, cyclize_weight=args.cyclize_weight, temperature=args.temperature
     )
     molecules, report = generate(
         vocab,
         policy,
-        cfg.num,
-        mode=cfg.mode,
-        seed=cfg.seed,
-        top_k=cfg.top_k,
-        max_steps=cfg.max_steps,
+        args.num,
+        mode=args.mode,
+        seed=args.seed,
+        top_k=args.top_k,
+        max_steps=args.max_steps,
     )
-    write_molecules(cfg.out, [write_smiles(m) for m in molecules])
+    write_molecules(args.out, [write_smiles(m) for m in molecules])
     failures = ",".join(f"{k}={v}" for k, v in sorted(report.failures.items())) or "none"
     print(
         f"requested={report.requested} emitted={report.emitted} "
@@ -254,18 +243,18 @@ def _parse_molecules_lenient(path: Path) -> list[MolGraph]:
     return molecules
 
 
-def _cmd_eval(cfg: RunConfig) -> int:
-    generated = _parse_molecules_lenient(cfg.generated)
-    _, training = load_corpus(cfg.train)
+def _cmd_eval(args: argparse.Namespace) -> int:
+    generated = _parse_molecules_lenient(args.generated)
+    _, training = load_corpus(args.train)
     report = evaluate(generated, training)
     text = format_report(report)
-    cfg.report.write_text(text, encoding="utf-8")
+    args.report.write_text(text, encoding="utf-8")
     sys.stdout.write(text)
     return EXIT_OK
 
 
-def _cmd_inspect_vocab(cfg: RunConfig) -> int:
-    vocab = read_vocabulary(cfg.vocab)
+def _cmd_inspect_vocab(args: argparse.Namespace) -> int:
+    vocab = read_vocabulary(args.vocab)
     motifs = sorted(vocab.ordered_motifs(), key=lambda m: (-m.frequency, m.smiles))
     print(f"{len(motifs)} motifs")
     for motif in motifs:
@@ -286,8 +275,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _config_from_args(args)
-        return _COMMANDS[cfg.subcommand](cfg)
+        return _COMMANDS[args.subcommand](_check_args(args))
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

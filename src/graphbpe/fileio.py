@@ -1,7 +1,9 @@
 """Artifact file formats: corpora, operation lists, vocabularies, trajectories.
 
 All writers emit sorted, newline-terminated UTF-8 text so identical inputs
-produce byte-identical files.
+produce byte-identical files. Every reader decodes its file as strict UTF-8
+and splits it at "\n" (a "\r" before it is dropped); a byte that is not
+UTF-8 raises a FileFormatError that names its line.
 
 corpus        one SMILES per line, optional tab-separated id, "#" comments
 ops           header "graphbpe-ops v1 K=<n>", lines "<rank>\t<pattern>\t<count>"
@@ -15,7 +17,9 @@ from __future__ import annotations
 
 import json
 from collections import Counter
+from collections.abc import Iterator
 from pathlib import Path
+from typing import NoReturn
 
 from graphbpe.chem import BOND_ORDERS, MolGraph, parse_smiles
 from graphbpe.errors import CorpusError, FileFormatError, FormatVersionError, GraphBpeError
@@ -34,20 +38,55 @@ VOCAB_HEADER = "graphbpe-vocab v1"
 ATTACH_HEADER = "graphbpe-attach v1"
 
 
+def _lines(path: str | Path) -> Iterator[tuple[int, str]]:
+    """(line number, text) of each line of a strict-UTF-8 file."""
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_number = data.count(b"\n", 0, exc.start) + 1
+        raise FileFormatError(
+            f"{path}: byte 0x{data[exc.start]:02x} is not UTF-8", line_number
+        ) from exc
+    for line_number, line in enumerate(text.split("\n"), start=1):
+        yield line_number, line.removesuffix("\r")
+
+
+def _rows(path: str | Path, header: str, fields: str) -> Iterator[tuple[int, list[str]]]:
+    """(line number, tab-split fields) of each non-blank line of a table file.
+
+    The first line must be ``header``; the ops header carries " K=<n>" after
+    it, and ``<n>`` comes first, as ``(1, [n])``. Every other line must have
+    as many fields as the ``fields`` layout, which the error message quotes.
+    """
+    lines = _lines(path)
+    _, first = next(lines)
+    declares_k = header == OPS_HEADER
+    if not (first.startswith(header + " K=") if declares_k else first == header):
+        _raise_version(header, first)
+    if declares_k:
+        yield 1, [first.split("K=", 1)[1]]
+    width = fields.count("\t") + 1
+    for line_number, line in lines:
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != width:
+            raise FileFormatError(f"expected {fields!r}", line_number)
+        yield line_number, parts
+
+
 def read_smiles_lines(path: str | Path) -> list[tuple[str, str, int]]:
     """Raw (id, smiles, line number) triples; no parsing beyond line syntax."""
     entries = []
-    ordinal = 0
-    with open(path, encoding="utf-8") as handle:
-        for line_number, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            smiles = parts[0].strip()
-            mol_id = parts[1].strip() if len(parts) > 1 and parts[1].strip() else f"mol{ordinal}"
-            entries.append((mol_id, smiles, line_number))
-            ordinal += 1
+    for line_number, raw in _lines(path):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split("\t")
+        smiles = parts[0].strip()
+        mol_id = parts[1].strip() if len(parts) > 1 and parts[1].strip() else f"mol{len(entries)}"
+        entries.append((mol_id, smiles, line_number))
     return entries
 
 
@@ -77,29 +116,21 @@ def write_operations(path: str | Path, ops: list[MergeOperation]) -> None:
 
 
 def read_operations(path: str | Path) -> list[MergeOperation]:
-    with open(path, encoding="utf-8") as handle:
-        lines = handle.read().splitlines()
-    if not lines or not lines[0].startswith(OPS_HEADER + " K="):
-        _raise_version(OPS_HEADER, lines[0] if lines else "")
+    rows = _rows(path, OPS_HEADER, "<rank>\t<pattern>\t<count>")
+    _, (declared_text,) = next(rows)
     try:
-        declared = int(lines[0].split("K=", 1)[1])
+        declared = int(declared_text)
     except ValueError:
-        _raise_version(OPS_HEADER, lines[0])
-        raise
+        _raise_version(OPS_HEADER, f"{OPS_HEADER} K={declared_text}")
     ops = []
-    for line_number, line in enumerate(lines[1:], start=2):
-        if not line:
-            continue
-        parts = line.split("\t")
-        if len(parts) != 3:
-            raise FileFormatError("expected '<rank>\\t<pattern>\\t<count>'", line_number)
+    for line_number, (rank_text, pattern, count_text) in rows:
         try:
-            rank, count = int(parts[0]), int(parts[2])
+            rank, count = int(rank_text), int(count_text)
         except ValueError as exc:
             raise FileFormatError(f"bad integer field: {exc}", line_number) from exc
         if rank != len(ops):
             raise FileFormatError(f"rank {rank} out of order", line_number)
-        ops.append(MergeOperation(rank, parts[1], count))
+        ops.append(MergeOperation(rank, pattern, count))
     if len(ops) != declared:
         raise FileFormatError(
             f"header declares K={declared} but file has {len(ops)} operations", 1
@@ -107,7 +138,7 @@ def read_operations(path: str | Path) -> list[MergeOperation]:
     return ops
 
 
-def _raise_version(expected: str, found: str) -> None:
+def _raise_version(expected: str, found: str) -> NoReturn:
     raise FormatVersionError(f"expected header {expected!r}, found {found!r}")
 
 
@@ -162,18 +193,9 @@ def read_vocabulary(
     Each motif line is validated against the sites recomputed from its
     canonical string, so tampered files fail loudly with a line number.
     """
-    with open(vocab_path, encoding="utf-8") as handle:
-        lines = handle.read().splitlines()
-    if not lines or lines[0] != VOCAB_HEADER:
-        _raise_version(VOCAB_HEADER, lines[0] if lines else "")
     motifs: dict[str, Motif] = {}
-    for line_number, line in enumerate(lines[1:], start=2):
-        if not line:
-            continue
-        parts = line.split("\t")
-        if len(parts) != 3:
-            raise FileFormatError("expected '<motif>\\t<freq>\\t<sites>'", line_number)
-        smiles, freq_str, sites_str = parts
+    vocab_rows = _rows(vocab_path, VOCAB_HEADER, "<motif>\t<freq>\t<sites>")
+    for line_number, (smiles, freq_str, sites_str) in vocab_rows:
         try:
             frequency = int(freq_str)
         except ValueError as exc:
@@ -193,19 +215,11 @@ def read_vocabulary(
         motifs[smiles] = Motif(smiles, frequency)
     attachments: Counter[tuple[SiteType, SiteType]] = Counter()
     if attach_path is not None:
-        with open(attach_path, encoding="utf-8") as handle:
-            attach_lines = handle.read().splitlines()
-        if not attach_lines or attach_lines[0] != ATTACH_HEADER:
-            _raise_version(ATTACH_HEADER, attach_lines[0] if attach_lines else "")
         known_sites = {
             (m.smiles, cid, order) for m in motifs.values() for _, order, cid in m.sites
         }
-        for line_number, line in enumerate(attach_lines[1:], start=2):
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise FileFormatError("expected '<siteA>\\t<siteB>\\t<count>'", line_number)
+        attach_rows = _rows(attach_path, ATTACH_HEADER, "<siteA>\t<siteB>\t<count>")
+        for line_number, parts in attach_rows:
             site_a = _parse_site_token(parts[0], line_number)
             site_b = _parse_site_token(parts[1], line_number)
             for token, site in zip(parts, (site_a, site_b)):
@@ -235,23 +249,22 @@ def write_trajectories(path: str | Path, trajectories: list[Trajectory]) -> None
 
 def read_trajectories(path: str | Path) -> list[Trajectory]:
     out = []
-    with open(path, encoding="utf-8") as handle:
-        for line_number, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-                steps = tuple(
-                    TrajectoryStep(
-                        kind=s["kind"],
-                        motif=s.get("motif"),
-                        site=s.get("site"),
-                        target=s.get("target"),
-                    )
-                    for s in record["steps"]
+    for line_number, raw in _lines(path):
+        line = raw.strip()
+        if not line:
+            continue
+        try:
+            record = json.loads(line)
+            steps = tuple(
+                TrajectoryStep(
+                    kind=s["kind"],
+                    motif=s.get("motif"),
+                    site=s.get("site"),
+                    target=s.get("target"),
                 )
-                out.append(Trajectory(record["start"], steps))
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                raise FileFormatError(f"bad trajectory record: {exc}", line_number) from exc
+                for s in record["steps"]
+            )
+            out.append(Trajectory(record["start"], steps))
+        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+            raise FileFormatError(f"bad trajectory record: {exc}", line_number) from exc
     return out

@@ -213,3 +213,48 @@ class TestInspectVocab:
         path.write_text("\n".join(lines) + "\n")
         code = run(["inspect-vocab", "--vocab", path])
         assert code == 3
+
+
+# (argv, file given a non-UTF-8 byte or None, that byte's line, exit code)
+BAD_INPUT_CASES = [
+    ("mine --corpus c.smi --num-ops 2 --out new", "c.smi", 4, 3),
+    ("fragmentize --corpus c.smi --ops m/ops.txt", "c.smi", 2, 3),
+    ("eval --generated c.smi --train t.smi --report r.txt", "c.smi", 5, 3),
+    ("eval --generated t.smi --train c.smi --report r.txt", "c.smi", 1, 3),
+    ("inspect-vocab --vocab m/vocab.txt", "m/vocab.txt", 3, 3),
+    ("generate --vocab m/vocab.txt --num 3 --out g.smi", "m/attach.txt", 2, 3),
+    ("fragmentize --corpus c.smi --ops m/ops.txt --out no/t.txt", None, 0, 2),
+    ("fragmentize --corpus c.smi --ops m/ops.txt --trajectories no/t.jsonl", None, 0, 2),
+    ("fragmentize --corpus c.smi --ops m/ops.txt --out m", None, 0, 2),
+    ("generate --vocab m/vocab.txt --num 3 --out no/g.smi", None, 0, 2),
+    ("eval --generated c.smi --train c.smi --report no/r.txt", None, 0, 2),
+    ("mine --corpus c.smi --num-ops 2 --out c.smi", None, 0, 2),
+    ("generate --vocab m/vocab.txt --num 3 --out g.smi --ops m/ops.txt", None, 0, 2),
+]
+
+
+@pytest.mark.parametrize("argv, bad_file, line, code", BAD_INPUT_CASES)
+def test_bad_input_or_output_path_exits_cleanly(
+    tmp_path, monkeypatch, capsys, argv, bad_file, line, code
+):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "c.smi").write_text(A1)
+    (tmp_path / "t.smi").write_text(A1)
+    assert run(["mine", "--corpus", "c.smi", "--num-ops", "2", "--out", "m"]) == 0
+    if bad_file:
+        path = tmp_path / bad_file
+        lines = path.read_bytes().split(b"\n")
+        lines[line - 1] += b"\xff"
+        path.write_bytes(b"\n".join(lines))
+    capsys.readouterr()
+    try:
+        assert run(argv.split()) == code
+    except SystemExit as exc:  # argparse rejects an unknown option
+        assert exc.code == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert not (tmp_path / "new").exists()  # a failed mine leaves no --out behind
+    if code == 3:
+        assert err.startswith("input error:") and f"line {line}:" in err
+    else:
+        assert "error:" in err

@@ -5,6 +5,7 @@ from graphbpe.errors import CorpusError, FileFormatError, FormatVersionError
 from graphbpe.fileio import (
     load_corpus,
     read_operations,
+    read_smiles_lines,
     read_trajectories,
     read_vocabulary,
     write_attachments,
@@ -120,3 +121,19 @@ class TestTrajectoryFile:
         path.write_text('{"start": "CC"}\n')
         with pytest.raises(FileFormatError):
             read_trajectories(path)
+
+
+def test_crlf_line_ends_read_like_lf(mined):
+    _, _, tmp_path = mined
+    (tmp_path / "c.smi").write_text("# header\nCC\tfirst\n\nCCO\n")
+    for name in ("c.smi", "ops.txt", "vocab.txt", "attach.txt"):
+        data = (tmp_path / name).read_bytes()
+        (tmp_path / f"crlf_{name}").write_bytes(data.replace(b"\n", b"\r\n"))
+
+    def vocabulary(prefix):
+        vocab = read_vocabulary(tmp_path / f"{prefix}vocab.txt", tmp_path / f"{prefix}attach.txt")
+        return [(m.smiles, m.frequency) for m in vocab.ordered_motifs()], vocab.attachment_counts
+
+    assert read_smiles_lines(tmp_path / "crlf_c.smi") == read_smiles_lines(tmp_path / "c.smi")
+    assert read_operations(tmp_path / "crlf_ops.txt") == read_operations(tmp_path / "ops.txt")
+    assert vocabulary("crlf_") == vocabulary("")

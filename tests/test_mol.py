@@ -1,14 +1,10 @@
-from itertools import combinations
 from random import Random
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from graphbpe.chem import (
     molecular_weight,
     parse_smiles,
-    ring_bonds,
     valence_check,
 )
 from graphbpe.chem.mol import failing_aromatic_rings, make_bond
@@ -46,60 +42,6 @@ class TestMolecularWeight:
         # ethanol: 2C + 6H + O
         expected = 2 * 12.011 + 6 * 1.008 + 15.999
         assert molecular_weight(parse_smiles("CCO")) == pytest.approx(expected, abs=1e-3)
-
-
-def brute_force_ring_bonds(mol) -> set[int]:
-    """Every bond on a simple cycle, by enumerating all atom subsets."""
-    on_cycle = set()
-    n = len(mol.atoms)
-    for size in range(3, n + 1):
-        for subset in combinations(range(n), size):
-            chosen = set(subset)
-            inner = [
-                (bidx, b) for bidx, b in enumerate(mol.bonds)
-                if b.a in chosen and b.b in chosen
-            ]
-            if len(inner) != size:
-                continue
-            degree = {i: 0 for i in chosen}
-            for _, b in inner:
-                degree[b.a] += 1
-                degree[b.b] += 1
-            if any(d != 2 for d in degree.values()):
-                continue
-            seen = {subset[0]}
-            todo = [subset[0]]
-            adj = {i: [] for i in chosen}
-            for _, b in inner:
-                adj[b.a].append(b.b)
-                adj[b.b].append(b.a)
-            while todo:
-                cur = todo.pop()
-                for nxt in adj[cur]:
-                    if nxt not in seen:
-                        seen.add(nxt)
-                        todo.append(nxt)
-            if seen == chosen:
-                on_cycle.update(bidx for bidx, _ in inner)
-    return on_cycle
-
-
-class TestRingBonds:
-    def test_acyclic(self):
-        assert ring_bonds(parse_smiles("CCCCC")) == set()
-
-    def test_benzene_all_bonds(self):
-        assert ring_bonds(parse_smiles("c1ccccc1")) == {0, 1, 2, 3, 4, 5}
-
-    def test_fused_rings_include_shared_edge(self):
-        mol = parse_smiles("C1CC2CCC1C2", validate=True)
-        assert ring_bonds(mol) == brute_force_ring_bonds(mol)
-
-    @settings(max_examples=120, deadline=None)
-    @given(st.integers(0, 10**9))
-    def test_matches_cycle_enumeration(self, seed):
-        mol = random_molecule(Random(seed), max_atoms=8, aromatic_ok=False)
-        assert ring_bonds(mol) == brute_force_ring_bonds(mol)
 
 
 class TestAromaticRingCheck:
