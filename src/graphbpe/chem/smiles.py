@@ -6,14 +6,16 @@ atoms with an H count and a charge in [-2, +2], bond symbols ``- = # :``,
 branches, and ring-closure digits (``%nn`` for two-digit labels). Stereo
 markers, isotopes, atom maps, and multi-component dots are rejected.
 
-The writer is canonical: atoms are emitted in a DFS over the canonical
-ranking, aromatic bonds are always written as ``:``, and single bonds
-between two aromatic atoms are written as ``-``. Implicit hydrogens are
-never serialized; bracket atoms keep their explicit H count and charge.
+The writer is canonical: one DFS over the canonical ranking fixes the atom
+order, and ring digits are assigned as atoms are written, closes before
+opens, each open taking the lowest free digit. Aromatic bonds are always
+written as ``:``, and single bonds between two aromatic atoms as ``-``.
+Implicit hydrogens are never serialized; bracket atoms keep their explicit
+H count and charge.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from graphbpe.chem.canon import canonical_rank
 from graphbpe.chem.mol import (
@@ -24,6 +26,7 @@ from graphbpe.chem.mol import (
     STAR,
     TRIPLE,
     Atom,
+    Bond,
     MolGraph,
     check_molecule,
     implicit_hydrogens,
@@ -57,19 +60,12 @@ class _AtomDraft:
     position: int = 0
 
 
-@dataclass
-class _BondDraft:
-    a: int
-    b: int
-    order: str
-
-
 class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
         self.atoms: list[_AtomDraft] = []
-        self.bonds: list[_BondDraft] = []
+        self.bonds: list[Bond] = []
         self.bond_pairs: set[tuple[int, int]] = set()
         self.prev: int | None = None
         self.branch_stack: list[int] = []
@@ -115,7 +111,7 @@ class _Parser:
                         "aromatic bond on a non-aromatic atom", position
                     )
         self.bond_pairs.add(pair)
-        self.bonds.append(_BondDraft(a, b, order))
+        self.bonds.append(make_bond(a, b, order))
 
     def close_ring(self, label: int, position: int) -> None:
         if label in self.open_rings:
@@ -315,9 +311,7 @@ def parse_smiles(text: str, validate: bool = True) -> MolGraph:
                 bracket=draft.bracket,
             )
         )
-    mol = MolGraph(
-        tuple(atoms), tuple(make_bond(b.a, b.b, b.order) for b in parser.bonds)
-    )
+    mol = MolGraph(tuple(atoms), tuple(parser.bonds))
     for idx, atom in enumerate(mol.atoms):
         if atom.is_connection_site and mol.degree(idx) != 1:
             raise SmilesSyntaxError(
@@ -358,43 +352,49 @@ def _bond_token(order: str, arom_a: bool, arom_b: bool) -> str:
     return "=" if order == DOUBLE else "#"
 
 
-@dataclass
-class _TraversalPlan:
-    preorder: list[int] = field(default_factory=list)
-    children: dict[int, list[tuple[int, int]]] = field(default_factory=dict)
-    back_edges: list[tuple[int, int, int]] = field(default_factory=list)
+def _traverse(mol: MolGraph, ranks: list[int]) -> tuple[list[int], list, dict, dict]:
+    """DFS from the rank-0 atom, taking neighbours in rank order.
 
-
-def _plan_traversal(mol: MolGraph, ranks) -> _TraversalPlan:
-    plan = _TraversalPlan()
-    position: dict[int, int] = {}
+    Returns the preorder, each atom's tree children as (child, bond), and
+    the ring bonds: ``opens[earlier atom]`` holds (later atom's preorder
+    position, bond) and ``closes[later atom]`` holds the bond.
+    """
     root = ranks.index(0)
-    seen_edges: set[int] = set()
-    stack: list[tuple[int, list[tuple[int, int]]]] = []
-    position[root] = 0
-    plan.preorder.append(root)
-    plan.children[root] = []
-    neighbors = sorted(mol.neighbors(root), key=lambda nb: ranks[nb[0]])
-    stack.append((root, neighbors))
+    position = {root: 0}
+    preorder = [root]
+    children: list[list[tuple[int, int]]] = [[] for _ in mol.atoms]
+    opens: dict[int, list[tuple[int, int]]] = {}
+    closes: dict[int, list[int]] = {}
+    seen_bonds: set[int] = set()
+
+    def todo(atom: int) -> list[tuple[int, int]]:
+        # descending rank, so pop() takes the lowest-ranked neighbour
+        return sorted(mol.neighbors(atom), key=lambda nb: ranks[nb[0]], reverse=True)
+
+    stack = [(root, todo(root))]
     while stack:
-        node, todo = stack[-1]
-        if not todo:
+        node, pending = stack[-1]
+        if not pending:
             stack.pop()
             continue
-        nbr, bidx = todo.pop(0)
-        if bidx in seen_edges:
+        nbr, bidx = pending.pop()
+        if bidx in seen_bonds:
             continue
-        seen_edges.add(bidx)
+        seen_bonds.add(bidx)
         if nbr in position:
-            plan.back_edges.append((nbr, node, bidx))
+            # an undirected DFS finds a ring bond from its later atom
+            opens.setdefault(nbr, []).append((position[node], bidx))
+            closes.setdefault(node, []).append(bidx)
             continue
-        plan.children[node].append((nbr, bidx))
-        position[nbr] = len(plan.preorder)
-        plan.preorder.append(nbr)
-        plan.children[nbr] = []
-        nxt = sorted(mol.neighbors(nbr), key=lambda nb: ranks[nb[0]])
-        stack.append((nbr, nxt))
-    return plan
+        children[node].append((nbr, bidx))
+        position[nbr] = len(preorder)
+        preorder.append(nbr)
+        stack.append((nbr, todo(nbr)))
+    return preorder, children, opens, closes
+
+
+def _digit_token(digit: int) -> str:
+    return str(digit) if digit < 10 else f"%{digit:02d}"
 
 
 def write_smiles(mol: MolGraph) -> str:
@@ -407,31 +407,36 @@ def write_smiles_with_order(mol: MolGraph) -> tuple[str, list[int]]:
 
     ``order[i]`` is the input atom id written at position ``i``; parsing the
     returned string yields atom ``i`` for input atom ``order[i]``.
+
+    Atoms are written in the preorder of one DFS that starts at the rank-0
+    atom and takes neighbours in rank order; every tree child but the last
+    is a parenthesized branch. A ring bond opens at its earlier atom and
+    closes at its later one. Each atom first writes its closes, in digit
+    order, freeing those digits, and then its opens, in (close position,
+    bond) order, each taking the lowest free digit.
     """
     if not mol.atoms:
         raise ValueError("cannot serialize an empty molecule")
     if not mol.is_connected():
         raise ValueError("cannot serialize a disconnected molecule")
     ranks = list(canonical_rank(mol).ranks)
-    plan = _plan_traversal(mol, ranks)
-    position = {atom: i for i, atom in enumerate(plan.preorder)}
-
-    # ring-closure digits: bare digit at the earlier atom, bond symbol + digit
-    # at the later one; digits are reused once closed
-    open_requests: dict[int, list[tuple[int, int]]] = {}
-    close_requests: dict[int, list[int]] = {}
-    for open_atom, close_atom, bidx in plan.back_edges:
-        open_requests.setdefault(open_atom, []).append((position[close_atom], bidx))
-        close_requests.setdefault(close_atom, []).append(bidx)
+    preorder, children, opens, closes = _traverse(mol, ranks)
+    atoms, bonds = mol.atoms, mol.bonds
+    out: list[str] = []
+    # text before each atom: ")" ending the previous sibling's branch,
+    # "(" starting its own unless it is the last child, and its bond
+    lead = {preorder[0]: ""}
     digit_of: dict[int, int] = {}
     in_use: set[int] = set()
-    opens: dict[int, list[int]] = {}
-    closes: dict[int, list[tuple[int, int]]] = {}
-    for atom in plan.preorder:
-        for bidx in sorted(close_requests.get(atom, ()), key=lambda b: digit_of[b]):
-            in_use.discard(digit_of[bidx])
-            closes.setdefault(atom, []).append((digit_of[bidx], bidx))
-        for _, bidx in sorted(open_requests.get(atom, ())):
+    for atom in preorder:
+        aromatic = atoms[atom].aromatic
+        out.append(lead[atom] + _atom_token(atoms[atom]))
+        for digit, bidx in sorted((digit_of[b], b) for b in closes.get(atom, ())):
+            in_use.discard(digit)
+            other = atoms[bonds[bidx].other(atom)]
+            out.append(_bond_token(bonds[bidx].order, aromatic, other.aromatic))
+            out.append(_digit_token(digit))
+        for _, bidx in sorted(opens.get(atom, ())):
             digit = 1
             while digit in in_use:
                 digit += 1
@@ -439,50 +444,9 @@ def write_smiles_with_order(mol: MolGraph) -> tuple[str, list[int]]:
                 raise RingClosureError("too many simultaneously open rings")
             digit_of[bidx] = digit
             in_use.add(digit)
-            opens.setdefault(atom, []).append(digit)
-
-    def digit_token(digit: int) -> str:
-        return str(digit) if digit < 10 else f"%{digit:02d}"
-
-    def atom_tokens(atom: int) -> str:
-        parts = [_atom_token(mol.atoms[atom])]
-        for digit, bidx in sorted(closes.get(atom, ())):
-            bond = mol.bonds[bidx]
-            other = bond.other(atom)
-            parts.append(
-                _bond_token(
-                    bond.order, mol.atoms[atom].aromatic, mol.atoms[other].aromatic
-                )
-                + digit_token(digit)
-            )
-        for digit in opens.get(atom, ()):
-            parts.append(digit_token(digit))
-        return "".join(parts)
-
-    out: list[str] = []
-    ATOM, TEXT = 0, 1
-    stack: list[tuple[int, object]] = [(ATOM, plan.preorder[0])]
-    while stack:
-        kind, payload = stack.pop()
-        if kind == TEXT:
-            out.append(payload)
-            continue
-        node = payload
-        out.append(atom_tokens(node))
-        kids = plan.children[node]
-        frames: list[tuple[int, object]] = []
+            out.append(_digit_token(digit))
+        kids = children[atom]
         for i, (child, bidx) in enumerate(kids):
-            bond = mol.bonds[bidx]
-            token = _bond_token(
-                bond.order, mol.atoms[node].aromatic, mol.atoms[child].aromatic
-            )
-            if i < len(kids) - 1:
-                frames.append((TEXT, "("))
-                frames.append((TEXT, token))
-                frames.append((ATOM, child))
-                frames.append((TEXT, ")"))
-            else:
-                frames.append((TEXT, token))
-                frames.append((ATOM, child))
-        stack.extend(reversed(frames))
-    return "".join(out), plan.preorder
+            bond = _bond_token(bonds[bidx].order, aromatic, atoms[child].aromatic)
+            lead[child] = (")" if i else "") + ("(" if i < len(kids) - 1 else "") + bond
+    return "".join(out), preorder

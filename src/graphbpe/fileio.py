@@ -3,7 +3,8 @@
 All writers emit sorted, newline-terminated UTF-8 text so identical inputs
 produce byte-identical files. Every reader decodes its file as strict UTF-8
 and splits it at "\n" (a "\r" before it is dropped); a byte that is not
-UTF-8 raises a FileFormatError that names its line.
+UTF-8 raises a FileFormatError. Every error raised while reading a file
+names it: "line N: <path>: ..." (a header error has no line number).
 
 corpus        one SMILES per line, optional tab-separated id, "#" comments
 ops           header "graphbpe-ops v1 K=<n>", lines "<rank>\t<pattern>\t<count>"
@@ -63,7 +64,7 @@ def _rows(path: str | Path, header: str, fields: str) -> Iterator[tuple[int, lis
     _, first = next(lines)
     declares_k = header == OPS_HEADER
     if not (first.startswith(header + " K=") if declares_k else first == header):
-        _raise_version(header, first)
+        _raise_version(path, header, first)
     if declares_k:
         yield 1, [first.split("K=", 1)[1]]
     width = fields.count("\t") + 1
@@ -72,7 +73,7 @@ def _rows(path: str | Path, header: str, fields: str) -> Iterator[tuple[int, lis
             continue
         parts = line.split("\t")
         if len(parts) != width:
-            raise FileFormatError(f"expected {fields!r}", line_number)
+            raise FileFormatError(f"{path}: expected {fields!r}", line_number)
         yield line_number, parts
 
 
@@ -97,7 +98,7 @@ def load_corpus(path: str | Path) -> tuple[list[str], list[MolGraph]]:
         try:
             mols.append(parse_smiles(smiles))
         except GraphBpeError as exc:
-            raise CorpusError(f"{smiles!r}: {exc}", line_number) from exc
+            raise CorpusError(f"{path}: {smiles!r}: {exc}", line_number) from exc
         ids.append(mol_id)
     return ids, mols
 
@@ -121,25 +122,25 @@ def read_operations(path: str | Path) -> list[MergeOperation]:
     try:
         declared = int(declared_text)
     except ValueError:
-        _raise_version(OPS_HEADER, f"{OPS_HEADER} K={declared_text}")
+        _raise_version(path, OPS_HEADER, f"{OPS_HEADER} K={declared_text}")
     ops = []
     for line_number, (rank_text, pattern, count_text) in rows:
         try:
             rank, count = int(rank_text), int(count_text)
         except ValueError as exc:
-            raise FileFormatError(f"bad integer field: {exc}", line_number) from exc
+            raise FileFormatError(f"{path}: bad integer field: {exc}", line_number) from exc
         if rank != len(ops):
-            raise FileFormatError(f"rank {rank} out of order", line_number)
+            raise FileFormatError(f"{path}: rank {rank} out of order", line_number)
         ops.append(MergeOperation(rank, pattern, count))
     if len(ops) != declared:
         raise FileFormatError(
-            f"header declares K={declared} but file has {len(ops)} operations", 1
+            f"{path}: header declares K={declared} but file has {len(ops)} operations", 1
         )
     return ops
 
 
-def _raise_version(expected: str, found: str) -> NoReturn:
-    raise FormatVersionError(f"expected header {expected!r}, found {found!r}")
+def _raise_version(path: str | Path, expected: str, found: str) -> NoReturn:
+    raise FormatVersionError(f"{path}: expected header {expected!r}, found {found!r}")
 
 
 def format_sites(smiles: str) -> str:
@@ -171,17 +172,17 @@ def write_attachments(path: str | Path, vocab: MotifVocabulary) -> None:
             handle.write(f"{a}\t{b}\t{count}\n")
 
 
-def _parse_site_token(token: str, line_number: int) -> SiteType:
+def _parse_site_token(token: str, path: str | Path, line_number: int) -> SiteType:
     parts = token.rsplit("|", 2)
     if len(parts) != 3:
-        raise FileFormatError(f"bad site token {token!r}", line_number)
+        raise FileFormatError(f"{path}: bad site token {token!r}", line_number)
     smiles, class_str, order = parts
     if order not in BOND_ORDERS:
-        raise FileFormatError(f"unknown bond order {order!r}", line_number)
+        raise FileFormatError(f"{path}: unknown bond order {order!r}", line_number)
     try:
         class_id = int(class_str)
     except ValueError as exc:
-        raise FileFormatError(f"bad class id in {token!r}", line_number) from exc
+        raise FileFormatError(f"{path}: bad class id in {token!r}", line_number) from exc
     return (smiles, class_id, order)
 
 
@@ -199,19 +200,26 @@ def read_vocabulary(
         try:
             frequency = int(freq_str)
         except ValueError as exc:
-            raise FileFormatError(f"bad frequency {freq_str!r}", line_number) from exc
+            raise FileFormatError(
+                f"{vocab_path}: bad frequency {freq_str!r}", line_number
+            ) from exc
         if frequency < 1:
-            raise FileFormatError(f"frequency {frequency} is not positive", line_number)
+            raise FileFormatError(
+                f"{vocab_path}: frequency {frequency} is not positive", line_number
+            )
         try:
             expected_sites = format_sites(smiles)
         except GraphBpeError as exc:
-            raise FileFormatError(f"bad motif {smiles!r}: {exc}", line_number) from exc
+            raise FileFormatError(
+                f"{vocab_path}: bad motif {smiles!r}: {exc}", line_number
+            ) from exc
         if sites_str != expected_sites:
             raise FileFormatError(
-                f"site list {sites_str!r} does not match motif {smiles!r}", line_number
+                f"{vocab_path}: site list {sites_str!r} does not match motif {smiles!r}",
+                line_number,
             )
         if smiles in motifs:
-            raise FileFormatError(f"duplicate motif {smiles!r}", line_number)
+            raise FileFormatError(f"{vocab_path}: duplicate motif {smiles!r}", line_number)
         motifs[smiles] = Motif(smiles, frequency)
     attachments: Counter[tuple[SiteType, SiteType]] = Counter()
     if attach_path is not None:
@@ -220,15 +228,19 @@ def read_vocabulary(
         }
         attach_rows = _rows(attach_path, ATTACH_HEADER, "<siteA>\t<siteB>\t<count>")
         for line_number, parts in attach_rows:
-            site_a = _parse_site_token(parts[0], line_number)
-            site_b = _parse_site_token(parts[1], line_number)
+            site_a = _parse_site_token(parts[0], attach_path, line_number)
+            site_b = _parse_site_token(parts[1], attach_path, line_number)
             for token, site in zip(parts, (site_a, site_b)):
                 if site not in known_sites:
-                    raise FileFormatError(f"{token!r} is not a vocabulary site", line_number)
+                    raise FileFormatError(
+                        f"{attach_path}: {token!r} is not a vocabulary site", line_number
+                    )
             try:
                 count = int(parts[2])
             except ValueError as exc:
-                raise FileFormatError(f"bad count {parts[2]!r}", line_number) from exc
+                raise FileFormatError(
+                    f"{attach_path}: bad count {parts[2]!r}", line_number
+                ) from exc
             attachments[attachment_key(site_a, site_b)] += count
     return MotifVocabulary(motifs, dict(attachments))
 
@@ -266,5 +278,7 @@ def read_trajectories(path: str | Path) -> list[Trajectory]:
             )
             out.append(Trajectory(record["start"], steps))
         except (json.JSONDecodeError, KeyError, TypeError) as exc:
-            raise FileFormatError(f"bad trajectory record: {exc}", line_number) from exc
+            raise FileFormatError(
+                f"{path}: bad trajectory record: {exc}", line_number
+            ) from exc
     return out

@@ -140,7 +140,8 @@ class TestGenerate:
         capsys.readouterr()
         code = run(["generate", "--vocab", path, "--num", "3", "--out", workdir / "gen.smi"])
         assert code == 3
-        assert "line 3" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "line 3" in err and "vocab.txt" in err
 
     @pytest.mark.parametrize("site", ["*CC*|1|single", "*N|7|double"])
     def test_attachment_to_unknown_site_exit_3(self, workdir, capsys, site):
@@ -154,7 +155,8 @@ class TestGenerate:
         code = run(["generate", "--vocab", workdir / "mined" / "vocab.txt",
                     "--num", "3", "--out", workdir / "gen.smi"])
         assert code == 3
-        assert f"line {last}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"line {last}" in err and "attach.txt" in err
 
 
 class TestEval:

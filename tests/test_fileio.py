@@ -41,6 +41,7 @@ class TestCorpus:
         with pytest.raises(CorpusError) as info:
             load_corpus(path)
         assert info.value.line_number == 2
+        assert str(info.value).startswith(f"line 2: {path}: ")
 
 
 class TestOpsFile:
@@ -56,8 +57,9 @@ class TestOpsFile:
     def test_version_error(self, tmp_path):
         path = tmp_path / "ops.txt"
         path.write_text("graphbpe-ops v9 K=0\n")
-        with pytest.raises(FormatVersionError):
+        with pytest.raises(FormatVersionError) as info:
             read_operations(path)
+        assert str(info.value).startswith(f"{path}: ")
 
     def test_rank_gap_detected(self, tmp_path):
         path = tmp_path / "ops.txt"
@@ -65,6 +67,7 @@ class TestOpsFile:
         with pytest.raises(FileFormatError) as info:
             read_operations(path)
         assert info.value.line_number == 3
+        assert str(info.value).startswith(f"line 3: {path}: ")
 
     def test_count_mismatch_detected(self, tmp_path):
         path = tmp_path / "ops.txt"
@@ -119,8 +122,9 @@ class TestTrajectoryFile:
     def test_bad_record(self, tmp_path):
         path = tmp_path / "traj.jsonl"
         path.write_text('{"start": "CC"}\n')
-        with pytest.raises(FileFormatError):
+        with pytest.raises(FileFormatError) as info:
             read_trajectories(path)
+        assert str(info.value).startswith(f"line 1: {path}: ")
 
 
 def test_crlf_line_ends_read_like_lf(mined):

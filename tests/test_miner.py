@@ -277,6 +277,7 @@ class TestScaling:
         def mine_time(molecules):
             best = float("inf")
             for _ in range(3):
+                union_pattern.cache_clear()  # time the misses, not a warm memo
                 start = time.perf_counter()
                 learn_merging_operations(molecules, 30)
                 best = min(best, time.perf_counter() - start)
@@ -284,4 +285,4 @@ class TestScaling:
 
         t1 = mine_time(mols[:150])
         t2 = mine_time(mols[:300])
-        assert t2 <= 2.8 * t1
+        assert t2 <= 2.8 * t1, f"t1={t1:.3f}s t2={t2:.3f}s ratio={t2 / t1:.2f}"

@@ -4,9 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphbpe.chem import parse_smiles, write_smiles
+from graphbpe.chem import parse_smiles, write_smiles, write_smiles_with_order
 from graphbpe.chem.mol import AROMATIC, SINGLE, valence_check
 from graphbpe.errors import (
+    GraphBpeError,
     RingClosureError,
     SmilesSyntaxError,
     UnsupportedElementError,
@@ -103,6 +104,17 @@ class TestParse:
         with pytest.raises(ValenceError):
             parse_smiles(text)
 
+    @settings(max_examples=400, deadline=None)
+    @given(st.text("CNOSPFIBrlcnospbH[]()%=#-:+*@./\\0123456789", max_size=24), st.booleans())
+    def test_fuzz_raises_only_graphbpe_errors_and_roundtrips(self, text, validate):
+        try:
+            mol = parse_smiles(text, validate=validate)
+        except GraphBpeError:
+            return
+        # no string fixed point: the canonical form is not yet invariant
+        again = parse_smiles(write_smiles(mol), validate=validate)
+        assert (len(again.atoms), len(again.bonds)) == (len(mol.atoms), len(mol.bonds))
+
 
 class TestWrite:
     def test_benzene_rotations_identical(self):
@@ -143,6 +155,44 @@ class TestWrite:
         assert write_smiles(reparsed) == text
         assert len(reparsed.atoms) == len(mol.atoms)
         assert len(reparsed.bonds) == len(mol.bonds)
+
+    @pytest.mark.parametrize(
+        "text,expected,order",
+        [
+            # two-digit labels %10-%12
+            (
+                fused_ladder_smiles(12),
+                "C1CCC2CC3CC4CC5CC6CC7CC8CC9CC%10CC%11CC%12CCCCC%12CC%11CC%10"
+                "CC9CC8CC7CC6CC5CC4CC3CC2C1",
+                [0, 2, 3, 4, 5, 10, 11, 12, 13, 18, 19, 20, 21, 26, 27, 28, 29,
+                 34, 35, 36, 37, 42, 43, 44, 45, 49, 48, 47, 46, 41, 40, 39, 38,
+                 33, 32, 31, 30, 25, 24, 23, 22, 17, 16, 15, 14, 9, 8, 7, 6, 1],
+            ),
+            # a digit reused once its ring has closed
+            ("C1CC1CC1CC1", "C1CC1CC1CC1", [0, 1, 2, 3, 4, 5, 6]),
+            # reuse while another ring is open; closes written in digit order
+            (
+                "c1ccc2c(c1)ccc1ccccc12",
+                "c1:c:c:c2:c(:c:1):c:c:c1:c:c:c:c:c:1:2",
+                list(range(14)),
+            ),
+            ("C1CCC2(C1)CCCC2", "C1CCC2(C1)CCCC2", list(range(9))),
+            # nested branches
+            (
+                "CC(C)(C(C)(CO)C(N)=O)C(C)(C)N",
+                "CC(C)(C(C)(C)N)C(C)(CO)C(N)=O",
+                [0, 1, 2, 10, 11, 12, 13, 3, 4, 5, 6, 7, 8, 9],
+            ),
+            # a single bond between two aromatic atoms is written as "-"
+            (
+                "c1ccccc1-c1ccccc1",
+                "c1:c:c:c(:c:c:1)-c1:c:c:c:c:c:1",
+                [2, 1, 0, 5, 4, 3, 6, 7, 8, 9, 10, 11],
+            ),
+        ],
+    )
+    def test_golden_strings(self, text, expected, order):
+        assert write_smiles_with_order(parse_smiles(text)) == (expected, order)
 
     def test_too_many_open_rings_is_a_ring_closure_error(self):
         # 602 atoms: the zigzag input needs two ring labels, the canonical
