@@ -5,10 +5,12 @@ attributes, that must stay."""
 import importlib
 import importlib.util
 import inspect
+import subprocess
 import sys
 from pathlib import Path
 
-TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "bench" / "tracing.py"
 
 
 def load_tracing():
@@ -33,6 +35,16 @@ def test_traced_methods_resolve():
         cls = getattr(importlib.import_module(module_name), class_name, None)
         assert cls is not None, f"{module_name}.{class_name}"
         assert callable(getattr(cls, method, None)), f"{module_name}.{class_name}.{method}"
+
+
+def test_bench_selftest_passes():
+    # the harness's own self-checks call into the library; run them here so a
+    # library change that breaks them shows before a benchmark run
+    done = subprocess.run(
+        [sys.executable, "bench/selftest.py"], cwd=ROOT, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert "selftest ok" in done.stdout, done.stdout
 
 
 def test_mine_corpus_accepts_threads():

@@ -1,3 +1,5 @@
+import hashlib
+import time
 from itertools import permutations
 from random import Random
 
@@ -6,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphbpe.chem import canonical_rank, parse_smiles, write_smiles
-from helpers import permute_molecule, random_molecule
+from helpers import fused_ladder_smiles, permute_molecule, random_molecule
 
 
 def ranked_adjacency(mol):
@@ -84,3 +86,47 @@ def test_permutation_invariance_random(seed, perm_seed):
     shuffled = permute_molecule(mol, perm)
     assert ranked_adjacency(shuffled) == ranked_adjacency(mol)
     assert write_smiles(shuffled) == write_smiles(mol)
+
+
+# sha256 over (ranks, symmetry_classes) of golden_graphs(), recorded from the
+# full re-sort refinement that touched-atom refinement replaced
+GOLDEN_RANKING_SHA256 = "757668b5c32b027720daa08d86e00300ae12d165f6036482a28b1678b724185b"
+
+
+def golden_graphs(fixture_mols):
+    rng = Random(20230202)
+    for mol in fixture_mols:
+        yield mol
+    for mol in fixture_mols:
+        perm = list(range(len(mol.atoms)))
+        rng.shuffle(perm)
+        yield permute_molecule(mol, perm)
+    for rings in range(1, 41):
+        yield parse_smiles(fused_ladder_smiles(rings))
+    for n in (50, 400):
+        yield parse_smiles("O" + "C" * n)
+    yield parse_smiles("C12C3C1C1C3C3C2C13")
+
+
+def test_golden_rankings(corpus_1k):
+    digest = hashlib.sha256()
+    for mol in golden_graphs(corpus_1k[1]):
+        ranking = canonical_rank(mol)
+        digest.update(f"{ranking.ranks}|{ranking.symmetry_classes}\n".encode())
+    assert digest.hexdigest() == GOLDEN_RANKING_SHA256
+
+
+def test_chain_scaling_near_linear():
+    def rank_time(atoms):
+        mol = parse_smiles("C" * atoms)
+        best = float("inf")
+        for _ in range(3):
+            start = time.perf_counter()
+            canonical_rank(mol)
+            best = min(best, time.perf_counter() - start)
+        return best
+
+    t1 = rank_time(400)
+    t2 = rank_time(1600)
+    # linear would be 4x and quadratic 16x
+    assert t2 <= 8 * t1, f"C400={t1:.4f}s C1600={t2:.4f}s ratio={t2 / t1:.2f}"
