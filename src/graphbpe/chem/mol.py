@@ -136,18 +136,25 @@ class MolGraph:
     def order_sum_x2(self, atom_id: int) -> int:
         return sum(ORDER_X2[self.bonds[bidx].order] for _, bidx in self._adjacency[atom_id])
 
+    def component_count(self) -> int:
+        """Number of connected components (0 for the empty graph)."""
+        seen: set[int] = set()
+        components = 0
+        for start in range(len(self.atoms)):
+            if start in seen:
+                continue
+            components += 1
+            seen.add(start)
+            todo = [start]
+            while todo:
+                for nbr, _ in self._adjacency[todo.pop()]:
+                    if nbr not in seen:
+                        seen.add(nbr)
+                        todo.append(nbr)
+        return components
+
     def is_connected(self) -> bool:
-        if not self.atoms:
-            return True
-        seen = {0}
-        todo = deque([0])
-        while todo:
-            cur = todo.popleft()
-            for nbr, _ in self._adjacency[cur]:
-                if nbr not in seen:
-                    seen.add(nbr)
-                    todo.append(nbr)
-        return len(seen) == len(self.atoms)
+        return self.component_count() <= 1
 
     def subgraph(self, atom_ids) -> tuple["MolGraph", dict[int, int]]:
         """Induced subgraph plus the old-id -> new-id mapping.

@@ -22,7 +22,7 @@ from collections.abc import Iterator
 from pathlib import Path
 from typing import NoReturn
 
-from graphbpe.chem import BOND_ORDERS, MolGraph, parse_smiles
+from graphbpe.chem import MolGraph, parse_smiles
 from graphbpe.errors import CorpusError, FileFormatError, FormatVersionError, GraphBpeError
 from graphbpe.miner import (
     MergeOperation,
@@ -30,7 +30,7 @@ from graphbpe.miner import (
     MotifVocabulary,
     SiteType,
     attachment_key,
-    motif_site_meta,
+    motif_sites,
 )
 from graphbpe.tokenizer import Trajectory, TrajectoryStep
 
@@ -145,10 +145,10 @@ def _raise_version(path: str | Path, expected: str, found: str) -> NoReturn:
 
 def format_sites(smiles: str) -> str:
     """A motif's site list as written in a vocabulary line."""
-    sites = motif_site_meta(smiles)
+    sites = motif_sites(smiles)
     if not sites:
         return "-"
-    return ",".join(f"{star}:{cls}:{order}" for star, order, cls in sites)
+    return ",".join(f"{star}:{cls}:{order}" for star, (_, cls, order) in sites)
 
 
 def write_vocabulary(path: str | Path, vocab: MotifVocabulary) -> None:
@@ -158,32 +158,19 @@ def write_vocabulary(path: str | Path, vocab: MotifVocabulary) -> None:
             handle.write(f"{motif.smiles}\t{motif.frequency}\t{format_sites(motif.smiles)}\n")
 
 
-def write_attachments(path: str | Path, vocab: MotifVocabulary) -> None:
-    def site_token(site: SiteType) -> str:
-        return f"{site[0]}|{site[1]}|{site[2]}"
+def _site_token(site: SiteType) -> str:
+    return f"{site[0]}|{site[1]}|{site[2]}"
 
+
+def write_attachments(path: str | Path, vocab: MotifVocabulary) -> None:
     rows = sorted(
-        (site_token(a), site_token(b), count)
+        (_site_token(a), _site_token(b), count)
         for (a, b), count in vocab.attachment_counts.items()
     )
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(ATTACH_HEADER + "\n")
         for a, b, count in rows:
             handle.write(f"{a}\t{b}\t{count}\n")
-
-
-def _parse_site_token(token: str, path: str | Path, line_number: int) -> SiteType:
-    parts = token.rsplit("|", 2)
-    if len(parts) != 3:
-        raise FileFormatError(f"{path}: bad site token {token!r}", line_number)
-    smiles, class_str, order = parts
-    if order not in BOND_ORDERS:
-        raise FileFormatError(f"{path}: unknown bond order {order!r}", line_number)
-    try:
-        class_id = int(class_str)
-    except ValueError as exc:
-        raise FileFormatError(f"{path}: bad class id in {token!r}", line_number) from exc
-    return (smiles, class_id, order)
 
 
 def read_vocabulary(
@@ -224,24 +211,27 @@ def read_vocabulary(
     attachments: Counter[tuple[SiteType, SiteType]] = Counter()
     if attach_path is not None:
         known_sites = {
-            (m.smiles, cid, order) for m in motifs.values() for _, order, cid in m.sites
+            _site_token(site): site for m in motifs.values() for _, site in m.sites
         }
         attach_rows = _rows(attach_path, ATTACH_HEADER, "<siteA>\t<siteB>\t<count>")
-        for line_number, parts in attach_rows:
-            site_a = _parse_site_token(parts[0], attach_path, line_number)
-            site_b = _parse_site_token(parts[1], attach_path, line_number)
-            for token, site in zip(parts, (site_a, site_b)):
-                if site not in known_sites:
+        for line_number, (token_a, token_b, count_str) in attach_rows:
+            for token in (token_a, token_b):
+                if token not in known_sites:
                     raise FileFormatError(
                         f"{attach_path}: {token!r} is not a vocabulary site", line_number
                     )
             try:
-                count = int(parts[2])
+                count = int(count_str)
             except ValueError as exc:
                 raise FileFormatError(
-                    f"{attach_path}: bad count {parts[2]!r}", line_number
+                    f"{attach_path}: bad count {count_str!r}", line_number
                 ) from exc
-            attachments[attachment_key(site_a, site_b)] += count
+            if count < 1:
+                raise FileFormatError(
+                    f"{attach_path}: count {count} is not positive", line_number
+                )
+            site_pair = attachment_key(known_sites[token_a], known_sites[token_b])
+            attachments[site_pair] += count
     return MotifVocabulary(motifs, dict(attachments))
 
 

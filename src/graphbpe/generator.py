@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field, replace
+from itertools import count
 from random import Random
 
 import numpy as np
@@ -98,23 +99,24 @@ class FrequencyPolicy(Policy):
 class GenerationState:
     """Partial molecule under assembly plus its FIFO of open sites.
 
-    ``start``, ``attach`` and ``cyclize`` are the only assembly moves; each
-    attach or cyclize counts one step. Consumed "*" atoms are tombstoned
-    rather than deleted; ``finalize`` compacts the numbering. ``rng_seed``
-    is the opaque randomness source standing in for a latent vector.
+    An open site is a record, not an atom: ``open_sites`` maps an opaque
+    site id to (anchor atom, site type), and ``queue`` holds the ids in FIFO
+    order. A motif's "*" atoms never enter ``atoms`` or ``bonds``. ``start``,
+    ``attach`` and ``cyclize`` are the only assembly moves; each attach or
+    cyclize counts one step. ``rng_seed`` is the opaque randomness source
+    standing in for a latent vector.
     """
 
     rng_seed: int
     atoms: list[Atom] = field(default_factory=list)
-    alive: list[bool] = field(default_factory=list)
     bonds: dict[tuple[int, int], str] = field(default_factory=dict)
     queue: deque[int] = field(default_factory=deque)
-    site_type_of: dict[int, SiteType] = field(default_factory=dict)
-    anchor_of: dict[int, tuple[int, str]] = field(default_factory=dict)
+    open_sites: dict[int, tuple[int, SiteType]] = field(default_factory=dict)
     step_count: int = 0
 
     def __post_init__(self):
         self.rng = Random(self.rng_seed)
+        self._site_ids = count()
 
     @property
     def terminal(self) -> bool:
@@ -123,44 +125,47 @@ class GenerationState:
     def _bond_pair(self, a: int, b: int) -> tuple[int, int]:
         return (a, b) if a < b else (b, a)
 
-    def _place_motif(self, motif: Motif) -> int:
-        """Copy a motif instance into the assembly; returns the atom offset."""
-        offset = len(self.atoms)
+    def _place_motif(self, motif: Motif) -> dict[int, int]:
+        """Copy a motif's atoms other than "*" and their bonds into the
+        assembly and open one site per star; returns {star atom: site id}
+        in canonical site order."""
         graph = motif.graph
-        self.atoms.extend(graph.atoms)
-        self.alive.extend([True] * len(graph.atoms))
+        new_id = {}
+        for i, atom in enumerate(graph.atoms):
+            if not atom.is_connection_site:
+                new_id[i] = len(self.atoms)
+                self.atoms.append(atom)
         for bond in graph.bonds:
-            self.bonds[self._bond_pair(offset + bond.a, offset + bond.b)] = bond.order
-        for star_atom, order, class_id in motif.sites:
-            star = offset + star_atom
-            anchor = offset + graph.neighbors(star_atom)[0][0]
-            self.site_type_of[star] = (motif.smiles, class_id, order)
-            self.anchor_of[star] = (anchor, order)
-        return offset
+            if bond.a in new_id and bond.b in new_id:
+                self.bonds[new_id[bond.a], new_id[bond.b]] = bond.order
+        placed = {}
+        for star_atom, site in motif.sites:
+            site_id = placed[star_atom] = next(self._site_ids)
+            self.open_sites[site_id] = (new_id[graph.neighbors(star_atom)[0][0]], site)
+        return placed
 
     def start(self, motif: Motif) -> None:
         """Place the first motif and enqueue its sites in canonical atom order."""
-        offset = self._place_motif(motif)
-        self.queue.extend(offset + star_atom for star_atom, _, _ in motif.sites)
+        self.queue.extend(self._place_motif(motif).values())
 
     def attach(self, focus: int, motif: Motif, star_atom: int) -> None:
         """Bond a new copy of ``motif`` at its site ``star_atom`` to ``focus``
         and enqueue the copy's other sites."""
-        offset = self._place_motif(motif)
-        self._merge_sites(focus, offset + star_atom)
-        self.queue.extend(offset + s for s, _, _ in motif.sites if s != star_atom)
+        placed = self._place_motif(motif)
+        self._merge_sites(focus, placed.pop(star_atom))
+        self.queue.extend(placed.values())
         self.step_count += 1
 
-    def cyclize(self, focus: int, star: int) -> None:
-        """Close a ring by bonding ``focus`` to the queued open site ``star``."""
-        self.queue.remove(star)
-        self._merge_sites(focus, star)
+    def cyclize(self, focus: int, site_id: int) -> None:
+        """Close a ring by bonding ``focus`` to the queued open site ``site_id``."""
+        self.queue.remove(site_id)
+        self._merge_sites(focus, site_id)
         self.step_count += 1
 
-    def _merge_sites(self, star_a: int, star_b: int) -> None:
-        """Replace two open "*" sites with one real bond between their anchors."""
-        anchor_a, order_a = self.anchor_of[star_a]
-        anchor_b, order_b = self.anchor_of[star_b]
+    def _merge_sites(self, site_a: int, site_b: int) -> None:
+        """Close two open sites with one real bond between their anchors."""
+        anchor_a, (_, _, order_a) = self.open_sites[site_a]
+        anchor_b, (_, _, order_b) = self.open_sites[site_b]
         if order_a != order_b:
             raise IncompatibleBondError(
                 f"cannot merge a {order_a} site with a {order_b} site"
@@ -168,22 +173,8 @@ class GenerationState:
         pair = self._bond_pair(anchor_a, anchor_b)
         if anchor_a == anchor_b or pair in self.bonds:
             raise IncompatibleBondError("merge would duplicate a bond or self-bond")
-        for star in (star_a, star_b):
-            anchor, _ = self.anchor_of.pop(star)
-            del self.bonds[self._bond_pair(star, anchor)]
-            del self.site_type_of[star]
-            self.alive[star] = False
+        del self.open_sites[site_a], self.open_sites[site_b]
         self.bonds[pair] = order_a
-
-    def partial_molgraph(self) -> MolGraph:
-        """Live assembly as a MolGraph, atoms renumbered in assembly order."""
-        live = [i for i, alive in enumerate(self.alive) if alive]
-        new_id = {old: new for new, old in enumerate(live)}
-        bonds = tuple(
-            make_bond(new_id[a], new_id[b], order)
-            for (a, b), order in sorted(self.bonds.items())
-        )
-        return MolGraph(tuple(self.atoms[i] for i in live), bonds)
 
 
 def _softmax_sample(scores: np.ndarray, temperature: float, rng: Random) -> int:
@@ -240,15 +231,15 @@ def start_generation(
 
 
 def _partial_candidates(state: GenerationState, focus: int) -> list[Candidate]:
-    focus_anchor, focus_order = state.anchor_of[focus]
+    focus_anchor, (_, _, focus_order) = state.open_sites[focus]
     out = []
-    for star in state.queue:
-        anchor, order = state.anchor_of[star]
-        if order != focus_order or anchor == focus_anchor:
+    for site_id in state.queue:
+        anchor, site = state.open_sites[site_id]
+        if site[2] != focus_order or anchor == focus_anchor:
             continue
         if state._bond_pair(anchor, focus_anchor) in state.bonds:
             continue
-        out.append(Candidate("partial", state.site_type_of[star], star_atom=star))
+        out.append(Candidate("partial", site, star_atom=site_id))
     return out
 
 
@@ -271,8 +262,8 @@ def generation_step(
     if state.terminal:
         raise ValueError("generation state is already terminal")
     focus = state.queue.popleft()
-    focus_type = state.site_type_of[focus]
-    _, focus_order = state.anchor_of[focus]
+    _, focus_type = state.open_sites[focus]
+    focus_order = focus_type[2]
     vocab_candidates = vocab.candidates_by_order.get(focus_order, [])
     partial_candidates = _partial_candidates(state, focus)
     candidates = vocab_candidates + partial_candidates
@@ -345,10 +336,11 @@ def repair_aromatic_rings(mol: MolGraph) -> MolGraph:
 
 
 def finalize(state: GenerationState) -> MolGraph:
-    """Compact the terminal assembly and repair invalid aromatic rings."""
+    """The terminal assembly as a MolGraph, invalid aromatic rings repaired."""
     if not state.terminal:
         raise ValueError("cannot finalize: open connection sites remain")
-    mol = state.partial_molgraph()
+    bonds = (make_bond(a, b, order) for (a, b), order in sorted(state.bonds.items()))
+    mol = MolGraph(tuple(state.atoms), tuple(bonds))
     repaired = repair_aromatic_rings(mol)
     if not valence_check(repaired):
         raise IrreparableValenceError(
@@ -420,7 +412,7 @@ def replay_trajectory(trajectory: Trajectory, vocab: MotifVocabulary) -> MolGrap
             if step.motif not in vocab:
                 raise UnknownMotifError(f"motif {step.motif!r} not in vocabulary")
             motif = vocab[step.motif]
-            if step.site not in {atom_id for atom_id, _, _ in motif.sites}:
+            if step.site not in dict(motif.sites):
                 raise IncompatibleBondError(
                     f"atom {step.site} is not a connection site of {step.motif!r}"
                 )

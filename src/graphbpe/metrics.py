@@ -47,30 +47,12 @@ def compute_descriptors(mol: MolGraph) -> DescriptorVector:
     return DescriptorVector(
         mol_weight=molecular_weight(mol),
         heavy_atom_count=heavy,
-        cycle_rank=len(mol.bonds) - heavy + _component_count(mol),
+        cycle_rank=len(mol.bonds) - heavy + mol.component_count(),
         aromatic_atom_fraction=aromatic / heavy,
         heteroatom_fraction=hetero / heavy,
         halogen_count=halogens,
         bond_order_fractions=fractions,
     )
-
-
-def _component_count(mol: MolGraph) -> int:
-    seen: set[int] = set()
-    components = 0
-    for start in range(len(mol.atoms)):
-        if start in seen:
-            continue
-        components += 1
-        todo = [start]
-        seen.add(start)
-        while todo:
-            cur = todo.pop()
-            for nbr, _ in mol.neighbors(cur):
-                if nbr not in seen:
-                    seen.add(nbr)
-                    todo.append(nbr)
-    return components
 
 
 # (name, is_integer) channels; the four bond-order fractions roll up into one

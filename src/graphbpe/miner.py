@@ -30,29 +30,26 @@ def motif_graph(smiles: str) -> MolGraph:
 
 
 @lru_cache(maxsize=None)
-def motif_site_meta(smiles: str) -> tuple[tuple[int, str, int], ...]:
-    """(star atom id, bond order, symmetry class id) per site, in canonical order.
+def motif_sites(smiles: str) -> tuple[tuple[int, SiteType], ...]:
+    """(star atom id, site type) per connection site, in canonical atom order.
 
     The class id is the smallest canonical rank among the stars of one
     refinement class, so interchangeable sites share an id and the id is
-    stable across isomorphic inputs.
+    stable across isomorphic inputs. This is the one place a ``SiteType``
+    is built.
     """
     mol = motif_graph(smiles)
     ranking = canonical_rank(mol)
-    stars = [i for i, atom in enumerate(mol.atoms) if atom.is_connection_site]
-    groups: dict[int, list[int]] = {}
-    for i in stars:
-        groups.setdefault(ranking.symmetry_classes[i], []).append(i)
-    class_of: dict[int, int] = {}
-    for members in groups.values():
-        cid = min(ranking.ranks[i] for i in members)
-        for i in members:
-            class_of[i] = cid
-    stars.sort(key=lambda i: ranking.ranks[i])
+    stars = sorted(
+        (i for i, atom in enumerate(mol.atoms) if atom.is_connection_site),
+        key=lambda i: ranking.ranks[i],
+    )
+    class_id: dict[int, int] = {}  # refinement class -> its first star's rank
     out = []
     for i in stars:
+        cid = class_id.setdefault(ranking.symmetry_classes[i], ranking.ranks[i])
         _, bidx = mol.neighbors(i)[0]
-        out.append((i, mol.bonds[bidx].order, class_of[i]))
+        out.append((i, (smiles, cid, mol.bonds[bidx].order)))
     return tuple(out)
 
 
@@ -68,19 +65,23 @@ class Motif:
         return motif_graph(self.smiles)
 
     @property
-    def sites(self) -> tuple[tuple[int, str, int], ...]:
-        """(star atom id, bond order, class id), sorted by canonical atom rank."""
-        return motif_site_meta(self.smiles)
+    def sites(self) -> tuple[tuple[int, SiteType], ...]:
+        """(star atom id, site type), sorted by canonical atom rank."""
+        return motif_sites(self.smiles)
 
 
 @dataclass(frozen=True)
 class Candidate:
-    """One selectable connection: a vocabulary site or an open partial site."""
+    """One selectable connection: a vocabulary site or an open partial site.
+
+    ``star_atom`` is the star's atom id in the motif graph for a vocabulary
+    candidate and the open-site id in the assembly for a partial one.
+    """
 
     kind: str  # "vocab" | "partial"
     site_type: SiteType
     motif: Motif | None = None
-    star_atom: int = 0  # vocab: atom id in the motif graph; partial: assembly star id
+    star_atom: int = 0
 
 
 class MotifVocabulary:
@@ -112,11 +113,8 @@ class MotifVocabulary:
         order in motif then canonical site order; built once per vocabulary."""
         out: dict[str, list[Candidate]] = {}
         for motif in self.ordered_motifs():
-            for star_atom, order, class_id in motif.sites:
-                site_type = (motif.smiles, class_id, order)
-                out.setdefault(order, []).append(
-                    Candidate("vocab", site_type, motif, star_atom)
-                )
+            for star_atom, site in motif.sites:
+                out.setdefault(site[2], []).append(Candidate("vocab", site, motif, star_atom))
         return out
 
     def attachment_count(self, a: SiteType, b: SiteType) -> int:
@@ -152,9 +150,9 @@ def _argmax_pattern(counter: Counter[str]) -> tuple[str, int]:
 
 def site_type(smiles: str, star_atom: int) -> SiteType:
     """The type of the connection site at atom ``star_atom`` of motif ``smiles``."""
-    for atom_id, order, class_id in motif_site_meta(smiles):
+    for atom_id, site in motif_sites(smiles):
         if atom_id == star_atom:
-            return (smiles, class_id, order)
+            return site
     raise KeyError(f"atom {star_atom} is not a connection site of {smiles}")
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from graphbpe.chem import MolGraph
 from graphbpe.merging import Fragmentation, MergeOperation, apply_operations, extract_motifs
-from graphbpe.miner import motif_site_meta
+from graphbpe.miner import motif_sites
 
 
 def fragmentize(mol: MolGraph, ops: list[MergeOperation]) -> Fragmentation:
@@ -52,14 +52,14 @@ def fragmentation_trajectory(frag: Fragmentation) -> Trajectory:
     bond or, when that motif is already placed, records a cyclization against
     the partner's position in the open-site queue.
     """
-    partner: dict[tuple[int, int], tuple[int, int, str]] = {}
+    partner: dict[tuple[int, int], tuple[int, int]] = {}
     for link in frag.broken_bonds:
-        partner[(link.motif_a, link.star_a)] = (link.motif_b, link.star_b, link.order)
-        partner[(link.motif_b, link.star_b)] = (link.motif_a, link.star_a, link.order)
+        partner[(link.motif_a, link.star_a)] = (link.motif_b, link.star_b)
+        partner[(link.motif_b, link.star_b)] = (link.motif_a, link.star_a)
 
     def ordered_sites(motif_index: int) -> list[tuple[int, int]]:
         smiles = frag.motifs[motif_index].smiles
-        return [(motif_index, star) for star, _, _ in motif_site_meta(smiles)]
+        return [(motif_index, star) for star, _ in motif_sites(smiles)]
 
     start_index = min(
         range(len(frag.motifs)),
@@ -74,7 +74,7 @@ def fragmentation_trajectory(frag: Fragmentation) -> Trajectory:
     steps: list[TrajectoryStep] = []
     while queue:
         focus = queue.popleft()
-        other_index, other_star, _ = partner[focus]
+        other_index, other_star = partner[focus]
         if other_index not in placed:
             steps.append(
                 TrajectoryStep(

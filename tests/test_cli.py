@@ -143,6 +143,22 @@ class TestGenerate:
         err = capsys.readouterr().err
         assert "line 3" in err and "vocab.txt" in err
 
+    @pytest.mark.parametrize("count", ["0", "-1"])
+    def test_non_positive_attachment_count_exit_3(self, workdir, capsys, count):
+        run(["mine", "--corpus", workdir / "corpus.smi", "--num-ops", "2",
+             "--out", workdir / "mined"])
+        path = workdir / "mined" / "attach.txt"
+        lines = path.read_text().splitlines()
+        site_a, site_b, _ = lines[1].split("\t")
+        lines[1] = f"{site_a}\t{site_b}\t{count}"
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        code = run(["generate", "--vocab", workdir / "mined" / "vocab.txt",
+                    "--num", "3", "--out", workdir / "gen.smi"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "line 2" in err and "attach.txt" in err
+
     @pytest.mark.parametrize("site", ["*CC*|1|single", "*N|7|double"])
     def test_attachment_to_unknown_site_exit_3(self, workdir, capsys, site):
         run(["mine", "--corpus", workdir / "corpus.smi", "--num-ops", "2",

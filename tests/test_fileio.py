@@ -1,6 +1,8 @@
+import hashlib
+
 import pytest
 
-from graphbpe.chem import parse_smiles
+from graphbpe.chem import parse_smiles, write_smiles
 from graphbpe.errors import CorpusError, FileFormatError, FormatVersionError
 from graphbpe.fileio import (
     load_corpus,
@@ -9,11 +11,13 @@ from graphbpe.fileio import (
     read_trajectories,
     read_vocabulary,
     write_attachments,
+    write_molecules,
     write_operations,
     write_trajectories,
     write_vocabulary,
 )
-from graphbpe.miner import mine_corpus
+from graphbpe.generator import DISTRIBUTIONAL, FrequencyPolicy, generate
+from graphbpe.miner import build_motif_vocabulary, mine_corpus
 from graphbpe.tokenizer import extract_trajectory
 
 
@@ -141,3 +145,36 @@ def test_crlf_line_ends_read_like_lf(mined):
     assert read_smiles_lines(tmp_path / "crlf_c.smi") == read_smiles_lines(tmp_path / "c.smi")
     assert read_operations(tmp_path / "crlf_ops.txt") == read_operations(tmp_path / "ops.txt")
     assert vocabulary("crlf_") == vocabulary("")
+
+
+# sha256 of each artifact kind; the failure message prints the new digests,
+# to be re-recorded only by a change that means to alter output bytes
+GOLDEN_DIGESTS = {
+    "ops.txt": "271edf9debfd488cb0794ca3d31a58e8d2013bb1d67c23300dea3205498db07c",
+    "vocab.txt": "0c5b53e73b698051732928d0e32347002c9711e9129bbb9ca646dc005f3d6ee8",
+    "attach.txt": "66ac54b88a5f0f42da951b9202eb7b633103be56fe6f1ab727827b8ec9a42d76",
+    "generated.smi": "c2c5f59e720887d93eb817b6da2c699d1c2f0ec84a293b559cf206756cdbc968",
+    "trajectories.jsonl": "aba6c76216b0dc18ffaba841617f8f4e0559b6f14549ce43ff94d39f1ca97ea6",
+}
+
+
+def test_golden_artifact_bytes(tmp_path, corpus_1k, ops_500):
+    """The bytes of every artifact kind, pinned against the fixture corpus."""
+    _, mols = corpus_1k
+    ops = ops_500[:200]
+    vocab = build_motif_vocabulary(mols[:300], ops)
+    molecules, _ = generate(
+        vocab, FrequencyPolicy(vocab), 300, DISTRIBUTIONAL, seed=1, top_k=25
+    )
+    write_operations(tmp_path / "ops.txt", ops_500)
+    write_vocabulary(tmp_path / "vocab.txt", vocab)
+    write_attachments(tmp_path / "attach.txt", vocab)
+    write_molecules(tmp_path / "generated.smi", [write_smiles(m) for m in molecules])
+    write_trajectories(
+        tmp_path / "trajectories.jsonl", [extract_trajectory(m, ops) for m in mols[:100]]
+    )
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in GOLDEN_DIGESTS
+    }
+    assert digests == GOLDEN_DIGESTS, f"artifact bytes changed; new digests: {digests}"

@@ -103,11 +103,9 @@ class TestStep:
         policy = FrequencyPolicy(vocab)
         state = start_generation(vocab, policy, 5, DISTRIBUTIONAL)
         while not state.terminal and state.step_count < 30:
-            live_stars = sum(
-                1 for alive, atom in zip(state.alive, state.atoms)
-                if alive and atom.is_connection_site
-            )
-            assert live_stars == len(state.queue)
+            assert len(state.open_sites) == len(state.queue)
+            assert set(state.open_sites) == set(state.queue)
+            assert not any(atom.is_connection_site for atom in state.atoms)
             generation_step(state, vocab, policy, DISTRIBUTIONAL)
         assert state.terminal or state.step_count >= 30
 

@@ -11,7 +11,7 @@ from graphbpe.miner import (
     count_pair_patterns,
     learn_merging_operations,
     mine_corpus,
-    motif_site_meta,
+    motif_sites,
 )
 from helpers import group_by_isomorphism, isomorphic, mined, permute_molecule, random_molecule
 
@@ -227,11 +227,11 @@ class TestVocabulary:
         assert sum(result.vocabulary.attachment_counts.values()) == 3
 
     def test_site_symmetry_classes(self):
-        sites = motif_site_meta("*CC*")
+        sites = motif_sites("*CC*")
         assert len(sites) == 2
-        assert sites[0][2] == sites[1][2]  # interchangeable stars share a class
-        para = motif_site_meta("*c1:c:c:c(*):c:c:1")
-        assert para[0][2] == para[1][2]
+        assert sites[0][1][1] == sites[1][1][1]  # interchangeable stars share a class
+        para = motif_sites("*c1:c:c:c(*):c:c:1")
+        assert para[0][1][1] == para[1][1][1]
 
     def test_vocab_matches_mine_reuse(self, corpus_1k):
         _, mols = corpus_1k
