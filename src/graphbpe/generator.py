@@ -34,7 +34,7 @@ DISTRIBUTIONAL = "distributional"
 DEFAULT_MAX_STEPS = 100
 
 _SEED_MIX = 0x9E3779B97F4A7C15  # odd constant; decorrelates per-molecule streams
-_START = "start"  # score-cache key of the start scores; the other keys are site types
+_START = "start"  # stands in for the focus site type in the start head's cache key
 
 
 class Policy:
@@ -60,7 +60,12 @@ class Policy:
 
 class FrequencyPolicy(Policy):
     """Corpus-statistics baseline: log motif frequency for starts, and
-    log(1 + attachment count) co-occurrence scores for connections."""
+    log(1 + attachment count) co-occurrence scores for connections.
+
+    The vocabulary pool of a bond order starts from its log motif
+    frequencies; only the focus type's observed partners get the
+    co-occurrence term added, since ``log1p(0) + x == x``.
+    """
 
     context_free = True
 
@@ -77,17 +82,41 @@ class FrequencyPolicy(Policy):
         self.vocabulary = vocabulary
         self.cyclize_weight = cyclize_weight
         self.temperature = temperature
+        # bond order -> (log frequency per pool candidate, site type -> positions)
+        self._pools: dict[str, tuple[np.ndarray, dict[SiteType, list[int]]]] = {}
 
     def score_start(self, context, motifs: list[Motif]) -> np.ndarray:
         return np.array([math.log(m.frequency) for m in motifs], dtype=float)
 
+    def _vocabulary_pool(
+        self, order: str, candidates: list[Candidate]
+    ) -> tuple[np.ndarray, dict[SiteType, list[int]]]:
+        pool = self._pools.get(order)
+        if pool is None:
+            log_frequency = np.array(
+                [math.log(cand.motif.frequency) for cand in candidates], dtype=float
+            )
+            positions: dict[SiteType, list[int]] = {}
+            for i, cand in enumerate(candidates):
+                positions.setdefault(cand.site_type, []).append(i)
+            pool = self._pools[order] = (log_frequency, positions)
+        return pool
+
     def score_connections(
         self, context, focus: SiteType, candidates: list[Candidate]
     ) -> np.ndarray:
+        partners = self.vocabulary.partners.get(focus, {})
+        if candidates is self.vocabulary.candidates_by_order.get(focus[2]):
+            log_frequency, positions = self._vocabulary_pool(focus[2], candidates)
+            scores = log_frequency.copy()
+            for site, pair in partners.items():
+                at = positions.get(site)
+                if at is not None:
+                    scores[at] = math.log1p(pair) + log_frequency[at[0]]
+            return scores
         scores = np.empty(len(candidates), dtype=float)
-        counts = self.vocabulary.attachment_count
         for i, cand in enumerate(candidates):
-            pair = counts(focus, cand.site_type)
+            pair = partners.get(cand.site_type, 0)
             if cand.kind == "vocab":
                 scores[i] = math.log1p(pair) + math.log(cand.motif.frequency)
             else:
@@ -177,6 +206,13 @@ class GenerationState:
         self.bonds[pair] = order_a
 
 
+def _check_selection(mode: str, top_k: int | None) -> None:
+    if mode not in (GREEDY, DISTRIBUTIONAL):
+        raise ValueError(f"unknown generation mode {mode!r}")
+    if top_k is not None and top_k < 1:
+        raise ValueError("top_k must be >= 1")
+
+
 def _softmax_sample(scores: np.ndarray, temperature: float, rng: Random) -> int:
     scaled = scores / temperature
     shifted = np.exp(scaled - scaled.max())
@@ -193,13 +229,47 @@ def _select(
         raise ValueError("policy produced a non-finite score")
     if mode == GREEDY:
         return int(np.argmax(scores))
-    if mode != DISTRIBUTIONAL:
-        raise ValueError(f"unknown generation mode {mode!r}")
     if top_k is not None and top_k < len(scores):
         keep = np.sort(np.argsort(-scores, kind="stable")[:top_k])
         picked = _softmax_sample(scores[keep], temperature, rng)
         return int(keep[picked])
     return _softmax_sample(scores, temperature, rng)
+
+
+def _head(pool: list, scores, mode: str, top_k: int | None) -> tuple[list, np.ndarray]:
+    """The items of ``pool`` that selection can pick, with their scores, in
+    pool order: the argmax in greedy mode, else the stable top ``top_k``.
+
+    Items that follow the pool can only push pool items out of the top
+    ``top_k``, never bring one back, so the rest need not be kept.
+    """
+    scores = np.asarray(scores, dtype=float)
+    if not np.all(np.isfinite(scores)):
+        raise ValueError("policy produced a non-finite score")
+    if mode == GREEDY and len(scores):
+        keep = [int(np.argmax(scores))]
+    elif top_k is not None and top_k < len(scores):
+        keep = np.sort(np.argsort(-scores, kind="stable")[:top_k])
+    else:
+        return pool, scores
+    return [pool[i] for i in keep], scores[keep]
+
+
+def _choose(
+    head: tuple[list, np.ndarray],
+    extra: list,
+    extra_scores,
+    mode: str,
+    rng: Random,
+    temperature: float,
+    top_k: int | None,
+):
+    """The item ``_select`` picks from the head's pool followed by ``extra``."""
+    items, scores = head
+    if extra:
+        scores = np.concatenate([scores, np.asarray(extra_scores, dtype=float)])
+    picked = _select(scores, mode, rng, temperature, top_k)
+    return items[picked] if picked < len(items) else extra[picked - len(items)]
 
 
 def start_generation(
@@ -212,21 +282,21 @@ def start_generation(
 ) -> GenerationState:
     """Pick the first motif and enqueue its sites in canonical atom order.
 
-    A ``context_free`` policy's ordered motifs and start scores are kept in
+    A ``context_free`` policy's start head (see ``_head``) is kept in
     ``score_cache`` (``None``: a fresh cache for this call).
     """
+    _check_selection(mode, top_k)
     if not len(vocab):
         raise EmptyVocabularyError("cannot generate from an empty vocabulary")
     if score_cache is None or not policy.context_free:
         score_cache = {}
-    cached = score_cache.get(_START)
-    if cached is None:
+    key = (_START, mode, top_k)
+    head = score_cache.get(key)
+    if head is None:
         motifs = vocab.ordered_motifs()
-        scores = np.asarray(policy.score_start(seed, motifs), dtype=float)
-        cached = score_cache[_START] = (motifs, scores)
-    motifs, scores = cached
+        head = score_cache[key] = _head(motifs, policy.score_start(seed, motifs), mode, top_k)
     state = GenerationState(rng_seed=seed)
-    state.start(motifs[_select(scores, mode, state.rng, policy.temperature, top_k)])
+    state.start(_choose(head, [], None, mode, state.rng, policy.temperature, top_k))
     return state
 
 
@@ -256,9 +326,10 @@ def generation_step(
     Candidates are vocabulary sites plus the partial molecule's other open
     sites, restricted to the focus site's bond order. The two pools are
     scored in separate policy calls; a ``context_free`` policy's vocabulary
-    scores are kept in ``score_cache`` per focus site type (``None``: a
-    fresh cache for this call).
+    head (see ``_head``) is kept in ``score_cache`` per focus site type
+    (``None``: a fresh cache for this call).
     """
+    _check_selection(mode, top_k)
     if state.terminal:
         raise ValueError("generation state is already terminal")
     focus = state.queue.popleft()
@@ -266,8 +337,7 @@ def generation_step(
     focus_order = focus_type[2]
     vocab_candidates = vocab.candidates_by_order.get(focus_order, [])
     partial_candidates = _partial_candidates(state, focus)
-    candidates = vocab_candidates + partial_candidates
-    if not candidates:
+    if not (vocab_candidates or partial_candidates):
         raise NoCompatibleCandidateError(
             f"no candidate shares the focus bond order {focus_order!r}"
         )
@@ -275,16 +345,15 @@ def generation_step(
         score_cache = {}
 
     def score(pool: list[Candidate]) -> np.ndarray:
-        return np.asarray(
-            policy.score_connections(state.rng_seed, focus_type, pool), dtype=float
-        )
+        return policy.score_connections(state.rng_seed, focus_type, pool)
 
-    scores = score_cache.get(focus_type)
-    if scores is None:
-        scores = score_cache[focus_type] = score(vocab_candidates)
-    if partial_candidates:
-        scores = np.concatenate([scores, score(partial_candidates)])
-    chosen = candidates[_select(scores, mode, state.rng, policy.temperature, top_k)]
+    key = (focus_type, mode, top_k)
+    head = score_cache.get(key)
+    if head is None:
+        head = score_cache[key] = _head(vocab_candidates, score(vocab_candidates), mode, top_k)
+    partial_scores = score(partial_candidates) if partial_candidates else None
+    chosen = _choose(head, partial_candidates, partial_scores, mode, state.rng,
+                     policy.temperature, top_k)
     if chosen.kind == "vocab":
         state.attach(focus, chosen.motif, chosen.star_atom)
     else:
@@ -377,6 +446,7 @@ def generate(
     never emitted. Per-molecule seeds derive from the master seed by index."""
     if n < 0:
         raise ValueError("n must be >= 0")
+    _check_selection(mode, top_k)
     report = GenerationReport(requested=n)
     molecules: list[MolGraph] = []
     cache: dict = {}

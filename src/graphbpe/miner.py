@@ -117,8 +117,15 @@ class MotifVocabulary:
                 out.setdefault(site[2], []).append(Candidate("vocab", site, motif, star_atom))
         return out
 
-    def attachment_count(self, a: SiteType, b: SiteType) -> int:
-        return self.attachment_counts.get(attachment_key(a, b), 0)
+    @cached_property
+    def partners(self) -> dict[SiteType, dict[SiteType, int]]:
+        """Site type -> {partner site type: attachment count}, both ways
+        round; only observed pairs are stored. Built once per vocabulary."""
+        out: dict[SiteType, dict[SiteType, int]] = {}
+        for (a, b), count in self.attachment_counts.items():
+            out.setdefault(a, {})[b] = count
+            out.setdefault(b, {})[a] = count
+        return out
 
     @classmethod
     def from_counters(

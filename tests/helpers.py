@@ -1,9 +1,11 @@
 """Shared test utilities: random valid molecules, permutation tools, mined
-artifacts as values, and an isomorphism matcher independent of the package's
-canonical ranking."""
+artifacts as values, an isomorphism matcher independent of the package's
+canonical ranking, and the generator's full-array selection rule."""
 from __future__ import annotations
 
 from random import Random
+
+import numpy as np
 
 from graphbpe.chem import parse_smiles
 from graphbpe.chem.mol import Atom, MolGraph, check_molecule, implicit_hydrogens, make_bond
@@ -199,3 +201,23 @@ def fused_ladder_smiles(rings: int) -> str:
             token += f"(C{label})"
         tokens.append(token)
     return "".join(tokens)
+
+
+def full_array_select(scores: np.ndarray, mode: str, rng: Random, temperature: float,
+                      top_k: int | None) -> int:
+    """The generator's selection over every candidate's score, as it was
+    before heads were cached: argmax in greedy mode, else a softmax sample
+    over the stable top ``top_k`` kept in index order."""
+    def softmax_sample(values: np.ndarray) -> int:
+        scaled = values / temperature
+        shifted = np.exp(scaled - scaled.max())
+        cumulative = np.cumsum(shifted / shifted.sum())
+        index = int(np.searchsorted(cumulative, rng.random(), side="right"))
+        return min(index, len(values) - 1)
+
+    if mode == "greedy":
+        return int(np.argmax(scores))
+    if top_k is not None and top_k < len(scores):
+        keep = np.sort(np.argsort(-scores, kind="stable")[:top_k])
+        return int(keep[softmax_sample(scores[keep])])
+    return softmax_sample(scores)

@@ -1,5 +1,10 @@
+import math
+from random import Random
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphbpe.chem import parse_smiles, valence_check, write_smiles
 from graphbpe.errors import (
@@ -14,6 +19,8 @@ from graphbpe.generator import (
     FrequencyPolicy,
     GenerationState,
     Policy,
+    _choose,
+    _head,
     finalize,
     generate,
     generation_step,
@@ -21,8 +28,16 @@ from graphbpe.generator import (
     replay_trajectory,
     start_generation,
 )
-from graphbpe.miner import Motif, MotifVocabulary, mine_corpus, site_type
+from graphbpe.miner import (
+    Candidate,
+    Motif,
+    MotifVocabulary,
+    attachment_key,
+    mine_corpus,
+    site_type,
+)
 from graphbpe.tokenizer import Trajectory, TrajectoryStep
+from helpers import full_array_select
 
 
 def micro_vocab(*entries, attachments=None):
@@ -34,6 +49,106 @@ def seeded_state(motif: Motif, seed: int = 0) -> GenerationState:
     state = GenerationState(rng_seed=seed)
     state.start(motif)
     return state
+
+
+@pytest.fixture(scope="module")
+def vocab_80(corpus_1k):
+    """The vocabulary mined from the first 80 fixture molecules at K=30."""
+    _, molecules = corpus_1k
+    return mine_corpus(molecules[:80], 30).vocabulary
+
+
+class CountingPolicy(FrequencyPolicy):
+    calls = 0
+    starts = 0
+
+    def score_start(self, context, motifs):
+        self.starts += 1
+        return super().score_start(context, motifs)
+
+    def score_connections(self, context, focus, candidates):
+        self.calls += 1
+        return super().score_connections(context, focus, candidates)
+
+
+class TestSelectionArguments:
+    BAD = [(GREEDY, 0), (DISTRIBUTIONAL, 0), (DISTRIBUTIONAL, -1), ("beam", None)]
+
+    @pytest.mark.parametrize("mode,top_k", BAD)
+    def test_generate_rejects(self, mode, top_k):
+        vocab = micro_vocab(("*C", 1))
+        policy = CountingPolicy(vocab)
+        with pytest.raises(ValueError):
+            generate(vocab, policy, 3, mode, top_k=top_k)
+        assert (policy.starts, policy.calls) == (0, 0)
+
+    @pytest.mark.parametrize("mode,top_k", BAD)
+    def test_start_generation_rejects(self, mode, top_k):
+        vocab = micro_vocab(("*C", 1))
+        policy = CountingPolicy(vocab)
+        with pytest.raises(ValueError):
+            start_generation(vocab, policy, 0, mode, top_k)
+        assert policy.starts == 0
+
+    @pytest.mark.parametrize("mode,top_k", BAD)
+    def test_generation_step_rejects(self, mode, top_k):
+        vocab = micro_vocab(("*C", 1))
+        policy = CountingPolicy(vocab)
+        state = seeded_state(vocab["*C"])
+        with pytest.raises(ValueError):
+            generation_step(state, vocab, policy, mode, top_k)
+        assert policy.calls == 0 and len(state.queue) == 1
+
+
+class TestScoring:
+    def test_indexed_scores_are_bit_exact(self, vocab_80):
+        """Both pools against the per-candidate formula over the whole
+        attachment table, for every focus site type of every bond order."""
+        def count(a, b):
+            return vocab_80.attachment_counts.get(attachment_key(a, b), 0)
+
+        policy = FrequencyPolicy(vocab_80, cyclize_weight=0.7)
+        focus_count = 0
+        for order, pool in vocab_80.candidates_by_order.items():
+            open_pool = [Candidate("partial", c.site_type, star_atom=i)
+                         for i, c in enumerate(pool)]
+            for focus in sorted({c.site_type for c in pool}):
+                focus_count += 1
+                vocab_scores = policy.score_connections(0, focus, pool)
+                reference = np.array([
+                    math.log1p(count(focus, c.site_type)) + math.log(c.motif.frequency)
+                    for c in pool
+                ])
+                assert np.array_equal(vocab_scores, reference)
+                open_scores = policy.score_connections(0, focus, open_pool)
+                reference = np.array([
+                    math.log1p(0.7 * count(focus, c.site_type)) for c in open_pool
+                ])
+                assert np.array_equal(open_scores, reference)
+        assert focus_count > 50 and len(vocab_80.partners) > 50
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        pool=st.lists(st.integers(-3, 3).map(float), min_size=1, max_size=60),
+        extra=st.lists(st.integers(-3, 3).map(float), max_size=5),
+        top_k=st.one_of(st.none(), st.integers(1, 70)),
+        mode=st.sampled_from([GREEDY, DISTRIBUTIONAL]),
+        temperature=st.sampled_from([0.5, 1.0, 3.0]),
+        seed=st.integers(0, 2**32),
+    )
+    def test_head_selection_matches_full_array_rule(
+        self, pool, extra, top_k, mode, temperature, seed
+    ):
+        scores, extra_scores = np.array(pool), np.array(extra)
+        rng_full, rng_head = Random(seed), Random(seed)
+        expected = full_array_select(
+            np.concatenate([scores, extra_scores]), mode, rng_full, temperature, top_k
+        )
+        head = _head(list(range(len(pool))), scores, mode, top_k)
+        extra_ids = list(range(len(pool), len(pool) + len(extra)))
+        got = _choose(head, extra_ids, extra_scores, mode, rng_head, temperature, top_k)
+        assert got == expected
+        assert rng_head.random() == rng_full.random()
 
 
 class TestStart:
@@ -182,42 +297,30 @@ class TestGenerate:
             assert report.emitted == len(mols)
             assert all(valence_check(m) for m in mols)
 
-    def test_fixed_seed_reproducible(self, corpus_1k):
-        _, molecules = corpus_1k
-        vocab = mine_corpus(molecules[:80], 30).vocabulary
-        policy = FrequencyPolicy(vocab)
+    def test_fixed_seed_reproducible(self, vocab_80):
+        policy = FrequencyPolicy(vocab_80)
         runs = [
-            [write_smiles(m) for m in generate(vocab, policy, 25, DISTRIBUTIONAL,
+            [write_smiles(m) for m in generate(vocab_80, policy, 25, DISTRIBUTIONAL,
                                                seed=77, top_k=10)[0]]
             for _ in range(3)
         ]
         assert runs[0] == runs[1] == runs[2]
 
-    def test_cached_and_uncached_scoring_agree(self, corpus_1k):
-        class Counting(FrequencyPolicy):
-            calls = 0
-            starts = 0
-
-            def score_start(self, context, motifs):
-                self.starts += 1
-                return super().score_start(context, motifs)
-
-            def score_connections(self, context, focus, candidates):
-                self.calls += 1
-                return super().score_connections(context, focus, candidates)
-
-        _, molecules = corpus_1k
-        vocab = mine_corpus(molecules[:80], 30).vocabulary
-        cached, uncached = Counting(vocab), Counting(vocab)
-        uncached.context_free = False
-        runs = [
-            [write_smiles(m) for m in generate(vocab, policy, 40, DISTRIBUTIONAL,
-                                               seed=5, top_k=10)[0]]
-            for policy in (cached, uncached)
-        ]
-        assert runs[0] and runs[0] == runs[1]
-        assert 0 < cached.calls < uncached.calls
-        assert (cached.starts, uncached.starts) == (1, 40)
+    def test_cached_and_uncached_scoring_agree(self, vocab_80):
+        huge = 10**6  # more than any pool holds
+        assert max(len(vocab_80), *map(len, vocab_80.candidates_by_order.values())) < huge
+        for mode, top_k in [(DISTRIBUTIONAL, 10), (DISTRIBUTIONAL, None),
+                            (DISTRIBUTIONAL, huge), (GREEDY, None)]:
+            cached, uncached = CountingPolicy(vocab_80), CountingPolicy(vocab_80)
+            uncached.context_free = False
+            runs = [
+                [write_smiles(m) for m in generate(vocab_80, policy, 40, mode,
+                                                   seed=5, top_k=top_k)[0]]
+                for policy in (cached, uncached)
+            ]
+            assert runs[0] and runs[0] == runs[1], (mode, top_k)
+            assert 0 < cached.calls < uncached.calls, (mode, top_k)
+            assert (cached.starts, uncached.starts) == (1, 40), (mode, top_k)
 
     def test_max_step_guard_reports_aborts(self):
         # two-site chain motif with self-attachment counts: grows unboundedly
