@@ -56,7 +56,7 @@ ATOMIC_WEIGHTS = {
 HALOGENS = frozenset({"F", "Cl", "Br", "I"})
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Atom:
     """One atom; ``element`` is always the uppercase symbol, aromaticity is a flag."""
 
@@ -76,7 +76,7 @@ class Atom:
         return self.explicit_h + self.implicit_h
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Bond:
     """Undirected bond between atom indices ``a`` and ``b`` (stored with a < b)."""
 
@@ -96,7 +96,7 @@ def make_bond(a: int, b: int, order: str) -> Bond:
     return Bond(min(a, b), max(a, b), order)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MolGraph:
     """Immutable attributed molecular graph.
 

@@ -325,7 +325,9 @@ def parse_smiles(text: str, validate: bool = True) -> MolGraph:
     return mol
 
 
-def _atom_token(atom: Atom) -> str:
+def atom_token(atom: Atom) -> str:
+    """How the writer spells ``atom``: a function of its element, aromatic
+    flag, charge, explicit hydrogens and bracket flag only."""
     if atom.element == STAR:
         return STAR
     symbol = atom.element.lower() if atom.aromatic else atom.element
@@ -430,7 +432,7 @@ def write_smiles_with_order(mol: MolGraph) -> tuple[str, list[int]]:
     in_use: set[int] = set()
     for atom in preorder:
         aromatic = atoms[atom].aromatic
-        out.append(lead[atom] + _atom_token(atoms[atom]))
+        out.append(lead[atom] + atom_token(atoms[atom]))
         for digit, bidx in sorted((digit_of[b], b) for b in closes.get(atom, ())):
             in_use.discard(digit)
             other = atoms[bonds[bidx].other(atom)]

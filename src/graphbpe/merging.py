@@ -2,20 +2,30 @@
 
 State starts as one fragment per atom with bond adjacency inherited from the
 molecule and evolves by merging adjacent fragment pairs. Each fragment-pair
-edge carries the canonical pattern string of the merged union, kept current
-incrementally so repeated scans stay cheap.
+edge carries a cheap signature of its union (``union_signature``): the
+sorted (atom token, degree inside the union) labels, then the sorted orders
+of the union's induced bonds. The union's canonical pattern string is
+written only when asked for (``MergingGraph.pattern``) and kept until the
+edge dies.
 
-The same small unions recur across molecules, so ``union_pattern`` memoizes
-the pattern string on ``MergingGraph.union_key``, a string that encodes the
-union's exact induced labelled graph: its atoms in ascending atom-id order,
-each ``Atom`` value interned to a one-character code, and every induced bond
-as (new atom a, new atom b, order) in molecule bond order. That is exactly
-the graph ``write_smiles`` would be given for the union, so a hit returns the
-string a fresh write would return, even where the canonical form is not yet
-invariant; a miss decodes the key and calls ``write_smiles``. The memo is
-process-wide (an ``lru_cache``, like the miner's motif caches), cannot go
-stale because the key is the whole input, and ``union_pattern.cache_clear()``
-resets it.
+A pattern fixes its signature: ``parse_smiles(write_smiles(U))`` is U again
+up to atom numbering, with the same atom tokens and bond orders, and the
+signature does not depend on numbering, so ``pattern_signature(pattern)``
+is the signature of every union written as ``pattern``. Edges with
+different signatures therefore never share a pattern, and a pass for one
+pattern writes only the unions that carry its signature.
+
+The same small unions recur across molecules, so ``union_pattern``
+memoizes the pattern string on ``MergingGraph.union_key``, a string that
+encodes the union's exact induced labelled graph: its atoms in ascending
+atom-id order, each ``Atom`` value interned to a one-character code, and
+every induced bond as (new atom a, new atom b, order) in molecule bond order.
+That is exactly the graph ``write_smiles`` would be given for the union, so
+a hit returns the string a fresh write would return, even where the
+canonical form is not yet invariant; a miss decodes the key and calls
+``write_smiles``. The memo is process-wide (an ``lru_cache``, like the
+miner's motif caches), cannot go stale because the key is the whole input,
+and ``union_pattern.cache_clear()`` resets it.
 
 ``apply_operation`` is the one merge primitive: the miner drives it pattern
 by pattern, and ``apply_operations`` replays a learned operation list for the
@@ -28,13 +38,21 @@ from __future__ import annotations
 
 import sys
 import threading
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
-from graphbpe.chem import MolGraph, canonical_rank, write_smiles, write_smiles_with_order
+from graphbpe.chem import (
+    MolGraph,
+    atom_token,
+    canonical_rank,
+    parse_smiles,
+    write_smiles,
+    write_smiles_with_order,
+)
 from graphbpe.chem.mol import BOND_ORDERS, STAR, Atom, make_bond
-from graphbpe.errors import NotAdjacentError
+from graphbpe.errors import NotAdjacentError, SmilesSyntaxError
+
+Pair = tuple[int, int]
 
 
 @dataclass(frozen=True)
@@ -65,6 +83,39 @@ def _atom_code(atom: Atom) -> str:
     return code
 
 
+def _signature(mol: MolGraph, tokens: list[str], orders: str, atom_ids, inside) -> str:
+    """Signature of the subgraph induced by ``atom_ids`` (``inside`` answers
+    membership); ``tokens`` and ``orders`` hold each atom's token and each
+    bond's order code."""
+    labels = []
+    codes = []
+    for atom in atom_ids:
+        degree = 0
+        for nbr, bidx in mol.neighbors(atom):
+            if nbr in inside:
+                degree += 1
+                if nbr > atom:
+                    codes.append(orders[bidx])
+        labels.append(f"{tokens[atom]}{degree}")
+    labels.sort()
+    codes.sort()
+    return sys.intern(" ".join(labels) + "|" + "".join(codes))
+
+
+@lru_cache(maxsize=None)
+def pattern_signature(pattern: str) -> str:
+    """The signature of every union whose pattern string is ``pattern``; ""
+    (no union's signature) when ``pattern`` does not parse."""
+    try:
+        mol = parse_smiles(pattern, validate=False)
+    except SmilesSyntaxError:
+        return ""
+    everything = range(len(mol.atoms))
+    tokens = [atom_token(atom) for atom in mol.atoms]
+    orders = "".join(_ORDER_CODES[bond.order] for bond in mol.bonds)
+    return _signature(mol, tokens, orders, everything, everything)
+
+
 @lru_cache(maxsize=None)
 def union_pattern(key: str) -> str:
     """Canonical string of the labelled graph that ``key`` (a
@@ -80,8 +131,12 @@ def union_pattern(key: str) -> str:
 
 
 class MergingGraph:
-    """Mutable fragment partition of one molecule; the keys of ``edges`` are
-    its adjacent fragment pairs."""
+    """Mutable fragment partition of one molecule.
+
+    ``edges`` maps each adjacent fragment pair to its union's signature;
+    ``by_signature`` maps each signature to its pairs, each with its pattern
+    string once resolved (``None`` until then).
+    """
 
     def __init__(self, mol: MolGraph):
         self.mol = mol
@@ -90,21 +145,41 @@ class MergingGraph:
         self.frag_atoms: dict[int, list[int]] = {i: [i] for i in range(len(mol.atoms))}
         self._next_fid = len(mol.atoms)
         self._atom_codes = "".join(_atom_code(atom) for atom in mol.atoms)
-        self.edges: dict[tuple[int, int], str] = {}
-        self.key_counts: Counter[str] = Counter()
+        self._tokens = [atom_token(atom) for atom in mol.atoms]
+        self._orders = "".join(_ORDER_CODES[bond.order] for bond in mol.bonds)
+        self.edges: dict[Pair, str] = {}
+        self.by_signature: dict[str, dict[Pair, str | None]] = {}
         for bond in mol.bonds:
-            pair = self._pair(bond.a, bond.b)
-            if pair not in self.edges:
-                key = self._pattern(*pair)
-                self.edges[pair] = key
-                self.key_counts[key] += 1
+            self._add_edge((bond.a, bond.b))
+            # a bond's own union is written at once: few distinct ones exist,
+            # so each costs a memo hit, and bench/selftest.py checks that
+            # fragmentize(mol, []) writes them
+            self.pattern(bond.a, bond.b)
 
     @staticmethod
-    def _pair(fa: int, fb: int) -> tuple[int, int]:
+    def _pair(fa: int, fb: int) -> Pair:
         return (fa, fb) if fa < fb else (fb, fa)
 
-    def _pattern(self, fa: int, fb: int) -> str:
-        return union_pattern(self.union_key(self.frag_atoms[fa] + self.frag_atoms[fb]))
+    def _add_edge(self, pair: Pair) -> None:
+        signature = self.union_signature(self.frag_atoms[pair[0]] + self.frag_atoms[pair[1]])
+        self.edges[pair] = signature
+        self.by_signature.setdefault(signature, {})[pair] = None
+
+    def union_signature(self, atom_ids: list[int]) -> str:
+        """The signature of the subgraph induced by ``atom_ids``: its sorted
+        (atom token, degree inside) labels, then its sorted bond orders."""
+        return _signature(self.mol, self._tokens, self._orders, atom_ids, set(atom_ids))
+
+    def pattern(self, fa: int, fb: int) -> str:
+        """The canonical string of the union of adjacent fragments ``fa`` and
+        ``fb``: written on the first call, then kept until the edge dies."""
+        pair = self._pair(fa, fb)
+        pairs = self.by_signature[self.edges[pair]]
+        pattern = pairs[pair]
+        if pattern is None:
+            key = self.union_key(self.frag_atoms[fa] + self.frag_atoms[fb])
+            pattern = pairs[pair] = union_pattern(key)
+        return pattern
 
     def union_key(self, atom_ids: list[int]) -> str:
         """The exact induced labelled subgraph on ``atom_ids`` as one string:
@@ -126,14 +201,14 @@ class MergingGraph:
         union = self.frag_atoms[fa] + self.frag_atoms[fb]
         return tuple(sorted(self.ranks[a] for a in union))
 
-    def merge(self, fa: int, fb: int, counter: Counter | None = None) -> int:
-        """Merge two adjacent fragments; returns the fresh fragment id.
+    def merge(self, fa: int, fb: int) -> int:
+        """Merge two adjacent fragments; returns the fresh fragment id."""
+        return self._merge(fa, fb)[0]
 
-        ``counter``, when given, receives the same +/- pattern deltas that are
-        applied to this graph's own ``key_counts``.
-        """
-        pair = self._pair(fa, fb)
-        if pair not in self.edges:
+    def _merge(self, fa: int, fb: int) -> tuple[int, list[tuple[Pair, str, str | None]], list]:
+        """``merge``, also returning the dead edges as (pair, signature,
+        pattern or None) and the new pairs."""
+        if self._pair(fa, fb) not in self.edges:
             raise NotAdjacentError(f"fragments {fa} and {fb} are not adjacent")
         union = self.frag_atoms.pop(fa) + self.frag_atoms.pop(fb)
         # every edge of fa or fb dies; the fragments they reach become
@@ -148,41 +223,57 @@ class MergingGraph:
                     dead_pairs.add(self._pair(own, other))
                     if other != fa and other != fb:
                         neighbors.add(other)
-        counts = (self.key_counts,) if counter is None else (self.key_counts, counter)
-        for dead in dead_pairs:
-            key = self.edges.pop(dead)
-            for count in counts:
-                count[key] -= 1
-                if not count[key]:
-                    del count[key]
+        dead = []
+        for pair in dead_pairs:
+            signature = self.edges.pop(pair)
+            pairs = self.by_signature[signature]
+            dead.append((pair, signature, pairs.pop(pair)))
+            if not pairs:
+                del self.by_signature[signature]
         fnew = self._next_fid
         self._next_fid += 1
         self.frag_atoms[fnew] = union
         for atom in union:
             self.frag_of[atom] = fnew
-        for nb in neighbors:
-            new_pair = self._pair(fnew, nb)
-            key = self._pattern(*new_pair)
-            self.edges[new_pair] = key
-            for count in counts:
-                count[key] += 1
-        return fnew
+        born = [(nb, fnew) for nb in neighbors]
+        for pair in born:
+            self._add_edge(pair)
+        return fnew, dead, born
 
-    def apply_operation(self, pattern: str, counter: Counter | None = None) -> int:
+    def apply_operation(self, pattern: str, signature: str | None = None, tally=None) -> int:
         """One merge pass: fuse every edge whose current union equals ``pattern``.
 
-        Edges are scanned in canonical order; pairs invalidated by an earlier
-        merge in the same pass are skipped. Returns the number of merges.
+        Only the edges with the pattern's signature (``signature``, else
+        ``pattern_signature(pattern)``) are resolved. Edges are scanned in
+        canonical order; pairs invalidated by an earlier merge in the same
+        pass are skipped. ``tally``, when given, hears
+        ``edge_removed(signature, pattern or None)`` for each edge the pass
+        removes that existed before it, then ``edge_added(self, pair,
+        signature)`` for each edge the pass leaves behind that is new.
+        Returns the number of merges.
         """
-        if not self.key_counts.get(pattern):
+        if signature is None:
+            signature = pattern_signature(pattern)
+        pairs = self.by_signature.get(signature)
+        if not pairs:
             return 0
-        matches = [pair for pair, key in self.edges.items() if key == pattern]
+        matches = [pair for pair in list(pairs) if self.pattern(*pair) == pattern]
         matches.sort(key=lambda p: self.scan_key(*p))
+        born: set[Pair] = set()
         merged = 0
-        for fa, fb in matches:
-            if self._pair(fa, fb) in self.edges:
-                self.merge(fa, fb, counter)
+        for pair in matches:
+            if pair in self.edges:
+                _, dead, new = self._merge(*pair)
                 merged += 1
+                if tally is not None:
+                    for gone, gone_signature, gone_pattern in dead:
+                        if gone in born:
+                            born.discard(gone)
+                        else:
+                            tally.edge_removed(gone_signature, gone_pattern)
+                    born.update(new)
+        for pair in born:
+            tally.edge_added(self, pair, self.edges[pair])
         return merged
 
 

@@ -1,10 +1,12 @@
 """Merge-operation learning and connection-aware motif vocabulary construction.
 
-Learning keeps one merging graph per corpus molecule and a global counter of
-fragment-pair patterns, updated by exact deltas as merges happen. Each
-iteration picks the most frequent pattern (ties broken by the
-lexicographically smallest pattern string) and merges every edge matching it.
-Mining runs in one process, one operation at a time.
+Learning keeps one merging graph per corpus molecule and a ``PatternTally``
+over all of them, updated by exact deltas as merges happen. Each iteration
+picks the most frequent pattern (ties broken by the lexicographically
+smallest pattern string) and merges every edge matching it. The tally writes
+a union's pattern string only when its signature (see ``graphbpe.merging``)
+is open, and it opens a signature only when that signature could hold the
+next pattern. Mining runs in one process, one operation at a time.
 """
 from __future__ import annotations
 
@@ -142,17 +144,105 @@ def attachment_key(a: SiteType, b: SiteType) -> tuple[SiteType, SiteType]:
 
 
 def count_pair_patterns(states: list[MergingGraph]) -> Counter[str]:
-    """Pattern counts over all fragment-pair edges of all merging graphs."""
-    total: Counter[str] = Counter()
-    for state in states:
-        total.update(state.key_counts)
-    return total
+    """Pattern counts over all fragment-pair edges of all merging graphs;
+    resolves the pattern of every edge."""
+    return Counter(state.pattern(fa, fb) for state in states for fa, fb in state.edges)
 
 
-def _argmax_pattern(counter: Counter[str]) -> tuple[str, int]:
-    best = max(counter.values())
-    pattern = min(key for key, value in counter.items() if value == best)
-    return pattern, best
+def _drop(counter: Counter[str], key: str) -> bool:
+    """Take one from ``counter[key]``; True when that removed the key."""
+    counter[key] -= 1
+    if counter[key]:
+        return False
+    del counter[key]
+    return True
+
+
+class PatternTally:
+    """Corpus-wide edge counts that find the most frequent pattern while
+    writing as few pattern strings as possible.
+
+    Each signature in use is closed or open. A closed signature has only its
+    edge count, in ``closed``. An open one has its edge count in ``opened``,
+    every one of its edges resolved, and its patterns' exact counts in
+    ``patterns``. A pattern's count is at most its signature's count, so once
+    every closed signature counts less than the best open pattern, that
+    pattern (the smallest string among ties) is the corpus-wide argmax; a
+    closed signature can then neither win nor tie. ``best`` opens signatures
+    until that holds.
+
+    The holder index lists, per signature, the states that gained one of its
+    edges; a state that lost them all is pruned when the list is read.
+    """
+
+    def __init__(self, states: list[MergingGraph]):
+        self.closed: Counter[str] = Counter()
+        self.opened: Counter[str] = Counter()
+        self.patterns: Counter[str] = Counter()
+        self._signature_of: dict[str, str] = {}  # pattern -> its open signature
+        self._holders: dict[str, list[MergingGraph]] = {}
+        for state in states:
+            for signature, pairs in state.by_signature.items():
+                self.closed[signature] += len(pairs)
+                self._holders.setdefault(signature, []).append(state)
+
+    def holders(self, signature: str) -> list[MergingGraph]:
+        """The states that have an edge of ``signature``, each once."""
+        live = [
+            state for state in dict.fromkeys(self._holders[signature])
+            if signature in state.by_signature
+        ]
+        self._holders[signature] = live
+        return live
+
+    def _count(self, state: MergingGraph, pair, signature: str) -> None:
+        pattern = state.pattern(*pair)
+        self.patterns[pattern] += 1
+        self._signature_of[pattern] = signature
+
+    def _open(self, signature: str) -> None:
+        self.opened[signature] = self.closed.pop(signature)
+        for state in self.holders(signature):
+            for pair in list(state.by_signature[signature]):
+                self._count(state, pair, signature)
+
+    def best(self) -> tuple[str, int, str] | None:
+        """(pattern, count, signature) of the most frequent pattern, ties to
+        the smallest string; None when no edge is left."""
+        while self.closed:
+            best_open = max(self.patterns.values(), default=0)
+            top = max(self.closed.values())
+            if top < best_open:
+                break
+            # with nothing open, open the largest signatures first
+            threshold = best_open or top
+            for signature in [s for s, count in self.closed.items() if count >= threshold]:
+                self._open(signature)
+        if not self.patterns:
+            return None
+        count = max(self.patterns.values())
+        pattern = min(p for p, value in self.patterns.items() if value == count)
+        return pattern, count, self._signature_of[pattern]
+
+    def edge_added(self, state: MergingGraph, pair, signature: str) -> None:
+        if signature in self.opened:
+            self.opened[signature] += 1
+            self._count(state, pair, signature)
+        else:
+            self.closed[signature] += 1
+        holders = self._holders.setdefault(signature, [])
+        if not holders or holders[-1] is not state:
+            holders.append(state)
+
+    def edge_removed(self, signature: str, pattern: str | None) -> None:
+        if signature in self.opened:
+            if _drop(self.patterns, pattern):
+                del self._signature_of[pattern]
+            gone = _drop(self.opened, signature)
+        else:
+            gone = _drop(self.closed, signature)
+        if gone:
+            del self._holders[signature]
 
 
 def site_type(smiles: str, star_atom: int) -> SiteType:
@@ -183,19 +273,23 @@ def _count_motifs(
 
 def _learn(states: list[MergingGraph], num_operations: int) -> list[MergeOperation]:
     """Merge the most frequent pattern everywhere, ``num_operations`` times;
-    every merge updates the corpus-wide counter as it happens."""
+    every merge updates the tally as it happens."""
     if num_operations < 0:
         raise ValueError("num_operations must be >= 0")
-    counter = count_pair_patterns(states)
+    tally = PatternTally(states)
     ops: list[MergeOperation] = []
     for rank in range(num_operations):
-        if not counter:
+        best = tally.best()
+        if best is None:
             break
-        pattern, count = _argmax_pattern(counter)
+        pattern, count, signature = best
         ops.append(MergeOperation(rank, pattern, count))
-        for state in states:
-            if state.key_counts.get(pattern):
-                state.apply_operation(pattern, counter)
+        holders = [
+            state for state in tally.holders(signature)
+            if pattern in state.by_signature[signature].values()
+        ]
+        for state in holders:
+            state.apply_operation(pattern, signature, tally)
     return ops
 
 

@@ -1,6 +1,7 @@
 """Shared test utilities: random valid molecules, permutation tools, mined
-artifacts as values, an isomorphism matcher independent of the package's
-canonical ranking, and the generator's full-array selection rule."""
+artifacts as values, an eager reference miner, an isomorphism matcher
+independent of the package's canonical ranking, and the generator's
+full-array selection rule."""
 from __future__ import annotations
 
 from random import Random
@@ -9,7 +10,8 @@ import numpy as np
 
 from graphbpe.chem import parse_smiles
 from graphbpe.chem.mol import Atom, MolGraph, check_molecule, implicit_hydrogens, make_bond
-from graphbpe.miner import mine_corpus
+from graphbpe.merging import MergeOperation, MergingGraph
+from graphbpe.miner import count_pair_patterns, mine_corpus
 
 _MAX_X2 = {"C": 8, "N": 6, "O": 4, "S": 4, "F": 2, "Cl": 2, "Br": 2}
 
@@ -95,6 +97,24 @@ def mined(corpus: list[MolGraph], num_operations: int) -> tuple:
     result = mine_corpus(corpus, num_operations)
     motifs = {m.smiles: m.frequency for m in result.vocabulary.ordered_motifs()}
     return result.operations, motifs, result.vocabulary.attachment_counts
+
+
+def eager_learn(corpus: list[MolGraph], num_operations: int) -> list[MergeOperation]:
+    """The miner without signature gating: before every operation, write and
+    count the pattern of every edge, then merge the most frequent pattern
+    (the smallest string among ties) in every molecule."""
+    states = [MergingGraph(mol) for mol in corpus]
+    ops = []
+    for rank in range(num_operations):
+        counts = count_pair_patterns(states)
+        if not counts:
+            break
+        best = max(counts.values())
+        pattern = min(p for p, count in counts.items() if count == best)
+        ops.append(MergeOperation(rank, pattern, best))
+        for state in states:
+            state.apply_operation(pattern)
+    return ops
 
 
 def _attrs(mol: MolGraph, i: int) -> tuple:

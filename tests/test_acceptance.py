@@ -102,11 +102,11 @@ def test_03_count_oracle():
                         if crossing:
                             sub, _ = state.mol.subgraph(set_i | set_j)
                             oracle_subgraphs.append(sub)
-                for (fa, fb), key in state.edges.items():
+                for fa, fb in state.edges:
                     sub, _ = state.mol.subgraph(
                         set(state.frag_atoms[fa]) | set(state.frag_atoms[fb])
                     )
-                    keyed.append((key, sub))
+                    keyed.append((state.pattern(fa, fb), sub))
             groups = group_by_isomorphism(oracle_subgraphs)
             if sorted(counts.values()) != sorted(len(g) for g in groups):
                 mismatches += 1

@@ -1,5 +1,6 @@
 """The union-pattern memo: its key is the exact induced labelled graph, so
-a hit can never return a string that a fresh write would not."""
+a hit can never return a string that a fresh write would not. Edge
+signatures: a union's signature is the signature of its pattern string."""
 import sys
 import threading
 from dataclasses import replace
@@ -9,16 +10,19 @@ import pytest
 
 from graphbpe.chem import write_smiles
 from graphbpe.chem.mol import Atom, MolGraph, make_bond
-from graphbpe.merging import MergingGraph, union_pattern
+from graphbpe.merging import MergingGraph, apply_operations, pattern_signature, union_pattern
+from graphbpe.miner import learn_merging_operations
 from helpers import mined, random_molecule
 
 AMINE = MolGraph((Atom("C", implicit_h=3), Atom("N", implicit_h=2)),
                  (make_bond(0, 1, "single"),))
 
 
-def key_and_pattern(mol: MolGraph) -> tuple[str, str]:
-    key = MergingGraph(mol).union_key(list(range(len(mol.atoms))))
-    return key, union_pattern(key)
+def key_pattern_signature(mol: MolGraph) -> tuple[str, str, str]:
+    everything = list(range(len(mol.atoms)))
+    state = MergingGraph(mol)
+    key = state.union_key(everything)
+    return key, union_pattern(key), state.union_signature(everything)
 
 
 def with_nitrogen(**fields) -> MolGraph:
@@ -33,10 +37,12 @@ def with_nitrogen(**fields) -> MolGraph:
     MolGraph(AMINE.atoms, (make_bond(0, 1, "double"),)),
 ], ids=["charge", "aromatic", "explicit_h", "bracket", "bond_order"])
 def test_one_label_apart_gives_another_key_and_string(variant):
-    base_key, base_pattern = key_and_pattern(AMINE)
-    key, pattern = key_and_pattern(variant)
+    base_key, base_pattern, base_signature = key_pattern_signature(AMINE)
+    key, pattern, signature = key_pattern_signature(variant)
     assert key != base_key
     assert pattern != base_pattern
+    assert signature != base_signature
+    assert pattern_signature(pattern) == signature
 
 
 def connected_atoms(mol: MolGraph, rng: Random) -> list[int]:
@@ -58,6 +64,37 @@ def test_hit_equals_a_fresh_write_of_the_subgraph():
         atoms = connected_atoms(mol, rng)
         for _ in range(2):  # a miss, then a hit
             assert union_pattern(state.union_key(atoms)) == write_smiles(mol.subgraph(atoms)[0])
+
+
+def test_union_signature_is_the_signature_of_its_pattern(corpus_1k):
+    _, mols = corpus_1k
+    rng = Random(23)
+    molecules = [random_molecule(rng, max_atoms=14) for _ in range(80)]
+    molecules += [mols[i] for i in rng.sample(range(len(mols)), 80)]
+    for mol in molecules:
+        state = MergingGraph(mol)
+        for _ in range(3):
+            atoms = connected_atoms(mol, rng)
+            pattern = write_smiles(mol.subgraph(atoms)[0])
+            assert pattern_signature(pattern) == state.union_signature(atoms)
+
+
+def test_edge_signatures_stay_exact_as_merges_happen(corpus_1k):
+    _, mols = corpus_1k
+    ops = learn_merging_operations(mols[:50], 40)
+    for mol in mols[50:110]:
+        state = apply_operations(mol, ops)
+        for (fa, fb), signature in state.edges.items():
+            assert pattern_signature(state.pattern(fa, fb)) == signature
+            assert (fa, fb) in state.by_signature[signature]
+        assert sum(len(pairs) for pairs in state.by_signature.values()) == len(state.edges)
+
+
+def test_unparsable_pattern_merges_nothing():
+    state = MergingGraph(AMINE)
+    assert pattern_signature("C(") == ""
+    assert state.apply_operation("C(") == 0
+    assert len(state.edges) == 1
 
 
 def test_mining_is_the_same_with_a_cold_and_a_warm_cache(corpus_1k):

@@ -3,17 +3,25 @@ from random import Random
 
 import pytest
 
-from graphbpe.chem import MolGraph, parse_smiles
+from graphbpe.chem import MolGraph, parse_smiles, write_smiles
 from graphbpe.errors import NotAdjacentError
-from graphbpe.merging import MergingGraph, union_pattern
+from graphbpe.merging import MergingGraph, pattern_signature, union_pattern
 from graphbpe.miner import (
+    PatternTally,
     build_motif_vocabulary,
     count_pair_patterns,
     learn_merging_operations,
     mine_corpus,
     motif_sites,
 )
-from helpers import group_by_isomorphism, isomorphic, mined, permute_molecule, random_molecule
+from helpers import (
+    eager_learn,
+    group_by_isomorphism,
+    isomorphic,
+    mined,
+    permute_molecule,
+    random_molecule,
+)
 
 
 def merged_subgraph(mol, *groups):
@@ -92,11 +100,11 @@ def assert_counts_match_oracle(states):
     # (pattern key, merged subgraph) per fragment-pair edge, via our machinery
     keyed = []
     for state in states:
-        for (fa, fb), key in state.edges.items():
+        for fa, fb in state.edges:
             sub, _ = state.mol.subgraph(
                 set(state.frag_atoms[fa]) | set(state.frag_atoms[fb])
             )
-            keyed.append((key, sub))
+            keyed.append((state.pattern(fa, fb), sub))
     oracle_subgraphs = [sub for state in states for sub in oracle_adjacent_pairs(state)]
     groups = group_by_isomorphism(oracle_subgraphs)
     # the oracle enumerates the same number of adjacent pairs
@@ -162,14 +170,52 @@ class TestLearning:
         assert learn_merging_operations(sub, 10) == learn_merging_operations(sub, 20)[:10]
 
 
+def fresh_unions(state):
+    """(signature, pattern) of every adjacent fragment pair, each written
+    afresh from the partition."""
+    pairs = set()
+    for bond in state.mol.bonds:
+        fa, fb = state.frag_of[bond.a], state.frag_of[bond.b]
+        if fa != fb:
+            pairs.add((min(fa, fb), max(fa, fb)))
+    out = []
+    for fa, fb in sorted(pairs):
+        pattern = write_smiles(state.mol.subgraph(state.frag_atoms[fa] + state.frag_atoms[fb])[0])
+        out.append((pattern_signature(pattern), pattern))
+    return out
+
+
+def assert_tally_matches_recount(states, tally):
+    closed, opened, patterns = Counter(), Counter(), Counter()
+    for state in states:
+        for signature, pattern in fresh_unions(state):
+            if signature in tally.opened:
+                opened[signature] += 1
+                patterns[pattern] += 1
+            else:
+                closed[signature] += 1
+        # every edge of an open signature is resolved, to its fresh string
+        for signature, pairs in state.by_signature.items():
+            if signature in tally.opened:
+                for (fa, fb), pattern in pairs.items():
+                    union = state.frag_atoms[fa] + state.frag_atoms[fb]
+                    assert pattern == write_smiles(state.mol.subgraph(union)[0])
+    assert tally.closed == closed
+    assert tally.opened == opened
+    assert tally.patterns == patterns
+    for counts in (tally.closed, tally.opened, tally.patterns):
+        assert all(value > 0 for value in counts.values())
+
+
 class TestPartitionInvariant:
     def test_partitions_stay_exact(self):
         rng = Random(99)
         corpus = [random_molecule(rng, max_atoms=10) for _ in range(10)]
         states = [MergingGraph(m) for m in corpus]
-        # one counter shared by every state, as the miner keeps it
-        shared = count_pair_patterns(states)
-        for _ in range(4):
+        # one tally over every state, as the miner keeps it
+        tally = PatternTally(states)
+        assert_tally_matches_recount(states, tally)
+        for _ in range(12):
             for state in states:
                 atoms = sorted(a for atoms in state.frag_atoms.values() for a in atoms)
                 assert atoms == list(range(len(state.mol.atoms)))
@@ -183,15 +229,46 @@ class TestPartitionInvariant:
                     if fa != fb:
                         expected_edges.add((min(fa, fb), max(fa, fb)))
                 assert expected_edges == set(state.edges)
-            counts = count_pair_patterns(states)
+            counts = Counter(p for state in states for _, p in fresh_unions(state))
+            best = tally.best()
             if not counts:
+                assert best is None
                 break
-            best = max(counts.values())
-            pattern = min(k for k, v in counts.items() if v == best)
+            top = max(counts.values())
+            assert best[:2] == (min(k for k, v in counts.items() if v == top), top)
+            pattern, _, signature = best
             for state in states:
-                state.apply_operation(pattern, shared)
-            assert shared == count_pair_patterns(states)
-            assert all(value > 0 for value in shared.values())
+                state.apply_operation(pattern, signature, tally)
+            assert_tally_matches_recount(states, tally)
+
+
+class TestEagerOracle:
+    """The gated miner picks exactly what resolving every edge would pick."""
+
+    def test_random_corpora(self):
+        rng = Random(5150)
+        for _ in range(30):
+            corpus = [random_molecule(rng, max_atoms=12) for _ in range(rng.randint(1, 12))]
+            assert learn_merging_operations(corpus, 40) == eager_learn(corpus, 40)
+
+    def test_tie_heavy_corpora_run_down_to_count_one(self):
+        # small molecules plus renumbered copies: many equal counts, and
+        # K large enough that mining runs until no edge is left
+        rng = Random(77)
+        last_counts = []
+        for _ in range(20):
+            corpus = [random_molecule(rng, max_atoms=7) for _ in range(rng.randint(2, 6))]
+            corpus += [permute_molecule(m, rng.sample(range(len(m.atoms)), len(m.atoms)))
+                       for m in corpus[:2]]
+            ops = learn_merging_operations(corpus, 200)
+            assert ops == eager_learn(corpus, 200)
+            assert len(ops) < 200
+            last_counts.append(ops[-1].observed_count)
+        assert last_counts.count(1) >= 10
+
+    def test_fixture_prefix(self, corpus_1k):
+        _, mols = corpus_1k
+        assert learn_merging_operations(mols[:200], 150) == eager_learn(mols[:200], 150)
 
 
 class TestVocabulary:
@@ -278,6 +355,7 @@ class TestScaling:
             best = float("inf")
             for _ in range(3):
                 union_pattern.cache_clear()  # time the misses, not a warm memo
+                pattern_signature.cache_clear()
                 start = time.perf_counter()
                 learn_merging_operations(molecules, 30)
                 best = min(best, time.perf_counter() - start)
