@@ -17,6 +17,9 @@ AROMATIC = "aromatic"
 
 BOND_ORDERS = (SINGLE, DOUBLE, TRIPLE, AROMATIC)
 
+# one character per bond order, for string keys of graphs
+ORDER_CODES = {order: chr(i) for i, order in enumerate(BOND_ORDERS)}
+
 # order value in half-units
 ORDER_X2 = {SINGLE: 2, AROMATIC: 3, DOUBLE: 4, TRIPLE: 6}
 

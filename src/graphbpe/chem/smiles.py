@@ -15,12 +15,14 @@ H count and charge.
 """
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 from graphbpe.chem.canon import canonical_rank
 from graphbpe.chem.mol import (
     AROMATIC,
     DOUBLE,
+    ORDER_CODES,
     ORDER_X2,
     SINGLE,
     STAR,
@@ -39,6 +41,7 @@ from graphbpe.errors import (
 )
 
 BOND_CHARS = {"-": SINGLE, "=": DOUBLE, "#": TRIPLE, ":": AROMATIC}
+_MAX_RING_LABEL = 99  # %99
 _TWO_LETTER = ("Cl", "Br")
 _ONE_LETTER = frozenset("BCNOPSFI")
 _AROMATIC_LOWER = frozenset("bcnops")
@@ -346,6 +349,40 @@ def atom_token(atom: Atom) -> str:
     return "".join(parts)
 
 
+def graph_signature(mol: MolGraph, atom_ids=None, tokens=None, orders=None) -> str:
+    """A cheap isomorphism invariant of ``mol``, or of its subgraph induced
+    by ``atom_ids``: the sorted (atom token, degree inside) labels, then the
+    sorted order codes of the induced bonds.
+
+    Equal canonical strings give equal signatures:
+    ``parse_smiles(write_smiles(G))`` is G again up to atom numbering, with
+    the same atom tokens, degrees and bond orders. A caller that asks about
+    many subgraphs of one molecule passes each atom's ``atom_token`` as
+    ``tokens`` and each bond's ``ORDER_CODES`` character as ``orders``.
+    """
+    if tokens is None:
+        tokens = [atom_token(atom) for atom in mol.atoms]
+    if orders is None:
+        orders = "".join(ORDER_CODES[bond.order] for bond in mol.bonds)
+    if atom_ids is None:
+        atom_ids = inside = range(len(mol.atoms))
+    else:
+        inside = set(atom_ids)
+    labels = []
+    codes = []
+    for atom in atom_ids:
+        degree = 0
+        for nbr, bidx in mol.neighbors(atom):
+            if nbr in inside:
+                degree += 1
+                if nbr > atom:
+                    codes.append(orders[bidx])
+        labels.append(f"{tokens[atom]}{degree}")
+    labels.sort()
+    codes.sort()
+    return sys.intern(" ".join(labels) + "|" + "".join(codes))
+
+
 def _bond_token(order: str, arom_a: bool, arom_b: bool) -> str:
     if order == SINGLE:
         return "-" if (arom_a and arom_b) else ""
@@ -395,6 +432,17 @@ def _traverse(mol: MolGraph, ranks: list[int]) -> tuple[list[int], list, dict, d
     return preorder, children, opens, closes
 
 
+def may_fail_to_write(mol: MolGraph) -> bool:
+    """False only where ``write_smiles(mol)`` cannot raise: a connected graph
+    of cycle rank below 100, since an open ring label takes one ring bond and
+    a connected graph has cycle-rank many of them."""
+    return (
+        not mol.atoms
+        or len(mol.bonds) - len(mol.atoms) + 1 > _MAX_RING_LABEL
+        or not mol.is_connected()
+    )
+
+
 def _digit_token(digit: int) -> str:
     return str(digit) if digit < 10 else f"%{digit:02d}"
 
@@ -442,7 +490,7 @@ def write_smiles_with_order(mol: MolGraph) -> tuple[str, list[int]]:
             digit = 1
             while digit in in_use:
                 digit += 1
-            if digit > 99:
+            if digit > _MAX_RING_LABEL:
                 raise RingClosureError("too many simultaneously open rings")
             digit_of[bidx] = digit
             in_use.add(digit)

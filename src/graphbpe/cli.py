@@ -46,7 +46,7 @@ from graphbpe.generator import (
     FrequencyPolicy,
     generate,
 )
-from graphbpe.metrics import evaluate, format_report
+from graphbpe.metrics import distinct, evaluate, format_report
 from graphbpe.miner import mine_corpus
 from graphbpe.tokenizer import fragmentation_trajectory, fragmentize
 
@@ -221,7 +221,9 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         top_k=args.top_k,
         max_steps=args.max_steps,
     )
-    write_molecules(args.out, [write_smiles(m) for m in molecules])
+    graphs, index = distinct(molecules)
+    strings = [write_smiles(g) for g in graphs]
+    write_molecules(args.out, [strings[i] for i in index])
     failures = ",".join(f"{k}={v}" for k, v in sorted(report.failures.items())) or "none"
     print(
         f"requested={report.requested} emitted={report.emitted} "
@@ -231,16 +233,20 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _parse_lenient(smiles: str) -> MolGraph:
+    try:
+        return parse_smiles(smiles, validate=False)
+    except GraphBpeError:
+        # placeholder that can never pass the valence check
+        return MolGraph((Atom("C", formal_charge=2),), ())
+
+
 def _parse_molecules_lenient(path: Path) -> list[MolGraph]:
-    """Parse for evaluation: structurally bad lines count as invalid."""
-    molecules = []
-    for _, smiles, _ in read_smiles_lines(path):
-        try:
-            molecules.append(parse_smiles(smiles, validate=False))
-        except GraphBpeError:
-            # placeholder that can never pass the valence check
-            molecules.append(MolGraph((Atom("C", formal_charge=2),), ()))
-    return molecules
+    """Parse for evaluation, each distinct line once: structurally bad lines
+    count as invalid."""
+    lines, index = distinct([smiles for _, smiles, _ in read_smiles_lines(path)])
+    molecules = [_parse_lenient(smiles) for smiles in lines]
+    return [molecules[i] for i in index]
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:

@@ -2,18 +2,18 @@
 
 State starts as one fragment per atom with bond adjacency inherited from the
 molecule and evolves by merging adjacent fragment pairs. Each fragment-pair
-edge carries a cheap signature of its union (``union_signature``): the
-sorted (atom token, degree inside the union) labels, then the sorted orders
-of the union's induced bonds. The union's canonical pattern string is
-written only when asked for (``MergingGraph.pattern``) and kept until the
-edge dies.
+edge carries a cheap signature of its union (``union_signature``), the
+isomorphism invariant ``graphbpe.chem.graph_signature``: the sorted (atom
+token, degree inside the union) labels, then the sorted orders of the
+union's induced bonds. The union's canonical pattern string is written only
+when asked for (``MergingGraph.pattern``) and kept until the edge dies.
 
-A pattern fixes its signature: ``parse_smiles(write_smiles(U))`` is U again
-up to atom numbering, with the same atom tokens and bond orders, and the
-signature does not depend on numbering, so ``pattern_signature(pattern)``
-is the signature of every union written as ``pattern``. Edges with
-different signatures therefore never share a pattern, and a pass for one
-pattern writes only the unions that carry its signature.
+A pattern fixes its signature: equal canonical strings give equal
+signatures (see ``graph_signature``), so ``pattern_signature(pattern)`` is
+the signature of every union written as ``pattern``. Edges with different
+signatures therefore never share a pattern, and a pass for one pattern
+writes only the unions that carry its signature. ``graphbpe.metrics`` uses
+the same invariant to skip training molecules no generated one can equal.
 
 The same small unions recur across molecules, so ``union_pattern``
 memoizes the pattern string on ``MergingGraph.union_key``, a string that
@@ -42,9 +42,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from graphbpe.chem import (
+    ORDER_CODES,
     MolGraph,
     atom_token,
     canonical_rank,
+    graph_signature,
     parse_smiles,
     write_smiles,
     write_smiles_with_order,
@@ -68,7 +70,6 @@ class MergeOperation:
 _ATOM_CODES: dict[Atom, str] = {}
 _CODED_ATOMS: list[Atom] = []
 _CODES_LOCK = threading.Lock()
-_ORDER_CODES = {order: chr(i) for i, order in enumerate(BOND_ORDERS)}
 
 
 def _atom_code(atom: Atom) -> str:
@@ -83,37 +84,14 @@ def _atom_code(atom: Atom) -> str:
     return code
 
 
-def _signature(mol: MolGraph, tokens: list[str], orders: str, atom_ids, inside) -> str:
-    """Signature of the subgraph induced by ``atom_ids`` (``inside`` answers
-    membership); ``tokens`` and ``orders`` hold each atom's token and each
-    bond's order code."""
-    labels = []
-    codes = []
-    for atom in atom_ids:
-        degree = 0
-        for nbr, bidx in mol.neighbors(atom):
-            if nbr in inside:
-                degree += 1
-                if nbr > atom:
-                    codes.append(orders[bidx])
-        labels.append(f"{tokens[atom]}{degree}")
-    labels.sort()
-    codes.sort()
-    return sys.intern(" ".join(labels) + "|" + "".join(codes))
-
-
 @lru_cache(maxsize=None)
 def pattern_signature(pattern: str) -> str:
     """The signature of every union whose pattern string is ``pattern``; ""
     (no union's signature) when ``pattern`` does not parse."""
     try:
-        mol = parse_smiles(pattern, validate=False)
+        return graph_signature(parse_smiles(pattern, validate=False))
     except SmilesSyntaxError:
         return ""
-    everything = range(len(mol.atoms))
-    tokens = [atom_token(atom) for atom in mol.atoms]
-    orders = "".join(_ORDER_CODES[bond.order] for bond in mol.bonds)
-    return _signature(mol, tokens, orders, everything, everything)
 
 
 @lru_cache(maxsize=None)
@@ -146,7 +124,7 @@ class MergingGraph:
         self._next_fid = len(mol.atoms)
         self._atom_codes = "".join(_atom_code(atom) for atom in mol.atoms)
         self._tokens = [atom_token(atom) for atom in mol.atoms]
-        self._orders = "".join(_ORDER_CODES[bond.order] for bond in mol.bonds)
+        self._orders = "".join(ORDER_CODES[bond.order] for bond in mol.bonds)
         self.edges: dict[Pair, str] = {}
         self.by_signature: dict[str, dict[Pair, str | None]] = {}
         for bond in mol.bonds:
@@ -166,9 +144,8 @@ class MergingGraph:
         self.by_signature.setdefault(signature, {})[pair] = None
 
     def union_signature(self, atom_ids: list[int]) -> str:
-        """The signature of the subgraph induced by ``atom_ids``: its sorted
-        (atom token, degree inside) labels, then its sorted bond orders."""
-        return _signature(self.mol, self._tokens, self._orders, atom_ids, set(atom_ids))
+        """``graph_signature`` of the subgraph induced by ``atom_ids``."""
+        return graph_signature(self.mol, atom_ids, self._tokens, self._orders)
 
     def pattern(self, fa: int, fb: int) -> str:
         """The canonical string of the union of adjacent fragments ``fa`` and
@@ -193,7 +170,7 @@ class MergingGraph:
         parts += [codes[i] for i in ordered]
         for bidx in self.mol.induced_bond_ids(new_id):
             bond = bonds[bidx]
-            parts.append(chr(new_id[bond.a]) + chr(new_id[bond.b]) + _ORDER_CODES[bond.order])
+            parts.append(chr(new_id[bond.a]) + chr(new_id[bond.b]) + ORDER_CODES[bond.order])
         return "".join(parts)
 
     def scan_key(self, fa: int, fb: int) -> tuple[int, ...]:

@@ -12,7 +12,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from graphbpe.chem import HALOGENS, MolGraph, molecular_weight, valence_check, write_smiles
+from graphbpe.chem import (
+    HALOGENS,
+    MolGraph,
+    graph_signature,
+    may_fail_to_write,
+    molecular_weight,
+    valence_check,
+    write_smiles,
+)
 from graphbpe.chem.mol import AROMATIC, DOUBLE, SINGLE, TRIPLE
 from graphbpe.errors import GraphBpeError
 
@@ -124,27 +132,58 @@ def _kl_divergence(p_counts: np.ndarray, q_counts: np.ndarray) -> float:
     return float(np.sum(p * np.log(p / q)))
 
 
+def distinct(items: list) -> tuple[list, list[int]]:
+    """The distinct items (by equality) in order of first appearance, and for
+    each input the index of its distinct item, so that work done once per
+    distinct item expands back to ``[result[i] for i in index]``."""
+    position: dict = {}
+    index = [position.setdefault(item, len(position)) for item in items]
+    return list(position), index
+
+
 def evaluate(generated: list[MolGraph], training: list[MolGraph]) -> EvalReport:
     """Compare a generated set against its training set.
 
     Uniqueness is computed over valid molecules and novelty over unique valid
     ones (canonical-string membership against the training set).
+
+    Work is done per distinct graph: ``valence_check``, ``write_smiles`` and
+    ``compute_descriptors`` run once for each distinct generated ``MolGraph``
+    (equal atoms and bonds) and are expanded back in input order. A training
+    molecule is written only when its (atom count, bond count) and then its
+    ``graph_signature`` equal some valid generated graph's, since equal
+    canonical strings imply equal signatures, or when ``write_smiles`` could
+    fail on it (``may_fail_to_write``). The report, and the error raised on
+    an unwritable input, are those of writing every input.
     """
     if not generated or not training:
         raise GraphBpeError("evaluate needs non-empty generated and training sets")
-    valid = [m for m in generated if valence_check(m)]
-    validity = len(valid) / len(generated)
-    if not valid:
+    graphs, index = distinct(generated)
+    passes = [valence_check(g) for g in graphs]
+    valid_index = [i for i in index if passes[i]]
+    validity = len(valid_index) / len(generated)
+    if not valid_index:
         return EvalReport(0.0, 0.0, 0.0, 0.0, {}, {}, 0, 0, 0)
-    canonical = [write_smiles(m) for m in valid]
-    unique = sorted(set(canonical))
-    train_strings = {write_smiles(m) for m in training}
+    valid_graphs = [g for g, ok in zip(graphs, passes) if ok]
+    unique = sorted({write_smiles(g) for g in valid_graphs})
+    signatures: dict[tuple[int, int], set[str]] = {}
+    for g in valid_graphs:
+        signatures.setdefault((len(g.atoms), len(g.bonds)), set()).add(graph_signature(g))
+
+    def could_match(mol: MolGraph) -> bool:
+        same_size = signatures.get((len(mol.atoms), len(mol.bonds)))
+        return same_size is not None and graph_signature(mol) in same_size
+
+    train_strings = {
+        write_smiles(m) for m in training if may_fail_to_write(m) or could_match(m)
+    }
     novel = [s for s in unique if s not in train_strings]
-    uniqueness = len(unique) / len(valid)
+    uniqueness = len(unique) / len(valid_index)
     novelty = len(novel) / len(unique)
 
     train_values = _channel_values([compute_descriptors(m) for m in training])
-    gen_values = _channel_values([compute_descriptors(m) for m in valid])
+    descriptors = [compute_descriptors(g) if ok else None for g, ok in zip(graphs, passes)]
+    gen_values = _channel_values([descriptors[i] for i in valid_index])
     channel_kl: dict[str, float] = {}
     channel_score: dict[str, float] = {}
     for name, integer in _CHANNELS:
@@ -164,7 +203,7 @@ def evaluate(generated: list[MolGraph], training: list[MolGraph]) -> EvalReport:
         kl_div_score=kl_div_score,
         descriptor_kl=channel_kl,
         descriptor_scores=channel_score,
-        valid_count=len(valid),
+        valid_count=len(valid_index),
         unique_count=len(unique),
         novel_count=len(novel),
     )

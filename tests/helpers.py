@@ -1,16 +1,29 @@
 """Shared test utilities: random valid molecules, permutation tools, mined
 artifacts as values, an eager reference miner, an isomorphism matcher
-independent of the package's canonical ranking, and the generator's
-full-array selection rule."""
+independent of the package's canonical ranking, the generator's
+full-array selection rule and an eager reference ``evaluate``."""
 from __future__ import annotations
 
 from random import Random
 
+import math
+
 import numpy as np
 
-from graphbpe.chem import parse_smiles
+from graphbpe.chem import parse_smiles, valence_check, write_smiles
 from graphbpe.chem.mol import Atom, MolGraph, check_molecule, implicit_hydrogens, make_bond
+from graphbpe.errors import GraphBpeError
 from graphbpe.merging import MergeOperation, MergingGraph
+from graphbpe.metrics import (
+    _BOND_CHANNELS,
+    _CHANNELS,
+    _SCALAR_CHANNELS,
+    EvalReport,
+    _channel_values,
+    _histogram_pair,
+    _kl_divergence,
+    compute_descriptors,
+)
 from graphbpe.miner import count_pair_patterns, mine_corpus
 
 _MAX_X2 = {"C": 8, "N": 6, "O": 4, "S": 4, "F": 2, "Cl": 2, "Br": 2}
@@ -241,3 +254,46 @@ def full_array_select(scores: np.ndarray, mode: str, rng: Random, temperature: f
         keep = np.sort(np.argsort(-scores, kind="stable")[:top_k])
         return int(keep[softmax_sample(scores[keep])])
     return softmax_sample(scores)
+
+
+def eager_evaluate(generated: list[MolGraph], training: list[MolGraph]) -> EvalReport:
+    """``evaluate`` without sharing work: check, write and describe every
+    generated molecule and write every training molecule."""
+    if not generated or not training:
+        raise GraphBpeError("evaluate needs non-empty generated and training sets")
+    valid = [m for m in generated if valence_check(m)]
+    validity = len(valid) / len(generated)
+    if not valid:
+        return EvalReport(0.0, 0.0, 0.0, 0.0, {}, {}, 0, 0, 0)
+    canonical = [write_smiles(m) for m in valid]
+    unique = sorted(set(canonical))
+    train_strings = {write_smiles(m) for m in training}
+    novel = [s for s in unique if s not in train_strings]
+    uniqueness = len(unique) / len(valid)
+    novelty = len(novel) / len(unique)
+
+    train_values = _channel_values([compute_descriptors(m) for m in training])
+    gen_values = _channel_values([compute_descriptors(m) for m in valid])
+    channel_kl: dict[str, float] = {}
+    channel_score: dict[str, float] = {}
+    for name, integer in _CHANNELS:
+        kl = _kl_divergence(
+            *_histogram_pair(train_values[name], gen_values[name], integer)
+        )
+        channel_kl[name] = kl
+        channel_score[name] = math.exp(-kl)
+    bond_scores = [channel_score[name] for name in _BOND_CHANNELS]
+    descriptor_scores = [channel_score[name] for name, _ in _SCALAR_CHANNELS]
+    descriptor_scores.append(sum(bond_scores) / len(bond_scores))
+    kl_div_score = sum(descriptor_scores) / len(descriptor_scores)
+    return EvalReport(
+        validity=validity,
+        uniqueness=uniqueness,
+        novelty=novelty,
+        kl_div_score=kl_div_score,
+        descriptor_kl=channel_kl,
+        descriptor_scores=channel_score,
+        valid_count=len(valid),
+        unique_count=len(unique),
+        novel_count=len(novel),
+    )

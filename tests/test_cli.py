@@ -1,6 +1,9 @@
 import pytest
 
+from graphbpe.chem import write_smiles
 from graphbpe.cli import main
+from graphbpe.fileio import read_vocabulary
+from graphbpe.generator import DISTRIBUTIONAL, FrequencyPolicy, generate
 from helpers import fused_ladder_smiles
 
 A1 = "CC\nCN\nCNN\nCN=O\nCC=O\n"
@@ -119,6 +122,19 @@ class TestGenerate:
                  "--out", workdir / name])
             outputs.append((workdir / name).read_bytes())
         assert outputs[0] == outputs[1]
+
+    def test_output_is_every_molecule_written(self, workdir, capsys):
+        run(["mine", "--corpus", workdir / "corpus.smi", "--num-ops", "2",
+             "--out", workdir / "mined"])
+        run(["generate", "--vocab", workdir / "mined" / "vocab.txt",
+             "--num", "40", "--seed", "3", "--out", workdir / "gen.smi"])
+        vocab = read_vocabulary(workdir / "mined" / "vocab.txt",
+                                workdir / "mined" / "attach.txt")
+        molecules, _ = generate(vocab, FrequencyPolicy(vocab), 40,
+                                mode=DISTRIBUTIONAL, seed=3)
+        want = [write_smiles(m) for m in molecules]
+        assert len(set(want)) < len(want)  # repeats share one write
+        assert (workdir / "gen.smi").read_text().splitlines() == want
 
     def test_missing_attachment_table_exit_2(self, workdir, capsys):
         run(["mine", "--corpus", workdir / "corpus.smi", "--num-ops", "2",

@@ -1,11 +1,22 @@
 import json
 from pathlib import Path
+from random import Random
 
 import pytest
 
-from graphbpe.chem import parse_smiles
-from graphbpe.errors import GraphBpeError
+import graphbpe.metrics as metrics
+from graphbpe.chem import (
+    Atom,
+    MolGraph,
+    graph_signature,
+    may_fail_to_write,
+    parse_smiles,
+    valence_check,
+    write_smiles,
+)
+from graphbpe.errors import GraphBpeError, RingClosureError
 from graphbpe.metrics import compute_descriptors, evaluate, format_report
+from helpers import eager_evaluate, fused_ladder_smiles, permute_molecule
 
 GOLDEN = Path(__file__).parent / "fixtures" / "descriptors_golden.json"
 
@@ -91,3 +102,108 @@ class TestEvaluate:
         text = format_report(evaluate(mols[:20], mols[:20]))
         assert "validity=" in text and "kl_div_score=" in text
         assert "unique valid" in text  # novelty denominator documented
+
+
+# can never pass the valence check, like the CLI's placeholder for a bad line
+PLACEHOLDER = MolGraph((Atom("C", formal_charge=2),), ())
+EMPTY = MolGraph((), ())
+DISCONNECTED = MolGraph((Atom("C", implicit_h=4), Atom("C", implicit_h=4)), ())
+
+
+def permuted(mol: MolGraph, rng: Random) -> MolGraph:
+    perm = list(range(len(mol.atoms)))
+    rng.shuffle(perm)
+    return permute_molecule(mol, perm)
+
+
+def oracle_cases(mols: list[MolGraph]) -> dict[str, tuple[list, list]]:
+    """(generated, training) pairs on which ``evaluate`` must equal the
+    eager reference."""
+    rng = Random(13)
+    train = mols[100:300]
+    copies = [permuted(m, rng) for m in train[:40]]
+    duplicates = mols[:60] + mols[20:40] + [mols[5]] * 7 + mols[150:170]
+    return {
+        "duplicates": (duplicates, train),
+        "permuted copies": (copies + mols[:20] + copies[:10], train),
+        "same signature": (
+            [parse_smiles("Cc1ccccc1C")] * 3 + mols[:10],
+            [parse_smiles("Cc1cccc(C)c1")] + train[:50],
+        ),
+        "placeholders": ([PLACEHOLDER] * 5 + mols[:30] + [PLACEHOLDER] + mols[:5], train),
+        "only placeholders": ([PLACEHOLDER] * 4, train),
+        "reversed": (list(reversed(duplicates)), list(reversed(train))),
+    }
+
+
+class TestDistinctGraphs:
+    @pytest.mark.parametrize("case", [
+        "duplicates", "permuted copies", "same signature", "placeholders",
+        "only placeholders", "reversed",
+    ])
+    def test_equals_eager_oracle(self, corpus_1k, case):
+        generated, training = oracle_cases(corpus_1k[1])[case]
+        assert evaluate(generated, training) == eager_evaluate(generated, training)
+
+    def test_permuted_copies_are_not_novel(self, corpus_1k):
+        generated, training = oracle_cases(corpus_1k[1])["permuted copies"]
+        assert generated[0] != training[0]  # isomorphic, not equal
+        report = evaluate(generated[:40], training)
+        assert report.unique_count == 40 and report.novel_count == 0
+
+    def test_same_signature_pair_stays_novel(self):
+        ortho, meta = parse_smiles("Cc1ccccc1C"), parse_smiles("Cc1cccc(C)c1")
+        assert graph_signature(ortho) == graph_signature(meta)
+        assert write_smiles(ortho) != write_smiles(meta)
+        assert evaluate([ortho], [meta]).novel_count == 1
+        assert evaluate([ortho], [meta, ortho]).novel_count == 0
+
+    @pytest.mark.parametrize("training_tail, error", [
+        ([parse_smiles(fused_ladder_smiles(150))], RingClosureError),
+        ([EMPTY], ValueError),
+        ([DISCONNECTED], ValueError),
+        ([DISCONNECTED, parse_smiles(fused_ladder_smiles(150))], ValueError),
+        ([parse_smiles(fused_ladder_smiles(150)), EMPTY], RingClosureError),
+    ])
+    def test_unwritable_training_molecule_still_raises(self, corpus_1k, training_tail, error):
+        mols = corpus_1k[1]
+        training = mols[:30] + training_tail + mols[30:40]
+        assert all(graph_signature(m) != graph_signature(training_tail[0]) for m in mols[:40])
+        with pytest.raises(error) as expected:
+            eager_evaluate(mols[:40], training)
+        with pytest.raises(error) as got:
+            evaluate(mols[:40], training)
+        assert str(got.value) == str(expected.value)
+
+    def test_unwritable_generated_molecule_still_raises(self, corpus_1k):
+        mols = corpus_1k[1]
+        with pytest.raises(ValueError, match="empty"):
+            evaluate(mols[:5] + [EMPTY, DISCONNECTED], mols[:20])
+        with pytest.raises(ValueError, match="disconnected"):
+            evaluate(mols[:5] + [DISCONNECTED, EMPTY], mols[:20])
+
+    def test_writes_distinct_valid_graphs_and_candidate_training(self, corpus_1k, monkeypatch):
+        mols = corpus_1k[1]
+        rng = Random(5)
+        generated = mols[:50] + mols[10:30] + [PLACEHOLDER] * 3 + [permuted(mols[0], rng)]
+        # cycle rank 100, so it is written, yet it needs one ring label
+        cyclopropanes = parse_smiles("C1CC1" * 100)
+        training = mols[40:400] + [parse_smiles("CC1CCCC1"), cyclopropanes]
+        written = []
+
+        def spy(mol):
+            written.append(mol)
+            return write_smiles(mol)
+
+        monkeypatch.setattr(metrics, "write_smiles", spy)
+        report = evaluate(generated, training)
+        valid = {m for m in generated if valence_check(m)}
+        signatures = {graph_signature(m) for m in valid}
+        candidates = [
+            m for m in training if may_fail_to_write(m) or graph_signature(m) in signatures
+        ]
+        assert cyclopropanes in candidates and cyclopropanes in written
+        assert len(written) == len(valid) + len(candidates)
+        assert 10 <= len(candidates) < len(training) // 4
+        monkeypatch.undo()
+        assert report == eager_evaluate(generated, training)

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphbpe.chem import parse_smiles, write_smiles, write_smiles_with_order
-from graphbpe.chem.mol import AROMATIC, SINGLE, valence_check
+from graphbpe.chem import may_fail_to_write, parse_smiles, write_smiles, write_smiles_with_order
+from graphbpe.chem.mol import AROMATIC, SINGLE, Atom, MolGraph, valence_check
 from graphbpe.errors import (
     GraphBpeError,
     RingClosureError,
@@ -200,6 +200,16 @@ class TestWrite:
         mol = parse_smiles(fused_ladder_smiles(150))
         with pytest.raises(RingClosureError, match="too many simultaneously open rings"):
             write_smiles(mol)
+
+    def test_may_fail_to_write(self, corpus_1k):
+        _, mols = corpus_1k
+        assert not any(may_fail_to_write(m) for m in mols)
+        assert not may_fail_to_write(parse_smiles(fused_ladder_smiles(99)))
+        write_smiles(parse_smiles(fused_ladder_smiles(99)))
+        assert may_fail_to_write(parse_smiles(fused_ladder_smiles(100)))
+        assert may_fail_to_write(parse_smiles(fused_ladder_smiles(150)))
+        assert may_fail_to_write(MolGraph((), ()))
+        assert may_fail_to_write(MolGraph((Atom("C"), Atom("C")), ()))
 
     def test_valence_closure_on_accepted_strings(self, corpus_1k):
         _, mols = corpus_1k
