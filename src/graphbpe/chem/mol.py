@@ -126,6 +126,17 @@ class MolGraph:
             adj[bond.b].append((bond.a, idx))
         object.__setattr__(self, "_adjacency", tuple(tuple(n) for n in adj))
 
+    @classmethod
+    def from_adjacency(cls, atoms, bonds, adjacency) -> "MolGraph":
+        """A graph whose neighbour lists the caller built as ``__post_init__``
+        would, bond by bond, from bonds it already checked; nothing is
+        checked again."""
+        mol = object.__new__(cls)
+        object.__setattr__(mol, "atoms", atoms)
+        object.__setattr__(mol, "bonds", bonds)
+        object.__setattr__(mol, "_adjacency", adjacency)
+        return mol
+
     def __len__(self) -> int:
         return len(self.atoms)
 
@@ -155,9 +166,6 @@ class MolGraph:
                         seen.add(nbr)
                         todo.append(nbr)
         return components
-
-    def is_connected(self) -> bool:
-        return self.component_count() <= 1
 
     def subgraph(self, atom_ids) -> tuple["MolGraph", dict[int, int]]:
         """Induced subgraph plus the old-id -> new-id mapping.
@@ -200,11 +208,12 @@ def implicit_hydrogens(element: str, charge: int, order_sum_x2: int) -> int:
     return 0
 
 
-def atom_valence_ok(mol: MolGraph, atom_id: int) -> bool:
-    atom = mol.atoms[atom_id]
+def valence_ok(atom: Atom, order_sum_x2: int) -> bool:
+    """Whether ``atom``, with bonds summing to ``order_sum_x2`` half-units,
+    satisfies the valence table; "*" atoms always do."""
     if atom.is_connection_site:
         return True
-    total_x2 = mol.order_sum_x2(atom_id) + 2 * atom.total_h
+    total_x2 = order_sum_x2 + 2 * atom.total_h
     allowed = allowed_valences(atom.element, atom.formal_charge)
     if not allowed:
         return False
@@ -217,7 +226,7 @@ def atom_valence_ok(mol: MolGraph, atom_id: int) -> bool:
 
 def valence_check(mol: MolGraph) -> bool:
     """True iff every non-"*" atom satisfies the valence table."""
-    return all(atom_valence_ok(mol, i) for i in range(len(mol.atoms)))
+    return all(valence_ok(atom, mol.order_sum_x2(i)) for i, atom in enumerate(mol.atoms))
 
 
 def _pi_electrons(mol: MolGraph, atom_id: int) -> int:
@@ -283,8 +292,11 @@ def failing_aromatic_rings(mol: MolGraph) -> list[tuple[tuple[int, ...], tuple[i
     adj = _aromatic_adjacency(mol)
     failing = []
     seen_rings: set[frozenset[int]] = set()
+    # a found ring whose atoms have no aromatic bond outside it is the only
+    # cycle through its bonds, so a search from them would find it again
+    isolated: set[int] = set()
     for bidx, bond in enumerate(mol.bonds):
-        if bond.order != AROMATIC:
+        if bond.order != AROMATIC or bidx in isolated:
             continue
         cycle = _shortest_aromatic_cycle(adj, (bond.a, bond.b, bidx))
         if cycle is None:
@@ -294,21 +306,29 @@ def failing_aromatic_rings(mol: MolGraph) -> list[tuple[tuple[int, ...], tuple[i
         if ring_key in seen_rings:
             continue
         seen_rings.add(ring_key)
+        if all(len(adj[i]) == 2 for i in atoms):
+            isolated.update(bond_ids)
         pi = sum(_pi_electrons(mol, i) for i in atoms)
         if pi % 4 != 2:
             failing.append((atoms, bond_ids))
     return failing
 
 
-def check_molecule(mol: MolGraph) -> None:
-    """Raise ValenceError unless all atoms and aromatic rings are valid."""
-    for i in range(len(mol.atoms)):
-        if not atom_valence_ok(mol, i):
-            atom = mol.atoms[i]
-            raise ValenceError(
-                f"valence violation on atom {i} ({atom.element}, charge "
-                f"{atom.formal_charge:+d}, {mol.degree(i)} bonds)"
-            )
+def check_molecule(mol: MolGraph, atom_ok: list[bool] | None = None) -> None:
+    """Raise ValenceError unless all atoms and aromatic rings are valid.
+
+    ``atom_ok`` holds each atom's ``valence_ok`` verdict where the caller
+    already has it (the parser, from its own bond order sums).
+    """
+    if atom_ok is None:
+        atom_ok = [valence_ok(atom, mol.order_sum_x2(i)) for i, atom in enumerate(mol.atoms)]
+    if not all(atom_ok):
+        i = atom_ok.index(False)
+        atom = mol.atoms[i]
+        raise ValenceError(
+            f"valence violation on atom {i} ({atom.element}, charge "
+            f"{atom.formal_charge:+d}, {mol.degree(i)} bonds)"
+        )
     bad = failing_aromatic_rings(mol)
     if bad:
         atoms = sorted(bad[0][0])

@@ -6,6 +6,16 @@ atoms with an H count and a charge in [-2, +2], bond symbols ``- = # :``,
 branches, and ring-closure digits (``%nn`` for two-digit labels). Stereo
 markers, isotopes, atom maps, and multi-component dots are rejected.
 
+The parser reads one token per loop step: one compiled pattern splits the
+text into atoms, bracket atoms, bonds, branch opens and closes, ring labels
+and single other characters, and each kind has one handler. As it bonds
+atoms it keeps each one's neighbour list and bond order sum, so the graph is
+built without a second pass over the bonds. Validation then runs each check
+once: a "*" atom's degree, the valence table on the parser's order sums, and
+(with ``validate=True``) the aromatic-ring electron count. No connectivity
+search runs: every atom after the first is bonded to an earlier one and "."
+is rejected, so a parsed graph is always connected.
+
 The writer is canonical: one DFS over the canonical ranking fixes the atom
 order, and ring digits are assigned as atoms are written, closes before
 opens, each open taking the lowest free digit. Aromatic bonds are always
@@ -15,8 +25,8 @@ H count and charge.
 """
 from __future__ import annotations
 
+import re
 import sys
-from dataclasses import dataclass
 
 from graphbpe.chem.canon import canonical_rank
 from graphbpe.chem.mol import (
@@ -32,7 +42,7 @@ from graphbpe.chem.mol import (
     MolGraph,
     check_molecule,
     implicit_hydrogens,
-    make_bond,
+    valence_ok,
 )
 from graphbpe.errors import (
     RingClosureError,
@@ -42,7 +52,6 @@ from graphbpe.errors import (
 
 BOND_CHARS = {"-": SINGLE, "=": DOUBLE, "#": TRIPLE, ":": AROMATIC}
 _MAX_RING_LABEL = 99  # %99
-_TWO_LETTER = ("Cl", "Br")
 _ONE_LETTER = frozenset("BCNOPSFI")
 _AROMATIC_LOWER = frozenset("bcnops")
 _REJECT_HINTS = {
@@ -52,24 +61,114 @@ _REJECT_HINTS = {
     "@": "stereocenters are not supported",
 }
 
+# One group per token kind: a match's ``lastindex`` picks the handler (an
+# atom, a bracket atom, a bond, "(", ")", a ring label, anything else).
+_TOKEN = re.compile(
+    # an organic-subset, aromatic or "*" atom; a one-letter element only where
+    # the next character cannot make it a two-letter symbol (Si, Se, ...)
+    r"(Cl|Br|[BCNOPSFI](?![ad-mqrt-z\x80-\U0010ffff])|[bcnops*])"
+    r"|(\[[^\]]*\])"
+    r"|([-=#:])"
+    r"|(\()"
+    r"|(\))"
+    # a digit, or "%" and two digits; "%" and one digit only at the very end
+    r"|(\d|%\d\d|%\d\Z)"
+    # anything else: an error, or a one-letter element the atom pattern left
+    r"|(.)",
+    re.DOTALL,
+)
 
-@dataclass
-class _AtomDraft:
-    element: str
-    charge: int = 0
-    aromatic: bool = False
-    explicit_h: int = 0
-    bracket: bool = False
-    position: int = 0
+# plain atom token -> (element, aromatic)
+_PLAIN = {token: (token, False) for token in (*_ONE_LETTER, "Cl", "Br", STAR)}
+_PLAIN.update({token: (token.upper(), True) for token in _AROMATIC_LOWER})
+
+
+def _plain_atom(token: str, order_x2: int) -> tuple[Atom, bool]:
+    """The atom a plain token stands for when its bonds sum to ``order_x2``
+    half-units, and whether it passes the valence table."""
+    element, aromatic = _PLAIN[token]
+    implicit = 0 if element == STAR else implicit_hydrogens(element, 0, order_x2)
+    atom = Atom(element, 0, aromatic, 0, implicit, False)
+    return atom, valence_ok(atom, order_x2)
+
+
+# every plain atom with bonds summing to at most four triple bonds
+_PLAIN_ATOMS = {(token, x2): _plain_atom(token, x2) for token in _PLAIN for x2 in range(25)}
+
+
+def _bracket_atom(body: str, start: int) -> Atom:
+    """The atom of bracket text ``[body]`` that starts at ``start``."""
+    pos = start + 1
+    if not body:
+        raise SmilesSyntaxError("empty bracket atom", start)
+    if body[0].isdigit():
+        raise SmilesSyntaxError("isotope labels are not supported", pos)
+    if body[0] == STAR:
+        element, aromatic = STAR, False
+        i = 1
+    elif body[0] in _AROMATIC_LOWER:
+        element, aromatic = body[0].upper(), True
+        i = 1
+    elif body[0].isupper():
+        if body[:2] in ("Cl", "Br"):
+            element, aromatic = body[:2], False
+            i = 2
+        elif len(body) > 1 and body[1].islower():
+            raise UnsupportedElementError(f"unsupported element {body[:2]!r}", pos)
+        elif body[0] in _ONE_LETTER:
+            element, aromatic = body[0], False
+            i = 1
+        else:
+            raise UnsupportedElementError(f"unsupported element {body[:1]!r}", pos)
+    else:
+        raise SmilesSyntaxError(f"bad bracket atom content {body!r}", pos)
+    explicit_h = 0
+    if i < len(body) and body[i] == "H":
+        i += 1
+        digits = ""
+        while i < len(body) and body[i].isdigit():
+            digits += body[i]
+            i += 1
+        explicit_h = int(digits) if digits else 1
+    charge = 0
+    if i < len(body) and body[i] in "+-":
+        sign = 1 if body[i] == "+" else -1
+        symbol = body[i]
+        i += 1
+        if i < len(body) and body[i].isdigit():
+            charge = sign * int(body[i])
+            i += 1
+        else:
+            charge = sign
+            while i < len(body) and body[i] == symbol:
+                charge += sign
+                i += 1
+    if i != len(body):
+        raise SmilesSyntaxError(f"unsupported bracket atom feature {body[i]!r}", pos + i)
+    if not -2 <= charge <= 2:
+        raise SmilesSyntaxError(f"charge {charge:+d} outside [-2, +2]", start)
+    if element == STAR and (explicit_h or charge):
+        raise SmilesSyntaxError("'*' cannot carry hydrogens or charge", start)
+    return Atom(element, charge, aromatic, explicit_h, 0, True)
 
 
 class _Parser:
+    """The atoms and bonds of one SMILES string, read one token at a time.
+
+    Per atom: ``entries`` holds its plain token, or the ``Atom`` of a bracket
+    atom; ``kinds`` its (element, aromatic); ``positions`` where its token
+    starts; ``adjacency`` its (neighbour, bond index) pairs in bond order, as
+    ``MolGraph`` lists them; and ``order_x2`` its bond order sum in half-units.
+    """
+
     def __init__(self, text: str):
         self.text = text
-        self.pos = 0
-        self.atoms: list[_AtomDraft] = []
+        self.entries: list[str | Atom] = []
+        self.kinds: list[tuple[str, bool]] = []
+        self.positions: list[int] = []
+        self.adjacency: list[list[tuple[int, int]]] = []
+        self.order_x2: list[int] = []
         self.bonds: list[Bond] = []
-        self.bond_pairs: set[tuple[int, int]] = set()
         self.prev: int | None = None
         self.branch_stack: list[int] = []
         self.pending: str | None = None
@@ -77,213 +176,142 @@ class _Parser:
         # ring-closure label -> (atom id, bond order stated at open, text position)
         self.open_rings: dict[int, tuple[int, str | None, int]] = {}
 
-    def error(self, message: str, position: int | None = None) -> SmilesSyntaxError:
-        return SmilesSyntaxError(message, self.pos if position is None else position)
+    def run(self) -> None:
+        text = self.text
+        if not text:
+            raise SmilesSyntaxError("empty SMILES string", 0)
+        handlers = (
+            None, self.atom, self.bracket, self.bond, self.open_branch,
+            self.close_branch, self.ring, self.other,
+        )
+        for match in _TOKEN.finditer(text):
+            handlers[match.lastindex](match.group(), match.start())
+        if self.pending is not None:
+            raise SmilesSyntaxError("dangling bond symbol at end of input", self.pending_pos)
+        if self.branch_stack:
+            # a "%" label counts as three characters, even one that ends the text
+            raise SmilesSyntaxError("unclosed '('", len(text) + (text[-2:-1] == "%"))
+        if self.open_rings:
+            label = min(self.open_rings)
+            raise RingClosureError(f"unmatched ring closure {label}", self.open_rings[label][2])
 
-    def add_atom(self, draft: _AtomDraft) -> None:
-        idx = len(self.atoms)
-        self.atoms.append(draft)
+    # one handler per token kind: (token text, its start in the text)
+
+    def atom(self, token: str, position: int) -> None:
+        self.add_atom(token, _PLAIN[token], position)
+
+    def bracket(self, token: str, position: int) -> None:
+        atom = _bracket_atom(token[1:-1], position)
+        self.add_atom(atom, (atom.element, atom.aromatic), position)
+
+    def bond(self, token: str, position: int) -> None:
+        if self.pending is not None:
+            raise SmilesSyntaxError("two bond symbols in a row", position)
+        self.pending = BOND_CHARS[token]
+        self.pending_pos = position
+
+    def open_branch(self, token: str, position: int) -> None:
+        if self.prev is None:
+            raise SmilesSyntaxError("branch before the first atom", position)
+        if self.pending is not None:
+            raise SmilesSyntaxError("bond symbol before '('", position)
+        self.branch_stack.append(self.prev)
+
+    def close_branch(self, token: str, position: int) -> None:
+        if self.pending is not None:
+            raise SmilesSyntaxError("dangling bond symbol before ')'", position)
+        if not self.branch_stack:
+            raise SmilesSyntaxError("unmatched ')'", position)
+        self.prev = self.branch_stack.pop()
+
+    def ring(self, token: str, position: int) -> None:
+        prev = self.prev
+        if prev is None:
+            raise SmilesSyntaxError("ring closure before the first atom", position)
+        label = int(token.lstrip("%"))
+        order = self.pending
+        self.pending = None
+        if label not in self.open_rings:
+            self.open_rings[label] = (prev, order, position)
+            return
+        other, open_order, _ = self.open_rings.pop(label)
+        if order is not None and open_order is not None and order != open_order:
+            raise RingClosureError(f"ring closure {label} bond symbols disagree", position)
+        if order is None:
+            order = open_order
+        if order is None:
+            order = self.default_order(other, prev)
+        self.add_bond(other, prev, order, position)
+
+    def other(self, ch: str, position: int) -> None:
+        if ch in _REJECT_HINTS:
+            raise SmilesSyntaxError(_REJECT_HINTS[ch], position)
+        if ch == "[":
+            raise SmilesSyntaxError("unterminated bracket atom", position)
+        if ch == "%" or ch.isdigit():
+            if self.prev is None:
+                raise SmilesSyntaxError("ring closure before the first atom", position)
+            if ch == "%":
+                raise SmilesSyntaxError("'%' needs two digits", position)
+            # a digit that is not a decimal one ("²") is no ring label
+        elif ch.isupper():
+            # a trailing lowercase letter that is not an aromatic atom would
+            # form an unsupported two-letter symbol (Si, Se, ...)
+            two = self.text[position : position + 2]
+            looks_two_letter = (
+                len(two) == 2 and two[1].islower() and two[1] not in _AROMATIC_LOWER
+            )
+            if ch in _ONE_LETTER and not looks_two_letter:
+                self.atom(ch, position)
+                return
+            sym = two if looks_two_letter else ch
+            raise UnsupportedElementError(f"unsupported element {sym!r}")
+        raise SmilesSyntaxError(f"unexpected character {ch!r}", position)
+
+    def default_order(self, a: int, b: int) -> str:
+        return AROMATIC if self.kinds[a][1] and self.kinds[b][1] else SINGLE
+
+    def add_atom(self, entry: str | Atom, kind: tuple[str, bool], position: int) -> None:
+        idx = len(self.entries)
+        self.entries.append(entry)
+        self.kinds.append(kind)
+        self.positions.append(position)
+        self.adjacency.append([])
+        self.order_x2.append(0)
         if self.prev is not None:
             order = self.pending
             if order is None:
                 order = self.default_order(self.prev, idx)
-            self.add_bond(self.prev, idx, order, draft.position)
+            self.add_bond(self.prev, idx, order, position)
         elif self.pending is not None:
-            raise self.error("bond symbol before the first atom", self.pending_pos)
+            raise SmilesSyntaxError("bond symbol before the first atom", self.pending_pos)
         self.pending = None
         self.prev = idx
 
-    def default_order(self, a: int, b: int) -> str:
-        if self.atoms[a].aromatic and self.atoms[b].aromatic:
-            return AROMATIC
-        return SINGLE
-
     def add_bond(self, a: int, b: int, order: str, position: int) -> None:
+        """Bond ``a`` to ``b``, the atom read last (so a new atom has no
+        neighbour to scan)."""
         if a == b:
             raise RingClosureError("ring closure back to the same atom", position)
-        pair = (min(a, b), max(a, b))
-        if pair in self.bond_pairs:
-            raise RingClosureError(
-                f"duplicate bond between atoms {pair[0]} and {pair[1]}", position
-            )
+        adjacency = self.adjacency
+        for nbr, _ in adjacency[b]:
+            if nbr == a:
+                raise RingClosureError(
+                    f"duplicate bond between atoms {min(a, b)} and {max(a, b)}", position
+                )
         if order == AROMATIC:
             for idx in (a, b):
-                atom = self.atoms[idx]
-                if not atom.aromatic and atom.element != STAR:
-                    raise self.error(
-                        "aromatic bond on a non-aromatic atom", position
-                    )
-        self.bond_pairs.add(pair)
-        self.bonds.append(make_bond(a, b, order))
-
-    def close_ring(self, label: int, position: int) -> None:
-        if label in self.open_rings:
-            other, open_order, _ = self.open_rings.pop(label)
-            order = self.pending
-            if order is not None and open_order is not None and order != open_order:
-                raise RingClosureError(
-                    f"ring closure {label} bond symbols disagree", position
-                )
-            if order is None:
-                order = open_order
-            if order is None:
-                order = self.default_order(other, self.prev)
-            self.add_bond(other, self.prev, order, position)
-        else:
-            self.open_rings[label] = (self.prev, self.pending, position)
-        self.pending = None
-
-    def parse_bracket(self) -> _AtomDraft:
-        start = self.pos
-        self.pos += 1  # consume "["
-        text = self.text
-        end = text.find("]", self.pos)
-        if end < 0:
-            raise self.error("unterminated bracket atom", start)
-        body = text[self.pos : end]
-        i = 0
-        if not body:
-            raise self.error("empty bracket atom", start)
-        if body[0].isdigit():
-            raise self.error("isotope labels are not supported", self.pos)
-        if body[0] == STAR:
-            element, aromatic = STAR, False
-            i = 1
-        elif body[0] in _AROMATIC_LOWER:
-            element, aromatic = body[0].upper(), True
-            i = 1
-        elif body[0].isupper():
-            if body[:2] in _TWO_LETTER:
-                element, aromatic = body[:2], False
-                i = 2
-            elif len(body) > 1 and body[1].islower():
-                raise UnsupportedElementError(
-                    f"unsupported element {body[:2]!r}", self.pos
-                )
-            elif body[0] in _ONE_LETTER:
-                element, aromatic = body[0], False
-                i = 1
-            else:
-                raise UnsupportedElementError(
-                    f"unsupported element {body[:1]!r}", self.pos
-                )
-        else:
-            raise self.error(f"bad bracket atom content {body!r}", self.pos)
-        explicit_h = 0
-        if i < len(body) and body[i] == "H":
-            i += 1
-            digits = ""
-            while i < len(body) and body[i].isdigit():
-                digits += body[i]
-                i += 1
-            explicit_h = int(digits) if digits else 1
-        charge = 0
-        if i < len(body) and body[i] in "+-":
-            sign = 1 if body[i] == "+" else -1
-            symbol = body[i]
-            i += 1
-            if i < len(body) and body[i].isdigit():
-                charge = sign * int(body[i])
-                i += 1
-            else:
-                charge = sign
-                while i < len(body) and body[i] == symbol:
-                    charge += sign
-                    i += 1
-        if i != len(body):
-            raise self.error(
-                f"unsupported bracket atom feature {body[i]!r}", self.pos + i
-            )
-        if not -2 <= charge <= 2:
-            raise self.error(f"charge {charge:+d} outside [-2, +2]", start)
-        if element == STAR and (explicit_h or charge):
-            raise self.error("'*' cannot carry hydrogens or charge", start)
-        self.pos = end + 1
-        return _AtomDraft(element, charge, aromatic, explicit_h, bracket=True, position=start)
-
-    def run(self) -> None:
-        text = self.text
-        if not text:
-            raise self.error("empty SMILES string", 0)
-        while self.pos < len(text):
-            ch = text[self.pos]
-            if ch in _REJECT_HINTS:
-                raise self.error(_REJECT_HINTS[ch])
-            if ch in BOND_CHARS:
-                if self.pending is not None:
-                    raise self.error("two bond symbols in a row")
-                self.pending = BOND_CHARS[ch]
-                self.pending_pos = self.pos
-                self.pos += 1
-                continue
-            if ch == "(":
-                if self.prev is None:
-                    raise self.error("branch before the first atom")
-                if self.pending is not None:
-                    raise self.error("bond symbol before '('")
-                self.branch_stack.append(self.prev)
-                self.pos += 1
-                continue
-            if ch == ")":
-                if self.pending is not None:
-                    raise self.error("dangling bond symbol before ')'")
-                if not self.branch_stack:
-                    raise self.error("unmatched ')'")
-                self.prev = self.branch_stack.pop()
-                self.pos += 1
-                continue
-            if ch.isdigit() or ch == "%":
-                if self.prev is None:
-                    raise self.error("ring closure before the first atom")
-                pos = self.pos
-                if ch == "%":
-                    if not text[self.pos + 1 : self.pos + 3].isdigit():
-                        raise self.error("'%' needs two digits")
-                    label = int(text[self.pos + 1 : self.pos + 3])
-                    self.pos += 3
-                else:
-                    label = int(ch)
-                    self.pos += 1
-                self.close_ring(label, pos)
-                continue
-            if ch == STAR:
-                self.add_atom(_AtomDraft(STAR, position=self.pos))
-                self.pos += 1
-                continue
-            if ch == "[":
-                self.add_atom(self.parse_bracket())
-                continue
-            if ch in _AROMATIC_LOWER:
-                self.add_atom(
-                    _AtomDraft(ch.upper(), aromatic=True, position=self.pos)
-                )
-                self.pos += 1
-                continue
-            if ch.isupper():
-                two = text[self.pos : self.pos + 2]
-                if two in _TWO_LETTER:
-                    self.add_atom(_AtomDraft(two, position=self.pos))
-                    self.pos += 2
-                    continue
-                # a trailing lowercase letter that is not an aromatic atom
-                # would form an unsupported two-letter symbol (Si, Se, ...)
-                looks_two_letter = (
-                    len(two) == 2 and two[1].islower() and two[1] not in _AROMATIC_LOWER
-                )
-                if ch in _ONE_LETTER and not looks_two_letter:
-                    self.add_atom(_AtomDraft(ch, position=self.pos))
-                    self.pos += 1
-                    continue
-                sym = two if looks_two_letter else ch
-                raise UnsupportedElementError(f"unsupported element {sym!r}")
-            raise self.error(f"unexpected character {ch!r}")
-        if self.pending is not None:
-            raise self.error("dangling bond symbol at end of input", self.pending_pos)
-        if self.branch_stack:
-            raise self.error("unclosed '('")
-        if self.open_rings:
-            label, (_, _, position) = sorted(self.open_rings.items())[0]
-            raise RingClosureError(f"unmatched ring closure {label}", position)
+                element, aromatic = self.kinds[idx]
+                if not aromatic and element != STAR:
+                    raise SmilesSyntaxError("aromatic bond on a non-aromatic atom", position)
+        lo, hi = (a, b) if a < b else (b, a)
+        bidx = len(self.bonds)
+        self.bonds.append(Bond(lo, hi, order))
+        adjacency[lo].append((hi, bidx))
+        adjacency[hi].append((lo, bidx))
+        x2 = ORDER_X2[order]
+        self.order_x2[a] += x2
+        self.order_x2[b] += x2
 
 
 def parse_smiles(text: str, validate: bool = True) -> MolGraph:
@@ -295,36 +323,26 @@ def parse_smiles(text: str, validate: bool = True) -> MolGraph:
     """
     parser = _Parser(text)
     parser.run()
-    order_x2 = [0] * len(parser.atoms)
-    for bond in parser.bonds:
-        order_x2[bond.a] += ORDER_X2[bond.order]
-        order_x2[bond.b] += ORDER_X2[bond.order]
     atoms = []
-    for idx, draft in enumerate(parser.atoms):
-        implicit = 0
-        if not draft.bracket and draft.element != STAR:
-            implicit = implicit_hydrogens(draft.element, draft.charge, order_x2[idx])
-        atoms.append(
-            Atom(
-                element=draft.element,
-                formal_charge=draft.charge,
-                aromatic=draft.aromatic,
-                explicit_h=draft.explicit_h,
-                implicit_h=implicit,
-                bracket=draft.bracket,
-            )
-        )
-    mol = MolGraph(tuple(atoms), tuple(parser.bonds))
-    for idx, atom in enumerate(mol.atoms):
-        if atom.is_connection_site and mol.degree(idx) != 1:
+    atom_ok = []
+    for idx, entry in enumerate(parser.entries):
+        order_x2 = parser.order_x2[idx]
+        if entry.__class__ is str:
+            atom, ok = _PLAIN_ATOMS.get((entry, order_x2)) or _plain_atom(entry, order_x2)
+        else:
+            atom, ok = entry, valence_ok(entry, order_x2)
+        if atom.element == STAR and len(parser.adjacency[idx]) != 1:
             raise SmilesSyntaxError(
-                f"'*' atom {idx} has degree {mol.degree(idx)}, expected 1",
-                parser.atoms[idx].position,
+                f"'*' atom {idx} has degree {len(parser.adjacency[idx])}, expected 1",
+                parser.positions[idx],
             )
-    if not mol.is_connected():
-        raise SmilesSyntaxError("molecule is not connected")
+        atoms.append(atom)
+        atom_ok.append(ok)
+    adjacency = tuple(tuple(nbrs) for nbrs in parser.adjacency)
+    mol = MolGraph.from_adjacency(tuple(atoms), tuple(parser.bonds), adjacency)
+    # every atom after the first is bonded to an earlier one, so the graph is connected
     if validate:
-        check_molecule(mol)
+        check_molecule(mol, atom_ok)
     return mol
 
 
@@ -432,14 +450,17 @@ def _traverse(mol: MolGraph, ranks: list[int]) -> tuple[list[int], list, dict, d
     return preorder, children, opens, closes
 
 
-def may_fail_to_write(mol: MolGraph) -> bool:
+def may_fail_to_write(mol: MolGraph, components: int | None = None) -> bool:
     """False only where ``write_smiles(mol)`` cannot raise: a connected graph
     of cycle rank below 100, since an open ring label takes one ring bond and
-    a connected graph has cycle-rank many of them."""
+    a connected graph has cycle-rank many of them. ``components`` is
+    ``mol.component_count()`` where the caller already has it."""
+    if components is None:
+        components = mol.component_count()
     return (
         not mol.atoms
         or len(mol.bonds) - len(mol.atoms) + 1 > _MAX_RING_LABEL
-        or not mol.is_connected()
+        or components > 1
     )
 
 
@@ -448,7 +469,12 @@ def _digit_token(digit: int) -> str:
 
 
 def write_smiles(mol: MolGraph) -> str:
-    """Canonical SMILES: isomorphic graphs yield byte-identical strings."""
+    """SMILES in the writer's canonical atom order.
+
+    Equal graphs give byte-identical strings, and isomorphic graphs usually
+    do; not always, since ``canonical_rank`` breaks ties by input index (the
+    cage ``C12C3C1C1C3C3C2C13`` writes 3 strings over 200 permutations).
+    """
     return write_smiles_with_order(mol)[0]
 
 
@@ -467,10 +493,10 @@ def write_smiles_with_order(mol: MolGraph) -> tuple[str, list[int]]:
     """
     if not mol.atoms:
         raise ValueError("cannot serialize an empty molecule")
-    if not mol.is_connected():
-        raise ValueError("cannot serialize a disconnected molecule")
     ranks = list(canonical_rank(mol).ranks)
     preorder, children, opens, closes = _traverse(mol, ranks)
+    if len(preorder) < len(mol.atoms):
+        raise ValueError("cannot serialize a disconnected molecule")
     atoms, bonds = mol.atoms, mol.bonds
     out: list[str] = []
     # text before each atom: ")" ending the previous sibling's branch,

@@ -39,7 +39,11 @@ class DescriptorVector:
     bond_order_fractions: tuple[float, float, float, float]  # single, double, triple, aromatic
 
 
-def compute_descriptors(mol: MolGraph) -> DescriptorVector:
+def compute_descriptors(mol: MolGraph, components: int | None = None) -> DescriptorVector:
+    """``components`` is ``mol.component_count()`` where the caller already
+    has it (it enters the cycle rank)."""
+    if components is None:
+        components = mol.component_count()
     heavy = len(mol.atoms)
     aromatic = sum(1 for a in mol.atoms if a.aromatic)
     hetero = sum(1 for a in mol.atoms if a.element != "C")
@@ -55,7 +59,7 @@ def compute_descriptors(mol: MolGraph) -> DescriptorVector:
     return DescriptorVector(
         mol_weight=molecular_weight(mol),
         heavy_atom_count=heavy,
-        cycle_rank=len(mol.bonds) - heavy + mol.component_count(),
+        cycle_rank=len(mol.bonds) - heavy + components,
         aromatic_atom_fraction=aromatic / heavy,
         heteroatom_fraction=hetero / heavy,
         halogen_count=halogens,
@@ -153,8 +157,9 @@ def evaluate(generated: list[MolGraph], training: list[MolGraph]) -> EvalReport:
     molecule is written only when its (atom count, bond count) and then its
     ``graph_signature`` equal some valid generated graph's, since equal
     canonical strings imply equal signatures, or when ``write_smiles`` could
-    fail on it (``may_fail_to_write``). The report, and the error raised on
-    an unwritable input, are those of writing every input.
+    fail on it (``may_fail_to_write``). Each molecule's components are
+    counted once. The report, and the error raised on an unwritable input,
+    are those of writing every input.
     """
     if not generated or not training:
         raise GraphBpeError("evaluate needs non-empty generated and training sets")
@@ -174,14 +179,19 @@ def evaluate(generated: list[MolGraph], training: list[MolGraph]) -> EvalReport:
         same_size = signatures.get((len(mol.atoms), len(mol.bonds)))
         return same_size is not None and graph_signature(mol) in same_size
 
+    train_components = [m.component_count() for m in training]
     train_strings = {
-        write_smiles(m) for m in training if may_fail_to_write(m) or could_match(m)
+        write_smiles(m)
+        for m, components in zip(training, train_components)
+        if may_fail_to_write(m, components) or could_match(m)
     }
     novel = [s for s in unique if s not in train_strings]
     uniqueness = len(unique) / len(valid_index)
     novelty = len(novel) / len(unique)
 
-    train_values = _channel_values([compute_descriptors(m) for m in training])
+    train_values = _channel_values(
+        [compute_descriptors(m, c) for m, c in zip(training, train_components)]
+    )
     descriptors = [compute_descriptors(g) if ok else None for g, ok in zip(graphs, passes)]
     gen_values = _channel_values([descriptors[i] for i in valid_index])
     channel_kl: dict[str, float] = {}

@@ -220,8 +220,10 @@ class PatternTally:
                 self._open(signature)
         if not self.patterns:
             return None
-        count = max(self.patterns.values())
-        pattern = min(p for p, value in self.patterns.items() if value == count)
+        pattern, count = None, 0
+        for candidate, value in self.patterns.items():
+            if value > count or (value == count and candidate < pattern):
+                pattern, count = candidate, value
         return pattern, count, self._signature_of[pattern]
 
     def edge_added(self, state: MergingGraph, pair, signature: str) -> None:

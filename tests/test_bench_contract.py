@@ -54,6 +54,14 @@ def test_mine_corpus_accepts_threads():
     assert "threads" in inspect.signature(graphbpe.mine_corpus).parameters
 
 
+def test_parse_smiles_accepts_validate():
+    # bench/run.py's eval stage calls gb.parse_smiles(s, validate=False)
+    import graphbpe
+
+    assert "validate" in inspect.signature(graphbpe.parse_smiles).parameters
+    assert graphbpe.parse_smiles("c1ccccccc1", validate=False).atoms
+
+
 def test_result_attributes_the_benchmark_reads():
     # the attributes bench/run.py reads off mining, tokenizer, generation and
     # evaluation results, reached through the same calls it makes

@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 from pathlib import Path
 from random import Random
 
@@ -181,6 +182,27 @@ class TestDistinctGraphs:
             evaluate(mols[:5] + [EMPTY, DISCONNECTED], mols[:20])
         with pytest.raises(ValueError, match="disconnected"):
             evaluate(mols[:5] + [DISCONNECTED, EMPTY], mols[:20])
+
+    def test_counts_components_once_per_molecule(self, corpus_1k, monkeypatch):
+        mols = corpus_1k[1]
+        generated = mols[:50] + mols[10:30]
+        training = mols[50:200] + [DISCONNECTED]
+        counted = []
+        component_count = MolGraph.component_count
+
+        def spy(mol):
+            counted.append(id(mol))
+            return component_count(mol)
+
+        monkeypatch.setattr(MolGraph, "component_count", spy)
+        with pytest.raises(ValueError, match="disconnected"):
+            evaluate(generated, training)
+        counted.clear()
+        report = evaluate(generated, training[:-1])
+        monkeypatch.undo()
+        assert max(Counter(counted).values()) == 1
+        assert len(counted) == 50 + 150
+        assert report == eager_evaluate(generated, training[:-1])
 
     def test_writes_distinct_valid_graphs_and_candidate_training(self, corpus_1k, monkeypatch):
         mols = corpus_1k[1]

@@ -1,3 +1,4 @@
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -7,8 +8,36 @@ from graphbpe.chem import (
     parse_smiles,
     valence_check,
 )
-from graphbpe.chem.mol import failing_aromatic_rings, make_bond
+from graphbpe.chem.mol import (
+    AROMATIC,
+    _aromatic_adjacency,
+    _pi_electrons,
+    _shortest_aromatic_cycle,
+    failing_aromatic_rings,
+    make_bond,
+)
+from graphbpe.errors import GraphBpeError
 from helpers import random_molecule
+
+FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def failing_rings_from_every_bond(mol):
+    """``failing_aromatic_rings`` searching from every aromatic bond, also
+    those of a ring already found."""
+    adj = _aromatic_adjacency(mol)
+    failing = []
+    seen = set()
+    for bidx, bond in enumerate(mol.bonds):
+        if bond.order != AROMATIC:
+            continue
+        cycle = _shortest_aromatic_cycle(adj, (bond.a, bond.b, bidx))
+        if cycle is None or frozenset(cycle[0]) in seen:
+            continue
+        seen.add(frozenset(cycle[0]))
+        if sum(_pi_electrons(mol, i) for i in cycle[0]) % 4 != 2:
+            failing.append(cycle)
+    return failing
 
 
 class TestValence:
@@ -59,6 +88,31 @@ class TestAromaticRingCheck:
 
     def test_aromatic_chain_not_flagged(self):
         assert failing_aromatic_rings(parse_smiles("*:c:c:c:c:*")) == []
+
+    def test_matches_a_search_from_every_bond(self):
+        # coronene with a boron in its central ring, which is found only from
+        # bonds it shares with outer rings; fixture molecules with aromatic
+        # carbons turned into oxygen or boron: rings that fail in many orders
+        texts = [
+            "c1cc2ccc3ccc4ccc5ccc6ccc1b1c2c3c4c5c61",
+            "c1cc2ccc3ccc4ccc5ccc6ccc1c1c2c3b4c5c61",
+            "c1ccc2cccccc2c1",
+            "c1cc2ccc3cccc4ccc(c1)c2c34",
+        ]
+        for line in (FIXTURES / "corpus_1k.smi").read_text().splitlines():
+            text = line.split()[0]
+            texts += [text.replace("c", "o", 1), text.replace("c", "b", 2)]
+        checked = failing = 0
+        for text in texts:
+            try:
+                mol = parse_smiles(text, validate=False)
+            except GraphBpeError:
+                continue
+            expected = failing_rings_from_every_bond(mol)
+            assert failing_aromatic_rings(mol) == expected, text
+            checked += 1
+            failing += bool(expected)
+        assert checked > 1000 and failing > 300
 
 
 class TestSubgraph:

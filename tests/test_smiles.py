@@ -1,3 +1,5 @@
+import time
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -5,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphbpe.chem import may_fail_to_write, parse_smiles, write_smiles, write_smiles_with_order
-from graphbpe.chem.mol import AROMATIC, SINGLE, Atom, MolGraph, valence_check
+from graphbpe.chem.mol import AROMATIC, SINGLE, Atom, MolGraph, make_bond, valence_check
 from graphbpe.errors import (
     GraphBpeError,
     RingClosureError,
@@ -13,7 +15,19 @@ from graphbpe.errors import (
     UnsupportedElementError,
     ValenceError,
 )
-from helpers import fused_ladder_smiles, random_molecule
+from graphbpe.miner import build_motif_vocabulary
+from helpers import fused_ladder_smiles, random_molecule, reference_parse_smiles
+
+FUZZ_ALPHABET = "CNOSPFIBrlcnospbH[]()%=#-:+*@./\\0123456789"
+
+
+def outcome(text: str, validate: bool, parse=parse_smiles):
+    """The graph ``parse`` returns, or the type, message and position of the
+    error it raises."""
+    try:
+        return parse(text, validate=validate)
+    except GraphBpeError as error:
+        return type(error), str(error), getattr(error, "position", None)
 
 
 class TestParse:
@@ -88,6 +102,7 @@ class TestParse:
             ("[Se]", UnsupportedElementError),
             ("C:C", SmilesSyntaxError),
             ("[*H]", SmilesSyntaxError),
+            ("C²", SmilesSyntaxError),  # a digit that int() cannot read
         ],
     )
     def test_rejects(self, text, error):
@@ -105,7 +120,7 @@ class TestParse:
             parse_smiles(text)
 
     @settings(max_examples=400, deadline=None)
-    @given(st.text("CNOSPFIBrlcnospbH[]()%=#-:+*@./\\0123456789", max_size=24), st.booleans())
+    @given(st.text(FUZZ_ALPHABET, max_size=24), st.booleans())
     def test_fuzz_raises_only_graphbpe_errors_and_roundtrips(self, text, validate):
         try:
             mol = parse_smiles(text, validate=validate)
@@ -114,6 +129,66 @@ class TestParse:
         # no string fixed point: the canonical form is not yet invariant
         again = parse_smiles(write_smiles(mol), validate=validate)
         assert (len(again.atoms), len(again.bonds)) == (len(mol.atoms), len(mol.bonds))
+
+
+class TestReferenceParser:
+    """The token parser against the character-loop parser it replaced: equal
+    graphs (atoms, bonds and their order), or errors of the same type,
+    message and position."""
+
+    @settings(max_examples=1000, deadline=None)
+    @given(st.text(FUZZ_ALPHABET, max_size=24), st.booleans())
+    def test_fuzz(self, text, validate):
+        assert outcome(text, validate) == outcome(text, validate, reference_parse_smiles)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "C(%5", "C%5", "C%5C", "(%0", "C%123", "C(C1)1", "C11", "C1CC1C1", "C=1CC-1",
+            "CSi", "CSc", "Bc1ccccc1", "Cé", "C中", "CÉ", "C٣CC٣", "[13C]", "[]", "[C", "C[",
+            "[*]C", "*", "[Cl-]", "[NH4+]", "[O--]", "[N+3]", "[Si]", "C\n", "HC", "Ca",
+        ],
+    )
+    def test_edge_cases(self, text):
+        for validate in (True, False):
+            assert outcome(text, validate) == outcome(text, validate, reference_parse_smiles)
+
+    def test_fixture_corpus_and_vocabulary(self, corpus_1k, ops_500):
+        lines = (Path(__file__).parent / "fixtures" / "corpus_1k.smi").read_text().splitlines()
+        texts = [line.split()[0] for line in lines]
+        vocab = build_motif_vocabulary(corpus_1k[1], ops_500[:200])
+        texts += list(vocab.motifs)
+        assert len(texts) > 2500
+        for text in texts:
+            for validate in (True, False):
+                assert outcome(text, validate) == outcome(text, validate, reference_parse_smiles)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(FUZZ_ALPHABET, max_size=24))
+    def test_parsed_graphs_are_connected(self, text):
+        # every atom after the first is bonded to the atom before it in the
+        # text or to a branch point, and "." is rejected: no DFS is needed
+        try:
+            mol = parse_smiles(text, validate=False)
+        except GraphBpeError:
+            return
+        assert mol.component_count() == 1
+
+
+def test_parse_scaling_near_linear():
+    def parse_time(text):
+        best = float("inf")
+        for _ in range(3):
+            start = time.perf_counter()
+            parse_smiles(text)
+            best = min(best, time.perf_counter() - start)
+        return best
+
+    # linear would be 4x and quadratic 16x
+    pairs = (("C" * 400, "C" * 1600), (fused_ladder_smiles(25), fused_ladder_smiles(100)))
+    for small, large in pairs:
+        t1, t2 = parse_time(small), parse_time(large)
+        assert t2 <= 8 * t1, f"{len(small)} chars {t1:.4f}s, {len(large)} chars {t2:.4f}s"
 
 
 class TestWrite:
@@ -193,6 +268,14 @@ class TestWrite:
     )
     def test_golden_strings(self, text, expected, order):
         assert write_smiles_with_order(parse_smiles(text)) == (expected, order)
+
+    def test_unwritable_graphs_raise_without_a_component_count(self, monkeypatch):
+        # the writer sees a disconnected graph in its own traversal
+        monkeypatch.setattr(MolGraph, "component_count", lambda self: pytest.fail("counted"))
+        with pytest.raises(ValueError, match="disconnected"):
+            write_smiles(MolGraph((Atom("C"), Atom("O"), Atom("C")), (make_bond(0, 2, SINGLE),)))
+        with pytest.raises(ValueError, match="empty"):
+            write_smiles(MolGraph((), ()))
 
     def test_too_many_open_rings_is_a_ring_closure_error(self):
         # 602 atoms: the zigzag input needs two ring labels, the canonical
