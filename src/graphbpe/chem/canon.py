@@ -10,13 +10,22 @@ own placed first, and refinement resumes, until every cell is one atom.
 Signatures are compared exactly (no hashing), so equal cells are structurally
 equal.
 
+Each neighbour term of a signature is one int, ``x2 * (n + 1) + label``,
+where ``x2`` is twice the bond order and ``label`` the neighbour cell's start
+position. A label lies in 0..n-1, below ``n + 1``, so the int is the pair
+(x2, label) written in base n + 1: two terms compare, and so sort, exactly as
+the pairs would, and a sorted signature orders like the sorted pair list.
+The weight ``x2 * (n + 1)`` of each bond is computed once per call.
+
 Touched-atom refinement (McKay & Piperno, *Practical Graph Isomorphism II*,
 2014). A cell's label is its start position in the ordered partition. When a
 cell splits, one part keeps the cell (its start moves in O(1)) and only the
 atoms of the other parts change cell. A round then computes signatures only
 for atoms next to an atom that changed cell in the previous round, plus one
-untouched representative per affected cell. This gives exactly the partition
-that re-sorting every atom in every round would give:
+untouched representative per affected cell; the first round, after which
+every atom counts as moved, signs every atom of every cell of more than one
+atom. This gives exactly the partition that re-sorting every atom in every
+round would give:
 
 - Start labels are a strictly increasing function of the dense class ids a
   full re-sort renumbers to, so every signature comparison keeps its order.
@@ -61,109 +70,135 @@ class CanonicalRanking:
 class _OrderedPartition:
     """Cells of atoms in order. Cell ``c`` holds ``members[c]`` and covers
     positions ``start[c]`` .. ``start[c] + len(members[c]) - 1``; its label in
-    signatures is ``start[c]``. ``cell_at[p]`` is the cell starting at ``p``."""
+    signatures is ``start[c]``. ``cell_at[p]`` is the cell starting at ``p``.
+    ``neighbors[i]`` holds (neighbour, bond) per bond of atom ``i``, and
+    ``weight[b]`` is bond ``b``'s x2 * (n + 1), so the term of a neighbour
+    across bond ``b`` is ``weight[b]`` plus the neighbour's label."""
 
     def __init__(self, mol: MolGraph, keys: list) -> None:
         """One cell per distinct key, cells in key order."""
         n = len(keys)
-        bonds = mol.bonds
-        self.neighbors = [
-            [(ORDER_X2[bonds[bidx].order], nbr) for nbr, bidx in mol.neighbors(i)]
-            for i in range(n)
-        ]
-        self.cell_of = [0] * n
-        self.start: list[int] = []
-        self.members: list[set[int]] = []
-        self.cell_at = [0] * n
+        self.weight = [ORDER_X2[bond.order] * (n + 1) for bond in mol.bonds]
+        self.neighbors = [mol.neighbors(i) for i in range(n)]
+        cell_of, cell_at = [0] * n, [0] * n
+        start: list[int] = []
+        members: list[set[int]] = []
         pos = 0
         for _, group in groupby(sorted(range(n), key=keys.__getitem__), key=keys.__getitem__):
             atoms = list(group)
-            self._new_cell(atoms, pos)
+            cell_at[pos] = len(start)
+            for atom in atoms:
+                cell_of[atom] = len(start)
+            start.append(pos)
+            members.append(set(atoms))
             pos += len(atoms)
+        self.cell_of, self.cell_at, self.start, self.members = cell_of, cell_at, start, members
 
     def labels(self) -> list[int]:
-        return [self.start[c] for c in self.cell_of]
+        start = self.start
+        return [start[c] for c in self.cell_of]
 
-    def refine(self, moved: list[int]) -> None:
-        """Split cells until a fixed point; ``moved`` changed cell last."""
-        neighbors, cell_of, start, members = self.neighbors, self.cell_of, self.start, self.members
-        while moved:
+    def refine(self, moved: list[int] | None = None) -> None:
+        """Split cells until a fixed point; ``moved`` changed cell last
+        (``None``: every atom did, so the first round signs every atom)."""
+        neighbors, weight, cell_of, start = self.neighbors, self.weight, self.cell_of, self.start
+        members, cell_at = self.members, self.cell_at
+        if moved is None:
             touched: set[int] = set()
-            by_cell: dict[int, list[int]] = {}
-            for atom in moved:
-                for _, nbr in neighbors[atom]:
-                    if nbr not in touched:
-                        touched.add(nbr)
-                        if len(members[cell_of[nbr]]) > 1:
-                            by_cell.setdefault(cell_of[nbr], []).append(nbr)
+            by_cell = {c: list(atoms) for c, atoms in enumerate(members) if len(atoms) > 1}
+        else:
+            touched, by_cell = self._touched(moved)
+        while by_cell:
             splits = []
             for cell, atoms in by_cell.items():
                 # one untouched atom stands for all of them
                 untouched = len(members[cell]) - len(atoms)
-                rep = next(a for a in members[cell] if a not in touched) if untouched else -1
+                rep = -1
                 if untouched:
+                    for rep in members[cell]:
+                        if rep not in touched:
+                            break
                     atoms.append(rep)
-                signed = sorted(
-                    (tuple(sorted([(x2, start[cell_of[nbr]]) for x2, nbr in neighbors[a]])), a)
+                signed = sorted([
+                    (sorted([weight[b] + start[cell_of[nbr]] for nbr, b in neighbors[a]]), a)
                     for a in atoms
-                )
+                ])
+                if signed[0][0] == signed[-1][0]:
+                    continue
                 # parts in signature order: [atoms that change cell, size]
                 parts: list[list] = []
                 kept = -1
                 previous = None
                 for signature, atom in signed:
                     if signature != previous:
-                        parts.append([[], 0])
+                        part = [[], 0]
+                        parts.append(part)
                         previous = signature
                     if atom == rep:
                         kept = len(parts) - 1
-                        parts[-1][1] += untouched
+                        part[1] += untouched
                     else:
-                        parts[-1][0].append(atom)
-                        parts[-1][1] += 1
-                if len(parts) > 1:
-                    if kept < 0:
-                        kept = max(range(len(parts)), key=lambda k: parts[k][1])
-                    splits.append((cell, parts, kept))
+                        part[0].append(atom)
+                        part[1] += 1
+                if kept < 0:
+                    kept = max(range(len(parts)), key=lambda k: parts[k][1])
+                splits.append((cell, parts, kept))
             moved = []
             for cell, parts, kept in splits:
                 pos = start[cell]
                 for k, (atoms, size) in enumerate(parts):
                     if k == kept:
-                        self._place(cell, pos)
+                        start[cell] = pos
+                        cell_at[pos] = cell
                     else:
                         members[cell].difference_update(atoms)
-                        self._new_cell(atoms, pos)
-                        moved.extend(atoms)
+                        new = len(start)
+                        start.append(pos)
+                        members.append(set(atoms))
+                        cell_at[pos] = new
+                        for atom in atoms:
+                            cell_of[atom] = new
+                        moved += atoms
                     pos += size
+            touched, by_cell = self._touched(moved)
+
+    def _touched(self, moved: list[int]) -> tuple[set[int], dict[int, list[int]]]:
+        """The neighbours of ``moved``, and those of them in cells of more
+        than one atom grouped by cell: the atoms the next round signs."""
+        neighbors, cell_of, members = self.neighbors, self.cell_of, self.members
+        touched: set[int] = set()
+        by_cell: dict[int, list[int]] = {}
+        for atom in moved:
+            for nbr, _ in neighbors[atom]:
+                if nbr not in touched:
+                    touched.add(nbr)
+                    cell = cell_of[nbr]
+                    if len(members[cell]) > 1:
+                        if cell in by_cell:
+                            by_cell[cell].append(nbr)
+                        else:
+                            by_cell[cell] = [nbr]
+        return touched, by_cell
 
     def individualize_first_ambiguous(self, pos: int) -> int:
         """Give the lowest-index atom of the first cell of more than one atom
         at or after ``pos`` a cell of its own placed first, refine from it,
         and return that cell's start; ``len(atoms)`` once all are singletons."""
-        cell_at, members = self.cell_at, self.members
-        while pos < len(cell_at) and len(members[cell_at[pos]]) == 1:
+        cell_at, members, start = self.cell_at, self.members, self.start
+        n = len(cell_at)
+        while pos < n and len(members[cell_at[pos]]) == 1:
             pos += 1
-        if pos < len(cell_at):
+        if pos < n:
             cell = cell_at[pos]
             chosen = min(members[cell])
             members[cell].discard(chosen)
-            self._place(cell, pos + 1)
-            self._new_cell([chosen], pos)
+            start[cell] = pos + 1
+            cell_at[pos + 1] = cell
+            cell_at[pos] = self.cell_of[chosen] = len(start)
+            start.append(pos)
+            members.append({chosen})
             self.refine([chosen])
         return pos
-
-    def _place(self, cell: int, pos: int) -> None:
-        self.start[cell] = pos
-        self.cell_at[pos] = cell
-
-    def _new_cell(self, atoms: list[int], pos: int) -> None:
-        cell = len(self.start)
-        self.start.append(pos)
-        self.members.append(set(atoms))
-        self.cell_at[pos] = cell
-        for atom in atoms:
-            self.cell_of[atom] = cell
 
 
 def canonical_rank(mol: MolGraph) -> CanonicalRanking:
@@ -175,7 +210,7 @@ def canonical_rank(mol: MolGraph) -> CanonicalRanking:
         for i, a in enumerate(mol.atoms)
     ]
     partition = _OrderedPartition(mol, seeds)
-    partition.refine(list(range(n)))
+    partition.refine()
     labels = partition.labels()
     dense = {label: k for k, label in enumerate(sorted(set(labels)))}
     symmetry = tuple(dense[label] for label in labels)

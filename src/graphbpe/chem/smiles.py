@@ -401,53 +401,10 @@ def graph_signature(mol: MolGraph, atom_ids=None, tokens=None, orders=None) -> s
     return sys.intern(" ".join(labels) + "|" + "".join(codes))
 
 
-def _bond_token(order: str, arom_a: bool, arom_b: bool) -> str:
-    if order == SINGLE:
-        return "-" if (arom_a and arom_b) else ""
-    if order == AROMATIC:
-        return ":"
-    return "=" if order == DOUBLE else "#"
-
-
-def _traverse(mol: MolGraph, ranks: list[int]) -> tuple[list[int], list, dict, dict]:
-    """DFS from the rank-0 atom, taking neighbours in rank order.
-
-    Returns the preorder, each atom's tree children as (child, bond), and
-    the ring bonds: ``opens[earlier atom]`` holds (later atom's preorder
-    position, bond) and ``closes[later atom]`` holds the bond.
-    """
-    root = ranks.index(0)
-    position = {root: 0}
-    preorder = [root]
-    children: list[list[tuple[int, int]]] = [[] for _ in mol.atoms]
-    opens: dict[int, list[tuple[int, int]]] = {}
-    closes: dict[int, list[int]] = {}
-    seen_bonds: set[int] = set()
-
-    def todo(atom: int) -> list[tuple[int, int]]:
-        # descending rank, so pop() takes the lowest-ranked neighbour
-        return sorted(mol.neighbors(atom), key=lambda nb: ranks[nb[0]], reverse=True)
-
-    stack = [(root, todo(root))]
-    while stack:
-        node, pending = stack[-1]
-        if not pending:
-            stack.pop()
-            continue
-        nbr, bidx = pending.pop()
-        if bidx in seen_bonds:
-            continue
-        seen_bonds.add(bidx)
-        if nbr in position:
-            # an undirected DFS finds a ring bond from its later atom
-            opens.setdefault(nbr, []).append((position[node], bidx))
-            closes.setdefault(node, []).append(bidx)
-            continue
-        children[node].append((nbr, bidx))
-        position[nbr] = len(preorder)
-        preorder.append(nbr)
-        stack.append((nbr, todo(nbr)))
-    return preorder, children, opens, closes
+# how the writer spells a bond, but for a single bond between two aromatic
+# atoms, which it writes as "-"
+_BOND_TEXT = {SINGLE: "", DOUBLE: "=", TRIPLE: "#", AROMATIC: ":"}
+_DIGITS = [str(digit) if digit < 10 else f"%{digit:02d}" for digit in range(_MAX_RING_LABEL + 1)]
 
 
 def may_fail_to_write(mol: MolGraph, components: int | None = None) -> bool:
@@ -464,8 +421,37 @@ def may_fail_to_write(mol: MolGraph, components: int | None = None) -> bool:
     )
 
 
-def _digit_token(digit: int) -> str:
-    return str(digit) if digit < 10 else f"%{digit:02d}"
+def _ring_labels(rings: list[tuple[int, int, str, int]]) -> dict[int, str]:
+    """The ring-label text written after the token of each ring atom, keyed
+    by the atom's preorder position. ``rings`` holds one (open position,
+    close position, bond text, bond) per ring bond.
+
+    Each atom, in preorder, first writes its closes in digit order, freeing
+    those digits, each as bond text plus digit; then its opens in (close
+    position, bond) order, each taking the lowest free digit.
+    """
+    opens: dict[int, list[tuple[int, int]]] = {}
+    closes: dict[int, list[tuple[str, int]]] = {}
+    for open_pos, close_pos, text, bidx in rings:
+        opens.setdefault(open_pos, []).append((close_pos, bidx))
+        closes.setdefault(close_pos, []).append((text, bidx))
+    in_use = [False] * (_MAX_RING_LABEL + 2)
+    digit_of: dict[int, int] = {}
+    labels: dict[int, str] = {}
+    for pos in sorted(opens.keys() | closes.keys()):
+        out = []
+        for digit, text in sorted((digit_of[bidx], text) for text, bidx in closes.get(pos, ())):
+            in_use[digit] = False
+            out.append(text + _DIGITS[digit])
+        for _, bidx in sorted(opens.get(pos, ())):
+            digit = in_use.index(False, 1)
+            if digit > _MAX_RING_LABEL:
+                raise RingClosureError("too many simultaneously open rings")
+            digit_of[bidx] = digit
+            in_use[digit] = True
+            out.append(_DIGITS[digit])
+        labels[pos] = "".join(out)
+    return labels
 
 
 def write_smiles(mol: MolGraph) -> str:
@@ -491,38 +477,59 @@ def write_smiles_with_order(mol: MolGraph) -> tuple[str, list[int]]:
     order, freeing those digits, and then its opens, in (close position,
     bond) order, each taking the lowest free digit.
     """
-    if not mol.atoms:
-        raise ValueError("cannot serialize an empty molecule")
-    ranks = list(canonical_rank(mol).ranks)
-    preorder, children, opens, closes = _traverse(mol, ranks)
-    if len(preorder) < len(mol.atoms):
-        raise ValueError("cannot serialize a disconnected molecule")
     atoms, bonds = mol.atoms, mol.bonds
-    out: list[str] = []
-    # text before each atom: ")" ending the previous sibling's branch,
-    # "(" starting its own unless it is the last child, and its bond
-    lead = {preorder[0]: ""}
-    digit_of: dict[int, int] = {}
-    in_use: set[int] = set()
-    for atom in preorder:
-        aromatic = atoms[atom].aromatic
-        out.append(lead[atom] + atom_token(atoms[atom]))
-        for digit, bidx in sorted((digit_of[b], b) for b in closes.get(atom, ())):
-            in_use.discard(digit)
-            other = atoms[bonds[bidx].other(atom)]
-            out.append(_bond_token(bonds[bidx].order, aromatic, other.aromatic))
-            out.append(_digit_token(digit))
-        for _, bidx in sorted(opens.get(atom, ())):
-            digit = 1
-            while digit in in_use:
-                digit += 1
-            if digit > _MAX_RING_LABEL:
-                raise RingClosureError("too many simultaneously open rings")
-            digit_of[bidx] = digit
-            in_use.add(digit)
-            out.append(_digit_token(digit))
-        kids = children[atom]
-        for i, (child, bidx) in enumerate(kids):
-            bond = _bond_token(bonds[bidx].order, aromatic, atoms[child].aromatic)
-            lead[child] = (")" if i else "") + ("(" if i < len(kids) - 1 else "") + bond
+    n = len(atoms)
+    if not n:
+        raise ValueError("cannot serialize an empty molecule")
+    ranks = canonical_rank(mol).ranks
+    aromatic = [atom.aromatic for atom in atoms]
+    position = [-1] * n
+    seen = [False] * len(bonds)
+    rings: list[tuple[int, int, str, int]] = []
+    root = ranks.index(0)
+    position[root] = 0
+    preorder = [root]
+    # out[i]: the text of the atom at preorder position i, led by ")" when it
+    # ends the previous sibling's branch, "(" when a later sibling follows,
+    # and its bond
+    out = [atom_token(atoms[root])]
+    nbrs = mol.neighbors(root)
+    if len(nbrs) > 1:
+        nbrs = sorted(nbrs, key=lambda nb: ranks[nb[0]])
+    stack = [[root, iter(nbrs), -1]]  # atom, neighbours to visit, last child's position
+    while stack:
+        frame = stack[-1]
+        node = frame[0]
+        for nbr, bidx in frame[1]:
+            if seen[bidx]:
+                continue
+            seen[bidx] = True
+            text = _BOND_TEXT[bonds[bidx].order]
+            if not text and aromatic[node] and aromatic[nbr]:
+                text = "-"
+            if position[nbr] >= 0:
+                # an undirected DFS finds a ring bond from its later atom
+                rings.append((position[nbr], position[node], text, bidx))
+                continue
+            last = frame[2]
+            if last >= 0:
+                # the previous child's branch ends here, so it opens one
+                piece = out[last]
+                out[last] = ")(" + piece[1:] if piece[0] == ")" else "(" + piece
+                text = ")" + text
+            frame[2] = position[nbr] = len(preorder)
+            preorder.append(nbr)
+            out.append(text + atom_token(atoms[nbr]))
+            nbrs = mol.neighbors(nbr)
+            if len(nbrs) > 1:
+                nbrs = sorted(nbrs, key=lambda nb: ranks[nb[0]])
+            stack.append([nbr, iter(nbrs), -1])
+            break
+        else:
+            stack.pop()
+    if len(preorder) < n:
+        raise ValueError("cannot serialize a disconnected molecule")
+    if rings:
+        for pos, text in _ring_labels(rings).items():
+            out[pos] += text
     return "".join(out), preorder

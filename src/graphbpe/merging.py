@@ -25,7 +25,16 @@ a hit returns the string a fresh write would return, even where the
 canonical form is not yet invariant; a miss decodes the key and calls
 ``write_smiles``. The memo is process-wide (an ``lru_cache``, like the
 miner's motif caches), cannot go stale because the key is the whole input,
-and ``union_pattern.cache_clear()`` resets it.
+and ``union_pattern.cache_clear()`` resets it. A bond's own union (the
+starting edges) gets its signature and key straight from its two atoms'
+tokens and codes and its order code.
+
+Motif instances recur the same way, so ``instance_pattern`` memoizes the
+string and star positions of each one on its exact input to
+``write_smiles_with_order``: the fragment's ``union_key``, then one entry
+(the anchor's new atom id, the bond's order code) per broken bond in
+molecule bond order, then the number of broken bonds. A hit builds no
+subgraph; ``instance_pattern.cache_clear()`` resets it.
 
 ``apply_operation`` is the one merge primitive: the miner drives it pattern
 by pattern, and ``apply_operations`` replays a learned operation list for the
@@ -70,6 +79,7 @@ class MergeOperation:
 _ATOM_CODES: dict[Atom, str] = {}
 _CODED_ATOMS: list[Atom] = []
 _CODES_LOCK = threading.Lock()
+_STAR_ATOM = Atom(STAR)
 
 
 def _atom_code(atom: Atom) -> str:
@@ -94,18 +104,40 @@ def pattern_signature(pattern: str) -> str:
         return ""
 
 
+def _decode(key: str, end: int, stars: int = 0) -> MolGraph:
+    """The graph of the ``union_key`` in ``key[:end]``, plus one star atom
+    per (anchor, order code) entry of the ``stars`` that follow it."""
+    count = ord(key[0])
+    atoms = [_CODED_ATOMS[ord(code)] for code in key[1 : count + 1]]
+    bonds = [
+        make_bond(ord(key[i]), ord(key[i + 1]), BOND_ORDERS[ord(key[i + 2])])
+        for i in range(count + 1, end, 3)
+    ]
+    for star, i in enumerate(range(end, end + 2 * stars, 2), count):
+        atoms.append(_STAR_ATOM)
+        bonds.append(make_bond(ord(key[i]), star, BOND_ORDERS[ord(key[i + 1])]))
+    return MolGraph(tuple(atoms), tuple(bonds))
+
+
 @lru_cache(maxsize=None)
 def union_pattern(key: str) -> str:
     """Canonical string of the labelled graph that ``key`` (a
     ``MergingGraph.union_key``) encodes; interned, so the keys of isomorphic
     unions share one string object."""
+    return sys.intern(write_smiles(_decode(key, len(key))))
+
+
+@lru_cache(maxsize=None)
+def instance_pattern(key: str) -> tuple[str, tuple[int, ...]]:
+    """The canonical string of the motif instance that ``key`` encodes (see
+    ``extract_motifs``), interned, and the atom id of each star in it, one
+    per broken bond in key order."""
+    stars = ord(key[-1])
+    end = len(key) - 1 - 2 * stars
     count = ord(key[0])
-    atoms = tuple(_CODED_ATOMS[ord(code)] for code in key[1 : count + 1])
-    bonds = tuple(
-        make_bond(ord(key[i]), ord(key[i + 1]), BOND_ORDERS[ord(key[i + 2])])
-        for i in range(count + 1, len(key), 3)
-    )
-    return sys.intern(write_smiles(MolGraph(atoms, bonds)))
+    smiles, order = write_smiles_with_order(_decode(key, end, stars))
+    position = {atom: pos for pos, atom in enumerate(order)}
+    return sys.intern(smiles), tuple(position[star] for star in range(count, count + stars))
 
 
 class MergingGraph:
@@ -127,12 +159,27 @@ class MergingGraph:
         self._orders = "".join(ORDER_CODES[bond.order] for bond in mol.bonds)
         self.edges: dict[Pair, str] = {}
         self.by_signature: dict[str, dict[Pair, str | None]] = {}
-        for bond in mol.bonds:
-            self._add_edge((bond.a, bond.b))
+        for bidx, bond in enumerate(mol.bonds):
+            signature, key = self.bond_union(bidx)
+            self.edges[bond.a, bond.b] = signature
             # a bond's own union is written at once: few distinct ones exist,
             # so each costs a memo hit, and bench/selftest.py checks that
             # fragmentize(mol, []) writes them
-            self.pattern(bond.a, bond.b)
+            self.by_signature.setdefault(signature, {})[bond.a, bond.b] = union_pattern(key)
+
+    def bond_union(self, bidx: int) -> tuple[str, str]:
+        """``union_signature`` and ``union_key`` of the two atoms of bond
+        ``bidx``, built straight from their tokens and codes and the bond's
+        order code."""
+        bond, order = self.mol.bonds[bidx], self._orders[bidx]
+        label_a, label_b = self._tokens[bond.a] + "1", self._tokens[bond.b] + "1"
+        if label_b < label_a:
+            label_a, label_b = label_b, label_a
+        codes = self._atom_codes
+        return (
+            sys.intern(f"{label_a} {label_b}|{order}"),
+            f"\x02{codes[bond.a]}{codes[bond.b]}\x00\x01{order}",
+        )
 
     @staticmethod
     def _pair(fa: int, fb: int) -> Pair:
@@ -164,13 +211,17 @@ class MergingGraph:
         three characters (new a, new b, order) per induced bond in molecule
         bond order."""
         ordered = sorted(atom_ids)
-        new_id = {old: new for new, old in enumerate(ordered)}
-        codes, bonds = self._atom_codes, self.mol.bonds
+        return self._union_key(ordered, {old: new for new, old in enumerate(ordered)})
+
+    def _union_key(self, ordered: list[int], new_id: dict[int, int]) -> str:
+        """``union_key`` of the ascending atom ids ``ordered``; ``new_id``
+        maps each to its index there."""
+        codes, bonds, orders = self._atom_codes, self.mol.bonds, self._orders
         parts = [chr(len(ordered))]
         parts += [codes[i] for i in ordered]
         for bidx in self.mol.induced_bond_ids(new_id):
             bond = bonds[bidx]
-            parts.append(chr(new_id[bond.a]) + chr(new_id[bond.b]) + ORDER_CODES[bond.order])
+            parts.append(chr(new_id[bond.a]) + chr(new_id[bond.b]) + orders[bidx])
         return "".join(parts)
 
     def scan_key(self, fa: int, fb: int) -> tuple[int, ...]:
@@ -258,7 +309,10 @@ def apply_operations(mol: MolGraph, ops: list[MergeOperation]) -> MergingGraph:
     """Run every merge operation in rank order over a fresh merging graph."""
     state = MergingGraph(mol)
     for op in ops:
-        state.apply_operation(op.pattern)
+        # most operations find no edge of their signature; skip those calls
+        signature = pattern_signature(op.pattern)
+        if signature in state.by_signature:
+            state.apply_operation(op.pattern, signature)
     return state
 
 
@@ -316,20 +370,17 @@ def extract_motifs(state: MergingGraph) -> Fragmentation:
             cross[mb].append((bidx, bond.b))
     motifs: list[MotifInstance] = []
     star_of: dict[tuple[int, int], int] = {}  # (motif, bond) -> star atom id
+    orders = state._orders
     for index, atom_ids in enumerate(parts):
-        base, mapping = mol.subgraph(atom_ids)
-        atoms = list(base.atoms)
-        bonds = list(base.bonds)
-        star_raw: dict[int, int] = {}
-        for bidx, anchor in cross[index]:
-            star_raw[bidx] = len(atoms)
-            atoms.append(Atom(STAR))
-            bonds.append(make_bond(mapping[anchor], star_raw[bidx], mol.bonds[bidx].order))
-        smiles, order = write_smiles_with_order(MolGraph(tuple(atoms), tuple(bonds)))
-        pos_of_raw = {raw: i for i, raw in enumerate(order)}
-        for bidx, raw in star_raw.items():
-            star_of[index, bidx] = pos_of_raw[raw]
-        motifs.append(MotifInstance(smiles, len(base.atoms), atom_ids))
+        new_id = {old: new for new, old in enumerate(atom_ids)}
+        stars = cross[index]
+        key = state._union_key(atom_ids, new_id) + "".join(
+            [chr(new_id[anchor]) + orders[bidx] for bidx, anchor in stars]
+        ) + chr(len(stars))
+        smiles, positions = instance_pattern(key)
+        for (bidx, _), pos in zip(stars, positions):
+            star_of[index, bidx] = pos
+        motifs.append(MotifInstance(smiles, len(atom_ids), atom_ids))
     links = []
     for bidx, bond in enumerate(mol.bonds):
         ma, mb = motif_of[bond.a], motif_of[bond.b]

@@ -1,17 +1,19 @@
 """Shared test utilities: random valid molecules, permutation tools, mined
 artifacts as values, an eager reference miner, an isomorphism matcher
 independent of the package's canonical ranking, the generator's
-full-array selection rule, an eager reference ``evaluate`` and a
-character-loop reference parser."""
+full-array selection rule, an eager reference ``evaluate``, a
+character-loop reference parser, and reference copies of the canonical
+ranking and writer kernels."""
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import groupby
 from random import Random
 
 import numpy as np
 
-from graphbpe.chem import parse_smiles, valence_check, write_smiles
+from graphbpe.chem import atom_token, parse_smiles, valence_check, write_smiles
 from graphbpe.chem.mol import (
     AROMATIC,
     DOUBLE,
@@ -600,3 +602,206 @@ def reference_parse_smiles(text: str, validate: bool = True) -> MolGraph:
     if validate:
         check_molecule(mol)
     return mol
+
+
+class _ReferencePartition:
+    """The ordered partition of ``reference_canonical_rank``: cells of atom
+    sets labelled by start position, split by (bond x2, neighbour cell)
+    pair signatures, one ``_new_cell``/``_place`` call per cell."""
+
+    def __init__(self, mol: MolGraph, keys: list) -> None:
+        n = len(keys)
+        bonds = mol.bonds
+        self.neighbors = [
+            [(ORDER_X2[bonds[bidx].order], nbr) for nbr, bidx in mol.neighbors(i)]
+            for i in range(n)
+        ]
+        self.cell_of = [0] * n
+        self.start: list[int] = []
+        self.members: list[set[int]] = []
+        self.cell_at = [0] * n
+        pos = 0
+        for _, group in groupby(sorted(range(n), key=keys.__getitem__), key=keys.__getitem__):
+            atoms = list(group)
+            self._new_cell(atoms, pos)
+            pos += len(atoms)
+
+    def labels(self) -> list[int]:
+        return [self.start[c] for c in self.cell_of]
+
+    def refine(self, moved: list[int]) -> None:
+        neighbors, cell_of, start, members = self.neighbors, self.cell_of, self.start, self.members
+        while moved:
+            touched: set[int] = set()
+            by_cell: dict[int, list[int]] = {}
+            for atom in moved:
+                for _, nbr in neighbors[atom]:
+                    if nbr not in touched:
+                        touched.add(nbr)
+                        if len(members[cell_of[nbr]]) > 1:
+                            by_cell.setdefault(cell_of[nbr], []).append(nbr)
+            splits = []
+            for cell, atoms in by_cell.items():
+                untouched = len(members[cell]) - len(atoms)
+                rep = next(a for a in members[cell] if a not in touched) if untouched else -1
+                if untouched:
+                    atoms.append(rep)
+                signed = sorted(
+                    (tuple(sorted([(x2, start[cell_of[nbr]]) for x2, nbr in neighbors[a]])), a)
+                    for a in atoms
+                )
+                parts: list[list] = []
+                kept = -1
+                previous = None
+                for signature, atom in signed:
+                    if signature != previous:
+                        parts.append([[], 0])
+                        previous = signature
+                    if atom == rep:
+                        kept = len(parts) - 1
+                        parts[-1][1] += untouched
+                    else:
+                        parts[-1][0].append(atom)
+                        parts[-1][1] += 1
+                if len(parts) > 1:
+                    if kept < 0:
+                        kept = max(range(len(parts)), key=lambda k: parts[k][1])
+                    splits.append((cell, parts, kept))
+            moved = []
+            for cell, parts, kept in splits:
+                pos = start[cell]
+                for k, (atoms, size) in enumerate(parts):
+                    if k == kept:
+                        self._place(cell, pos)
+                    else:
+                        members[cell].difference_update(atoms)
+                        self._new_cell(atoms, pos)
+                        moved.extend(atoms)
+                    pos += size
+
+    def individualize_first_ambiguous(self, pos: int) -> int:
+        cell_at, members = self.cell_at, self.members
+        while pos < len(cell_at) and len(members[cell_at[pos]]) == 1:
+            pos += 1
+        if pos < len(cell_at):
+            cell = cell_at[pos]
+            chosen = min(members[cell])
+            members[cell].discard(chosen)
+            self._place(cell, pos + 1)
+            self._new_cell([chosen], pos)
+            self.refine([chosen])
+        return pos
+
+    def _place(self, cell: int, pos: int) -> None:
+        self.start[cell] = pos
+        self.cell_at[pos] = cell
+
+    def _new_cell(self, atoms: list[int], pos: int) -> None:
+        cell = len(self.start)
+        self.start.append(pos)
+        self.members.append(set(atoms))
+        self.cell_at[pos] = cell
+        for atom in atoms:
+            self.cell_of[atom] = cell
+
+
+def reference_canonical_rank(mol: MolGraph) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(ranks, symmetry classes) as ``canonical_rank`` computed them with
+    pair-valued neighbour terms and per-cell helper calls: the oracle that
+    the ranking kernel must match, atom for atom."""
+    n = len(mol.atoms)
+    if n == 0:
+        return (), ()
+    seeds = [
+        (a.element, a.formal_charge, a.aromatic, mol.degree(i), a.explicit_h)
+        for i, a in enumerate(mol.atoms)
+    ]
+    partition = _ReferencePartition(mol, seeds)
+    partition.refine(list(range(n)))
+    labels = partition.labels()
+    dense = {label: k for k, label in enumerate(sorted(set(labels)))}
+    symmetry = tuple(dense[label] for label in labels)
+    pos = 0
+    while pos < n:
+        pos = partition.individualize_first_ambiguous(pos)
+    return tuple(partition.labels()), symmetry
+
+
+def _reference_bond_token(order: str, arom_a: bool, arom_b: bool) -> str:
+    if order == SINGLE:
+        return "-" if (arom_a and arom_b) else ""
+    if order == AROMATIC:
+        return ":"
+    return "=" if order == DOUBLE else "#"
+
+
+def _reference_traverse(mol: MolGraph, ranks: list[int]):
+    root = ranks.index(0)
+    position = {root: 0}
+    preorder = [root]
+    children: list[list[tuple[int, int]]] = [[] for _ in mol.atoms]
+    opens: dict[int, list[tuple[int, int]]] = {}
+    closes: dict[int, list[int]] = {}
+    seen_bonds: set[int] = set()
+
+    def todo(atom: int) -> list[tuple[int, int]]:
+        return sorted(mol.neighbors(atom), key=lambda nb: ranks[nb[0]], reverse=True)
+
+    stack = [(root, todo(root))]
+    while stack:
+        node, pending = stack[-1]
+        if not pending:
+            stack.pop()
+            continue
+        nbr, bidx = pending.pop()
+        if bidx in seen_bonds:
+            continue
+        seen_bonds.add(bidx)
+        if nbr in position:
+            opens.setdefault(nbr, []).append((position[node], bidx))
+            closes.setdefault(node, []).append(bidx)
+            continue
+        children[node].append((nbr, bidx))
+        position[nbr] = len(preorder)
+        preorder.append(nbr)
+        stack.append((nbr, todo(nbr)))
+    return preorder, children, opens, closes
+
+
+def reference_write_smiles_with_order(mol: MolGraph) -> tuple[str, list[int]]:
+    """``write_smiles_with_order`` as a DFS over dicts and sets followed by
+    a separate emission loop, ranked by ``reference_canonical_rank``: the
+    oracle that the writer kernel must match, string and order alike."""
+    if not mol.atoms:
+        raise ValueError("cannot serialize an empty molecule")
+    ranks = list(reference_canonical_rank(mol)[0])
+    preorder, children, opens, closes = _reference_traverse(mol, ranks)
+    if len(preorder) < len(mol.atoms):
+        raise ValueError("cannot serialize a disconnected molecule")
+    atoms, bonds = mol.atoms, mol.bonds
+    out: list[str] = []
+    lead = {preorder[0]: ""}
+    digit_of: dict[int, int] = {}
+    in_use: set[int] = set()
+    for atom in preorder:
+        aromatic = atoms[atom].aromatic
+        out.append(lead[atom] + atom_token(atoms[atom]))
+        for digit, bidx in sorted((digit_of[b], b) for b in closes.get(atom, ())):
+            in_use.discard(digit)
+            other = atoms[bonds[bidx].other(atom)]
+            out.append(_reference_bond_token(bonds[bidx].order, aromatic, other.aromatic))
+            out.append(str(digit) if digit < 10 else f"%{digit:02d}")
+        for _, bidx in sorted(opens.get(atom, ())):
+            digit = 1
+            while digit in in_use:
+                digit += 1
+            if digit > 99:
+                raise RingClosureError("too many simultaneously open rings")
+            digit_of[bidx] = digit
+            in_use.add(digit)
+            out.append(str(digit) if digit < 10 else f"%{digit:02d}")
+        kids = children[atom]
+        for i, (child, bidx) in enumerate(kids):
+            bond = _reference_bond_token(bonds[bidx].order, aromatic, atoms[child].aromatic)
+            lead[child] = (")" if i else "") + ("(" if i < len(kids) - 1 else "") + bond
+    return "".join(out), preorder

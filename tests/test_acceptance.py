@@ -189,22 +189,22 @@ def test_07_compression_monotonic(corpus_1k, ops_500):
     assert means[0] > means[-1]
 
 
-@criterion(8, "mining time on a doubled corpus stays within 2.5x (best of 3 runs)")
+@criterion(8, "mining time on a doubled corpus stays within 2.5x (best of 5 alternating runs)")
 def test_08_scaling(corpus_1k):
     _, mols = corpus_1k
     base = mols[:300]
     doubled = base + base
 
     def timed(corpus):
-        samples = []
-        for _ in range(3):
-            begin = time.perf_counter()
-            learn_merging_operations(corpus, 40)
-            samples.append(time.perf_counter() - begin)
-        return min(samples)  # interference from other load only adds time
+        begin = time.perf_counter()
+        learn_merging_operations(corpus, 40)
+        return time.perf_counter() - begin
 
-    t1 = timed(base)
-    t2 = timed(doubled)
+    # alternate the sizes, so that a slow phase of the host hits both sides;
+    # interference from other load only adds time, so take the best of each
+    samples = [(timed(base), timed(doubled)) for _ in range(5)]
+    t1 = min(one for one, _ in samples)
+    t2 = min(two for _, two in samples)
     assert t2 <= 2.5 * t1, f"1x={t1:.3f}s 2x={t2:.3f}s ratio={t2 / t1:.2f}"
 
 

@@ -11,14 +11,19 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACING = ROOT / "bench" / "tracing.py"
+RUN = ROOT / "bench" / "run.py"
 
 
-def load_tracing():
-    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+def load_bench_module(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # its dataclasses resolve their module
     spec.loader.exec_module(module)
     return module
+
+
+def load_tracing():
+    return load_bench_module("bench_tracing", TRACING)
 
 
 def test_traced_functions_resolve():
@@ -88,3 +93,21 @@ def test_result_attributes_the_benchmark_reads():
         assert isinstance(getattr(ev, name), float), name
     for name in ("valid_count", "unique_count"):
         assert isinstance(getattr(ev, name), int), name
+
+
+def test_cache_sweep_empties_the_instance_memo():
+    # every bench stage starts from bench/run.py's cold_caches(), which
+    # clears each module-level value of the package that has cache_clear and
+    # cache_info; the motif-instance memo must be one, or warm state from one
+    # stage would leak into the next one's timing
+    import graphbpe
+    import graphbpe.merging
+
+    memo = vars(graphbpe.merging)["instance_pattern"]
+    assert callable(memo.cache_clear) and callable(memo.cache_info)
+    corpus = [graphbpe.parse_smiles(s) for s in ("CCO", "CC(=O)N", "c1ccccc1O", "CCN")]
+    result = graphbpe.mine_corpus(corpus, 3)
+    graphbpe.fragmentize(graphbpe.parse_smiles("CCCO"), result.operations)
+    assert memo.cache_info().currsize > 0
+    load_bench_module("bench_run", RUN).cold_caches()
+    assert memo.cache_info().currsize == 0

@@ -7,8 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphbpe.chem import canonical_rank, parse_smiles, write_smiles
-from helpers import fused_ladder_smiles, permute_molecule, random_molecule
+import graphbpe.merging
+from graphbpe.chem import canonical_rank, parse_smiles, write_smiles, write_smiles_with_order
+from graphbpe.merging import instance_pattern, union_pattern
+from graphbpe.miner import mine_corpus
+from helpers import (
+    fused_ladder_smiles,
+    permute_molecule,
+    random_molecule,
+    reference_canonical_rank,
+    reference_write_smiles_with_order,
+)
 
 
 def ranked_adjacency(mol):
@@ -130,3 +139,49 @@ def test_chain_scaling_near_linear():
     t2 = rank_time(1600)
     # linear would be 4x and quadratic 16x
     assert t2 <= 8 * t1, f"C400={t1:.4f}s C1600={t2:.4f}s ratio={t2 / t1:.2f}"
+
+
+def write_outcome(write, mol):
+    """(string, order), or the type and message of the error ``write`` raised."""
+    try:
+        return write(mol)
+    except Exception as error:  # noqa: BLE001 - the oracle must raise alike
+        return type(error), str(error)
+
+
+def assert_kernels_match_reference(mol):
+    ranking = canonical_rank(mol)
+    assert (ranking.ranks, ranking.symmetry_classes) == reference_canonical_rank(mol)
+    assert write_outcome(write_smiles_with_order, mol) == write_outcome(
+        reference_write_smiles_with_order, mol
+    )
+
+
+def test_kernels_match_reference_on_golden_graphs(corpus_1k):
+    # fixture molecules and permutations of them, ladders, long chains, cage
+    for mol in golden_graphs(corpus_1k[1]):
+        assert_kernels_match_reference(mol)
+
+
+def test_kernels_match_reference_on_mined_unions_and_motif_instances(corpus_1k, monkeypatch):
+    written = {"write_smiles": [], "write_smiles_with_order": []}
+    for name, graphs in written.items():
+        def record(mol, write=getattr(graphbpe.merging, name), graphs=graphs):
+            graphs.append(mol)
+            return write(mol)
+
+        monkeypatch.setattr(graphbpe.merging, name, record)
+    union_pattern.cache_clear()
+    instance_pattern.cache_clear()
+    mine_corpus(corpus_1k[1][:150], 40)
+    unions, instances = written["write_smiles"], written["write_smiles_with_order"]
+    assert len(unions) > 500
+    assert any(atom.is_connection_site for mol in instances for atom in mol.atoms)
+    for mol in unions + instances:
+        assert_kernels_match_reference(mol)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 10**9))
+def test_kernels_match_reference_on_random_molecules(seed):
+    assert_kernels_match_reference(random_molecule(Random(seed), max_atoms=16))

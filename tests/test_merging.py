@@ -1,6 +1,7 @@
-"""The union-pattern memo: its key is the exact induced labelled graph, so
-a hit can never return a string that a fresh write would not. Edge
-signatures: a union's signature is the signature of its pattern string."""
+"""The union-pattern and motif-instance memos: each key is the exact
+labelled graph that would be written, so a hit can never return a string
+that a fresh write would not. Edge signatures: a union's signature is the
+signature of its pattern string."""
 import sys
 import threading
 from dataclasses import replace
@@ -8,9 +9,19 @@ from random import Random
 
 import pytest
 
-from graphbpe.chem import write_smiles
-from graphbpe.chem.mol import Atom, MolGraph, make_bond
-from graphbpe.merging import MergingGraph, apply_operations, pattern_signature, union_pattern
+from graphbpe.chem import write_smiles, write_smiles_with_order
+from graphbpe.chem.mol import STAR, Atom, MolGraph, make_bond
+from graphbpe.merging import (
+    BrokenBondLink,
+    Fragmentation,
+    MergingGraph,
+    MotifInstance,
+    apply_operations,
+    extract_motifs,
+    instance_pattern,
+    pattern_signature,
+    union_pattern,
+)
 from graphbpe.miner import learn_merging_operations
 from helpers import mined, random_molecule
 
@@ -105,6 +116,78 @@ def test_mining_is_the_same_with_a_cold_and_a_warm_cache(corpus_1k):
     mined(mols[60:160], 30)
     assert union_pattern.cache_info().currsize > 0
     assert mined(mols[:60], 30) == cold
+
+
+def test_bond_unions_are_built_as_the_general_signature_and_key(corpus_1k):
+    for mol in corpus_1k[1]:
+        state = MergingGraph(mol)
+        for bidx, bond in enumerate(mol.bonds):
+            pair = [bond.a, bond.b]
+            signature, key = state.bond_union(bidx)
+            assert signature == state.union_signature(pair)
+            assert key == state.union_key(pair)
+            assert state.edges[bond.a, bond.b] is signature
+
+
+def fresh_fragmentation(state: MergingGraph) -> Fragmentation:
+    """``extract_motifs`` with no memo: every instance, stars included, is
+    cut from the molecule and written afresh."""
+    mol = state.mol
+    parts = sorted(tuple(sorted(atoms)) for atoms in state.frag_atoms.values())
+    motif_of = {atom: index for index, atoms in enumerate(parts) for atom in atoms}
+    motifs, star_of = [], {}
+    for index, atom_ids in enumerate(parts):
+        base, mapping = mol.subgraph(atom_ids)
+        atoms, bonds, raw_of = list(base.atoms), list(base.bonds), {}
+        for bidx, bond in enumerate(mol.bonds):
+            if (motif_of[bond.a] == index) != (motif_of[bond.b] == index):
+                anchor = bond.a if motif_of[bond.a] == index else bond.b
+                raw_of[bidx] = len(atoms)
+                atoms.append(Atom(STAR))
+                bonds.append(make_bond(mapping[anchor], raw_of[bidx], bond.order))
+        smiles, order = write_smiles_with_order(MolGraph(tuple(atoms), tuple(bonds)))
+        for bidx, raw in raw_of.items():
+            star_of[index, bidx] = order.index(raw)
+        motifs.append(MotifInstance(smiles, len(atom_ids), atom_ids))
+    links = tuple(
+        BrokenBondLink(ma, star_of[ma, bidx], mb, star_of[mb, bidx], bond.order)
+        for bidx, bond in enumerate(mol.bonds)
+        for ma, mb in [(motif_of[bond.a], motif_of[bond.b])]
+        if ma != mb
+    )
+    return Fragmentation(tuple(motifs), links)
+
+
+def test_instances_are_fresh_writes_with_a_cold_and_a_warm_memo(corpus_1k, ops_500):
+    states = [apply_operations(mol, ops_500[:200]) for mol in corpus_1k[1]]
+    instance_pattern.cache_clear()
+    cold = [extract_motifs(state) for state in states]
+    misses = instance_pattern.cache_info().misses
+    assert 0 < misses < sum(len(frag.motifs) for frag in cold)  # instances repeat
+    warm = [extract_motifs(state) for state in states]
+    assert instance_pattern.cache_info().misses == misses
+    assert warm == cold
+    assert cold == [fresh_fragmentation(state) for state in states]
+
+
+def test_instance_key_is_the_union_key_then_the_broken_bonds():
+    # C-N=O cut into {C, N} and {O}: the double bond is broken, and on each
+    # side its anchor is the side's atom of new id 1 (N) and 0 (O)
+    mol = MolGraph((Atom("C"), Atom("N"), Atom("O")),
+                   (make_bond(0, 1, "single"), make_bond(1, 2, "double")))
+    state = MergingGraph(mol)
+    state.merge(0, 1)
+    instance_pattern.cache_clear()
+    frag = extract_motifs(state)
+    assert [m.smiles for m in frag.motifs] == ["*=NC", "*=O"]
+    assert instance_pattern.cache_info().misses == 2
+    double = "\x01"  # ORDER_CODES["double"]
+    keys = [
+        state.union_key([0, 1]) + "\x01" + double + "\x01",
+        state.union_key([2]) + "\x00" + double + "\x01",
+    ]
+    assert [instance_pattern(key) for key in keys] == [("*=NC", (0,)), ("*=O", (0,))]
+    assert instance_pattern.cache_info().hits == 2
 
 
 def test_threads_coding_new_atoms_at_once_get_their_own_codes():
