@@ -33,7 +33,6 @@ from graphbpe.miner import (
     Motif,
     MotifVocabulary,
     build_motif_vocabulary,
-    count_pair_patterns,
     learn_merging_operations,
     mine_corpus,
 )
@@ -59,7 +58,6 @@ __all__ = [
     "build_motif_vocabulary",
     "canonical_rank",
     "compute_descriptors",
-    "count_pair_patterns",
     "evaluate",
     "extract_trajectory",
     "finalize",

@@ -28,7 +28,7 @@ from __future__ import annotations
 import re
 import sys
 
-from graphbpe.chem.canon import canonical_rank
+from graphbpe.chem.canon import CanonicalRanking, canonical_rank
 from graphbpe.chem.mol import (
     AROMATIC,
     DOUBLE,
@@ -464,11 +464,14 @@ def write_smiles(mol: MolGraph) -> str:
     return write_smiles_with_order(mol)[0]
 
 
-def write_smiles_with_order(mol: MolGraph) -> tuple[str, list[int]]:
+def write_smiles_with_order(
+    mol: MolGraph, *, ranking: CanonicalRanking | None = None
+) -> tuple[str, list[int]]:
     """Canonical SMILES plus the emission order of the input atom ids.
 
     ``order[i]`` is the input atom id written at position ``i``; parsing the
     returned string yields atom ``i`` for input atom ``order[i]``.
+    ``ranking`` is ``canonical_rank(mol)`` where the caller already has it.
 
     Atoms are written in the preorder of one DFS that starts at the rank-0
     atom and takes neighbours in rank order; every tree child but the last
@@ -481,7 +484,9 @@ def write_smiles_with_order(mol: MolGraph) -> tuple[str, list[int]]:
     n = len(atoms)
     if not n:
         raise ValueError("cannot serialize an empty molecule")
-    ranks = canonical_rank(mol).ranks
+    if ranking is None:
+        ranking = canonical_rank(mol)
+    ranks = ranking.ranks
     aromatic = [atom.aromatic for atom in atoms]
     position = [-1] * n
     seen = [False] * len(bonds)

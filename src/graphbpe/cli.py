@@ -264,7 +264,7 @@ def _cmd_inspect_vocab(args: argparse.Namespace) -> int:
     motifs = sorted(vocab.ordered_motifs(), key=lambda m: (-m.frequency, m.smiles))
     print(f"{len(motifs)} motifs")
     for motif in motifs:
-        print(f"{motif.frequency}\t{motif.smiles}\t{format_sites(motif.smiles)}")
+        print(f"{motif.frequency}\t{motif.smiles}\t{format_sites(motif.sites)}")
     return EXIT_OK
 
 

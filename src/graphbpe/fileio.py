@@ -28,6 +28,7 @@ from graphbpe.miner import (
     MergeOperation,
     Motif,
     MotifVocabulary,
+    SiteTable,
     SiteType,
     attachment_key,
     motif_sites,
@@ -143,9 +144,8 @@ def _raise_version(path: str | Path, expected: str, found: str) -> NoReturn:
     raise FormatVersionError(f"{path}: expected header {expected!r}, found {found!r}")
 
 
-def format_sites(smiles: str) -> str:
-    """A motif's site list as written in a vocabulary line."""
-    sites = motif_sites(smiles)
+def format_sites(sites: SiteTable) -> str:
+    """A motif's site table as written in a vocabulary line."""
     if not sites:
         return "-"
     return ",".join(f"{star}:{cls}:{order}" for star, (_, cls, order) in sites)
@@ -155,7 +155,7 @@ def write_vocabulary(path: str | Path, vocab: MotifVocabulary) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(VOCAB_HEADER + "\n")
         for motif in vocab.ordered_motifs():
-            handle.write(f"{motif.smiles}\t{motif.frequency}\t{format_sites(motif.smiles)}\n")
+            handle.write(f"{motif.smiles}\t{motif.frequency}\t{format_sites(motif.sites)}\n")
 
 
 def _site_token(site: SiteType) -> str:
@@ -195,19 +195,19 @@ def read_vocabulary(
                 f"{vocab_path}: frequency {frequency} is not positive", line_number
             )
         try:
-            expected_sites = format_sites(smiles)
+            sites = motif_sites(smiles)
         except GraphBpeError as exc:
             raise FileFormatError(
                 f"{vocab_path}: bad motif {smiles!r}: {exc}", line_number
             ) from exc
-        if sites_str != expected_sites:
+        if sites_str != format_sites(sites):
             raise FileFormatError(
                 f"{vocab_path}: site list {sites_str!r} does not match motif {smiles!r}",
                 line_number,
             )
         if smiles in motifs:
             raise FileFormatError(f"{vocab_path}: duplicate motif {smiles!r}", line_number)
-        motifs[smiles] = Motif(smiles, frequency)
+        motifs[smiles] = Motif(smiles, frequency, sites)
     attachments: Counter[tuple[SiteType, SiteType]] = Counter()
     if attach_path is not None:
         known_sites = {

@@ -12,8 +12,10 @@ A pattern fixes its signature: equal canonical strings give equal
 signatures (see ``graph_signature``), so ``pattern_signature(pattern)`` is
 the signature of every union written as ``pattern``. Edges with different
 signatures therefore never share a pattern, and a pass for one pattern
-writes only the unions that carry its signature. ``graphbpe.metrics`` uses
-the same invariant to skip training molecules no generated one can equal.
+writes only the unions that carry its signature. Each ``MergeOperation``
+carries its pattern's signature, so replaying operations parses no pattern.
+``graphbpe.metrics`` uses the same invariant to skip training molecules no
+generated one can equal.
 
 The same small unions recur across molecules, so ``union_pattern``
 memoizes the pattern string on ``MergingGraph.union_key``, a string that
@@ -30,11 +32,22 @@ starting edges) gets its signature and key straight from its two atoms'
 tokens and codes and its order code.
 
 Motif instances recur the same way, so ``instance_pattern`` memoizes the
-string and star positions of each one on its exact input to
+string, star positions and site table of each one on its exact input to
 ``write_smiles_with_order``: the fragment's ``union_key``, then one entry
 (the anchor's new atom id, the bond's order code) per broken bond in
 molecule bond order, then the number of broken bonds. A hit builds no
-subgraph; ``instance_pattern.cache_clear()`` resets it.
+graph; ``instance_pattern.cache_clear()`` resets it. A miss ranks the
+decoded instance once, for the write and for the site table: a site's class
+needs the ranks of ``parse_smiles`` of the written string, and those are the
+instance's own ranks in emission order when refinement alone separates
+every atom (refinement does not depend on atom numbering). Otherwise the
+ranks depend on the lowest-index tie-break, so the instance relabelled into
+emission order, which is the parsed string as a labelled graph, is ranked
+again.
+
+A key is only ever built from a checked molecule, so ``_decode`` builds its
+graph without checks: every key bond has a < b, and a star's anchor id is
+below the star's own.
 
 ``apply_operation`` is the one merge primitive: the miner drives it pattern
 by pattern, and ``apply_operations`` replays a learned operation list for the
@@ -47,7 +60,7 @@ from __future__ import annotations
 
 import sys
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 from graphbpe.chem import (
@@ -60,19 +73,51 @@ from graphbpe.chem import (
     write_smiles,
     write_smiles_with_order,
 )
-from graphbpe.chem.mol import BOND_ORDERS, STAR, Atom, make_bond
+from graphbpe.chem.mol import BOND_ORDERS, STAR, Atom, Bond
 from graphbpe.errors import NotAdjacentError, SmilesSyntaxError
 
 Pair = tuple[int, int]
 
+# (motif smiles, site symmetry class, bond order)
+SiteType = tuple[str, int, str]
+# (star atom id, site type) per connection site, in canonical atom order
+SiteTable = tuple[tuple[int, SiteType], ...]
+
 
 @dataclass(frozen=True)
 class MergeOperation:
-    """One learned operation: merge every edge whose union is ``pattern``."""
+    """One learned operation: merge every edge whose union is ``pattern``.
+
+    ``signature`` is ``pattern_signature(pattern)``, computed here when the
+    caller does not pass it; it takes no part in comparisons.
+    """
 
     rank: int
     pattern: str
     observed_count: int
+    signature: str | None = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        if self.signature is None:
+            object.__setattr__(self, "signature", pattern_signature(self.pattern))
+
+
+def site_table(smiles: str, stars, ranks, classes) -> SiteTable:
+    """The site table of motif ``smiles`` from its parsed graph's canonical
+    ``ranks`` and refinement ``classes``, indexed by atom id; ``stars``
+    holds (star atom id, bond order) per star.
+
+    The class id is the smallest canonical rank among the stars of one
+    refinement class, so interchangeable sites share an id and the id is
+    stable across isomorphic inputs. This is the one place a ``SiteType``
+    is built.
+    """
+    class_id: dict[int, int] = {}  # refinement class -> its first star's rank
+    out = []
+    for star, order in sorted(stars, key=lambda entry: ranks[entry[0]]):
+        cid = class_id.setdefault(classes[star], ranks[star])
+        out.append((star, (smiles, cid, order)))
+    return tuple(out)
 
 
 # atom codes of union_key; append-only, so a code never changes meaning
@@ -109,14 +154,30 @@ def _decode(key: str, end: int, stars: int = 0) -> MolGraph:
     per (anchor, order code) entry of the ``stars`` that follow it."""
     count = ord(key[0])
     atoms = [_CODED_ATOMS[ord(code)] for code in key[1 : count + 1]]
-    bonds = [
-        make_bond(ord(key[i]), ord(key[i + 1]), BOND_ORDERS[ord(key[i + 2])])
+    atoms += [_STAR_ATOM] * stars
+    ends = [
+        (ord(key[i]), ord(key[i + 1]), BOND_ORDERS[ord(key[i + 2])])
         for i in range(count + 1, end, 3)
     ]
-    for star, i in enumerate(range(end, end + 2 * stars, 2), count):
-        atoms.append(_STAR_ATOM)
-        bonds.append(make_bond(ord(key[i]), star, BOND_ORDERS[ord(key[i + 1])]))
-    return MolGraph(tuple(atoms), tuple(bonds))
+    ends += [
+        (ord(key[i]), star, BOND_ORDERS[ord(key[i + 1])])
+        for star, i in enumerate(range(end, end + 2 * stars, 2), count)
+    ]
+    return _unchecked_graph(atoms, ends)
+
+
+def _unchecked_graph(atoms: list[Atom], ends: list[tuple[int, int, str]]) -> MolGraph:
+    """The graph of ``atoms`` with one bond per (a, b, order) entry, each
+    with a < b, and neighbour lists as ``MolGraph`` builds them."""
+    adjacency: list[list[tuple[int, int]]] = [[] for _ in atoms]
+    bonds = []
+    for bidx, (a, b, order) in enumerate(ends):
+        bonds.append(Bond(a, b, order))
+        adjacency[a].append((b, bidx))
+        adjacency[b].append((a, bidx))
+    return MolGraph.from_adjacency(
+        tuple(atoms), tuple(bonds), tuple([tuple(nbrs) for nbrs in adjacency])
+    )
 
 
 @lru_cache(maxsize=None)
@@ -128,16 +189,37 @@ def union_pattern(key: str) -> str:
 
 
 @lru_cache(maxsize=None)
-def instance_pattern(key: str) -> tuple[str, tuple[int, ...]]:
+def instance_pattern(key: str) -> tuple[str, tuple[int, ...], SiteTable]:
     """The canonical string of the motif instance that ``key`` encodes (see
-    ``extract_motifs``), interned, and the atom id of each star in it, one
-    per broken bond in key order."""
+    ``extract_motifs``), interned; the atom id of each star in it, one per
+    broken bond in key order; and its site table, the one
+    ``graphbpe.miner.motif_sites`` gives for that string."""
     stars = ord(key[-1])
     end = len(key) - 1 - 2 * stars
     count = ord(key[0])
-    smiles, order = write_smiles_with_order(_decode(key, end, stars))
-    position = {atom: pos for pos, atom in enumerate(order)}
-    return sys.intern(smiles), tuple(position[star] for star in range(count, count + stars))
+    mol = _decode(key, end, stars)
+    ranking = canonical_rank(mol)
+    smiles, order = write_smiles_with_order(mol, ranking=ranking)
+    smiles = sys.intern(smiles)
+    position = [0] * len(order)
+    for pos, atom in enumerate(order):
+        position[atom] = pos
+    positions = tuple(position[star] for star in range(count, count + stars))
+    # each star's bond is one of the last ``stars`` bonds, in star order
+    orders = [bond.order for bond in mol.bonds[len(mol.bonds) - stars :]]
+    if max(ranking.symmetry_classes) == len(order) - 1:
+        # refinement alone separated every atom: no tie-break was used
+        ranks = [ranking.ranks[atom] for atom in order]
+        classes = [ranking.symmetry_classes[atom] for atom in order]
+    else:
+        # the parsed string as a labelled graph: the instance in emission order
+        ends = []
+        for bond in mol.bonds:
+            a, b = position[bond.a], position[bond.b]
+            ends.append((a, b, bond.order) if a < b else (b, a, bond.order))
+        parsed = canonical_rank(_unchecked_graph([mol.atoms[atom] for atom in order], ends))
+        ranks, classes = parsed.ranks, parsed.symmetry_classes
+    return smiles, positions, site_table(smiles, zip(positions, orders), ranks, classes)
 
 
 class MergingGraph:
@@ -310,19 +392,20 @@ def apply_operations(mol: MolGraph, ops: list[MergeOperation]) -> MergingGraph:
     state = MergingGraph(mol)
     for op in ops:
         # most operations find no edge of their signature; skip those calls
-        signature = pattern_signature(op.pattern)
-        if signature in state.by_signature:
-            state.apply_operation(op.pattern, signature)
+        if op.signature in state.by_signature:
+            state.apply_operation(op.pattern, op.signature)
     return state
 
 
 @dataclass(frozen=True)
 class MotifInstance:
-    """One fragment rendered as a connection-aware motif."""
+    """One fragment rendered as a connection-aware motif, with the site
+    table of its string."""
 
     smiles: str
     atom_count: int
     parent_atoms: tuple[int, ...]
+    sites: SiteTable
 
 
 @dataclass(frozen=True)
@@ -377,10 +460,10 @@ def extract_motifs(state: MergingGraph) -> Fragmentation:
         key = state._union_key(atom_ids, new_id) + "".join(
             [chr(new_id[anchor]) + orders[bidx] for bidx, anchor in stars]
         ) + chr(len(stars))
-        smiles, positions = instance_pattern(key)
+        smiles, positions, sites = instance_pattern(key)
         for (bidx, _), pos in zip(stars, positions):
             star_of[index, bidx] = pos
-        motifs.append(MotifInstance(smiles, len(atom_ids), atom_ids))
+        motifs.append(MotifInstance(smiles, len(atom_ids), atom_ids, sites))
     links = []
     for bidx, bond in enumerate(mol.bonds):
         ma, mb = motif_of[bond.a], motif_of[bond.b]

@@ -11,19 +11,19 @@ next pattern. Mining runs in one process, one operation at a time.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 from graphbpe.chem import MolGraph, canonical_rank, parse_smiles
 from graphbpe.merging import (
     MergeOperation,
     MergingGraph,
+    SiteTable,
+    SiteType,
     apply_operations,
     extract_motifs,
+    site_table,
 )
-
-# (motif smiles, site symmetry class, bond order)
-SiteType = tuple[str, int, str]
 
 
 @lru_cache(maxsize=None)
@@ -32,44 +32,43 @@ def motif_graph(smiles: str) -> MolGraph:
 
 
 @lru_cache(maxsize=None)
-def motif_sites(smiles: str) -> tuple[tuple[int, SiteType], ...]:
-    """(star atom id, site type) per connection site, in canonical atom order.
+def motif_sites(smiles: str) -> SiteTable:
+    """(star atom id, site type) per connection site of the parsed motif
+    string, in canonical atom order (see ``graphbpe.merging.site_table``).
 
-    The class id is the smallest canonical rank among the stars of one
-    refinement class, so interchangeable sites share an id and the id is
-    stable across isomorphic inputs. This is the one place a ``SiteType``
-    is built.
+    Mining takes each motif's table from its instance write instead; this
+    parses only strings read from files or given by callers.
     """
     mol = motif_graph(smiles)
     ranking = canonical_rank(mol)
-    stars = sorted(
-        (i for i, atom in enumerate(mol.atoms) if atom.is_connection_site),
-        key=lambda i: ranking.ranks[i],
-    )
-    class_id: dict[int, int] = {}  # refinement class -> its first star's rank
-    out = []
-    for i in stars:
-        cid = class_id.setdefault(ranking.symmetry_classes[i], ranking.ranks[i])
-        _, bidx = mol.neighbors(i)[0]
-        out.append((i, (smiles, cid, mol.bonds[bidx].order)))
-    return tuple(out)
+    stars = [
+        (i, mol.bonds[mol.neighbors(i)[0][1]].order)
+        for i, atom in enumerate(mol.atoms)
+        if atom.is_connection_site
+    ]
+    return site_table(smiles, stars, ranking.ranks, ranking.symmetry_classes)
 
 
 @dataclass(frozen=True)
 class Motif:
-    """A connection-aware vocabulary entry keyed by its canonical string."""
+    """A connection-aware vocabulary entry keyed by its canonical string.
+
+    ``sites`` is its site table, (star atom id, site type) sorted by
+    canonical atom rank; ``motif_sites(smiles)`` when not given. It takes no
+    part in comparisons.
+    """
 
     smiles: str
     frequency: int
+    sites: SiteTable | None = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        if self.sites is None:
+            object.__setattr__(self, "sites", motif_sites(self.smiles))
 
     @property
     def graph(self) -> MolGraph:
         return motif_graph(self.smiles)
-
-    @property
-    def sites(self) -> tuple[tuple[int, SiteType], ...]:
-        """(star atom id, site type), sorted by canonical atom rank."""
-        return motif_sites(self.smiles)
 
 
 @dataclass(frozen=True)
@@ -129,24 +128,9 @@ class MotifVocabulary:
             out.setdefault(b, {})[a] = count
         return out
 
-    @classmethod
-    def from_counters(
-        cls,
-        motif_counter: Counter[str],
-        attachment_counter: Counter[tuple[SiteType, SiteType]],
-    ) -> "MotifVocabulary":
-        motifs = {smiles: Motif(smiles, count) for smiles, count in motif_counter.items()}
-        return cls(motifs, dict(attachment_counter))
-
 
 def attachment_key(a: SiteType, b: SiteType) -> tuple[SiteType, SiteType]:
     return (a, b) if a <= b else (b, a)
-
-
-def count_pair_patterns(states: list[MergingGraph]) -> Counter[str]:
-    """Pattern counts over all fragment-pair edges of all merging graphs;
-    resolves the pattern of every edge."""
-    return Counter(state.pattern(fa, fb) for state in states for fa, fb in state.edges)
 
 
 def _drop(counter: Counter[str], key: str) -> bool:
@@ -247,30 +231,27 @@ class PatternTally:
             del self._holders[signature]
 
 
-def site_type(smiles: str, star_atom: int) -> SiteType:
-    """The type of the connection site at atom ``star_atom`` of motif ``smiles``."""
-    for atom_id, site in motif_sites(smiles):
-        if atom_id == star_atom:
-            return site
-    raise KeyError(f"atom {star_atom} is not a connection site of {smiles}")
-
-
-def _count_motifs(
-    states: list[MergingGraph],
-) -> tuple[Counter[str], Counter[tuple[SiteType, SiteType]], int]:
-    """Motif counts, attachment counts and the number of fragments."""
+def _count_motifs(states: list[MergingGraph]) -> tuple[MotifVocabulary, int]:
+    """The vocabulary of the final partitions, each motif with the site
+    table of its instances, and the number of fragments."""
     motif_counter: Counter[str] = Counter()
+    sites: dict[str, SiteTable] = {}
     attach_counter: Counter[tuple[SiteType, SiteType]] = Counter()
     fragment_total = 0
     for state in states:
         frag = extract_motifs(state)
         fragment_total += len(frag.motifs)
-        motif_counter.update(frag.motif_strings())
+        site_of = []  # per motif: star atom -> site type
+        for motif in frag.motifs:
+            motif_counter[motif.smiles] += 1
+            sites[motif.smiles] = motif.sites
+            site_of.append(dict(motif.sites))
         for link in frag.broken_bonds:
-            site_a = site_type(frag.motifs[link.motif_a].smiles, link.star_a)
-            site_b = site_type(frag.motifs[link.motif_b].smiles, link.star_b)
+            site_a = site_of[link.motif_a][link.star_a]
+            site_b = site_of[link.motif_b][link.star_b]
             attach_counter[attachment_key(site_a, site_b)] += 1
-    return motif_counter, attach_counter, fragment_total
+    motifs = {smiles: Motif(smiles, n, sites[smiles]) for smiles, n in motif_counter.items()}
+    return MotifVocabulary(motifs, dict(attach_counter)), fragment_total
 
 
 def _learn(states: list[MergingGraph], num_operations: int) -> list[MergeOperation]:
@@ -285,7 +266,7 @@ def _learn(states: list[MergingGraph], num_operations: int) -> list[MergeOperati
         if best is None:
             break
         pattern, count, signature = best
-        ops.append(MergeOperation(rank, pattern, count))
+        ops.append(MergeOperation(rank, pattern, count, signature))
         holders = [
             state for state in tally.holders(signature)
             if pattern in state.by_signature[signature].values()
@@ -323,8 +304,7 @@ def mine_corpus(
     """
     states = [MergingGraph(mol) for mol in corpus]
     ops = _learn(states, num_operations)
-    motifs, attach, fragment_total = _count_motifs(states)
-    vocabulary = MotifVocabulary.from_counters(motifs, attach)
+    vocabulary, fragment_total = _count_motifs(states)
     mean = fragment_total / len(corpus) if corpus else 0.0
     return MiningResult(ops, vocabulary, mean)
 
@@ -337,5 +317,4 @@ def build_motif_vocabulary(
     Every broken bond contributes one "*" site to each side and one
     attachment-table increment for the site-type pair.
     """
-    motifs, attach, _ = _count_motifs([apply_operations(mol, ops) for mol in corpus])
-    return MotifVocabulary.from_counters(motifs, attach)
+    return _count_motifs([apply_operations(mol, ops) for mol in corpus])[0]

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 from graphbpe.chem import MolGraph
 from graphbpe.merging import Fragmentation, MergeOperation, apply_operations, extract_motifs
-from graphbpe.miner import motif_sites
 
 
 def fragmentize(mol: MolGraph, ops: list[MergeOperation]) -> Fragmentation:
@@ -58,8 +57,7 @@ def fragmentation_trajectory(frag: Fragmentation) -> Trajectory:
         partner[(link.motif_b, link.star_b)] = (link.motif_a, link.star_a)
 
     def ordered_sites(motif_index: int) -> list[tuple[int, int]]:
-        smiles = frag.motifs[motif_index].smiles
-        return [(motif_index, star) for star, _ in motif_sites(smiles)]
+        return [(motif_index, star) for star, _ in frag.motifs[motif_index].sites]
 
     start_index = min(
         range(len(frag.motifs)),

@@ -1,5 +1,6 @@
 """Shared test utilities: random valid molecules, permutation tools, mined
-artifacts as values, an eager reference miner, an isomorphism matcher
+artifacts as values, a brute-force pattern counter and an eager reference
+miner built on it, a site-type lookup by star atom, an isomorphism matcher
 independent of the package's canonical ranking, the generator's
 full-array selection rule, an eager reference ``evaluate``, a
 character-loop reference parser, and reference copies of the canonical
@@ -7,6 +8,7 @@ ranking and writer kernels."""
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from itertools import groupby
 from random import Random
@@ -45,7 +47,7 @@ from graphbpe.metrics import (
     _kl_divergence,
     compute_descriptors,
 )
-from graphbpe.miner import count_pair_patterns, mine_corpus
+from graphbpe.miner import SiteType, mine_corpus, motif_sites
 
 _MAX_X2 = {"C": 8, "N": 6, "O": 4, "S": 4, "F": 2, "Cl": 2, "Br": 2}
 
@@ -131,6 +133,20 @@ def mined(corpus: list[MolGraph], num_operations: int) -> tuple:
     result = mine_corpus(corpus, num_operations)
     motifs = {m.smiles: m.frequency for m in result.vocabulary.ordered_motifs()}
     return result.operations, motifs, result.vocabulary.attachment_counts
+
+
+def count_pair_patterns(states: list[MergingGraph]) -> Counter[str]:
+    """Pattern counts over all fragment-pair edges of all merging graphs;
+    resolves the pattern of every edge."""
+    return Counter(state.pattern(fa, fb) for state in states for fa, fb in state.edges)
+
+
+def site_type(smiles: str, star_atom: int) -> SiteType:
+    """The type of the connection site at atom ``star_atom`` of motif ``smiles``."""
+    for atom_id, site in motif_sites(smiles):
+        if atom_id == star_atom:
+            return site
+    raise KeyError(f"atom {star_atom} is not a connection site of {smiles}")
 
 
 def eager_learn(corpus: list[MolGraph], num_operations: int) -> list[MergeOperation]:

@@ -166,9 +166,9 @@ def test_kernels_match_reference_on_golden_graphs(corpus_1k):
 def test_kernels_match_reference_on_mined_unions_and_motif_instances(corpus_1k, monkeypatch):
     written = {"write_smiles": [], "write_smiles_with_order": []}
     for name, graphs in written.items():
-        def record(mol, write=getattr(graphbpe.merging, name), graphs=graphs):
+        def record(mol, write=getattr(graphbpe.merging, name), graphs=graphs, **ranking):
             graphs.append(mol)
-            return write(mol)
+            return write(mol, **ranking)
 
         monkeypatch.setattr(graphbpe.merging, name, record)
     union_pattern.cache_clear()

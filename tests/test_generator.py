@@ -34,10 +34,9 @@ from graphbpe.miner import (
     MotifVocabulary,
     attachment_key,
     mine_corpus,
-    site_type,
 )
 from graphbpe.tokenizer import Trajectory, TrajectoryStep
-from helpers import full_array_select
+from helpers import full_array_select, site_type
 
 
 def micro_vocab(*entries, attachments=None):

@@ -1,28 +1,39 @@
 """The union-pattern and motif-instance memos: each key is the exact
 labelled graph that would be written, so a hit can never return a string
-that a fresh write would not. Edge signatures: a union's signature is the
-signature of its pattern string."""
+that a fresh write would not, and a key decodes to the checked graph it was
+built from. An instance's site table is the one its parsed string gives.
+Edge and operation signatures: a union's signature is the signature of its
+pattern string."""
+import importlib.util
 import sys
 import threading
 from dataclasses import replace
+from pathlib import Path
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from graphbpe.chem import write_smiles, write_smiles_with_order
-from graphbpe.chem.mol import STAR, Atom, MolGraph, make_bond
+import graphbpe.merging
+from graphbpe.chem import canonical_rank, parse_smiles, write_smiles, write_smiles_with_order
+from graphbpe.chem.mol import BOND_ORDERS, STAR, Atom, MolGraph, make_bond
+from graphbpe.fileio import read_operations, write_operations
 from graphbpe.merging import (
+    _CODED_ATOMS,
     BrokenBondLink,
     Fragmentation,
     MergingGraph,
     MotifInstance,
+    _decode,
     apply_operations,
     extract_motifs,
     instance_pattern,
     pattern_signature,
     union_pattern,
 )
-from graphbpe.miner import learn_merging_operations
+from graphbpe.miner import learn_merging_operations, mine_corpus, motif_sites
+from graphbpe.tokenizer import fragmentize
 from helpers import mined, random_molecule
 
 AMINE = MolGraph((Atom("C", implicit_h=3), Atom("N", implicit_h=2)),
@@ -131,7 +142,8 @@ def test_bond_unions_are_built_as_the_general_signature_and_key(corpus_1k):
 
 def fresh_fragmentation(state: MergingGraph) -> Fragmentation:
     """``extract_motifs`` with no memo: every instance, stars included, is
-    cut from the molecule and written afresh."""
+    cut from the molecule and written afresh, and its site table is read
+    from the parsed string."""
     mol = state.mol
     parts = sorted(tuple(sorted(atoms)) for atoms in state.frag_atoms.values())
     motif_of = {atom: index for index, atoms in enumerate(parts) for atom in atoms}
@@ -148,7 +160,7 @@ def fresh_fragmentation(state: MergingGraph) -> Fragmentation:
         smiles, order = write_smiles_with_order(MolGraph(tuple(atoms), tuple(bonds)))
         for bidx, raw in raw_of.items():
             star_of[index, bidx] = order.index(raw)
-        motifs.append(MotifInstance(smiles, len(atom_ids), atom_ids))
+        motifs.append(MotifInstance(smiles, len(atom_ids), atom_ids, motif_sites(smiles)))
     links = tuple(
         BrokenBondLink(ma, star_of[ma, bidx], mb, star_of[mb, bidx], bond.order)
         for bidx, bond in enumerate(mol.bonds)
@@ -186,7 +198,10 @@ def test_instance_key_is_the_union_key_then_the_broken_bonds():
         state.union_key([0, 1]) + "\x01" + double + "\x01",
         state.union_key([2]) + "\x00" + double + "\x01",
     ]
-    assert [instance_pattern(key) for key in keys] == [("*=NC", (0,)), ("*=O", (0,))]
+    assert [instance_pattern(key) for key in keys] == [
+        ("*=NC", (0,), ((0, ("*=NC", 0, "double")),)),
+        ("*=O", (0,), ((0, ("*=O", 0, "double")),)),
+    ]
     assert instance_pattern.cache_info().hits == 2
 
 
@@ -215,3 +230,132 @@ def test_threads_coding_new_atoms_at_once_get_their_own_codes():
         sys.setswitchinterval(switch)
     assert not any(thread.is_alive() for thread in threads)
     assert failures == []
+
+
+def instance_tables(frags: list[Fragmentation]) -> dict[str, set]:
+    """Each motif string of ``frags`` with the site tables its instances
+    carried."""
+    tables: dict[str, set] = {}
+    for frag in frags:
+        for motif in frag.motifs:
+            tables.setdefault(motif.smiles, set()).add(motif.sites)
+    return tables
+
+
+def assert_sites_are_the_parsed_ones(frags: list[Fragmentation]) -> set[bool]:
+    """Every instance's site table equals ``motif_sites`` of its string.
+    Returns, for the motifs seen, whether refinement alone separated every
+    atom: ``instance_pattern`` takes the writer's ranks when it did and
+    ranks the relabelled instance when it did not, and the case is the same
+    for the instance and its parsed string."""
+    discrete = set()
+    for smiles, tables in instance_tables(frags).items():
+        assert tables == {motif_sites(smiles)}, smiles
+        classes = canonical_rank(parse_smiles(smiles)).symmetry_classes
+        discrete.add(len(set(classes)) == len(classes))
+    return discrete
+
+
+def load_bench_inputs():
+    path = Path(__file__).resolve().parents[1] / "bench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("bench_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_instance_sites_are_the_parsed_sites_on_the_fixture(corpus_1k, ops_500):
+    instance_pattern.cache_clear()
+    frags = [fragmentize(mol, ops_500[:200]) for mol in corpus_1k[1]]
+    assert assert_sites_are_the_parsed_ones(frags) == {True, False}
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_instance_sites_are_the_parsed_sites_on_drug_like_corpora(seed):
+    corpus = [parse_smiles(s) for s in load_bench_inputs().drug_like(Random(seed), 250)]
+    instance_pattern.cache_clear()
+    ops = learn_merging_operations(corpus, 500)
+    frags = [fragmentize(mol, ops) for mol in corpus]
+    assert assert_sites_are_the_parsed_ones(frags) == {True, False}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**9))
+def test_instance_sites_are_the_parsed_sites_on_random_molecules(seed):
+    rng = Random(seed)
+    corpus = [random_molecule(rng, max_atoms=14) for _ in range(6)]
+    ops = learn_merging_operations(corpus, 12)
+    assert_sites_are_the_parsed_ones([fragmentize(mol, ops) for mol in corpus])
+
+
+def test_instance_sites_where_the_writer_ranks_order_stars_otherwise():
+    # the fragment C0..F5 of this molecule is written *C1(C(C1=N*)=N*)F: its
+    # two N-side stars share a class, and the tie-break that orders them
+    # picks by atom id, which differs between the instance and the parsed
+    # string, so the instance is ranked again in emission order
+    atoms = tuple(Atom(e) for e in ("C", "C", "N", "N", "C", "F", "Cl", "Cl", "Cl"))
+    bonds = tuple(make_bond(a, b, order) for a, b, order in [
+        (0, 3, "double"), (0, 1, "single"), (1, 4, "single"), (0, 4, "single"),
+        (1, 5, "single"), (2, 4, "double"), (3, 6, "single"), (2, 7, "single"),
+        (1, 8, "single"),
+    ])
+    state = MergingGraph(MolGraph(atoms, bonds))
+    fragment = state.merge(0, 1)
+    for atom in (3, 4, 2, 5):
+        fragment = state.merge(fragment, atom)
+    instance_pattern.cache_clear()
+    motif = extract_motifs(state).motifs[0]
+    assert motif.smiles == "*C1(C(C1=N*)=N*)F"
+    assert motif.sites == motif_sites(motif.smiles)
+    instance = MolGraph(atoms[:6] + (Atom(STAR),) * 3, bonds)
+    ranking = canonical_rank(instance)
+    smiles, order = write_smiles_with_order(instance, ranking=ranking)
+    writer_ranks = {pos: ranking.ranks[atom] for pos, atom in enumerate(order)}
+    stars = sorted((pos for pos, atom in enumerate(order) if atom >= 6), key=writer_ranks.get)
+    assert stars != [star for star, _ in motif.sites]
+
+
+def checked_decode(key: str, end: int, stars: int) -> MolGraph:
+    """``_decode`` through ``make_bond`` and the checking ``MolGraph``."""
+    count = ord(key[0])
+    atoms = [_CODED_ATOMS[ord(code)] for code in key[1 : count + 1]]
+    bonds = [
+        make_bond(ord(key[i]), ord(key[i + 1]), BOND_ORDERS[ord(key[i + 2])])
+        for i in range(count + 1, end, 3)
+    ]
+    for star, i in enumerate(range(end, end + 2 * stars, 2), count):
+        atoms.append(Atom(STAR))
+        bonds.append(make_bond(ord(key[i]), star, BOND_ORDERS[ord(key[i + 1])]))
+    return MolGraph(tuple(atoms), tuple(bonds))
+
+
+def test_keys_decode_to_the_checked_graph(corpus_1k, monkeypatch):
+    keys = {"union_pattern": [], "instance_pattern": []}
+    for name, seen in keys.items():
+        def record(key, memo=getattr(graphbpe.merging, name), seen=seen):
+            seen.append(key)
+            return memo(key)
+
+        monkeypatch.setattr(graphbpe.merging, name, record)
+    mine_corpus(corpus_1k[1][:150], 40)
+    assert len(keys["union_pattern"]) > 500 and len(keys["instance_pattern"]) > 100
+    shapes = [(key, len(key), 0) for key in keys["union_pattern"]]
+    for key in keys["instance_pattern"]:
+        stars = ord(key[-1])
+        shapes.append((key, len(key) - 1 - 2 * stars, stars))
+    for key, end, stars in shapes:
+        got, want = _decode(key, end, stars), checked_decode(key, end, stars)
+        assert (got.atoms, got.bonds) == (want.atoms, want.bonds)
+        assert [got.neighbors(i) for i in range(len(got))] == [
+            want.neighbors(i) for i in range(len(want))
+        ]
+
+
+def test_operations_carry_the_signature_of_their_pattern(corpus_1k, tmp_path):
+    learned = learn_merging_operations(corpus_1k[1][:150], 60)
+    write_operations(tmp_path / "ops.txt", learned)
+    loaded = read_operations(tmp_path / "ops.txt")
+    pattern_signature.cache_clear()
+    assert loaded == learned
+    for op in learned + loaded:
+        assert op.signature == pattern_signature(op.pattern) != ""

@@ -1,3 +1,5 @@
+import sys
+import time
 from collections import Counter
 from random import Random
 
@@ -5,16 +7,19 @@ import pytest
 
 from graphbpe.chem import MolGraph, parse_smiles, write_smiles
 from graphbpe.errors import NotAdjacentError
-from graphbpe.merging import MergingGraph, pattern_signature, union_pattern
+from graphbpe.fileio import write_vocabulary
+from graphbpe.merging import MergingGraph, instance_pattern, pattern_signature, union_pattern
 from graphbpe.miner import (
     PatternTally,
     build_motif_vocabulary,
-    count_pair_patterns,
     learn_merging_operations,
     mine_corpus,
+    motif_graph,
     motif_sites,
 )
+from graphbpe.tokenizer import extract_trajectory, fragmentize
 from helpers import (
+    count_pair_patterns,
     eager_learn,
     group_by_isomorphism,
     isomorphic,
@@ -320,6 +325,28 @@ class TestVocabulary:
         }
         assert rebuilt.attachment_counts == result.vocabulary.attachment_counts
 
+    def test_mining_and_tokenizing_parse_no_string(self, corpus_1k, tmp_path, monkeypatch):
+        # site tables come from the instance writes and op signatures from
+        # the tally, so no motif or pattern string is parsed back
+        _, mols = corpus_1k
+        parsed = []
+
+        def spy(text, *args, **kwargs):
+            parsed.append(text)
+            return parse_smiles(text, *args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("graphbpe") and vars(module).get("parse_smiles") is parse_smiles:
+                monkeypatch.setattr(module, "parse_smiles", spy)
+        for memo in (union_pattern, instance_pattern, pattern_signature, motif_sites, motif_graph):
+            memo.cache_clear()
+        result = mine_corpus(mols[:150], 60)
+        write_vocabulary(tmp_path / "vocab.txt", result.vocabulary)
+        for mol in mols[150:200]:
+            fragmentize(mol, result.operations)
+            extract_trajectory(mol, result.operations)
+        assert parsed == []
+
 
 def shuffled_molecule(mol, rng: Random):
     """The same molecule with its atom ids and its bond list randomly permuted."""
@@ -347,18 +374,17 @@ class TestInvariance:
 
 class TestScaling:
     def test_roughly_linear_in_corpus_size(self, corpus_1k):
-        import time
-
         _, mols = corpus_1k
 
         def mine_time(molecules):
+            # CPU time of this process: other load on the host adds none
             best = float("inf")
             for _ in range(3):
                 union_pattern.cache_clear()  # time the misses, not a warm memo
                 pattern_signature.cache_clear()
-                start = time.perf_counter()
+                start = time.process_time()
                 learn_merging_operations(molecules, 30)
-                best = min(best, time.perf_counter() - start)
+                best = min(best, time.process_time() - start)
             return best
 
         t1 = mine_time(mols[:150])
