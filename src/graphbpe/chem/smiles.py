@@ -26,13 +26,14 @@ H count and charge.
 from __future__ import annotations
 
 import re
-import sys
+from collections import Counter
+from hashlib import blake2b
 
 from graphbpe.chem.canon import CanonicalRanking, canonical_rank
 from graphbpe.chem.mol import (
     AROMATIC,
+    BOND_ORDERS,
     DOUBLE,
-    ORDER_CODES,
     ORDER_X2,
     SINGLE,
     STAR,
@@ -367,38 +368,47 @@ def atom_token(atom: Atom) -> str:
     return "".join(parts)
 
 
-def graph_signature(mol: MolGraph, atom_ids=None, tokens=None, orders=None) -> str:
-    """A cheap isomorphism invariant of ``mol``, or of its subgraph induced
-    by ``atom_ids``: the sorted (atom token, degree inside) labels, then the
-    sorted order codes of the induced bonds.
+def signature_value(label: str) -> int:
+    """The fixed 64-bit value of one signature label: the first eight bytes
+    of its BLAKE2b digest, so every process gives every label one value."""
+    return int.from_bytes(blake2b(label.encode(), digest_size=8).digest(), "little")
+
+
+def label_values(tables: dict[str, tuple[int, ...]], stem: str, index: int) -> tuple[int, ...]:
+    """The ``signature_value`` of the labels ``stem`` followed by 0, 1, ...
+    up to at least ``index``, kept in ``tables`` for later calls. An atom's
+    label is its ``atom_token`` and its degree; a bond's is "|" and the
+    index of its order in ``BOND_ORDERS``."""
+    table = tables.get(stem)
+    if table is None or len(table) <= index:
+        table = tables[stem] = tuple(signature_value(f"{stem}{i}") for i in range(index + 1))
+    return table
+
+
+def graph_signature(mol: MolGraph, tables: dict[str, tuple[int, ...]] | None = None) -> int:
+    """A cheap isomorphism invariant of ``mol``: the sum mod 2**64 of the
+    value of each atom's and each bond's label (see ``label_values``).
+    A caller that signs many graphs passes one ``tables`` to every call.
 
     Equal canonical strings give equal signatures:
     ``parse_smiles(write_smiles(G))`` is G again up to atom numbering, with
-    the same atom tokens, degrees and bond orders. A caller that asks about
-    many subgraphs of one molecule passes each atom's ``atom_token`` as
-    ``tokens`` and each bond's ``ORDER_CODES`` character as ``orders``.
+    the same atom tokens, degrees and bond orders. A sum composes: the
+    signature of two disjoint subgraphs joined by some bonds is theirs plus
+    those bonds' values plus, at each bond end, the change of its atom's
+    label value. Unequal graphs may share a signature; a caller uses equal
+    signatures only as a gate before comparing canonical strings, so a
+    collision costs extra writes and never changes a result.
     """
-    if tokens is None:
-        tokens = [atom_token(atom) for atom in mol.atoms]
-    if orders is None:
-        orders = "".join(ORDER_CODES[bond.order] for bond in mol.bonds)
-    if atom_ids is None:
-        atom_ids = inside = range(len(mol.atoms))
-    else:
-        inside = set(atom_ids)
-    labels = []
-    codes = []
-    for atom in atom_ids:
-        degree = 0
-        for nbr, bidx in mol.neighbors(atom):
-            if nbr in inside:
-                degree += 1
-                if nbr > atom:
-                    codes.append(orders[bidx])
-        labels.append(f"{tokens[atom]}{degree}")
-    labels.sort()
-    codes.sort()
-    return sys.intern(" ".join(labels) + "|" + "".join(codes))
+    if tables is None:
+        tables = {}
+    labels = Counter(zip(map(atom_token, mol.atoms), map(mol.degree, range(len(mol.atoms)))))
+    total = 0
+    for (token, degree), count in labels.items():
+        total += label_values(tables, token, degree)[degree] * count
+    by_order = label_values(tables, "|", len(BOND_ORDERS) - 1)
+    for order, count in Counter(bond.order for bond in mol.bonds).items():
+        total += by_order[BOND_ORDERS.index(order)] * count
+    return total & (2**64 - 1)
 
 
 # how the writer spells a bond, but for a single bond between two aromatic

@@ -2,20 +2,35 @@
 
 State starts as one fragment per atom with bond adjacency inherited from the
 molecule and evolves by merging adjacent fragment pairs. Each fragment-pair
-edge carries a cheap signature of its union (``union_signature``), the
-isomorphism invariant ``graphbpe.chem.graph_signature``: the sorted (atom
-token, degree inside the union) labels, then the sorted orders of the
-union's induced bonds. The union's canonical pattern string is written only
-when asked for (``MergingGraph.pattern``) and kept until the edge dies.
+edge carries a cheap signature of its union, the isomorphism invariant
+``graphbpe.chem.graph_signature``: the sum mod 2**64 of one fixed 64-bit
+value per (atom token, degree inside the union) label and one per induced
+bond's order. The union's canonical pattern string is written only when
+asked for (``MergingGraph.pattern``) and kept until the edge dies.
+
+A sum composes, so no signature is built from scratch. Each fragment keeps
+its own signature and each atom its degree inside its fragment. A merge
+walks the union's neighbour lists once: the bonds between the two fragments
+fold into the new fragment's signature, and every other crossing bond signs
+the new edge to its fragment as the two fragments' signatures plus its
+bonds' values plus, at each bond end, the change of that atom's label.
+Signing adds work only at the crossing bonds: the walk is the one that
+finds the dead edges, and no label is formatted, sorted or hashed during a
+merge. Label values come from one tuple per distinct atom token, indexed
+by degree (``graphbpe.chem.label_values``); the miner passes one table
+dict to every graph of a corpus, so its graphs share them.
 
 A pattern fixes its signature: equal canonical strings give equal
 signatures (see ``graph_signature``), so ``pattern_signature(pattern)`` is
 the signature of every union written as ``pattern``. Edges with different
 signatures therefore never share a pattern, and a pass for one pattern
-writes only the unions that carry its signature. Each ``MergeOperation``
-carries its pattern's signature, so replaying operations parses no pattern.
-``graphbpe.metrics`` uses the same invariant to skip training molecules no
-generated one can equal.
+writes only the unions that carry its signature. Unequal unions may share a
+signature; that only puts them behind one gate, which costs extra writes
+and never another pick, merge or report, since a merge and every count
+compare pattern strings. Each ``MergeOperation`` carries its pattern's
+signature, so replaying operations parses no pattern. ``graphbpe.metrics``
+uses the same invariant to skip training molecules no generated one can
+equal.
 
 The same small unions recur across molecules, so ``union_pattern``
 memoizes the pattern string on ``MergingGraph.union_key``, a string that
@@ -29,7 +44,7 @@ canonical form is not yet invariant; a miss decodes the key and calls
 miner's motif caches), cannot go stale because the key is the whole input,
 and ``union_pattern.cache_clear()`` resets it. A bond's own union (the
 starting edges) gets its signature and key straight from its two atoms'
-tokens and codes and its order code.
+label values and codes and its bond's value and order code.
 
 Motif instances recur the same way, so ``instance_pattern`` memoizes the
 string, star positions and site table of each one on its exact input to
@@ -69,6 +84,7 @@ from graphbpe.chem import (
     atom_token,
     canonical_rank,
     graph_signature,
+    label_values,
     parse_smiles,
     write_smiles,
     write_smiles_with_order,
@@ -95,7 +111,7 @@ class MergeOperation:
     rank: int
     pattern: str
     observed_count: int
-    signature: str | None = field(default=None, compare=False, repr=False)
+    signature: int | str | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if self.signature is None:
@@ -140,7 +156,7 @@ def _atom_code(atom: Atom) -> str:
 
 
 @lru_cache(maxsize=None)
-def pattern_signature(pattern: str) -> str:
+def pattern_signature(pattern: str) -> int | str:
     """The signature of every union whose pattern string is ``pattern``; ""
     (no union's signature) when ``pattern`` does not parse."""
     try:
@@ -227,54 +243,59 @@ class MergingGraph:
 
     ``edges`` maps each adjacent fragment pair to its union's signature;
     ``by_signature`` maps each signature to its pairs, each with its pattern
-    string once resolved (``None`` until then).
+    string once resolved (``None`` until then). ``frag_signature`` holds
+    each fragment's own signature by fragment id (``None`` once merged
+    away), and a fresh fragment takes the next id; ``_degree`` holds each
+    atom's degree inside its fragment.
     """
 
-    def __init__(self, mol: MolGraph):
+    def __init__(self, mol: MolGraph, tables: dict[str, tuple[int, ...]] | None = None):
+        """The partition of ``mol`` into single atoms. ``tables`` holds the
+        label values (see ``graphbpe.chem.label_values``); graphs built with
+        one ``tables`` share them."""
+        if tables is None:
+            tables = {}
         self.mol = mol
         self.ranks = canonical_rank(mol).ranks
         self.frag_of = list(range(len(mol.atoms)))
         self.frag_atoms: dict[int, list[int]] = {i: [i] for i in range(len(mol.atoms))}
-        self._next_fid = len(mol.atoms)
         self._atom_codes = "".join(_atom_code(atom) for atom in mol.atoms)
-        self._tokens = [atom_token(atom) for atom in mol.atoms]
         self._orders = "".join(ORDER_CODES[bond.order] for bond in mol.bonds)
-        self.edges: dict[Pair, str] = {}
-        self.by_signature: dict[str, dict[Pair, str | None]] = {}
+        # each atom's label value by its degree inside its fragment
+        self._labels = [
+            label_values(tables, atom_token(atom), mol.degree(i)) for i, atom in enumerate(mol.atoms)
+        ]
+        # bond values by order index, which is ``ord`` of the order code
+        self._order_values = label_values(tables, "|", len(BOND_ORDERS) - 1)
+        self._degree = [0] * len(mol.atoms)
+        self.frag_signature: list[int | None] = [labels[0] for labels in self._labels]
+        self.edges: dict[Pair, int] = {}
+        self.by_signature: dict[int, dict[Pair, str | None]] = {}
+        shared: dict[int, int] = {}  # one int object per distinct signature, for memory
         for bidx, bond in enumerate(mol.bonds):
             signature, key = self.bond_union(bidx)
+            signature = shared.setdefault(signature, signature)
             self.edges[bond.a, bond.b] = signature
             # a bond's own union is written at once: few distinct ones exist,
             # so each costs a memo hit, and bench/selftest.py checks that
             # fragmentize(mol, []) writes them
             self.by_signature.setdefault(signature, {})[bond.a, bond.b] = union_pattern(key)
 
-    def bond_union(self, bidx: int) -> tuple[str, str]:
-        """``union_signature`` and ``union_key`` of the two atoms of bond
-        ``bidx``, built straight from their tokens and codes and the bond's
-        order code."""
+    def bond_union(self, bidx: int) -> tuple[int, str]:
+        """The signature and ``union_key`` of the two atoms of bond ``bidx``,
+        built straight from their label values and codes and the bond's
+        value and order code."""
         bond, order = self.mol.bonds[bidx], self._orders[bidx]
-        label_a, label_b = self._tokens[bond.a] + "1", self._tokens[bond.b] + "1"
-        if label_b < label_a:
-            label_a, label_b = label_b, label_a
         codes = self._atom_codes
+        signature = self._labels[bond.a][1] + self._labels[bond.b][1] + self._order_values[ord(order)]
         return (
-            sys.intern(f"{label_a} {label_b}|{order}"),
+            signature & (2**64 - 1),
             f"\x02{codes[bond.a]}{codes[bond.b]}\x00\x01{order}",
         )
 
     @staticmethod
     def _pair(fa: int, fb: int) -> Pair:
         return (fa, fb) if fa < fb else (fb, fa)
-
-    def _add_edge(self, pair: Pair) -> None:
-        signature = self.union_signature(self.frag_atoms[pair[0]] + self.frag_atoms[pair[1]])
-        self.edges[pair] = signature
-        self.by_signature.setdefault(signature, {})[pair] = None
-
-    def union_signature(self, atom_ids: list[int]) -> str:
-        """``graph_signature`` of the subgraph induced by ``atom_ids``."""
-        return graph_signature(self.mol, atom_ids, self._tokens, self._orders)
 
     def pattern(self, fa: int, fb: int) -> str:
         """The canonical string of the union of adjacent fragments ``fa`` and
@@ -315,42 +336,76 @@ class MergingGraph:
         """Merge two adjacent fragments; returns the fresh fragment id."""
         return self._merge(fa, fb)[0]
 
-    def _merge(self, fa: int, fb: int) -> tuple[int, list[tuple[Pair, str, str | None]], list]:
+    def _merge(self, fa: int, fb: int) -> tuple[int, list[tuple[Pair, int, str | None]], list]:
         """``merge``, also returning the dead edges as (pair, signature,
         pattern or None) and the new pairs."""
         if self._pair(fa, fb) not in self.edges:
             raise NotAdjacentError(f"fragments {fa} and {fb} are not adjacent")
+        frag_of, labels, degree = self.frag_of, self._labels, self._degree
+        orders, values = self._orders, self._order_values
         union = self.frag_atoms.pop(fa) + self.frag_atoms.pop(fb)
-        # every edge of fa or fb dies; the fragments they reach become
-        # neighbours of the union
-        dead_pairs = set()
-        neighbors = set()
+        frag_signature = self.frag_signature
+        signature = frag_signature[fa] + frag_signature[fb]
+        frag_signature[fa] = frag_signature[fb] = None
+        # every edge of fa or fb dies; each bond between them folds into the
+        # union's signature, and the others are grouped by the fragment they
+        # reach, which becomes a neighbour of the union
+        dead_pairs = {self._pair(fa, fb)}
+        crossing: dict[int, list[tuple[int, int, int]]] = {}  # fragment -> (atom, nbr, bond)
         for atom in union:
-            own = self.frag_of[atom]
-            for nbr, _ in self.mol.neighbors(atom):
-                other = self.frag_of[nbr]
-                if other != own:
+            own = frag_of[atom]
+            gained = 0
+            for nbr, bidx in self.mol.neighbors(atom):
+                other = frag_of[nbr]
+                if other == own:
+                    continue
+                if other == fa or other == fb:
+                    gained += 1
+                    if nbr > atom:
+                        signature += values[ord(orders[bidx])]
+                else:
                     dead_pairs.add(self._pair(own, other))
-                    if other != fa and other != fb:
-                        neighbors.add(other)
+                    crossing.setdefault(other, []).append((atom, nbr, bidx))
+            if gained:
+                d = degree[atom]
+                signature += labels[atom][d + gained] - labels[atom][d]
+                degree[atom] = d + gained
         dead = []
         for pair in dead_pairs:
-            signature = self.edges.pop(pair)
-            pairs = self.by_signature[signature]
-            dead.append((pair, signature, pairs.pop(pair)))
+            gone = self.edges.pop(pair)
+            pairs = self.by_signature[gone]
+            dead.append((pair, gone, pairs.pop(pair)))
             if not pairs:
-                del self.by_signature[signature]
-        fnew = self._next_fid
-        self._next_fid += 1
+                del self.by_signature[gone]
+        fnew = len(frag_signature)
         self.frag_atoms[fnew] = union
+        signature &= 2**64 - 1
+        frag_signature.append(signature)
         for atom in union:
-            self.frag_of[atom] = fnew
-        born = [(nb, fnew) for nb in neighbors]
-        for pair in born:
-            self._add_edge(pair)
+            frag_of[atom] = fnew
+        born = []
+        for nb, bonds in crossing.items():
+            total = signature + frag_signature[nb]
+            # raise each bond end's degree one bond at a time, so that an atom
+            # with several of these bonds steps through each degree, then
+            # restore the degrees, since the edge only proposes the merge
+            for atom, nbr, bidx in bonds:
+                total += values[ord(orders[bidx])]
+                for end in (atom, nbr):
+                    d = degree[end]
+                    total += labels[end][d + 1] - labels[end][d]
+                    degree[end] = d + 1
+            for atom, nbr, _ in bonds:
+                degree[atom] -= 1
+                degree[nbr] -= 1
+            pair = (nb, fnew)
+            total &= 2**64 - 1
+            self.edges[pair] = total
+            self.by_signature.setdefault(total, {})[pair] = None
+            born.append(pair)
         return fnew, dead, born
 
-    def apply_operation(self, pattern: str, signature: str | None = None, tally=None) -> int:
+    def apply_operation(self, pattern: str, signature: int | str | None = None, tally=None) -> int:
         """One merge pass: fuse every edge whose current union equals ``pattern``.
 
         Only the edges with the pattern's signature (``signature``, else

@@ -133,7 +133,7 @@ def attachment_key(a: SiteType, b: SiteType) -> tuple[SiteType, SiteType]:
     return (a, b) if a <= b else (b, a)
 
 
-def _drop(counter: Counter[str], key: str) -> bool:
+def _drop(counter: Counter, key) -> bool:
     """Take one from ``counter[key]``; True when that removed the key."""
     counter[key] -= 1
     if counter[key]:
@@ -160,17 +160,17 @@ class PatternTally:
     """
 
     def __init__(self, states: list[MergingGraph]):
-        self.closed: Counter[str] = Counter()
-        self.opened: Counter[str] = Counter()
+        self.closed: Counter[int] = Counter()
+        self.opened: Counter[int] = Counter()
         self.patterns: Counter[str] = Counter()
-        self._signature_of: dict[str, str] = {}  # pattern -> its open signature
-        self._holders: dict[str, list[MergingGraph]] = {}
+        self._signature_of: dict[str, int] = {}  # pattern -> its open signature
+        self._holders: dict[int, list[MergingGraph]] = {}
         for state in states:
             for signature, pairs in state.by_signature.items():
                 self.closed[signature] += len(pairs)
                 self._holders.setdefault(signature, []).append(state)
 
-    def holders(self, signature: str) -> list[MergingGraph]:
+    def holders(self, signature: int) -> list[MergingGraph]:
         """The states that have an edge of ``signature``, each once."""
         live = [
             state for state in dict.fromkeys(self._holders[signature])
@@ -179,18 +179,18 @@ class PatternTally:
         self._holders[signature] = live
         return live
 
-    def _count(self, state: MergingGraph, pair, signature: str) -> None:
+    def _count(self, state: MergingGraph, pair, signature: int) -> None:
         pattern = state.pattern(*pair)
         self.patterns[pattern] += 1
         self._signature_of[pattern] = signature
 
-    def _open(self, signature: str) -> None:
+    def _open(self, signature: int) -> None:
         self.opened[signature] = self.closed.pop(signature)
         for state in self.holders(signature):
             for pair in list(state.by_signature[signature]):
                 self._count(state, pair, signature)
 
-    def best(self) -> tuple[str, int, str] | None:
+    def best(self) -> tuple[str, int, int] | None:
         """(pattern, count, signature) of the most frequent pattern, ties to
         the smallest string; None when no edge is left."""
         while self.closed:
@@ -210,7 +210,7 @@ class PatternTally:
                 pattern, count = candidate, value
         return pattern, count, self._signature_of[pattern]
 
-    def edge_added(self, state: MergingGraph, pair, signature: str) -> None:
+    def edge_added(self, state: MergingGraph, pair, signature: int) -> None:
         if signature in self.opened:
             self.opened[signature] += 1
             self._count(state, pair, signature)
@@ -220,7 +220,7 @@ class PatternTally:
         if not holders or holders[-1] is not state:
             holders.append(state)
 
-    def edge_removed(self, signature: str, pattern: str | None) -> None:
+    def edge_removed(self, signature: int, pattern: str | None) -> None:
         if signature in self.opened:
             if _drop(self.patterns, pattern):
                 del self._signature_of[pattern]
@@ -284,7 +284,8 @@ def learn_merging_operations(
     Stops early when no fragment-pair edges remain. Runtime is linear in the
     corpus size for a fixed operation count.
     """
-    return _learn([MergingGraph(mol) for mol in corpus], num_operations)
+    tables: dict[str, tuple[int, ...]] = {}  # label values, shared by every graph
+    return _learn([MergingGraph(mol, tables) for mol in corpus], num_operations)
 
 
 @dataclass(frozen=True)
@@ -302,7 +303,8 @@ def mine_corpus(
     ``threads`` is accepted for existing callers and ignored: mining runs in
     one process.
     """
-    states = [MergingGraph(mol) for mol in corpus]
+    tables: dict[str, tuple[int, ...]] = {}  # label values, shared by every graph
+    states = [MergingGraph(mol, tables) for mol in corpus]
     ops = _learn(states, num_operations)
     vocabulary, fragment_total = _count_motifs(states)
     mean = fragment_total / len(corpus) if corpus else 0.0

@@ -1,10 +1,10 @@
 """Shared test utilities: random valid molecules, permutation tools, mined
 artifacts as values, a brute-force pattern counter and an eager reference
-miner built on it, a site-type lookup by star atom, an isomorphism matcher
-independent of the package's canonical ranking, the generator's
-full-array selection rule, an eager reference ``evaluate``, a
-character-loop reference parser, and reference copies of the canonical
-ranking and writer kernels."""
+miner built on it, a from-scratch union signature, a site-type lookup by
+star atom, an isomorphism matcher independent of the package's canonical
+ranking, the generator's full-array selection rule, an eager reference
+``evaluate``, a character-loop reference parser, and reference copies of
+the canonical ranking and writer kernels."""
 from __future__ import annotations
 
 import math
@@ -15,9 +15,10 @@ from random import Random
 
 import numpy as np
 
-from graphbpe.chem import atom_token, parse_smiles, valence_check, write_smiles
+from graphbpe.chem import atom_token, parse_smiles, signature_value, valence_check, write_smiles
 from graphbpe.chem.mol import (
     AROMATIC,
+    BOND_ORDERS,
     DOUBLE,
     ORDER_X2,
     SINGLE,
@@ -139,6 +140,23 @@ def count_pair_patterns(states: list[MergingGraph]) -> Counter[str]:
     """Pattern counts over all fragment-pair edges of all merging graphs;
     resolves the pattern of every edge."""
     return Counter(state.pattern(fa, fb) for state in states for fa, fb in state.edges)
+
+
+def union_signature(mol: MolGraph, atom_ids) -> int:
+    """``graph_signature`` of the subgraph of ``mol`` induced by
+    ``atom_ids``, from scratch: every atom's label with its degree inside,
+    and every induced bond's label."""
+    inside = set(atom_ids)
+    total = 0
+    for atom in atom_ids:
+        degree = 0
+        for nbr, bidx in mol.neighbors(atom):
+            if nbr in inside:
+                degree += 1
+                if nbr > atom:
+                    total += signature_value(f"|{BOND_ORDERS.index(mol.bonds[bidx].order)}")
+        total += signature_value(f"{atom_token(mol.atoms[atom])}{degree}")
+    return total % 2**64
 
 
 def site_type(smiles: str, star_atom: int) -> SiteType:

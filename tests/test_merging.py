@@ -3,8 +3,11 @@ labelled graph that would be written, so a hit can never return a string
 that a fresh write would not, and a key decodes to the checked graph it was
 built from. An instance's site table is the one its parsed string gives.
 Edge and operation signatures: a union's signature is the signature of its
-pattern string."""
+pattern string, stays the from-scratch sum as merges compose it, is the same
+in every process, and is only a gate: a collision changes no result."""
 import importlib.util
+import os
+import subprocess
 import sys
 import threading
 from dataclasses import replace
@@ -16,9 +19,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import graphbpe.merging
-from graphbpe.chem import canonical_rank, parse_smiles, write_smiles, write_smiles_with_order
+from graphbpe.chem import canonical_rank, graph_signature, parse_smiles, write_smiles, write_smiles_with_order
 from graphbpe.chem.mol import BOND_ORDERS, STAR, Atom, MolGraph, make_bond
-from graphbpe.fileio import read_operations, write_operations
+from graphbpe.fileio import (
+    read_operations,
+    write_attachments,
+    write_operations,
+    write_vocabulary,
+)
 from graphbpe.merging import (
     _CODED_ATOMS,
     BrokenBondLink,
@@ -32,19 +40,19 @@ from graphbpe.merging import (
     pattern_signature,
     union_pattern,
 )
+from graphbpe.metrics import evaluate
 from graphbpe.miner import learn_merging_operations, mine_corpus, motif_sites
 from graphbpe.tokenizer import fragmentize
-from helpers import mined, random_molecule
+from helpers import mined, random_molecule, union_signature
 
 AMINE = MolGraph((Atom("C", implicit_h=3), Atom("N", implicit_h=2)),
                  (make_bond(0, 1, "single"),))
 
 
-def key_pattern_signature(mol: MolGraph) -> tuple[str, str, str]:
+def key_pattern_signature(mol: MolGraph) -> tuple[str, str, int]:
     everything = list(range(len(mol.atoms)))
-    state = MergingGraph(mol)
-    key = state.union_key(everything)
-    return key, union_pattern(key), state.union_signature(everything)
+    key = MergingGraph(mol).union_key(everything)
+    return key, union_pattern(key), union_signature(mol, everything)
 
 
 def with_nitrogen(**fields) -> MolGraph:
@@ -94,22 +102,41 @@ def test_union_signature_is_the_signature_of_its_pattern(corpus_1k):
     molecules = [random_molecule(rng, max_atoms=14) for _ in range(80)]
     molecules += [mols[i] for i in rng.sample(range(len(mols)), 80)]
     for mol in molecules:
-        state = MergingGraph(mol)
         for _ in range(3):
             atoms = connected_atoms(mol, rng)
             pattern = write_smiles(mol.subgraph(atoms)[0])
-            assert pattern_signature(pattern) == state.union_signature(atoms)
+            assert pattern_signature(pattern) == union_signature(mol, atoms)
 
 
-def test_edge_signatures_stay_exact_as_merges_happen(corpus_1k):
+def test_edge_signatures_stay_exact_as_merges_happen(corpus_1k, monkeypatch):
+    # every merge composes signatures; after each operation that merged,
+    # each live edge and fragment of the state must carry the signature a
+    # from-scratch walk of its atoms gives
     _, mols = corpus_1k
-    ops = learn_merging_operations(mols[:50], 40)
-    for mol in mols[50:110]:
+    apply_operation = MergingGraph.apply_operation
+    checked = []
+
+    def apply_and_check(state, *args, **kwargs):
+        merged = apply_operation(state, *args, **kwargs)
+        if merged:
+            mol = state.mol
+            for (fa, fb), signature in state.edges.items():
+                assert signature == union_signature(mol, state.frag_atoms[fa] + state.frag_atoms[fb])
+                assert (fa, fb) in state.by_signature[signature]
+            for fid, atoms in state.frag_atoms.items():
+                assert state.frag_signature[fid] == union_signature(mol, atoms)
+            assert sum(len(pairs) for pairs in state.by_signature.values()) == len(state.edges)
+            checked.append(merged)
+        return merged
+
+    monkeypatch.setattr(MergingGraph, "apply_operation", apply_and_check)
+    ops = mine_corpus(mols[:100], 200).operations
+    assert len(ops) == 200 and len(checked) > 500
+    monkeypatch.undo()
+    for mol in mols[100:160]:
         state = apply_operations(mol, ops)
         for (fa, fb), signature in state.edges.items():
             assert pattern_signature(state.pattern(fa, fb)) == signature
-            assert (fa, fb) in state.by_signature[signature]
-        assert sum(len(pairs) for pairs in state.by_signature.values()) == len(state.edges)
 
 
 def test_unparsable_pattern_merges_nothing():
@@ -135,9 +162,60 @@ def test_bond_unions_are_built_as_the_general_signature_and_key(corpus_1k):
         for bidx, bond in enumerate(mol.bonds):
             pair = [bond.a, bond.b]
             signature, key = state.bond_union(bidx)
-            assert signature == state.union_signature(pair)
+            assert signature == union_signature(mol, pair)
             assert key == state.union_key(pair)
-            assert state.edges[bond.a, bond.b] is signature
+            assert state.edges[bond.a, bond.b] == signature
+
+
+def test_a_signature_is_only_a_gate(corpus_1k, tmp_path, monkeypatch):
+    # with every label worth 0, every union and every molecule share one
+    # signature, so every edge waits behind one gate; picks, merges and the
+    # evaluation report compare canonical strings and must not change
+    mols = corpus_1k[1]
+    generated, training = mols[:40] + mols[300:320], mols[20:200]
+
+    def artifacts(directory: Path):
+        directory.mkdir()
+        result = mine_corpus(mols[:60], 30)
+        write_operations(directory / "ops.txt", result.operations)
+        write_vocabulary(directory / "vocab.txt", result.vocabulary)
+        write_attachments(directory / "attach.txt", result.vocabulary)
+        written = [(directory / name).read_bytes() for name in ("ops.txt", "vocab.txt", "attach.txt")]
+        return written, evaluate(generated, training)
+
+    expected = artifacts(tmp_path / "distinct")
+    for name, module in list(sys.modules.items()):
+        if name.startswith("graphbpe") and hasattr(module, "signature_value"):
+            monkeypatch.setattr(module, "signature_value", lambda label: 0)
+    pattern_signature.cache_clear()
+    try:
+        assert len(MergingGraph(mols[0]).by_signature) == 1
+        assert graph_signature(mols[0]) == pattern_signature("CC") == 0
+        colliding = artifacts(tmp_path / "colliding")
+    finally:
+        pattern_signature.cache_clear()
+    assert colliding == expected
+
+
+def test_pattern_signatures_are_the_same_under_any_hash_seed(ops_500):
+    patterns = [op.pattern for op in ops_500[:50]]
+    script = (
+        "import sys\n"
+        "from graphbpe.merging import pattern_signature\n"
+        "print(*(pattern_signature(line) for line in sys.stdin.read().split()))\n"
+    )
+    src = str(Path(graphbpe.merging.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    printed = []
+    for seed in ("1", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": path}
+        done = subprocess.run(
+            [sys.executable, "-c", script], input="\n".join(patterns),
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        printed.append([int(word) for word in done.stdout.split()])
+    assert printed[0] == printed[1] == [op.signature for op in ops_500[:50]]
 
 
 def fresh_fragmentation(state: MergingGraph) -> Fragmentation:

@@ -5,7 +5,7 @@ from random import Random
 
 import pytest
 
-from graphbpe.chem import MolGraph, parse_smiles, write_smiles
+from graphbpe.chem import MolGraph, graph_signature, parse_smiles, write_smiles
 from graphbpe.errors import NotAdjacentError
 from graphbpe.fileio import write_vocabulary
 from graphbpe.merging import MergingGraph, instance_pattern, pattern_signature, union_pattern
@@ -328,24 +328,35 @@ class TestVocabulary:
     def test_mining_and_tokenizing_parse_no_string(self, corpus_1k, tmp_path, monkeypatch):
         # site tables come from the instance writes and op signatures from
         # the tally, so no motif or pattern string is parsed back
-        _, mols = corpus_1k
-        parsed = []
+        assert spied_calls(corpus_1k[1], tmp_path, monkeypatch, parse_smiles) == []
 
-        def spy(text, *args, **kwargs):
-            parsed.append(text)
-            return parse_smiles(text, *args, **kwargs)
+    def test_mining_and_tokenizing_sign_no_graph_from_scratch(self, corpus_1k, tmp_path, monkeypatch):
+        # an edge's signature is composed from its fragments' signatures and
+        # op signatures come from the tally, so no graph is signed whole
+        assert spied_calls(corpus_1k[1], tmp_path, monkeypatch, graph_signature) == []
 
-        for name, module in list(sys.modules.items()):
-            if name.startswith("graphbpe") and vars(module).get("parse_smiles") is parse_smiles:
-                monkeypatch.setattr(module, "parse_smiles", spy)
-        for memo in (union_pattern, instance_pattern, pattern_signature, motif_sites, motif_graph):
-            memo.cache_clear()
-        result = mine_corpus(mols[:150], 60)
-        write_vocabulary(tmp_path / "vocab.txt", result.vocabulary)
-        for mol in mols[150:200]:
-            fragmentize(mol, result.operations)
-            extract_trajectory(mol, result.operations)
-        assert parsed == []
+
+def spied_calls(mols, tmp_path, monkeypatch, function) -> list:
+    """The first argument of each call of ``function``, from any graphbpe
+    module, while mining, writing the vocabulary, fragmentizing and
+    extracting trajectories with all memos cleared."""
+    calls = []
+
+    def spy(first, *args, **kwargs):
+        calls.append(first)
+        return function(first, *args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("graphbpe") and vars(module).get(function.__name__) is function:
+            monkeypatch.setattr(module, function.__name__, spy)
+    for memo in (union_pattern, instance_pattern, pattern_signature, motif_sites, motif_graph):
+        memo.cache_clear()
+    result = mine_corpus(mols[:150], 60)
+    write_vocabulary(tmp_path / "vocab.txt", result.vocabulary)
+    for mol in mols[150:200]:
+        fragmentize(mol, result.operations)
+        extract_trajectory(mol, result.operations)
+    return calls
 
 
 def shuffled_molecule(mol, rng: Random):
