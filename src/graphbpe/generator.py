@@ -6,10 +6,16 @@ partial molecule's other open sites (close a ring). Candidates must carry the
 same bond order as the focus, which keeps every merge valence-safe. A
 pluggable policy supplies the scores; selection is argmax (greedy mode) or a
 softmax sample (distributional mode).
+
+For a ``context_free`` policy, a ``generate`` call keeps the selectable head
+(``_head``) of the start pool and of each focus type's vocabulary pool, and
+each head keeps its cumulative softmax, computed once. A step whose focus
+has no open-site candidate then costs one random draw and a bisect.
 """
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field, replace
 from itertools import count
@@ -213,13 +219,17 @@ def _check_selection(mode: str, top_k: int | None) -> None:
         raise ValueError("top_k must be >= 1")
 
 
-def _softmax_sample(scores: np.ndarray, temperature: float, rng: Random) -> int:
+def _cumulative(scores: np.ndarray, temperature: float) -> list[float]:
+    """The running sum of the softmax of ``scores / temperature``."""
     scaled = scores / temperature
     shifted = np.exp(scaled - scaled.max())
-    probabilities = shifted / shifted.sum()
-    cumulative = np.cumsum(probabilities)
-    index = int(np.searchsorted(cumulative, rng.random(), side="right"))
-    return min(index, len(scores) - 1)
+    return np.cumsum(shifted / shifted.sum()).tolist()
+
+
+def _sample(cumulative: list[float], rng: Random) -> int:
+    """One draw from a ``_cumulative`` distribution: the index that
+    ``np.searchsorted(cumulative, u, side="right")`` gives, clipped."""
+    return min(bisect_right(cumulative, rng.random()), len(cumulative) - 1)
 
 
 def _select(
@@ -231,14 +241,15 @@ def _select(
         return int(np.argmax(scores))
     if top_k is not None and top_k < len(scores):
         keep = np.sort(np.argsort(-scores, kind="stable")[:top_k])
-        picked = _softmax_sample(scores[keep], temperature, rng)
-        return int(keep[picked])
-    return _softmax_sample(scores, temperature, rng)
+        return int(keep[_sample(_cumulative(scores[keep], temperature), rng)])
+    return _sample(_cumulative(scores, temperature), rng)
 
 
-def _head(pool: list, scores, mode: str, top_k: int | None) -> tuple[list, np.ndarray]:
+def _head(pool: list, scores, mode: str, top_k: int | None) -> tuple[list, np.ndarray, dict]:
     """The items of ``pool`` that selection can pick, with their scores, in
     pool order: the argmax in greedy mode, else the stable top ``top_k``.
+    The third member maps a temperature to the items' ``_cumulative``
+    distribution at it, filled by ``_choose`` on first use.
 
     Items that follow the pool can only push pool items out of the top
     ``top_k``, never bring one back, so the rest need not be kept.
@@ -251,12 +262,12 @@ def _head(pool: list, scores, mode: str, top_k: int | None) -> tuple[list, np.nd
     elif top_k is not None and top_k < len(scores):
         keep = np.sort(np.argsort(-scores, kind="stable")[:top_k])
     else:
-        return pool, scores
-    return [pool[i] for i in keep], scores[keep]
+        return pool, scores, {}
+    return [pool[i] for i in keep], scores[keep], {}
 
 
 def _choose(
-    head: tuple[list, np.ndarray],
+    head: tuple[list, np.ndarray, dict],
     extra: list,
     extra_scores,
     mode: str,
@@ -264,10 +275,21 @@ def _choose(
     temperature: float,
     top_k: int | None,
 ):
-    """The item ``_select`` picks from the head's pool followed by ``extra``."""
-    items, scores = head
-    if extra:
-        scores = np.concatenate([scores, np.asarray(extra_scores, dtype=float)])
+    """The item ``_select`` picks from the head's pool followed by ``extra``.
+
+    Without ``extra`` no numpy call is made once the head's distribution
+    at ``temperature`` is stored: greedy mode takes the head's one item,
+    and sampling is one draw and a bisect of the stored distribution.
+    """
+    items, scores, distributions = head
+    if not extra:
+        if mode == GREEDY:
+            return items[0]
+        cumulative = distributions.get(temperature)
+        if cumulative is None:
+            cumulative = distributions[temperature] = _cumulative(scores, temperature)
+        return items[_sample(cumulative, rng)]
+    scores = np.concatenate([scores, np.asarray(extra_scores, dtype=float)])
     picked = _select(scores, mode, rng, temperature, top_k)
     return items[picked] if picked < len(items) else extra[picked - len(items)]
 
@@ -361,17 +383,19 @@ def generation_step(
     return state
 
 
-def _recompute_hydrogens(atoms: list[Atom], mol: MolGraph) -> list[Atom]:
-    out = []
+def _recompute_hydrogens(atoms: list[Atom], mol: MolGraph) -> bool:
+    """Set the implicit hydrogens of each unbracketed atom from its bonds in
+    ``mol``, in place; whether any atom changed."""
+    changed = False
     for i, atom in enumerate(atoms):
         if not (atom.bracket or atom.is_connection_site):
             implicit = implicit_hydrogens(
                 atom.element, atom.formal_charge, mol.order_sum_x2(i)
             )
             if implicit != atom.implicit_h:
-                atom = replace(atom, implicit_h=implicit)
-        out.append(atom)
-    return out
+                atoms[i] = replace(atom, implicit_h=implicit)
+                changed = True
+    return changed
 
 
 def repair_aromatic_rings(mol: MolGraph) -> MolGraph:
@@ -379,7 +403,8 @@ def repair_aromatic_rings(mol: MolGraph) -> MolGraph:
 
     Every minimal aromatic ring failing the electron count has its bonds set
     to single; atoms left without aromatic bonds lose the aromatic flag and
-    get their implicit hydrogens recomputed.
+    get their implicit hydrogens recomputed. When nothing changes, ``mol``
+    itself is returned.
     """
     atoms = list(mol.atoms)
     bonds = list(mol.bonds)
@@ -400,7 +425,8 @@ def repair_aromatic_rings(mol: MolGraph) -> MolGraph:
             if not still_aromatic and atoms[atom_id].aromatic:
                 atoms[atom_id] = replace(atoms[atom_id], aromatic=False)
         current = MolGraph(tuple(atoms), tuple(bonds))
-    atoms = _recompute_hydrogens(atoms, current)
+    if not _recompute_hydrogens(atoms, current):
+        return current
     return MolGraph(tuple(atoms), tuple(bonds))
 
 

@@ -442,9 +442,14 @@ class MergingGraph:
         return merged
 
 
-def apply_operations(mol: MolGraph, ops: list[MergeOperation]) -> MergingGraph:
-    """Run every merge operation in rank order over a fresh merging graph."""
-    state = MergingGraph(mol)
+def apply_operations(
+    mol: MolGraph,
+    ops: list[MergeOperation],
+    tables: dict[str, tuple[int, ...]] | None = None,
+) -> MergingGraph:
+    """Run every merge operation in rank order over a fresh merging graph;
+    ``tables`` is passed to ``MergingGraph``."""
+    state = MergingGraph(mol, tables)
     for op in ops:
         # most operations find no edge of their signature; skip those calls
         if op.signature in state.by_signature:

@@ -319,4 +319,5 @@ def build_motif_vocabulary(
     Every broken bond contributes one "*" site to each side and one
     attachment-table increment for the site-type pair.
     """
-    return _count_motifs([apply_operations(mol, ops) for mol in corpus])[0]
+    tables: dict[str, tuple[int, ...]] = {}  # label values, shared by every graph
+    return _count_motifs([apply_operations(mol, ops, tables) for mol in corpus])[0]

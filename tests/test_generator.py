@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from random import Random
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import graphbpe.generator as gen
 from graphbpe.chem import parse_smiles, valence_check, write_smiles
 from graphbpe.errors import (
     EmptyVocabularyError,
@@ -149,6 +151,67 @@ class TestScoring:
         assert got == expected
         assert rng_head.random() == rng_full.random()
 
+    @pytest.mark.parametrize("mode", [GREEDY, DISTRIBUTIONAL])
+    @pytest.mark.parametrize("top_k", [None, 1, 25])
+    def test_one_head_reused_matches_full_array_rule(self, mode, top_k):
+        """One head serves 240 picks, with and without extras, alternating
+        temperatures 0.5 and 2.0; each pick and the rng after it match the
+        rule over every score."""
+        draw = Random(top_k or 0)
+        scores = np.array([float(draw.randint(-6, 6)) / 2 for _ in range(60)])
+        head = _head(list(range(len(scores))), scores, mode, top_k)
+        rng_full, rng_head = Random(7), Random(7)
+        for i in range(240):
+            temperature = (0.5, 2.0)[i % 2]
+            extra_scores = np.array(
+                [float(draw.randint(-6, 6)) / 2 for _ in range(draw.choice([0, 0, 1, 4]))]
+            )
+            extra_ids = list(range(len(scores), len(scores) + len(extra_scores)))
+            expected = full_array_select(np.concatenate([scores, extra_scores]), mode,
+                                         rng_full, temperature, top_k)
+            got = _choose(head, extra_ids, extra_scores, mode, rng_head, temperature, top_k)
+            assert got == expected, i
+            assert rng_head.getstate() == rng_full.getstate(), i
+
+    def test_a_head_computes_its_distribution_once(self, vocab_80, monkeypatch):
+        """Over one sampled ``generate`` call, distributions are computed at
+        most once per head plus once per step with open-site candidates,
+        and a step that computes none makes no numpy call."""
+        counts: Counter = Counter()
+
+        class CountingNumpy:
+            def __getattr__(self, name):
+                counts["numpy"] += 1
+                return getattr(np, name)
+
+        def spy(name, function, counted=lambda result: True):
+            def wrapper(*args, **kwargs):
+                result = function(*args, **kwargs)
+                if counted(result):
+                    counts[name] += 1
+                return result
+            monkeypatch.setattr(gen, name, wrapper)
+
+        spy("_head", gen._head)
+        spy("_cumulative", gen._cumulative)
+        spy("_partial_candidates", gen._partial_candidates, counted=bool)
+        step = gen.generation_step
+        step_counts = []
+
+        def counted_step(*args, **kwargs):
+            before = Counter(counts)
+            result = step(*args, **kwargs)
+            step_counts.append(counts - before)
+            return result
+
+        monkeypatch.setattr(gen, "generation_step", counted_step)
+        monkeypatch.setattr(gen, "np", CountingNumpy())
+        generate(vocab_80, FrequencyPolicy(vocab_80), 200, DISTRIBUTIONAL, seed=1, top_k=25)
+        assert counts["_cumulative"] <= counts["_head"] + counts["_partial_candidates"]
+        plain = [c for c in step_counts if not (c["_partial_candidates"] or c["_cumulative"])]
+        assert len(plain) > 200
+        assert all(c["numpy"] == 0 and c["_head"] == 0 for c in plain)
+
 
 class TestStart:
     def test_empty_vocabulary(self):
@@ -274,6 +337,11 @@ class TestFinalize:
         mol = parse_smiles("CCCC")
         assert repair_aromatic_rings(mol) is not None
         assert write_smiles(repair_aromatic_rings(mol)) == write_smiles(mol)
+
+    def test_unrepaired_molecule_is_returned_itself(self):
+        for smiles in ("CCCC", "c1ccccc1O"):
+            mol = parse_smiles(smiles)
+            assert repair_aromatic_rings(mol) is mol
 
     def test_finalize_requires_terminal(self):
         state = seeded_state(Motif("*C", 1))

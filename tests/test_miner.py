@@ -5,7 +5,8 @@ from random import Random
 
 import pytest
 
-from graphbpe.chem import MolGraph, graph_signature, parse_smiles, write_smiles
+import graphbpe.chem.smiles
+from graphbpe.chem import MolGraph, graph_signature, parse_smiles, signature_value, write_smiles
 from graphbpe.errors import NotAdjacentError
 from graphbpe.fileio import write_vocabulary
 from graphbpe.merging import MergingGraph, instance_pattern, pattern_signature, union_pattern
@@ -334,6 +335,26 @@ class TestVocabulary:
         # an edge's signature is composed from its fragments' signatures and
         # op signatures come from the tally, so no graph is signed whole
         assert spied_calls(corpus_1k[1], tmp_path, monkeypatch, graph_signature) == []
+
+    def test_vocabulary_builder_hashes_labels_once_per_corpus(self, corpus_1k, monkeypatch):
+        # one label table serves every molecule, so a corpus listed twice
+        # hashes no label more than the corpus once; a table can regrow
+        # when a higher degree appears, so a label may be hashed again
+        mols = corpus_1k[1][:100]
+        ops = mine_corpus(mols, 40).operations
+        calls = []
+
+        def spy(label):
+            calls.append(label)
+            return signature_value(label)
+
+        monkeypatch.setattr(graphbpe.chem.smiles, "signature_value", spy)
+        counts = []
+        for corpus in (mols, mols + mols):
+            calls.clear()
+            build_motif_vocabulary(corpus, ops)
+            counts.append(len(calls))
+        assert 0 < counts[1] <= counts[0]
 
 
 def spied_calls(mols, tmp_path, monkeypatch, function) -> list:
