@@ -8,7 +8,9 @@ signature order inside the cell's range, until a round splits nothing. Then
 the lowest-index atom of the first ambiguous cell is moved into a cell of its
 own placed first, and refinement resumes, until every cell is one atom.
 Signatures are compared exactly (no hashing), so equal cells are structurally
-equal.
+equal. When refinement alone leaves every cell one atom, which is most small
+graphs, no tie-break runs: the ranks are the refined labels and equal the
+symmetry classes, and ``canonical_rank`` returns one tuple as both.
 
 Each neighbour term of a signature is one int, ``x2 * (n + 1) + label``,
 where ``x2`` is twice the bond order and ``label`` the neighbour cell's start
@@ -61,6 +63,9 @@ class CanonicalRanking:
     connection sites in one class are interchangeable attachment points. They
     are 1-WL classes, not true automorphism orbits, and the lowest-index
     tie-break that orders them is not yet a canonical form (ROADMAP item 2).
+    When refinement alone separated every atom, ``ranks`` and
+    ``symmetry_classes`` are the same tuple, so ``ranks != symmetry_classes``
+    exactly when a tie was broken.
     """
 
     ranks: tuple[int, ...]
@@ -71,7 +76,8 @@ class _OrderedPartition:
     """Cells of atoms in order. Cell ``c`` holds ``members[c]`` and covers
     positions ``start[c]`` .. ``start[c] + len(members[c]) - 1``; its label in
     signatures is ``start[c]``. ``cell_at[p]`` is the cell starting at ``p``.
-    ``neighbors[i]`` holds (neighbour, bond) per bond of atom ``i``, and
+    ``neighbors[i]`` holds (neighbour, bond) per bond of atom ``i`` (the
+    graph's own neighbour tuples), and
     ``weight[b]`` is bond ``b``'s x2 * (n + 1), so the term of a neighbour
     across bond ``b`` is ``weight[b]`` plus the neighbour's label."""
 
@@ -79,7 +85,7 @@ class _OrderedPartition:
         """One cell per distinct key, cells in key order."""
         n = len(keys)
         self.weight = [ORDER_X2[bond.order] * (n + 1) for bond in mol.bonds]
-        self.neighbors = [mol.neighbors(i) for i in range(n)]
+        self.neighbors = mol._adjacency
         cell_of, cell_at = [0] * n, [0] * n
         start: list[int] = []
         members: list[set[int]] = []
@@ -180,17 +186,27 @@ class _OrderedPartition:
                             by_cell[cell] = [nbr]
         return touched, by_cell
 
-    def individualize_first_ambiguous(self, pos: int) -> int:
-        """Give the lowest-index atom of the first cell of more than one atom
-        at or after ``pos`` a cell of its own placed first, refine from it,
-        and return that cell's start; ``len(atoms)`` once all are singletons."""
+    def break_ties(self, priority=None) -> tuple[int, ...]:
+        """The labels once every tie is broken: repeatedly, the first cell
+        of more than one atom gives its lowest-index atom (lowest
+        ``priority[atom]``, when given) a cell of its own placed first, and
+        the partition is refined from that atom."""
+        pos, n = 0, len(self.cell_at)
+        while pos < n:
+            pos = self._individualize_first_ambiguous(pos, priority)
+        return tuple(self.labels())
+
+    def _individualize_first_ambiguous(self, pos: int, priority) -> int:
+        """Individualize one atom of the first cell of more than one atom at
+        or after ``pos`` (see ``break_ties``), and return that cell's start;
+        ``len(atoms)`` once all are singletons."""
         cell_at, members, start = self.cell_at, self.members, self.start
         n = len(cell_at)
         while pos < n and len(members[cell_at[pos]]) == 1:
             pos += 1
         if pos < n:
             cell = cell_at[pos]
-            chosen = min(members[cell])
+            chosen = min(members[cell], key=None if priority is None else priority.__getitem__)
             members[cell].discard(chosen)
             start[cell] = pos + 1
             cell_at[pos + 1] = cell
@@ -202,19 +218,33 @@ class _OrderedPartition:
 
 
 def canonical_rank(mol: MolGraph) -> CanonicalRanking:
+    """Refine the atoms of ``mol`` from their local invariants; return as
+    soon as that separates every atom, else break the ties (see the module
+    docstring)."""
     n = len(mol.atoms)
     if n == 0:
         return CanonicalRanking((), ())
+    adjacency = mol._adjacency
     seeds = [
-        (a.element, a.formal_charge, a.aromatic, mol.degree(i), a.explicit_h)
+        (a.element, a.formal_charge, a.aromatic, len(adjacency[i]), a.explicit_h)
         for i, a in enumerate(mol.atoms)
     ]
     partition = _OrderedPartition(mol, seeds)
     partition.refine()
-    labels = partition.labels()
+    labels = tuple(partition.labels())
+    if len(partition.start) == n:
+        # refinement alone separated every atom: the labels are 0..n-1
+        return CanonicalRanking(labels, labels)
     dense = {label: k for k, label in enumerate(sorted(set(labels)))}
-    symmetry = tuple(dense[label] for label in labels)
-    pos = 0
-    while pos < n:
-        pos = partition.individualize_first_ambiguous(pos)
-    return CanonicalRanking(tuple(partition.labels()), symmetry)
+    symmetry = tuple([dense[label] for label in labels])
+    return CanonicalRanking(partition.break_ties(), symmetry)
+
+
+def tie_broken_ranks(mol: MolGraph, symmetry_classes, priority) -> tuple[int, ...]:
+    """The ranks ``canonical_rank`` gives ``mol`` with every tie going to
+    the atom of lowest ``priority[atom]`` instead of lowest index, from its
+    ``symmetry_classes``: their cells, in class order, are the refinement
+    fixed point, so only the tie-breaks run again. With ``priority[atom]``
+    the position of each atom in a relabelling, these are the ranks of the
+    relabelled graph, indexed by the old atom ids."""
+    return _OrderedPartition(mol, symmetry_classes).break_ties(priority)

@@ -496,22 +496,28 @@ def write_smiles_with_order(
         raise ValueError("cannot serialize an empty molecule")
     if ranking is None:
         ranking = canonical_rank(mol)
-    ranks = ranking.ranks
+    by_rank = [0] * n
+    for atom, rank in enumerate(ranking.ranks):
+        by_rank[rank] = atom
+    # each atom's (neighbour, bond) pairs in neighbour rank order, from one
+    # pass over the atoms in rank order
+    ordered: list[list[tuple[int, int]]] = [[] for _ in atoms]
+    adjacency = mol._adjacency
+    for atom in by_rank:
+        for nbr, bidx in adjacency[atom]:
+            ordered[nbr].append((atom, bidx))
     aromatic = [atom.aromatic for atom in atoms]
     position = [-1] * n
     seen = [False] * len(bonds)
     rings: list[tuple[int, int, str, int]] = []
-    root = ranks.index(0)
+    root = by_rank[0]
     position[root] = 0
     preorder = [root]
     # out[i]: the text of the atom at preorder position i, led by ")" when it
     # ends the previous sibling's branch, "(" when a later sibling follows,
     # and its bond
     out = [atom_token(atoms[root])]
-    nbrs = mol.neighbors(root)
-    if len(nbrs) > 1:
-        nbrs = sorted(nbrs, key=lambda nb: ranks[nb[0]])
-    stack = [[root, iter(nbrs), -1]]  # atom, neighbours to visit, last child's position
+    stack = [[root, iter(ordered[root]), -1]]  # atom, neighbours to visit, last child's position
     while stack:
         frame = stack[-1]
         node = frame[0]
@@ -535,10 +541,7 @@ def write_smiles_with_order(
             frame[2] = position[nbr] = len(preorder)
             preorder.append(nbr)
             out.append(text + atom_token(atoms[nbr]))
-            nbrs = mol.neighbors(nbr)
-            if len(nbrs) > 1:
-                nbrs = sorted(nbrs, key=lambda nb: ranks[nb[0]])
-            stack.append([nbr, iter(nbrs), -1])
+            stack.append([nbr, iter(ordered[nbr]), -1])
             break
         else:
             stack.pop()

@@ -40,7 +40,10 @@ every induced bond as (new atom a, new atom b, order) in molecule bond order.
 That is exactly the graph ``write_smiles`` would be given for the union, so
 a hit returns the string a fresh write would return, even where the
 canonical form is not yet invariant; a miss decodes the key and calls
-``write_smiles``. The memo is process-wide (an ``lru_cache``, like the
+``write_smiles``, once. ``_decode`` takes each ``Bond`` from ``_key_bond``,
+a ``functools`` cache over the key's three-character bond entries, so equal
+entries across keys share one ``Bond`` and a decode builds none anew. The
+memo is process-wide (an ``lru_cache``, like the
 miner's motif caches), cannot go stale because the key is the whole input,
 and ``union_pattern.cache_clear()`` resets it. A bond's own union (the
 starting edges) gets its signature and key straight from its two atoms'
@@ -56,9 +59,10 @@ decoded instance once, for the write and for the site table: a site's class
 needs the ranks of ``parse_smiles`` of the written string, and those are the
 instance's own ranks in emission order when refinement alone separates
 every atom (refinement does not depend on atom numbering). Otherwise the
-ranks depend on the lowest-index tie-break, so the instance relabelled into
-emission order, which is the parsed string as a labelled graph, is ranked
-again.
+ranks depend on the lowest-index tie-break, and the parsed string numbers
+its atoms by emission position, so ``tie_broken_ranks`` re-runs only the
+tie-breaks on the instance, from its symmetry classes, with ties going to
+the lowest emission position; no relabelled copy is built or ranked.
 
 A key is only ever built from a checked molecule, so ``_decode`` builds its
 graph without checks: every key bond has a < b, and a star's anchor id is
@@ -76,7 +80,7 @@ from __future__ import annotations
 import sys
 import threading
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cache, lru_cache
 
 from graphbpe.chem import (
     ORDER_CODES,
@@ -89,6 +93,7 @@ from graphbpe.chem import (
     write_smiles,
     write_smiles_with_order,
 )
+from graphbpe.chem.canon import tie_broken_ranks
 from graphbpe.chem.mol import BOND_ORDERS, STAR, Atom, Bond
 from graphbpe.errors import NotAdjacentError, SmilesSyntaxError
 
@@ -165,30 +170,30 @@ def pattern_signature(pattern: str) -> int | str:
         return ""
 
 
+@cache
+def _key_bond(entry: str) -> tuple[int, int, Bond]:
+    """(a, b, bond) of one three-character bond entry (a, b, order code) of
+    a key; a ``functools`` cache, so equal entries share one ``Bond``."""
+    a, b = ord(entry[0]), ord(entry[1])
+    return a, b, Bond(a, b, BOND_ORDERS[ord(entry[2])])
+
+
 def _decode(key: str, end: int, stars: int = 0) -> MolGraph:
     """The graph of the ``union_key`` in ``key[:end]``, plus one star atom
     per (anchor, order code) entry of the ``stars`` that follow it."""
     count = ord(key[0])
     atoms = [_CODED_ATOMS[ord(code)] for code in key[1 : count + 1]]
     atoms += [_STAR_ATOM] * stars
-    ends = [
-        (ord(key[i]), ord(key[i + 1]), BOND_ORDERS[ord(key[i + 2])])
-        for i in range(count + 1, end, 3)
-    ]
-    ends += [
-        (ord(key[i]), star, BOND_ORDERS[ord(key[i + 1])])
+    entries = [key[i : i + 3] for i in range(count + 1, end, 3)]
+    entries += [
+        key[i] + chr(star) + key[i + 1]
         for star, i in enumerate(range(end, end + 2 * stars, 2), count)
     ]
-    return _unchecked_graph(atoms, ends)
-
-
-def _unchecked_graph(atoms: list[Atom], ends: list[tuple[int, int, str]]) -> MolGraph:
-    """The graph of ``atoms`` with one bond per (a, b, order) entry, each
-    with a < b, and neighbour lists as ``MolGraph`` builds them."""
     adjacency: list[list[tuple[int, int]]] = [[] for _ in atoms]
     bonds = []
-    for bidx, (a, b, order) in enumerate(ends):
-        bonds.append(Bond(a, b, order))
+    for bidx, entry in enumerate(entries):
+        a, b, bond = _key_bond(entry)
+        bonds.append(bond)
         adjacency[a].append((b, bidx))
         adjacency[b].append((a, bidx))
     return MolGraph.from_adjacency(
@@ -223,18 +228,13 @@ def instance_pattern(key: str) -> tuple[str, tuple[int, ...], SiteTable]:
     positions = tuple(position[star] for star in range(count, count + stars))
     # each star's bond is one of the last ``stars`` bonds, in star order
     orders = [bond.order for bond in mol.bonds[len(mol.bonds) - stars :]]
-    if max(ranking.symmetry_classes) == len(order) - 1:
-        # refinement alone separated every atom: no tie-break was used
-        ranks = [ranking.ranks[atom] for atom in order]
-        classes = [ranking.symmetry_classes[atom] for atom in order]
-    else:
-        # the parsed string as a labelled graph: the instance in emission order
-        ends = []
-        for bond in mol.bonds:
-            a, b = position[bond.a], position[bond.b]
-            ends.append((a, b, bond.order) if a < b else (b, a, bond.order))
-        parsed = canonical_rank(_unchecked_graph([mol.atoms[atom] for atom in order], ends))
-        ranks, classes = parsed.ranks, parsed.symmetry_classes
+    ranks, classes = ranking.ranks, ranking.symmetry_classes
+    if ranks != classes:
+        # refinement left ties, broken by atom id; the parsed string numbers
+        # its atoms by emission position, so break them by that instead
+        ranks = tie_broken_ranks(mol, classes, position)
+    ranks = [ranks[atom] for atom in order]
+    classes = [classes[atom] for atom in order]
     return smiles, positions, site_table(smiles, zip(positions, orders), ranks, classes)
 
 
@@ -342,7 +342,7 @@ class MergingGraph:
         if self._pair(fa, fb) not in self.edges:
             raise NotAdjacentError(f"fragments {fa} and {fb} are not adjacent")
         frag_of, labels, degree = self.frag_of, self._labels, self._degree
-        orders, values = self._orders, self._order_values
+        orders, values, adjacency = self._orders, self._order_values, self.mol._adjacency
         union = self.frag_atoms.pop(fa) + self.frag_atoms.pop(fb)
         frag_signature = self.frag_signature
         signature = frag_signature[fa] + frag_signature[fb]
@@ -355,7 +355,7 @@ class MergingGraph:
         for atom in union:
             own = frag_of[atom]
             gained = 0
-            for nbr, bidx in self.mol.neighbors(atom):
+            for nbr, bidx in adjacency[atom]:
                 other = frag_of[nbr]
                 if other == own:
                     continue
@@ -364,8 +364,11 @@ class MergingGraph:
                     if nbr > atom:
                         signature += values[ord(orders[bidx])]
                 else:
-                    dead_pairs.add(self._pair(own, other))
-                    crossing.setdefault(other, []).append((atom, nbr, bidx))
+                    dead_pairs.add((own, other) if own < other else (other, own))
+                    if other in crossing:
+                        crossing[other].append((atom, nbr, bidx))
+                    else:
+                        crossing[other] = [(atom, nbr, bidx)]
             if gained:
                 d = degree[atom]
                 signature += labels[atom][d + gained] - labels[atom][d]

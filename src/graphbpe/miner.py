@@ -13,6 +13,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from heapq import heapify, heappop, heappush
 
 from graphbpe.chem import MolGraph, canonical_rank, parse_smiles
 from graphbpe.merging import (
@@ -155,6 +156,14 @@ class PatternTally:
     closed signature can then neither win nor tie. ``best`` opens signatures
     until that holds.
 
+    Two max-heaps find the best open pattern, as (-count, pattern), so that
+    ties go to the smallest string, and the largest closed signature, as
+    (-count, signature). Counts change by one edge at a time; each pattern
+    or closed signature whose count changed since the last pick is pushed
+    once with its new count, and an entry whose count is no longer current
+    is dropped when it reaches the top. A heap is rebuilt from its counts
+    when its entries outnumber twice its live keys.
+
     The holder index lists, per signature, the states that gained one of its
     edges; a state that lost them all is pruned when the list is read.
     """
@@ -169,6 +178,12 @@ class PatternTally:
             for signature, pairs in state.by_signature.items():
                 self.closed[signature] += len(pairs)
                 self._holders.setdefault(signature, []).append(state)
+        self._pattern_heap: list[tuple[int, str]] = []
+        self._closed_heap = [(-count, signature) for signature, count in self.closed.items()]
+        heapify(self._closed_heap)
+        # keys whose count changed since their heap last saw it
+        self._changed_patterns: set[str] = set()
+        self._changed_closed: set[int] = set()
 
     def holders(self, signature: int) -> list[MergingGraph]:
         """The states that have an edge of ``signature``, each once."""
@@ -183,6 +198,7 @@ class PatternTally:
         pattern = state.pattern(*pair)
         self.patterns[pattern] += 1
         self._signature_of[pattern] = signature
+        self._changed_patterns.add(pattern)
 
     def _open(self, signature: int) -> None:
         self.opened[signature] = self.closed.pop(signature)
@@ -193,21 +209,21 @@ class PatternTally:
     def best(self) -> tuple[str, int, int] | None:
         """(pattern, count, signature) of the most frequent pattern, ties to
         the smallest string; None when no edge is left."""
-        while self.closed:
-            best_open = max(self.patterns.values(), default=0)
-            top = max(self.closed.values())
+        closed_heap = self._closed_heap
+        top = _heap_top(closed_heap, self.closed, self._changed_closed)
+        while top:
+            best_open = _heap_top(self._pattern_heap, self.patterns, self._changed_patterns)
             if top < best_open:
                 break
             # with nothing open, open the largest signatures first
             threshold = best_open or top
-            for signature in [s for s, count in self.closed.items() if count >= threshold]:
-                self._open(signature)
-        if not self.patterns:
+            while top >= threshold:
+                self._open(heappop(closed_heap)[1])
+                top = _heap_top(closed_heap, self.closed, self._changed_closed)
+        count = _heap_top(self._pattern_heap, self.patterns, self._changed_patterns)
+        if not count:
             return None
-        pattern, count = None, 0
-        for candidate, value in self.patterns.items():
-            if value > count or (value == count and candidate < pattern):
-                pattern, count = candidate, value
+        pattern = self._pattern_heap[0][1]
         return pattern, count, self._signature_of[pattern]
 
     def edge_added(self, state: MergingGraph, pair, signature: int) -> None:
@@ -216,6 +232,7 @@ class PatternTally:
             self._count(state, pair, signature)
         else:
             self.closed[signature] += 1
+            self._changed_closed.add(signature)
         holders = self._holders.setdefault(signature, [])
         if not holders or holders[-1] is not state:
             holders.append(state)
@@ -224,11 +241,36 @@ class PatternTally:
         if signature in self.opened:
             if _drop(self.patterns, pattern):
                 del self._signature_of[pattern]
+            else:
+                self._changed_patterns.add(pattern)
             gone = _drop(self.opened, signature)
         else:
             gone = _drop(self.closed, signature)
+            if not gone:
+                self._changed_closed.add(signature)
         if gone:
             del self._holders[signature]
+
+
+def _heap_top(heap: list, counts: Counter, changed) -> int:
+    """The largest value in ``counts`` (0 when it is empty), with ``heap``
+    holding (-count, key) entries: first push each key in ``changed`` that
+    is still counted and empty ``changed``, rebuild the heap when stale
+    entries outnumber live keys, then drop stale entries from the top."""
+    for key in changed:
+        count = counts.get(key)
+        if count:
+            heappush(heap, (-count, key))
+    changed.clear()
+    if len(heap) > 2 * len(counts):
+        heap[:] = [(-count, key) for key, count in counts.items()]
+        heapify(heap)
+    while heap:
+        negative, key = heap[0]
+        if counts.get(key) == -negative:
+            return -negative
+        heappop(heap)
+    return 0
 
 
 def _count_motifs(states: list[MergingGraph]) -> tuple[MotifVocabulary, int]:

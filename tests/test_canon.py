@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import graphbpe.merging
 from graphbpe.chem import canonical_rank, parse_smiles, write_smiles, write_smiles_with_order
+from graphbpe.chem.canon import tie_broken_ranks
 from graphbpe.merging import instance_pattern, union_pattern
 from graphbpe.miner import mine_corpus
 from helpers import (
@@ -176,9 +177,29 @@ def test_kernels_match_reference_on_mined_unions_and_motif_instances(corpus_1k, 
     mine_corpus(corpus_1k[1][:150], 40)
     unions, instances = written["write_smiles"], written["write_smiles_with_order"]
     assert len(unions) > 500
+    # both branches of canonical_rank: refinement alone separates every
+    # atom (the early return), or ties are broken
+    separated = {len(set(canonical_rank(mol).symmetry_classes)) == len(mol.atoms) for mol in unions}
+    assert separated == {True, False}
     assert any(atom.is_connection_site for mol in instances for atom in mol.atoms)
     for mol in unions + instances:
         assert_kernels_match_reference(mol)
+
+
+def test_tie_broken_ranks_are_the_ranks_of_the_relabelled_graph(corpus_1k):
+    # breaking ties by each atom's new id gives the relabelled graph's ranks
+    rng = Random(2718)
+    mols = [*golden_graphs(corpus_1k[1]), *(random_molecule(rng, max_atoms=12) for _ in range(300))]
+    tied = 0
+    for mol in mols:
+        n = len(mol.atoms)
+        perm = rng.sample(range(n), n)
+        ranking = canonical_rank(mol)
+        relabelled = canonical_rank(permute_molecule(mol, perm)).ranks
+        expected = tuple(relabelled[perm[atom]] for atom in range(n))
+        assert tie_broken_ranks(mol, ranking.symmetry_classes, perm) == expected
+        tied += ranking.ranks != ranking.symmetry_classes
+    assert tied > 20
 
 
 @settings(max_examples=200, deadline=None)

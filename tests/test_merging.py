@@ -370,7 +370,7 @@ def test_instance_sites_where_the_writer_ranks_order_stars_otherwise():
     # the fragment C0..F5 of this molecule is written *C1(C(C1=N*)=N*)F: its
     # two N-side stars share a class, and the tie-break that orders them
     # picks by atom id, which differs between the instance and the parsed
-    # string, so the instance is ranked again in emission order
+    # string, so the instance's ties are broken again by emission position
     atoms = tuple(Atom(e) for e in ("C", "C", "N", "N", "C", "F", "Cl", "Cl", "Cl"))
     bonds = tuple(make_bond(a, b, order) for a, b, order in [
         (0, 3, "double"), (0, 1, "single"), (1, 4, "single"), (0, 4, "single"),

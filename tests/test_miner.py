@@ -6,6 +6,7 @@ from random import Random
 import pytest
 
 import graphbpe.chem.smiles
+import graphbpe.merging
 from graphbpe.chem import MolGraph, graph_signature, parse_smiles, signature_value, write_smiles
 from graphbpe.errors import NotAdjacentError
 from graphbpe.fileio import write_vocabulary
@@ -335,6 +336,20 @@ class TestVocabulary:
         # an edge's signature is composed from its fragments' signatures and
         # op signatures come from the tally, so no graph is signed whole
         assert spied_calls(corpus_1k[1], tmp_path, monkeypatch, graph_signature) == []
+
+    def test_each_union_miss_writes_through_the_traced_call(self, corpus_1k, monkeypatch):
+        # the bench counts union writes as graphbpe.merging.write_smiles
+        # spans, so a miss must write through that name, once, and a hit not
+        written = []
+
+        def spy(mol):
+            written.append(mol)
+            return write_smiles(mol)
+
+        monkeypatch.setattr(graphbpe.merging, "write_smiles", spy)
+        union_pattern.cache_clear()
+        mine_corpus(corpus_1k[1][:150], 60)
+        assert len(written) == union_pattern.cache_info().misses > 0
 
     def test_vocabulary_builder_hashes_labels_once_per_corpus(self, corpus_1k, monkeypatch):
         # one label table serves every molecule, so a corpus listed twice
