@@ -87,9 +87,6 @@ class Bond:
     b: int
     order: str
 
-    def other(self, atom_id: int) -> int:
-        return self.b if atom_id == self.a else self.a
-
 
 def make_bond(a: int, b: int, order: str) -> Bond:
     if a == b:

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import re
 from collections import Counter
+from functools import cache
 from hashlib import blake2b
 
 from graphbpe.chem.canon import CanonicalRanking, canonical_rank
@@ -374,21 +375,18 @@ def signature_value(label: str) -> int:
     return int.from_bytes(blake2b(label.encode(), digest_size=8).digest(), "little")
 
 
-def label_values(tables: dict[str, tuple[int, ...]], stem: str, index: int) -> tuple[int, ...]:
+@cache
+def label_values(stem: str, index: int) -> tuple[int, ...]:
     """The ``signature_value`` of the labels ``stem`` followed by 0, 1, ...
-    up to at least ``index``, kept in ``tables`` for later calls. An atom's
-    label is its ``atom_token`` and its degree; a bond's is "|" and the
-    index of its order in ``BOND_ORDERS``."""
-    table = tables.get(stem)
-    if table is None or len(table) <= index:
-        table = tables[stem] = tuple(signature_value(f"{stem}{i}") for i in range(index + 1))
-    return table
+    up to ``index``; one process-wide cache. An atom's label is its
+    ``atom_token`` and its degree; a bond's is "|" and the index of its
+    order in ``BOND_ORDERS``."""
+    return tuple(signature_value(f"{stem}{i}") for i in range(index + 1))
 
 
-def graph_signature(mol: MolGraph, tables: dict[str, tuple[int, ...]] | None = None) -> int:
+def graph_signature(mol: MolGraph) -> int:
     """A cheap isomorphism invariant of ``mol``: the sum mod 2**64 of the
     value of each atom's and each bond's label (see ``label_values``).
-    A caller that signs many graphs passes one ``tables`` to every call.
 
     Equal canonical strings give equal signatures:
     ``parse_smiles(write_smiles(G))`` is G again up to atom numbering, with
@@ -399,13 +397,11 @@ def graph_signature(mol: MolGraph, tables: dict[str, tuple[int, ...]] | None = N
     signatures only as a gate before comparing canonical strings, so a
     collision costs extra writes and never changes a result.
     """
-    if tables is None:
-        tables = {}
     labels = Counter(zip(map(atom_token, mol.atoms), map(mol.degree, range(len(mol.atoms)))))
     total = 0
     for (token, degree), count in labels.items():
-        total += label_values(tables, token, degree)[degree] * count
-    by_order = label_values(tables, "|", len(BOND_ORDERS) - 1)
+        total += label_values(token, degree)[degree] * count
+    by_order = label_values("|", len(BOND_ORDERS) - 1)
     for order, count in Counter(bond.order for bond in mol.bonds).items():
         total += by_order[BOND_ORDERS.index(order)] * count
     return total & (2**64 - 1)

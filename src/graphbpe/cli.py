@@ -192,9 +192,8 @@ def _cmd_fragmentize(args: argparse.Namespace) -> int:
     ids, mols = load_corpus(args.corpus)
     lines = []
     trajectories = []
-    tables: dict[str, tuple[int, ...]] = {}  # label values, shared by every molecule
     for mol_id, mol in zip(ids, mols):
-        frag = fragmentize(mol, ops, tables)
+        frag = fragmentize(mol, ops)
         lines.append(f"{mol_id}\t" + "|".join(frag.motif_strings()))
         if args.trajectories:
             trajectories.append(fragmentation_trajectory(frag))

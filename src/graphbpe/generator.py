@@ -7,10 +7,11 @@ same bond order as the focus, which keeps every merge valence-safe. A
 pluggable policy supplies the scores; selection is argmax (greedy mode) or a
 softmax sample (distributional mode).
 
-For a ``context_free`` policy, a ``generate`` call keeps the selectable head
-(``_head``) of the start pool and of each focus type's vocabulary pool, and
-each head keeps its cumulative softmax, computed once. A step whose focus
-has no open-site candidate then costs one random draw and a bisect.
+A ``generate`` call keeps the selectable head (``_head``) of the start pool
+and of each focus type's vocabulary pool, and each head keeps its cumulative
+softmax, computed once. A step whose focus has no open-site candidate then
+costs one random draw and a bisect; a step with some builds one head over
+the cached head and those candidates and picks from it the same way.
 """
 from __future__ import annotations
 
@@ -40,20 +41,19 @@ DISTRIBUTIONAL = "distributional"
 DEFAULT_MAX_STEPS = 100
 
 _SEED_MIX = 0x9E3779B97F4A7C15  # odd constant; decorrelates per-molecule streams
-_START = "start"  # stands in for the focus site type in the start head's cache key
 
 
 class Policy:
     """Scoring contract: one finite score per candidate, independent of the
     other candidates; vocabulary and open-site pools come in separate calls.
 
-    ``context_free=True`` declares that start scores depend only on the
-    motifs and vocabulary scores only on the focus site type, so one
-    ``generate`` call scores the starts once and each focus site type once.
+    Start scores depend only on the motifs, and vocabulary-pool scores only
+    on the focus site type, so one ``generate`` call scores the starts once
+    and each focus site type's vocabulary pool once. Only open-site pools
+    are scored at every step.
     """
 
     temperature: float = 1.0
-    context_free: bool = False
 
     def score_start(self, context, motifs: list[Motif]) -> np.ndarray:
         raise NotImplementedError
@@ -70,10 +70,9 @@ class FrequencyPolicy(Policy):
 
     The vocabulary pool of a bond order starts from its log motif
     frequencies; only the focus type's observed partners get the
-    co-occurrence term added, since ``log1p(0) + x == x``.
+    co-occurrence term added, since ``log1p(0) + x == x``. An open-site
+    pool scores ``log1p(cyclize_weight * attachment count)``.
     """
-
-    context_free = True
 
     def __init__(
         self,
@@ -120,14 +119,11 @@ class FrequencyPolicy(Policy):
                 if at is not None:
                     scores[at] = math.log1p(pair) + log_frequency[at[0]]
             return scores
-        scores = np.empty(len(candidates), dtype=float)
-        for i, cand in enumerate(candidates):
-            pair = partners.get(cand.site_type, 0)
-            if cand.kind == "vocab":
-                scores[i] = math.log1p(pair) + math.log(cand.motif.frequency)
-            else:
-                scores[i] = math.log1p(self.cyclize_weight * pair)
-        return scores
+        return np.array(
+            [math.log1p(self.cyclize_weight * partners.get(cand.site_type, 0))
+             for cand in candidates],
+            dtype=float,
+        )
 
 
 @dataclass
@@ -232,19 +228,6 @@ def _sample(cumulative: list[float], rng: Random) -> int:
     return min(bisect_right(cumulative, rng.random()), len(cumulative) - 1)
 
 
-def _select(
-    scores: np.ndarray, mode: str, rng: Random, temperature: float, top_k: int | None
-) -> int:
-    if not np.all(np.isfinite(scores)):
-        raise ValueError("policy produced a non-finite score")
-    if mode == GREEDY:
-        return int(np.argmax(scores))
-    if top_k is not None and top_k < len(scores):
-        keep = np.sort(np.argsort(-scores, kind="stable")[:top_k])
-        return int(keep[_sample(_cumulative(scores[keep], temperature), rng)])
-    return _sample(_cumulative(scores, temperature), rng)
-
-
 def _head(pool: list, scores, mode: str, top_k: int | None) -> tuple[list, np.ndarray, dict]:
     """The items of ``pool`` that selection can pick, with their scores, in
     pool order: the argmax in greedy mode, else the stable top ``top_k``.
@@ -275,23 +258,24 @@ def _choose(
     temperature: float,
     top_k: int | None,
 ):
-    """The item ``_select`` picks from the head's pool followed by ``extra``.
+    """The item selection picks from the head's pool followed by ``extra``.
 
-    Without ``extra`` no numpy call is made once the head's distribution
-    at ``temperature`` is stored: greedy mode takes the head's one item,
-    and sampling is one draw and a bisect of the stored distribution.
+    Greedy mode takes the head's one item; sampling is one draw and a
+    bisect of the head's distribution at ``temperature``, stored on first
+    use, so no numpy call is made once it is stored. With ``extra``, the
+    pick is made the same way from a fresh ``_head`` of the head's items
+    followed by ``extra``.
     """
+    if extra:
+        items, scores, _ = head
+        head = _head(items + extra, np.concatenate([scores, extra_scores]), mode, top_k)
     items, scores, distributions = head
-    if not extra:
-        if mode == GREEDY:
-            return items[0]
-        cumulative = distributions.get(temperature)
-        if cumulative is None:
-            cumulative = distributions[temperature] = _cumulative(scores, temperature)
-        return items[_sample(cumulative, rng)]
-    scores = np.concatenate([scores, np.asarray(extra_scores, dtype=float)])
-    picked = _select(scores, mode, rng, temperature, top_k)
-    return items[picked] if picked < len(items) else extra[picked - len(items)]
+    if mode == GREEDY:
+        return items[0]
+    cumulative = distributions.get(temperature)
+    if cumulative is None:
+        cumulative = distributions[temperature] = _cumulative(scores, temperature)
+    return items[_sample(cumulative, rng)]
 
 
 def start_generation(
@@ -304,15 +288,15 @@ def start_generation(
 ) -> GenerationState:
     """Pick the first motif and enqueue its sites in canonical atom order.
 
-    A ``context_free`` policy's start head (see ``_head``) is kept in
-    ``score_cache`` (``None``: a fresh cache for this call).
+    The start head (see ``_head``) is kept in ``score_cache`` (``None``: a
+    fresh cache for this call).
     """
     _check_selection(mode, top_k)
     if not len(vocab):
         raise EmptyVocabularyError("cannot generate from an empty vocabulary")
-    if score_cache is None or not policy.context_free:
+    if score_cache is None:
         score_cache = {}
-    key = (_START, mode, top_k)
+    key = (None, mode, top_k)
     head = score_cache.get(key)
     if head is None:
         motifs = vocab.ordered_motifs()
@@ -347,9 +331,9 @@ def generation_step(
 
     Candidates are vocabulary sites plus the partial molecule's other open
     sites, restricted to the focus site's bond order. The two pools are
-    scored in separate policy calls; a ``context_free`` policy's vocabulary
-    head (see ``_head``) is kept in ``score_cache`` per focus site type
-    (``None``: a fresh cache for this call).
+    scored in separate policy calls; the vocabulary head (see ``_head``) is
+    kept in ``score_cache`` per focus site type (``None``: a fresh cache
+    for this call).
     """
     _check_selection(mode, top_k)
     if state.terminal:
@@ -363,7 +347,7 @@ def generation_step(
         raise NoCompatibleCandidateError(
             f"no candidate shares the focus bond order {focus_order!r}"
         )
-    if score_cache is None or not policy.context_free:
+    if score_cache is None:
         score_cache = {}
 
     def score(pool: list[Candidate]) -> np.ndarray:

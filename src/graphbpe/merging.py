@@ -17,8 +17,8 @@ bonds' values plus, at each bond end, the change of that atom's label.
 Signing adds work only at the crossing bonds: the walk is the one that
 finds the dead edges, and no label is formatted, sorted or hashed during a
 merge. Label values come from one tuple per distinct atom token, indexed
-by degree (``graphbpe.chem.label_values``); the miner passes one table
-dict to every graph of a corpus, so its graphs share them.
+by degree (``graphbpe.chem.label_values``, one process-wide cache), so
+every graph shares them.
 
 A pattern fixes its signature: equal canonical strings give equal
 signatures (see ``graph_signature``), so ``pattern_signature(pattern)`` is
@@ -249,12 +249,8 @@ class MergingGraph:
     atom's degree inside its fragment.
     """
 
-    def __init__(self, mol: MolGraph, tables: dict[str, tuple[int, ...]] | None = None):
-        """The partition of ``mol`` into single atoms. ``tables`` holds the
-        label values (see ``graphbpe.chem.label_values``); graphs built with
-        one ``tables`` share them."""
-        if tables is None:
-            tables = {}
+    def __init__(self, mol: MolGraph):
+        """The partition of ``mol`` into single atoms."""
         self.mol = mol
         self.ranks = canonical_rank(mol).ranks
         self.frag_of = list(range(len(mol.atoms)))
@@ -263,10 +259,10 @@ class MergingGraph:
         self._orders = "".join(ORDER_CODES[bond.order] for bond in mol.bonds)
         # each atom's label value by its degree inside its fragment
         self._labels = [
-            label_values(tables, atom_token(atom), mol.degree(i)) for i, atom in enumerate(mol.atoms)
+            label_values(atom_token(atom), mol.degree(i)) for i, atom in enumerate(mol.atoms)
         ]
         # bond values by order index, which is ``ord`` of the order code
-        self._order_values = label_values(tables, "|", len(BOND_ORDERS) - 1)
+        self._order_values = label_values("|", len(BOND_ORDERS) - 1)
         self._degree = [0] * len(mol.atoms)
         self.frag_signature: list[int | None] = [labels[0] for labels in self._labels]
         self.edges: dict[Pair, int] = {}
@@ -332,13 +328,9 @@ class MergingGraph:
         union = self.frag_atoms[fa] + self.frag_atoms[fb]
         return tuple(sorted(self.ranks[a] for a in union))
 
-    def merge(self, fa: int, fb: int) -> int:
-        """Merge two adjacent fragments; returns the fresh fragment id."""
-        return self._merge(fa, fb)[0]
-
     def _merge(self, fa: int, fb: int) -> tuple[int, list[tuple[Pair, int, str | None]], list]:
-        """``merge``, also returning the dead edges as (pair, signature,
-        pattern or None) and the new pairs."""
+        """Merge two adjacent fragments; returns the fresh fragment id, the
+        dead edges as (pair, signature, pattern or None) and the new pairs."""
         if self._pair(fa, fb) not in self.edges:
             raise NotAdjacentError(f"fragments {fa} and {fb} are not adjacent")
         frag_of, labels, degree = self.frag_of, self._labels, self._degree
@@ -445,14 +437,9 @@ class MergingGraph:
         return merged
 
 
-def apply_operations(
-    mol: MolGraph,
-    ops: list[MergeOperation],
-    tables: dict[str, tuple[int, ...]] | None = None,
-) -> MergingGraph:
-    """Run every merge operation in rank order over a fresh merging graph;
-    ``tables`` is passed to ``MergingGraph``."""
-    state = MergingGraph(mol, tables)
+def apply_operations(mol: MolGraph, ops: list[MergeOperation]) -> MergingGraph:
+    """Run every merge operation in rank order over a fresh merging graph."""
+    state = MergingGraph(mol)
     for op in ops:
         # most operations find no edge of their signature; skip those calls
         if op.signature in state.by_signature:

@@ -172,13 +172,12 @@ def evaluate(generated: list[MolGraph], training: list[MolGraph]) -> EvalReport:
     valid_graphs = [g for g, ok in zip(graphs, passes) if ok]
     unique = sorted({write_smiles(g) for g in valid_graphs})
     signatures: dict[tuple[int, int], set[int]] = {}
-    tables: dict[str, tuple[int, ...]] = {}  # label values, shared by every graph here
     for g in valid_graphs:
-        signatures.setdefault((len(g.atoms), len(g.bonds)), set()).add(graph_signature(g, tables))
+        signatures.setdefault((len(g.atoms), len(g.bonds)), set()).add(graph_signature(g))
 
     def could_match(mol: MolGraph) -> bool:
         same_size = signatures.get((len(mol.atoms), len(mol.bonds)))
-        return same_size is not None and graph_signature(mol, tables) in same_size
+        return same_size is not None and graph_signature(mol) in same_size
 
     train_components = [m.component_count() for m in training]
     train_strings = {

@@ -326,8 +326,7 @@ def learn_merging_operations(
     Stops early when no fragment-pair edges remain. Runtime is linear in the
     corpus size for a fixed operation count.
     """
-    tables: dict[str, tuple[int, ...]] = {}  # label values, shared by every graph
-    return _learn([MergingGraph(mol, tables) for mol in corpus], num_operations)
+    return _learn([MergingGraph(mol) for mol in corpus], num_operations)
 
 
 @dataclass(frozen=True)
@@ -345,8 +344,7 @@ def mine_corpus(
     ``threads`` is accepted for existing callers and ignored: mining runs in
     one process.
     """
-    tables: dict[str, tuple[int, ...]] = {}  # label values, shared by every graph
-    states = [MergingGraph(mol, tables) for mol in corpus]
+    states = [MergingGraph(mol) for mol in corpus]
     ops = _learn(states, num_operations)
     vocabulary, fragment_total = _count_motifs(states)
     mean = fragment_total / len(corpus) if corpus else 0.0
@@ -361,5 +359,4 @@ def build_motif_vocabulary(
     Every broken bond contributes one "*" site to each side and one
     attachment-table increment for the site-type pair.
     """
-    tables: dict[str, tuple[int, ...]] = {}  # label values, shared by every graph
-    return _count_motifs([apply_operations(mol, ops, tables) for mol in corpus])[0]
+    return _count_motifs([apply_operations(mol, ops) for mol in corpus])[0]

@@ -18,14 +18,9 @@ from graphbpe.chem import MolGraph
 from graphbpe.merging import Fragmentation, MergeOperation, apply_operations, extract_motifs
 
 
-def fragmentize(
-    mol: MolGraph,
-    ops: list[MergeOperation],
-    tables: dict[str, tuple[int, ...]] | None = None,
-) -> Fragmentation:
-    """The motifs of ``mol`` under ``ops``. A caller that fragmentizes many
-    molecules passes one ``tables`` (see ``MergingGraph``) to every call."""
-    return extract_motifs(apply_operations(mol, ops, tables))
+def fragmentize(mol: MolGraph, ops: list[MergeOperation]) -> Fragmentation:
+    """The motifs of ``mol`` under ``ops``."""
+    return extract_motifs(apply_operations(mol, ops))
 
 
 @dataclass(frozen=True)

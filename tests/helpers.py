@@ -1,10 +1,10 @@
 """Shared test utilities: random valid molecules, permutation tools, mined
-artifacts as values, a brute-force pattern counter and an eager reference
-miner built on it, a from-scratch union signature, a site-type lookup by
-star atom, an isomorphism matcher independent of the package's canonical
-ranking, the generator's full-array selection rule, an eager reference
-``evaluate``, a character-loop reference parser, and reference copies of
-the canonical ranking and writer kernels."""
+artifacts as values, a single fragment merge, a brute-force pattern counter
+and an eager reference miner built on it, a from-scratch union signature, a
+site-type lookup by star atom, an isomorphism matcher independent of the
+package's canonical ranking, the generator's full-array selection rule, an
+eager reference ``evaluate``, a character-loop reference parser, and
+reference copies of the canonical ranking and writer kernels."""
 from __future__ import annotations
 
 import math
@@ -134,6 +134,11 @@ def mined(corpus: list[MolGraph], num_operations: int) -> tuple:
     result = mine_corpus(corpus, num_operations)
     motifs = {m.smiles: m.frequency for m in result.vocabulary.ordered_motifs()}
     return result.operations, motifs, result.vocabulary.attachment_counts
+
+
+def merge(state: MergingGraph, fa: int, fb: int) -> int:
+    """Merge two adjacent fragments; returns the fresh fragment id."""
+    return state._merge(fa, fb)[0]
 
 
 def count_pair_patterns(states: list[MergingGraph]) -> Counter[str]:
@@ -802,6 +807,10 @@ def _reference_traverse(mol: MolGraph, ranks: list[int]):
     return preorder, children, opens, closes
 
 
+def other_atom(bond: Bond, atom_id: int) -> int:
+    return bond.b if atom_id == bond.a else bond.a
+
+
 def reference_write_smiles_with_order(mol: MolGraph) -> tuple[str, list[int]]:
     """``write_smiles_with_order`` as a DFS over dicts and sets followed by
     a separate emission loop, ranked by ``reference_canonical_rank``: the
@@ -822,7 +831,7 @@ def reference_write_smiles_with_order(mol: MolGraph) -> tuple[str, list[int]]:
         out.append(lead[atom] + atom_token(atoms[atom]))
         for digit, bidx in sorted((digit_of[b], b) for b in closes.get(atom, ())):
             in_use.discard(digit)
-            other = atoms[bonds[bidx].other(atom)]
+            other = atoms[other_atom(bonds[bidx], atom)]
             out.append(_reference_bond_token(bonds[bidx].order, aromatic, other.aromatic))
             out.append(str(digit) if digit < 10 else f"%{digit:02d}")
         for _, bidx in sorted(opens.get(atom, ())):

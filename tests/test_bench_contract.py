@@ -9,6 +9,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 TRACING = ROOT / "bench" / "tracing.py"
 RUN = ROOT / "bench" / "run.py"
@@ -95,15 +97,18 @@ def test_result_attributes_the_benchmark_reads():
         assert isinstance(getattr(ev, name), int), name
 
 
-def test_cache_sweep_empties_the_instance_memo():
+@pytest.mark.parametrize("module,name", [("graphbpe.merging", "instance_pattern"),
+                                         ("graphbpe.chem.smiles", "label_values")],
+                         ids=["instance_pattern", "label_values"])
+def test_cache_sweep_empties_each_memo(module, name):
     # every bench stage starts from bench/run.py's cold_caches(), which
     # clears each module-level value of the package that has cache_clear and
-    # cache_info; the motif-instance memo must be one, or warm state from one
-    # stage would leak into the next one's timing
+    # cache_info; the motif-instance memo and the signature label cache must
+    # be ones, or warm state from one stage would leak into the next one's
+    # timing
     import graphbpe
-    import graphbpe.merging
 
-    memo = vars(graphbpe.merging)["instance_pattern"]
+    memo = vars(importlib.import_module(module))[name]
     assert callable(memo.cache_clear) and callable(memo.cache_info)
     corpus = [graphbpe.parse_smiles(s) for s in ("CCO", "CC(=O)N", "c1ccccc1O", "CCN")]
     result = graphbpe.mine_corpus(corpus, 3)

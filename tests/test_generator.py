@@ -12,10 +12,12 @@ from graphbpe.chem import parse_smiles, valence_check, write_smiles
 from graphbpe.errors import (
     EmptyVocabularyError,
     IncompatibleBondError,
+    IrreparableValenceError,
     NoCompatibleCandidateError,
     UnknownMotifError,
 )
 from graphbpe.generator import (
+    DEFAULT_MAX_STEPS,
     DISTRIBUTIONAL,
     GREEDY,
     FrequencyPolicy,
@@ -26,6 +28,7 @@ from graphbpe.generator import (
     finalize,
     generate,
     generation_step,
+    molecule_seed,
     repair_aromatic_rings,
     replay_trajectory,
     start_generation,
@@ -70,6 +73,41 @@ class CountingPolicy(FrequencyPolicy):
     def score_connections(self, context, focus, candidates):
         self.calls += 1
         return super().score_connections(context, focus, candidates)
+
+
+class PlainPolicy(Policy):
+    """A policy that is no ``FrequencyPolicy`` and declares nothing: it
+    counts its calls and takes its scores from one."""
+
+    def __init__(self, vocab):
+        self.base = FrequencyPolicy(vocab)
+        self.calls = self.starts = 0
+
+    def score_start(self, context, motifs):
+        self.starts += 1
+        return self.base.score_start(context, motifs)
+
+    def score_connections(self, context, focus, candidates):
+        self.calls += 1
+        return self.base.score_connections(context, focus, candidates)
+
+
+def generate_uncached(vocab, policy, n, mode, seed, top_k) -> list[str]:
+    """The written molecules of ``generate``'s loop with ``score_cache=None``
+    at every call, so every start and every step scores afresh."""
+    written = []
+    for index in range(n):
+        state = start_generation(vocab, policy, molecule_seed(seed, index), mode, top_k)
+        try:
+            while not state.terminal:
+                if state.step_count >= DEFAULT_MAX_STEPS:
+                    break
+                generation_step(state, vocab, policy, mode, top_k)
+            else:
+                written.append(write_smiles(finalize(state)))
+        except (NoCompatibleCandidateError, IrreparableValenceError):
+            pass
+    return written
 
 
 class TestSelectionArguments:
@@ -378,12 +416,11 @@ class TestGenerate:
         assert max(len(vocab_80), *map(len, vocab_80.candidates_by_order.values())) < huge
         for mode, top_k in [(DISTRIBUTIONAL, 10), (DISTRIBUTIONAL, None),
                             (DISTRIBUTIONAL, huge), (GREEDY, None)]:
-            cached, uncached = CountingPolicy(vocab_80), CountingPolicy(vocab_80)
-            uncached.context_free = False
+            cached, uncached = PlainPolicy(vocab_80), PlainPolicy(vocab_80)
             runs = [
-                [write_smiles(m) for m in generate(vocab_80, policy, 40, mode,
-                                                   seed=5, top_k=top_k)[0]]
-                for policy in (cached, uncached)
+                [write_smiles(m) for m in generate(vocab_80, cached, 40, mode,
+                                                   seed=5, top_k=top_k)[0]],
+                generate_uncached(vocab_80, uncached, 40, mode, 5, top_k),
             ]
             assert runs[0] and runs[0] == runs[1], (mode, top_k)
             assert 0 < cached.calls < uncached.calls, (mode, top_k)

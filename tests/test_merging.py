@@ -19,7 +19,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import graphbpe.merging
-from graphbpe.chem import canonical_rank, graph_signature, parse_smiles, write_smiles, write_smiles_with_order
+from graphbpe.chem import (
+    canonical_rank,
+    graph_signature,
+    label_values,
+    parse_smiles,
+    write_smiles,
+    write_smiles_with_order,
+)
 from graphbpe.chem.mol import BOND_ORDERS, STAR, Atom, MolGraph, make_bond
 from graphbpe.fileio import (
     read_operations,
@@ -43,7 +50,7 @@ from graphbpe.merging import (
 from graphbpe.metrics import evaluate
 from graphbpe.miner import learn_merging_operations, mine_corpus, motif_sites
 from graphbpe.tokenizer import fragmentize
-from helpers import mined, random_molecule, union_signature
+from helpers import merge, mined, random_molecule, union_signature
 
 AMINE = MolGraph((Atom("C", implicit_h=3), Atom("N", implicit_h=2)),
                  (make_bond(0, 1, "single"),))
@@ -188,12 +195,14 @@ def test_a_signature_is_only_a_gate(corpus_1k, tmp_path, monkeypatch):
         if name.startswith("graphbpe") and hasattr(module, "signature_value"):
             monkeypatch.setattr(module, "signature_value", lambda label: 0)
     pattern_signature.cache_clear()
+    label_values.cache_clear()
     try:
         assert len(MergingGraph(mols[0]).by_signature) == 1
         assert graph_signature(mols[0]) == pattern_signature("CC") == 0
         colliding = artifacts(tmp_path / "colliding")
     finally:
         pattern_signature.cache_clear()
+        label_values.cache_clear()
     assert colliding == expected
 
 
@@ -266,7 +275,7 @@ def test_instance_key_is_the_union_key_then_the_broken_bonds():
     mol = MolGraph((Atom("C"), Atom("N"), Atom("O")),
                    (make_bond(0, 1, "single"), make_bond(1, 2, "double")))
     state = MergingGraph(mol)
-    state.merge(0, 1)
+    merge(state, 0, 1)
     instance_pattern.cache_clear()
     frag = extract_motifs(state)
     assert [m.smiles for m in frag.motifs] == ["*=NC", "*=O"]
@@ -378,9 +387,9 @@ def test_instance_sites_where_the_writer_ranks_order_stars_otherwise():
         (1, 8, "single"),
     ])
     state = MergingGraph(MolGraph(atoms, bonds))
-    fragment = state.merge(0, 1)
+    fragment = merge(state, 0, 1)
     for atom in (3, 4, 2, 5):
-        fragment = state.merge(fragment, atom)
+        fragment = merge(state, fragment, atom)
     instance_pattern.cache_clear()
     motif = extract_motifs(state).motifs[0]
     assert motif.smiles == "*C1(C(C1=N*)=N*)F"

@@ -25,6 +25,7 @@ from helpers import (
     eager_learn,
     group_by_isomorphism,
     isomorphic,
+    merge,
     mined,
     permute_molecule,
     random_molecule,
@@ -40,11 +41,11 @@ def merged_subgraph(mol, *groups):
     for group in groups:
         fid = group[0]
         for atom in group[1:]:
-            fid = state.merge(fid, atom)
+            fid = merge(state, fid, atom)
         fids.append(fid)
     fid = fids[0]
     for other in fids[1:]:
-        fid = state.merge(fid, other)
+        fid = merge(state, fid, other)
     sub, _ = mol.subgraph(state.frag_atoms[fid])
     return sub
 
@@ -65,7 +66,7 @@ class TestMergeFragments:
     def test_not_adjacent(self):
         state = MergingGraph(parse_smiles("CCC"))
         with pytest.raises(NotAdjacentError):
-            state.merge(0, 2)
+            merge(state, 0, 2)
 
 
 class TestCountPairPatterns:
@@ -352,9 +353,10 @@ class TestVocabulary:
         assert len(written) == union_pattern.cache_info().misses > 0
 
     def test_vocabulary_builder_hashes_labels_once_per_corpus(self, corpus_1k, monkeypatch):
-        # one label table serves every molecule, so a corpus listed twice
-        # hashes no label more than the corpus once; a table can regrow
-        # when a higher degree appears, so a label may be hashed again
+        # one process-wide label cache serves every molecule, so from a
+        # cold cache a corpus listed twice hashes no label more than the
+        # corpus once; each (token, degree) entry hashes its own labels,
+        # so a label may be hashed more than once
         mols = corpus_1k[1][:100]
         ops = mine_corpus(mols, 40).operations
         calls = []
@@ -367,6 +369,7 @@ class TestVocabulary:
         counts = []
         for corpus in (mols, mols + mols):
             calls.clear()
+            graphbpe.chem.smiles.label_values.cache_clear()
             build_motif_vocabulary(corpus, ops)
             counts.append(len(calls))
         assert 0 < counts[1] <= counts[0]
