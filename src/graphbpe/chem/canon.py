@@ -220,11 +220,17 @@ class _OrderedPartition:
 def canonical_rank(mol: MolGraph) -> CanonicalRanking:
     """Refine the atoms of ``mol`` from their local invariants; return as
     soon as that separates every atom, else break the ties (see the module
-    docstring)."""
+    docstring).
+
+    Cells start in seed order and only ever split in place, so the rank-0
+    atom has the least seed, and so the least (element, formal charge,
+    aromatic) prefix of any atom: ``graphbpe.chem.leading_key`` bounds the
+    first token ``write_smiles`` writes by it."""
     n = len(mol.atoms)
     if n == 0:
         return CanonicalRanking((), ())
     adjacency = mol._adjacency
+    # leading_key relies on these three fields coming first
     seeds = [
         (a.element, a.formal_charge, a.aromatic, len(adjacency[i]), a.explicit_h)
         for i, a in enumerate(mol.atoms)

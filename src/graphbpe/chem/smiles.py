@@ -369,6 +369,19 @@ def atom_token(atom: Atom) -> str:
     return "".join(parts)
 
 
+def leading_key(atom: Atom) -> tuple[tuple[str, int, bool], str]:
+    """The atom's (element, formal charge, aromatic) seed prefix from
+    ``canonical_rank``, then its ``atom_token``.
+
+    ``write_smiles`` starts with the token of the rank-0 atom, whose prefix
+    is the least of any atom's, so the token of the least key over a
+    graph's atoms is a lower bound on its string: for that token ``b``,
+    ``write_smiles(mol)[:len(b)] >= b``. The bound is a min, so the bound
+    of a union is the min of its parts' bounds.
+    """
+    return (atom.element, atom.formal_charge, atom.aromatic), atom_token(atom)
+
+
 def signature_value(label: str) -> int:
     """The fixed 64-bit value of one signature label: the first eight bytes
     of its BLAKE2b digest, so every process gives every label one value."""
@@ -461,7 +474,8 @@ def _ring_labels(rings: list[tuple[int, int, str, int]]) -> dict[int, str]:
 
 
 def write_smiles(mol: MolGraph) -> str:
-    """SMILES in the writer's canonical atom order.
+    """SMILES in the writer's canonical atom order, starting with the
+    rank-0 atom's token.
 
     Equal graphs give byte-identical strings, and isomorphic graphs usually
     do; not always, since ``canonical_rank`` breaks ties by input index (the
@@ -480,8 +494,9 @@ def write_smiles_with_order(
     ``ranking`` is ``canonical_rank(mol)`` where the caller already has it.
 
     Atoms are written in the preorder of one DFS that starts at the rank-0
-    atom and takes neighbours in rank order; every tree child but the last
-    is a parenthesized branch. A ring bond opens at its earlier atom and
+    atom (so the string starts with that atom's ``atom_token``; see
+    ``leading_key``) and takes neighbours in rank order; every tree child
+    but the last is a parenthesized branch. A ring bond opens at its earlier atom and
     closes at its later one. Each atom first writes its closes, in digit
     order, freeing those digits, and then its opens, in (close position,
     bond) order, each taking the lowest free digit.

@@ -8,6 +8,8 @@ names it: "line N: <path>: ..." (a header error has no line number).
 
 corpus        one SMILES per line, optional tab-separated id, "#" comments
 ops           header "graphbpe-ops v1 K=<n>", lines "<rank>\t<pattern>\t<count>"
+              where the pattern parses, has two or more atoms and no "*",
+              and the count is at least 1
 vocabulary    header "graphbpe-vocab v1", lines "<motif>\t<freq>\t<sites>"
               where sites is "-" or comma-joined "<star>:<class>:<order>"
 attachments   header "graphbpe-attach v1", lines "<siteA>\t<siteB>\t<count>"
@@ -22,7 +24,7 @@ from collections.abc import Iterator
 from pathlib import Path
 from typing import NoReturn
 
-from graphbpe.chem import MolGraph, parse_smiles
+from graphbpe.chem import MolGraph, graph_signature, parse_smiles
 from graphbpe.errors import CorpusError, FileFormatError, FormatVersionError, GraphBpeError
 from graphbpe.miner import (
     MergeOperation,
@@ -117,7 +119,25 @@ def write_operations(path: str | Path, ops: list[MergeOperation]) -> None:
             handle.write(f"{op.rank}\t{op.pattern}\t{op.observed_count}\n")
 
 
+def _op_signature(path: str | Path, line_number: int, pattern: str) -> int:
+    """The signature of an ops-file pattern that some union can have."""
+    try:
+        mol = parse_smiles(pattern, validate=False)
+    except GraphBpeError as exc:
+        raise FileFormatError(f"{path}: pattern {pattern!r}: {exc}", line_number) from exc
+    if len(mol.atoms) < 2 or any(atom.is_connection_site for atom in mol.atoms):
+        raise FileFormatError(
+            f"{path}: pattern {pattern!r} is not a union of two fragments", line_number
+        )
+    return graph_signature(mol)
+
+
 def read_operations(path: str | Path) -> list[MergeOperation]:
+    """The operations of an ops file, each pattern parsed once for its
+    signature. A pattern no union can have (it does not parse, has a "*"
+    atom or fewer than two atoms) or a count below 1 raises
+    ``FileFormatError``; a repeated pattern, or a count above the one
+    before, is legitimate."""
     rows = _rows(path, OPS_HEADER, "<rank>\t<pattern>\t<count>")
     _, (declared_text,) = next(rows)
     try:
@@ -132,7 +152,9 @@ def read_operations(path: str | Path) -> list[MergeOperation]:
             raise FileFormatError(f"{path}: bad integer field: {exc}", line_number) from exc
         if rank != len(ops):
             raise FileFormatError(f"{path}: rank {rank} out of order", line_number)
-        ops.append(MergeOperation(rank, pattern, count))
+        if count < 1:
+            raise FileFormatError(f"{path}: count {count} is below 1", line_number)
+        ops.append(MergeOperation(rank, pattern, count, _op_signature(path, line_number, pattern)))
     if len(ops) != declared:
         raise FileFormatError(
             f"{path}: header declares K={declared} but file has {len(ops)} operations", 1

@@ -18,7 +18,10 @@ Signing adds work only at the crossing bonds: the walk is the one that
 finds the dead edges, and no label is formatted, sorted or hashed during a
 merge. Label values come from one tuple per distinct atom token, indexed
 by degree (``graphbpe.chem.label_values``, one process-wide cache), so
-every graph shares them.
+every graph shares them. Each fragment also keeps the least
+``graphbpe.chem.leading_key`` of its atoms, the min of its two parts', so
+the token of the lesser key of an edge's two fragments, a lower bound on
+its pattern string, is one ``min`` away.
 
 A pattern fixes its signature: equal canonical strings give equal
 signatures (see ``graph_signature``), so ``pattern_signature(pattern)`` is
@@ -85,10 +88,10 @@ from functools import cache, lru_cache
 from graphbpe.chem import (
     ORDER_CODES,
     MolGraph,
-    atom_token,
     canonical_rank,
     graph_signature,
     label_values,
+    leading_key,
     parse_smiles,
     write_smiles,
     write_smiles_with_order,
@@ -141,9 +144,11 @@ def site_table(smiles: str, stars, ranks, classes) -> SiteTable:
     return tuple(out)
 
 
-# atom codes of union_key; append-only, so a code never changes meaning
+# atom codes of union_key, and each coded atom's leading_key by code;
+# append-only, so a code never changes meaning
 _ATOM_CODES: dict[Atom, str] = {}
 _CODED_ATOMS: list[Atom] = []
+_CODED_LEADS: list[tuple] = []
 _CODES_LOCK = threading.Lock()
 _STAR_ATOM = Atom(STAR)
 
@@ -155,6 +160,7 @@ def _atom_code(atom: Atom) -> str:
             code = _ATOM_CODES.get(atom)
             if code is None:
                 # append first: a code another thread can read always decodes
+                _CODED_LEADS.append(leading_key(atom))
                 _CODED_ATOMS.append(atom)
                 code = _ATOM_CODES[atom] = chr(len(_CODED_ATOMS) - 1)
     return code
@@ -245,8 +251,9 @@ class MergingGraph:
     ``by_signature`` maps each signature to its pairs, each with its pattern
     string once resolved (``None`` until then). ``frag_signature`` holds
     each fragment's own signature by fragment id (``None`` once merged
-    away), and a fresh fragment takes the next id; ``_degree`` holds each
-    atom's degree inside its fragment.
+    away), and a fresh fragment takes the next id; ``frag_lead`` holds the
+    least ``leading_key`` of each fragment's atoms the same way; ``_degree``
+    holds each atom's degree inside its fragment.
     """
 
     def __init__(self, mol: MolGraph):
@@ -257,9 +264,11 @@ class MergingGraph:
         self.frag_atoms: dict[int, list[int]] = {i: [i] for i in range(len(mol.atoms))}
         self._atom_codes = "".join(_atom_code(atom) for atom in mol.atoms)
         self._orders = "".join(ORDER_CODES[bond.order] for bond in mol.bonds)
-        # each atom's label value by its degree inside its fragment
+        self.frag_lead: list[tuple | None] = [_CODED_LEADS[ord(c)] for c in self._atom_codes]
+        # each atom's label value by its degree inside its fragment; a key's
+        # second member is the atom's token
         self._labels = [
-            label_values(atom_token(atom), mol.degree(i)) for i, atom in enumerate(mol.atoms)
+            label_values(lead[1], mol.degree(i)) for i, lead in enumerate(self.frag_lead)
         ]
         # bond values by order index, which is ``ord`` of the order code
         self._order_values = label_values("|", len(BOND_ORDERS) - 1)
@@ -339,6 +348,9 @@ class MergingGraph:
         frag_signature = self.frag_signature
         signature = frag_signature[fa] + frag_signature[fb]
         frag_signature[fa] = frag_signature[fb] = None
+        frag_lead = self.frag_lead
+        lead = min(frag_lead[fa], frag_lead[fb])
+        frag_lead[fa] = frag_lead[fb] = None
         # every edge of fa or fb dies; each bond between them folds into the
         # union's signature, and the others are grouped by the fragment they
         # reach, which becomes a neighbour of the union
@@ -376,6 +388,7 @@ class MergingGraph:
         self.frag_atoms[fnew] = union
         signature &= 2**64 - 1
         frag_signature.append(signature)
+        frag_lead.append(lead)
         for atom in union:
             frag_of[atom] = fnew
         born = []

@@ -6,7 +6,12 @@ picks the most frequent pattern (ties broken by the lexicographically
 smallest pattern string) and merges every edge matching it. The tally writes
 a union's pattern string only when its signature (see ``graphbpe.merging``)
 is open, and it opens a signature only when that signature could hold the
-next pattern. Mining runs in one process, one operation at a time.
+next pattern: when it counts more than the best open pattern, or as much
+and its edges' strings need not all sort after that pattern. Deep in the
+operation list nearly every pick is such a tie, and a bound on each edge's
+string from its fragments' ``MergingGraph.frag_lead`` rules many tied
+signatures out without a write. Mining runs in one process, one
+operation at a time.
 """
 from __future__ import annotations
 
@@ -134,6 +139,9 @@ def attachment_key(a: SiteType, b: SiteType) -> tuple[SiteType, SiteType]:
     return (a, b) if a <= b else (b, a)
 
 
+_NO_BOUND = chr(0x10FFFF)  # sorts after every bound
+
+
 def _drop(counter: Counter, key) -> bool:
     """Take one from ``counter[key]``; True when that removed the key."""
     counter[key] -= 1
@@ -152,17 +160,32 @@ class PatternTally:
     every one of its edges resolved, and its patterns' exact counts in
     ``patterns``. A pattern's count is at most its signature's count, so once
     every closed signature counts less than the best open pattern, that
-    pattern (the smallest string among ties) is the corpus-wide argmax; a
-    closed signature can then neither win nor tie. ``best`` opens signatures
-    until that holds.
+    pattern (the smallest string among ties) is the corpus-wide argmax.
+
+    Ties. An edge's bound is the token of the lesser ``frag_lead`` of its
+    two fragments: the least ``graphbpe.chem.leading_key`` of the union's
+    atoms, so the union's string ``s`` has ``s[:len(bound)] >= bound``. Each
+    closed signature keeps the least bound of the edges it gained, which
+    holds for each of its strings. So when a closed
+    signature counts as much as the best open pattern ``p`` and ``bound >
+    p[:len(bound)]``, each of its strings sorts after ``p`` and cannot win
+    the tie. ``edge_added`` lowers the bound; a removed edge leaves it, as
+    a stale bound is only lower and still holds. ``best`` opens the largest
+    closed signature, one at a time, until the largest counts less than
+    ``p``, or as much with a bound that rules it out; by the heap order
+    below, every later tied signature has a bound at least as large, which
+    rules it out too. The pick is exactly that of counting every pattern.
 
     Two max-heaps find the best open pattern, as (-count, pattern), so that
     ties go to the smallest string, and the largest closed signature, as
-    (-count, signature). Counts change by one edge at a time; each pattern
-    or closed signature whose count changed since the last pick is pushed
-    once with its new count, and an entry whose count is no longer current
-    is dropped when it reaches the top. A heap is rebuilt from its counts
-    when its entries outnumber twice its live keys.
+    (-count, bound, signature), so that ties go to the smallest bound.
+    Counts change by one edge at a time; each pattern or closed signature
+    whose count changed since the last pick is pushed once with its new
+    count and bound, and an entry whose count is no longer current is
+    dropped when it reaches the top. An entry with a current count and a
+    stale bound sorts after the current one, or holds a lower bound, so the
+    top's bound always holds. A heap is rebuilt from its counts when its
+    entries outnumber twice its live keys.
 
     The holder index lists, per signature, the states that gained one of its
     edges; a state that lost them all is pruned when the list is read.
@@ -172,14 +195,22 @@ class PatternTally:
         self.closed: Counter[int] = Counter()
         self.opened: Counter[int] = Counter()
         self.patterns: Counter[str] = Counter()
+        self.bounds: dict[int, str] = {}  # closed signature -> its bound
         self._signature_of: dict[str, int] = {}  # pattern -> its open signature
         self._holders: dict[int, list[MergingGraph]] = {}
+        bounds = self.bounds
         for state in states:
+            lead = state.frag_lead
             for signature, pairs in state.by_signature.items():
                 self.closed[signature] += len(pairs)
+                bound = min([min(lead[fa], lead[fb]) for fa, fb in pairs])[1]
+                if bound < bounds.get(signature, _NO_BOUND):
+                    bounds[signature] = bound
                 self._holders.setdefault(signature, []).append(state)
         self._pattern_heap: list[tuple[int, str]] = []
-        self._closed_heap = [(-count, signature) for signature, count in self.closed.items()]
+        self._closed_heap = [
+            (-count, bounds[signature], signature) for signature, count in self.closed.items()
+        ]
         heapify(self._closed_heap)
         # keys whose count changed since their heap last saw it
         self._changed_patterns: set[str] = set()
@@ -202,6 +233,7 @@ class PatternTally:
 
     def _open(self, signature: int) -> None:
         self.opened[signature] = self.closed.pop(signature)
+        del self.bounds[signature]
         for state in self.holders(signature):
             for pair in list(state.by_signature[signature]):
                 self._count(state, pair, signature)
@@ -209,21 +241,20 @@ class PatternTally:
     def best(self) -> tuple[str, int, int] | None:
         """(pattern, count, signature) of the most frequent pattern, ties to
         the smallest string; None when no edge is left."""
-        closed_heap = self._closed_heap
-        top = _heap_top(closed_heap, self.closed, self._changed_closed)
-        while top:
-            best_open = _heap_top(self._pattern_heap, self.patterns, self._changed_patterns)
-            if top < best_open:
+        closed_heap, pattern_heap = self._closed_heap, self._pattern_heap
+        while top := _heap_top(closed_heap, self.closed, self._changed_closed, self.bounds):
+            count = _heap_top(pattern_heap, self.patterns, self._changed_patterns)
+            if top < count:
                 break
-            # with nothing open, open the largest signatures first
-            threshold = best_open or top
-            while top >= threshold:
-                self._open(heappop(closed_heap)[1])
-                top = _heap_top(closed_heap, self.closed, self._changed_closed)
-        count = _heap_top(self._pattern_heap, self.patterns, self._changed_patterns)
+            if top == count:
+                bound = closed_heap[0][1]
+                if bound > pattern_heap[0][1][: len(bound)]:
+                    break
+            self._open(heappop(closed_heap)[2])
+        count = _heap_top(pattern_heap, self.patterns, self._changed_patterns)
         if not count:
             return None
-        pattern = self._pattern_heap[0][1]
+        pattern = pattern_heap[0][1]
         return pattern, count, self._signature_of[pattern]
 
     def edge_added(self, state: MergingGraph, pair, signature: int) -> None:
@@ -233,6 +264,10 @@ class PatternTally:
         else:
             self.closed[signature] += 1
             self._changed_closed.add(signature)
+            lead = state.frag_lead
+            bound = min(lead[pair[0]], lead[pair[1]])[1]
+            if bound < self.bounds.get(signature, _NO_BOUND):
+                self.bounds[signature] = bound
         holders = self._holders.setdefault(signature, [])
         if not holders or holders[-1] is not state:
             holders.append(state)
@@ -246,29 +281,35 @@ class PatternTally:
             gone = _drop(self.opened, signature)
         else:
             gone = _drop(self.closed, signature)
-            if not gone:
+            if gone:
+                del self.bounds[signature]
+            else:
                 self._changed_closed.add(signature)
         if gone:
             del self._holders[signature]
 
 
-def _heap_top(heap: list, counts: Counter, changed) -> int:
+def _heap_top(heap: list, counts: Counter, changed, bounds: dict | None = None) -> int:
     """The largest value in ``counts`` (0 when it is empty), with ``heap``
-    holding (-count, key) entries: first push each key in ``changed`` that
-    is still counted and empty ``changed``, rebuild the heap when stale
-    entries outnumber live keys, then drop stale entries from the top."""
+    holding (-count, key) entries, or (-count, bounds[key], key) when
+    ``bounds`` is given: first push each key in ``changed`` that is still
+    counted and empty ``changed``, rebuild the heap when stale entries
+    outnumber live keys, then drop entries with a stale count from the top."""
     for key in changed:
         count = counts.get(key)
         if count:
-            heappush(heap, (-count, key))
+            heappush(heap, (-count, key) if bounds is None else (-count, bounds[key], key))
     changed.clear()
     if len(heap) > 2 * len(counts):
-        heap[:] = [(-count, key) for key, count in counts.items()]
+        heap[:] = [
+            (-count, key) if bounds is None else (-count, bounds[key], key)
+            for key, count in counts.items()
+        ]
         heapify(heap)
     while heap:
-        negative, key = heap[0]
-        if counts.get(key) == -negative:
-            return -negative
+        top = heap[0]
+        if counts.get(top[-1]) == -top[0]:
+            return -top[0]
         heappop(heap)
     return 0
 

@@ -1,16 +1,20 @@
-"""Shared test utilities: random valid molecules, permutation tools, mined
-artifacts as values, a single fragment merge, a brute-force pattern counter
-and an eager reference miner built on it, a from-scratch union signature, a
-site-type lookup by star atom, an isomorphism matcher independent of the
-package's canonical ranking, the generator's full-array selection rule, an
-eager reference ``evaluate``, a character-loop reference parser, and
-reference copies of the canonical ranking and writer kernels."""
+"""Shared test utilities: random valid molecules and relabelled variants,
+a switch that makes the miner open every tied signature, the benchmark's
+input module, permutation tools, mined artifacts as values, a single
+fragment merge, a brute-force pattern counter and an eager reference miner
+built on it, a from-scratch union signature, a site-type lookup by star
+atom, an isomorphism matcher independent of the package's canonical
+ranking, the generator's full-array selection rule, an eager reference
+``evaluate``, a character-loop reference parser, and reference copies of
+the canonical ranking and writer kernels."""
 from __future__ import annotations
 
+import importlib.util
 import math
 from collections import Counter
 from dataclasses import dataclass
 from itertools import groupby
+from pathlib import Path
 from random import Random
 
 import numpy as np
@@ -117,6 +121,65 @@ def random_molecule(rng: Random, max_atoms: int = 10, aromatic_ok: bool = True) 
     mol = MolGraph(tuple(final), tuple(make_bond(a, b, o) for a, b, o in bonds))
     check_molecule(mol)
     return mol
+
+
+def brominated(mol: MolGraph, rng: Random) -> MolGraph:
+    """``mol`` with about half of its singly bonded non-aromatic leaf atoms
+    made Br, which keeps it valid; Br sorts before every other token."""
+    atoms = list(mol.atoms)
+    for i, atom in enumerate(atoms):
+        nbrs = mol.neighbors(i)
+        if (len(nbrs) == 1 and not atom.aromatic and rng.random() < 0.5
+                and mol.bonds[nbrs[0][1]].order == SINGLE):
+            atoms[i] = Atom("Br")
+    return MolGraph(tuple(atoms), mol.bonds)
+
+
+# bracket, charged, aromatic and halogen atoms, each spelled its own way
+_VARIED_ATOMS = (
+    Atom("N", 1, False, 1, 0, True), Atom("N", 1, False, 0, 0, True),
+    Atom("N", 1, True, 0, 0, True), Atom("N", 0, True, 1, 0, True),
+    Atom("O", -1, False, 0, 0, True), Atom("S", 1, False, 0, 0, True),
+    Atom("C", 0, False, 2, 0, True), Atom("C", -1, False, 1, 0, True),
+    Atom("C", 0, True), Atom("N", 0, True), Atom("O", 0, True), Atom("S", 0, True),
+    Atom("Br"), Atom("Cl"), Atom("B"), Atom("Br", -1, False, 0, 0, True),
+)
+
+
+def with_varied_atoms(mol: MolGraph, rng: Random) -> MolGraph:
+    """``mol`` with about a third of its atoms swapped for bracket, charged,
+    aromatic or halogen atoms, and some leaves for "*"; only the writer and
+    the ranking see it, so valence is not kept."""
+    atoms = list(mol.atoms)
+    for i in range(len(atoms)):
+        roll = rng.random()
+        if roll < 0.1 and mol.degree(i) == 1:
+            atoms[i] = Atom(STAR)
+        elif roll < 0.4:
+            atoms[i] = rng.choice(_VARIED_ATOMS)
+    return MolGraph(tuple(atoms), mol.bonds)
+
+
+def open_every_tie(patch) -> None:
+    """Make the miner open every tied signature, as if no bound ruled one
+    out: through ``patch`` (a pytest ``MonkeyPatch``), every fragment of a
+    new ``MergingGraph`` leads with the bound ""."""
+    build = MergingGraph.__init__
+
+    def init(self, mol):
+        build(self, mol)
+        self.frag_lead = [((), "")] * len(mol.atoms)
+
+    patch.setattr(MergingGraph, "__init__", init)
+
+
+def load_bench_inputs():
+    """The benchmark's seeded input module, ``bench/inputs.py``."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("bench_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def permute_molecule(mol: MolGraph, perm: list[int]) -> MolGraph:

@@ -8,6 +8,7 @@ import inspect
 import subprocess
 import sys
 from pathlib import Path
+from random import Random
 
 import pytest
 
@@ -116,3 +117,29 @@ def test_cache_sweep_empties_each_memo(module, name):
     assert memo.cache_info().currsize > 0
     load_bench_module("bench_run", RUN).cold_caches()
     assert memo.cache_info().currsize == 0
+
+
+def test_tie_bound_cuts_large_molecule_union_writes(monkeypatch, tmp_path):
+    # the large-molecules mine stage: the series up to LARGE_MINE_MAX at
+    # LARGE_OPS operations. Ruling tied signatures out by their bounds must
+    # write fewer unions than opening every tie, and the same ops bytes.
+    import graphbpe
+    from graphbpe.fileio import write_operations
+    from graphbpe.merging import union_pattern
+    from helpers import open_every_tie
+
+    run = load_bench_module("bench_run", RUN)
+    series = run.inputs.large_series(Random(1))
+    mined = [s for _, size, s in series if size <= run.inputs.LARGE_MINE_MAX]
+    corpus = [graphbpe.parse_smiles(s) for s in mined]
+
+    def mine(name):
+        union_pattern.cache_clear()
+        write_operations(tmp_path / name, graphbpe.mine_corpus(corpus, run.LARGE_OPS).operations)
+        return union_pattern.cache_info().misses, (tmp_path / name).read_bytes()
+
+    pruned_misses, pruned_ops = mine("pruned.txt")
+    open_every_tie(monkeypatch)
+    full_misses, full_ops = mine("full.txt")
+    assert pruned_ops == full_ops
+    assert pruned_misses < full_misses

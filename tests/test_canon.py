@@ -8,16 +8,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import graphbpe.merging
-from graphbpe.chem import canonical_rank, parse_smiles, write_smiles, write_smiles_with_order
+from graphbpe.chem import (
+    canonical_rank,
+    leading_key,
+    parse_smiles,
+    write_smiles,
+    write_smiles_with_order,
+)
 from graphbpe.chem.canon import tie_broken_ranks
 from graphbpe.merging import instance_pattern, union_pattern
 from graphbpe.miner import mine_corpus
 from helpers import (
     fused_ladder_smiles,
+    load_bench_inputs,
     permute_molecule,
     random_molecule,
     reference_canonical_rank,
     reference_write_smiles_with_order,
+    with_varied_atoms,
 )
 
 
@@ -164,18 +172,28 @@ def test_kernels_match_reference_on_golden_graphs(corpus_1k):
         assert_kernels_match_reference(mol)
 
 
-def test_kernels_match_reference_on_mined_unions_and_motif_instances(corpus_1k, monkeypatch):
+def mined_writes(monkeypatch, corpus, num_operations):
+    """(graph, string) of every union and every motif instance written,
+    from cold memos, while mining ``corpus``."""
     written = {"write_smiles": [], "write_smiles_with_order": []}
-    for name, graphs in written.items():
-        def record(mol, write=getattr(graphbpe.merging, name), graphs=graphs, **ranking):
-            graphs.append(mol)
-            return write(mol, **ranking)
+    with monkeypatch.context() as patch:
+        for name, graphs in written.items():
+            def record(mol, write=getattr(graphbpe.merging, name), graphs=graphs, **ranking):
+                out = write(mol, **ranking)
+                graphs.append((mol, out if isinstance(out, str) else out[0]))
+                return out
 
-        monkeypatch.setattr(graphbpe.merging, name, record)
-    union_pattern.cache_clear()
-    instance_pattern.cache_clear()
-    mine_corpus(corpus_1k[1][:150], 40)
-    unions, instances = written["write_smiles"], written["write_smiles_with_order"]
+            patch.setattr(graphbpe.merging, name, record)
+        union_pattern.cache_clear()
+        instance_pattern.cache_clear()
+        mine_corpus(corpus, num_operations)
+    return written["write_smiles"], written["write_smiles_with_order"]
+
+
+def test_kernels_match_reference_on_mined_unions_and_motif_instances(corpus_1k, monkeypatch):
+    unions, instances = (
+        [mol for mol, _ in graphs] for graphs in mined_writes(monkeypatch, corpus_1k[1][:150], 40)
+    )
     assert len(unions) > 500
     # both branches of canonical_rank: refinement alone separates every
     # atom (the early return), or ties are broken
@@ -184,6 +202,34 @@ def test_kernels_match_reference_on_mined_unions_and_motif_instances(corpus_1k, 
     assert any(atom.is_connection_site for mol in instances for atom in mol.atoms)
     for mol in unions + instances:
         assert_kernels_match_reference(mol)
+
+
+def assert_leading_key_bounds(mol, smiles):
+    bound = min(map(leading_key, mol.atoms))[1]
+    assert smiles[: len(bound)] >= bound, (smiles, bound)
+
+
+@pytest.mark.parametrize("corpus", ["fixture", "drug_like"])
+def test_leading_key_bounds_every_mined_string(corpus_1k, monkeypatch, corpus):
+    # the miner rules a tied signature out by its edges' bounds, so every
+    # union and motif-instance string mining writes must respect its bound
+    if corpus == "fixture":
+        mols, num_operations = corpus_1k[1], 200
+    else:
+        mols = [parse_smiles(s) for s in load_bench_inputs().drug_like(Random(1), 250)]
+        num_operations = 500
+    unions, instances = mined_writes(monkeypatch, mols, num_operations)
+    assert len(unions) > 2000 and len(instances) > 500
+    for mol, smiles in unions + instances:
+        assert_leading_key_bounds(mol, smiles)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 10**9))
+def test_leading_key_bounds_random_strings(seed):
+    rng = Random(seed)
+    mol = with_varied_atoms(random_molecule(rng, max_atoms=14), rng)
+    assert_leading_key_bounds(mol, write_smiles(mol))
 
 
 def test_tie_broken_ranks_are_the_ranks_of_the_relabelled_graph(corpus_1k):

@@ -88,6 +88,14 @@ class TestFragmentize:
                     "--ops", workdir / "ops.txt"])
         assert code == 4
 
+    @pytest.mark.parametrize("line", ["0\tC1CC\t3", "0\tCC\t0"], ids=["pattern", "count"])
+    def test_bad_op_line_exit_3(self, workdir, capsys, line):
+        (workdir / "ops.txt").write_text(f"graphbpe-ops v1 K=1\n{line}\n")
+        code = run(["fragmentize", "--corpus", workdir / "corpus.smi",
+                    "--ops", workdir / "ops.txt"])
+        assert code == 3
+        assert f"line 2: {workdir / 'ops.txt'}: " in capsys.readouterr().err
+
     def test_trajectory_output(self, workdir, capsys):
         run(["mine", "--corpus", workdir / "corpus.smi", "--num-ops", "2",
              "--out", workdir / "mined"])

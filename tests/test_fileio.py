@@ -79,6 +79,26 @@ class TestOpsFile:
         with pytest.raises(FileFormatError):
             read_operations(path)
 
+    @pytest.mark.parametrize("pattern,count", [
+        ("C1CC", 3), ("|[NH+]C", 3), ("c:8:c:c:c", 3), ("C( N)=O", 3), ("", 3),
+        ("*C", 3), ("C", 3), ("CO", 0), ("CO", -5),
+    ], ids=["ring", "bar", "ring-8", "space", "empty", "star", "one-atom", "count-0", "count-5"])
+    def test_op_no_union_can_have_is_rejected(self, tmp_path, pattern, count):
+        # the second op is bad; the first and third are fine
+        path = tmp_path / "ops.txt"
+        path.write_text(f"graphbpe-ops v1 K=3\n0\tCC\t4\n1\t{pattern}\t{count}\n2\tCN\t1\n")
+        with pytest.raises(FileFormatError) as info:
+            read_operations(path)
+        assert info.value.line_number == 3
+        assert str(info.value).startswith(f"line 3: {path}: ")
+
+    def test_repeated_pattern_and_rising_count_are_read(self, tmp_path):
+        path = tmp_path / "ops.txt"
+        path.write_text("graphbpe-ops v1 K=3\n0\tc:c:c:c\t2\n1\tCC\t1\n2\tc:c:c:c\t5\n")
+        assert [(op.pattern, op.observed_count) for op in read_operations(path)] == [
+            ("c:c:c:c", 2), ("CC", 1), ("c:c:c:c", 5)
+        ]
+
 
 class TestVocabularyFile:
     def test_roundtrip(self, mined):

@@ -5,7 +5,6 @@ built from. An instance's site table is the one its parsed string gives.
 Edge and operation signatures: a union's signature is the signature of its
 pattern string, stays the from-scratch sum as merges compose it, is the same
 in every process, and is only a gate: a collision changes no result."""
-import importlib.util
 import os
 import subprocess
 import sys
@@ -50,7 +49,7 @@ from graphbpe.merging import (
 from graphbpe.metrics import evaluate
 from graphbpe.miner import learn_merging_operations, mine_corpus, motif_sites
 from graphbpe.tokenizer import fragmentize
-from helpers import merge, mined, random_molecule, union_signature
+from helpers import load_bench_inputs, merge, mined, random_molecule, union_signature
 
 AMINE = MolGraph((Atom("C", implicit_h=3), Atom("N", implicit_h=2)),
                  (make_bond(0, 1, "single"),))
@@ -341,14 +340,6 @@ def assert_sites_are_the_parsed_ones(frags: list[Fragmentation]) -> set[bool]:
         classes = canonical_rank(parse_smiles(smiles)).symmetry_classes
         discrete.add(len(set(classes)) == len(classes))
     return discrete
-
-
-def load_bench_inputs():
-    path = Path(__file__).resolve().parents[1] / "bench" / "inputs.py"
-    spec = importlib.util.spec_from_file_location("bench_inputs", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def test_instance_sites_are_the_parsed_sites_on_the_fixture(corpus_1k, ops_500):

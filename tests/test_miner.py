@@ -9,7 +9,7 @@ import graphbpe.chem.smiles
 import graphbpe.merging
 from graphbpe.chem import MolGraph, graph_signature, parse_smiles, signature_value, write_smiles
 from graphbpe.errors import NotAdjacentError
-from graphbpe.fileio import write_vocabulary
+from graphbpe.fileio import write_attachments, write_operations, write_vocabulary
 from graphbpe.merging import MergingGraph, instance_pattern, pattern_signature, union_pattern
 from graphbpe.miner import (
     PatternTally,
@@ -21,12 +21,14 @@ from graphbpe.miner import (
 )
 from graphbpe.tokenizer import extract_trajectory, fragmentize
 from helpers import (
+    brominated,
     count_pair_patterns,
     eager_learn,
     group_by_isomorphism,
     isomorphic,
     merge,
     mined,
+    open_every_tie,
     permute_molecule,
     random_molecule,
 )
@@ -213,6 +215,17 @@ def assert_tally_matches_recount(states, tally):
     assert tally.patterns == patterns
     for counts in (tally.closed, tally.opened, tally.patterns):
         assert all(value > 0 for value in counts.values())
+    # each closed signature's bound is at most each of its edges' bounds,
+    # and every edge's bound holds for its fresh string
+    assert tally.bounds.keys() == tally.closed.keys()
+    for state in states:
+        for signature, pairs in state.by_signature.items():
+            for fa, fb in pairs:
+                bound = min(state.frag_lead[fa], state.frag_lead[fb])[1]
+                union = state.frag_atoms[fa] + state.frag_atoms[fb]
+                assert write_smiles(state.mol.subgraph(union)[0])[: len(bound)] >= bound
+                if signature in tally.closed:
+                    assert tally.bounds[signature] <= bound
 
 
 class TestPartitionInvariant:
@@ -277,6 +290,44 @@ class TestEagerOracle:
     def test_fixture_prefix(self, corpus_1k):
         _, mols = corpus_1k
         assert learn_merging_operations(mols[:200], 150) == eager_learn(mols[:200], 150)
+
+    def test_bromine_corpora(self):
+        # Br sorts first, so Br-led patterns win ties against signatures
+        # whose bound rules them out
+        for corpus in bromine_corpora(Random(4242), 12):
+            assert learn_merging_operations(corpus, 60) == eager_learn(corpus, 60)
+
+
+def bromine_corpora(rng: Random, count: int) -> list[list[MolGraph]]:
+    """Random corpora with Br at about half of the single-bonded leaves."""
+    return [
+        [brominated(random_molecule(rng, max_atoms=12), rng) for _ in range(rng.randint(2, 10))]
+        for _ in range(count)
+    ]
+
+
+class TestTieBound:
+    """Ruling tied signatures out by their bounds changes no artifact byte."""
+
+    @staticmethod
+    def artifacts(corpus, num_operations, tmp_path) -> list[bytes]:
+        result = mine_corpus(corpus, num_operations)
+        write_operations(tmp_path / "ops.txt", result.operations)
+        write_vocabulary(tmp_path / "vocab.txt", result.vocabulary)
+        write_attachments(tmp_path / "attach.txt", result.vocabulary)
+        return [(tmp_path / name).read_bytes() for name in ("ops.txt", "vocab.txt", "attach.txt")]
+
+    def test_same_bytes_without_the_bound(self, corpus_1k, tmp_path, monkeypatch):
+        corpora = [(corpus_1k[1], 200)] + [(c, 60) for c in bromine_corpora(Random(17), 8)]
+        for corpus, num_operations in corpora:
+            union_pattern.cache_clear()
+            pruned = self.artifacts(corpus, num_operations, tmp_path)
+            pruned_misses = union_pattern.cache_info().misses
+            with monkeypatch.context() as patch:
+                open_every_tie(patch)
+                union_pattern.cache_clear()
+                assert self.artifacts(corpus, num_operations, tmp_path) == pruned
+                assert union_pattern.cache_info().misses >= pruned_misses
 
 
 class TestVocabulary:
