@@ -8,8 +8,8 @@ names it: "line N: <path>: ..." (a header error has no line number).
 
 corpus        one SMILES per line, optional tab-separated id, "#" comments
 ops           header "graphbpe-ops v1 K=<n>", lines "<rank>\t<pattern>\t<count>"
-              where the pattern parses, has two or more atoms and no "*",
-              and the count is at least 1
+              where the pattern parses and has two or more atoms, and the
+              count is at least 1
 vocabulary    header "graphbpe-vocab v1", lines "<motif>\t<freq>\t<sites>"
               where sites is "-" or comma-joined "<star>:<class>:<order>"
 attachments   header "graphbpe-attach v1", lines "<siteA>\t<siteB>\t<count>"
@@ -125,19 +125,17 @@ def _op_signature(path: str | Path, line_number: int, pattern: str) -> int:
         mol = parse_smiles(pattern, validate=False)
     except GraphBpeError as exc:
         raise FileFormatError(f"{path}: pattern {pattern!r}: {exc}", line_number) from exc
-    if len(mol.atoms) < 2 or any(atom.is_connection_site for atom in mol.atoms):
-        raise FileFormatError(
-            f"{path}: pattern {pattern!r} is not a union of two fragments", line_number
-        )
+    if len(mol.atoms) < 2:
+        raise FileFormatError(f"{path}: pattern {pattern!r} has fewer than two atoms", line_number)
     return graph_signature(mol)
 
 
 def read_operations(path: str | Path) -> list[MergeOperation]:
     """The operations of an ops file, each pattern parsed once for its
-    signature. A pattern no union can have (it does not parse, has a "*"
-    atom or fewer than two atoms) or a count below 1 raises
-    ``FileFormatError``; a repeated pattern, or a count above the one
-    before, is legitimate."""
+    signature. A pattern no union can have (it does not parse, or has
+    fewer than two atoms) or a count below 1 raises ``FileFormatError``; a
+    "*" atom (a corpus may hold "*" sites, and they merge like any atom), a
+    repeated pattern, or a count above the one before, is legitimate."""
     rows = _rows(path, OPS_HEADER, "<rank>\t<pattern>\t<count>")
     _, (declared_text,) = next(rows)
     try:

@@ -139,9 +139,6 @@ def attachment_key(a: SiteType, b: SiteType) -> tuple[SiteType, SiteType]:
     return (a, b) if a <= b else (b, a)
 
 
-_NO_BOUND = chr(0x10FFFF)  # sorts after every bound
-
-
 def _drop(counter: Counter, key) -> bool:
     """Take one from ``counter[key]``; True when that removed the key."""
     counter[key] -= 1
@@ -198,19 +195,14 @@ class PatternTally:
         self.bounds: dict[int, str] = {}  # closed signature -> its bound
         self._signature_of: dict[str, int] = {}  # pattern -> its open signature
         self._holders: dict[int, list[MergingGraph]] = {}
-        bounds = self.bounds
         for state in states:
-            lead = state.frag_lead
             for signature, pairs in state.by_signature.items():
                 self.closed[signature] += len(pairs)
-                bound = min([min(lead[fa], lead[fb]) for fa, fb in pairs])[1]
-                if bound < bounds.get(signature, _NO_BOUND):
-                    bounds[signature] = bound
+                for pair in pairs:
+                    self._lower_bound(signature, state, pair)
                 self._holders.setdefault(signature, []).append(state)
         self._pattern_heap: list[tuple[int, str]] = []
-        self._closed_heap = [
-            (-count, bounds[signature], signature) for signature, count in self.closed.items()
-        ]
+        self._closed_heap = [self._closed_entry(*item) for item in self.closed.items()]
         heapify(self._closed_heap)
         # keys whose count changed since their heap last saw it
         self._changed_patterns: set[str] = set()
@@ -224,6 +216,17 @@ class PatternTally:
         ]
         self._holders[signature] = live
         return live
+
+    def _lower_bound(self, signature: int, state: MergingGraph, pair) -> None:
+        """Lower closed ``signature``'s bound to that of ``state``'s edge
+        ``pair``: the token of the lesser ``frag_lead`` of its fragments."""
+        lead = state.frag_lead
+        bound = min(lead[pair[0]], lead[pair[1]])[1]
+        if signature not in self.bounds or bound < self.bounds[signature]:
+            self.bounds[signature] = bound
+
+    def _closed_entry(self, signature: int, count: int) -> tuple[int, str, int]:
+        return -count, self.bounds[signature], signature
 
     def _count(self, state: MergingGraph, pair, signature: int) -> None:
         pattern = state.pattern(*pair)
@@ -242,8 +245,8 @@ class PatternTally:
         """(pattern, count, signature) of the most frequent pattern, ties to
         the smallest string; None when no edge is left."""
         closed_heap, pattern_heap = self._closed_heap, self._pattern_heap
-        while top := _heap_top(closed_heap, self.closed, self._changed_closed, self.bounds):
-            count = _heap_top(pattern_heap, self.patterns, self._changed_patterns)
+        while top := _heap_top(closed_heap, self.closed, self._changed_closed, self._closed_entry):
+            count = _heap_top(pattern_heap, self.patterns, self._changed_patterns, _pattern_entry)
             if top < count:
                 break
             if top == count:
@@ -251,7 +254,7 @@ class PatternTally:
                 if bound > pattern_heap[0][1][: len(bound)]:
                     break
             self._open(heappop(closed_heap)[2])
-        count = _heap_top(pattern_heap, self.patterns, self._changed_patterns)
+        count = _heap_top(pattern_heap, self.patterns, self._changed_patterns, _pattern_entry)
         if not count:
             return None
         pattern = pattern_heap[0][1]
@@ -264,10 +267,7 @@ class PatternTally:
         else:
             self.closed[signature] += 1
             self._changed_closed.add(signature)
-            lead = state.frag_lead
-            bound = min(lead[pair[0]], lead[pair[1]])[1]
-            if bound < self.bounds.get(signature, _NO_BOUND):
-                self.bounds[signature] = bound
+            self._lower_bound(signature, state, pair)
         holders = self._holders.setdefault(signature, [])
         if not holders or holders[-1] is not state:
             holders.append(state)
@@ -289,22 +289,23 @@ class PatternTally:
             del self._holders[signature]
 
 
-def _heap_top(heap: list, counts: Counter, changed, bounds: dict | None = None) -> int:
+def _pattern_entry(pattern: str, count: int) -> tuple[int, str]:
+    return -count, pattern
+
+
+def _heap_top(heap: list, counts: Counter, changed, entry) -> int:
     """The largest value in ``counts`` (0 when it is empty), with ``heap``
-    holding (-count, key) entries, or (-count, bounds[key], key) when
-    ``bounds`` is given: first push each key in ``changed`` that is still
-    counted and empty ``changed``, rebuild the heap when stale entries
-    outnumber live keys, then drop entries with a stale count from the top."""
+    holding the tuples ``entry(key, count)``, each (-count, ..., key): first
+    push each key in ``changed`` that is still counted and empty
+    ``changed``, rebuild the heap when stale entries outnumber live keys,
+    then drop entries with a stale count from the top."""
     for key in changed:
         count = counts.get(key)
         if count:
-            heappush(heap, (-count, key) if bounds is None else (-count, bounds[key], key))
+            heappush(heap, entry(key, count))
     changed.clear()
     if len(heap) > 2 * len(counts):
-        heap[:] = [
-            (-count, key) if bounds is None else (-count, bounds[key], key)
-            for key, count in counts.items()
-        ]
+        heap[:] = [entry(*item) for item in counts.items()]
         heapify(heap)
     while heap:
         top = heap[0]

@@ -81,8 +81,8 @@ class TestOpsFile:
 
     @pytest.mark.parametrize("pattern,count", [
         ("C1CC", 3), ("|[NH+]C", 3), ("c:8:c:c:c", 3), ("C( N)=O", 3), ("", 3),
-        ("*C", 3), ("C", 3), ("CO", 0), ("CO", -5),
-    ], ids=["ring", "bar", "ring-8", "space", "empty", "star", "one-atom", "count-0", "count-5"])
+        ("C", 3), ("CO", 0), ("CO", -5),
+    ], ids=["ring", "bar", "ring-8", "space", "empty", "one-atom", "count-0", "count-5"])
     def test_op_no_union_can_have_is_rejected(self, tmp_path, pattern, count):
         # the second op is bad; the first and third are fine
         path = tmp_path / "ops.txt"
@@ -91,6 +91,14 @@ class TestOpsFile:
             read_operations(path)
         assert info.value.line_number == 3
         assert str(info.value).startswith(f"line 3: {path}: ")
+
+    def test_star_corpus_roundtrip(self, tmp_path):
+        # a corpus may hold "*" sites, and they merge like any other atom
+        corpus = [parse_smiles(s) for s in ["*CN", "*CN", "*c1ccccc1*"]]
+        ops = mine_corpus(corpus, 4).operations
+        assert any("*" in op.pattern for op in ops)
+        write_operations(tmp_path / "ops.txt", ops)
+        assert read_operations(tmp_path / "ops.txt") == ops
 
     def test_repeated_pattern_and_rising_count_are_read(self, tmp_path):
         path = tmp_path / "ops.txt"
