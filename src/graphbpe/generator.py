@@ -7,22 +7,29 @@ same bond order as the focus, which keeps every merge valence-safe. A
 pluggable policy supplies the scores; selection is argmax (greedy mode) or a
 softmax sample (distributional mode).
 
-A ``generate`` call keeps the selectable head (``_head``) of the start pool
-and of each focus type's vocabulary pool, and each head keeps its cumulative
-softmax, computed once. A step whose focus has no open-site candidate then
-costs one random draw and a bisect; a step with some builds one head over
-the cached head and those candidates and picks from it the same way.
+The generator reads a policy's scores into a list of floats. A ``generate``
+call scores the starts once and each focus site type's vocabulary pool once
+(see ``Policy``), and of those scores keeps only the head (``_head``): the
+top ``top_k`` (the argmax in greedy mode). Scores outside it are not
+retained, since no later open-site candidate can bring them back into the
+top ``top_k``. A head also keeps its unnormalised cumulative softmax per
+temperature, computed once, so a step whose focus has no open-site
+candidate costs one random draw and a bisect. With open-site candidates, greedy and top-k selection apply the
+same head rule to the cached head plus those candidates. Full-softmax
+sampling instead draws once over the head's stored mass, rescaled to the
+new maximum, plus the candidates' mass, so its cost follows the number of
+candidates and not the size of the pool.
 """
 from __future__ import annotations
 
+import heapq
 import math
 from bisect import bisect_right
 from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
-from itertools import count
+from itertools import accumulate, count
 from random import Random
-
-import numpy as np
 
 from graphbpe.chem import MolGraph, valence_check
 from graphbpe.chem.mol import Atom, failing_aromatic_rings, implicit_hydrogens, make_bond
@@ -44,8 +51,9 @@ _SEED_MIX = 0x9E3779B97F4A7C15  # odd constant; decorrelates per-molecule stream
 
 
 class Policy:
-    """Scoring contract: one finite score per candidate, independent of the
-    other candidates; vocabulary and open-site pools come in separate calls.
+    """Scoring contract: a sequence of finite floats, one per candidate,
+    each independent of the other candidates; vocabulary and open-site pools
+    come in separate calls.
 
     Start scores depend only on the motifs, and vocabulary-pool scores only
     on the focus site type, so one ``generate`` call scores the starts once
@@ -55,12 +63,12 @@ class Policy:
 
     temperature: float = 1.0
 
-    def score_start(self, context, motifs: list[Motif]) -> np.ndarray:
+    def score_start(self, context, motifs: list[Motif]) -> Sequence[float]:
         raise NotImplementedError
 
     def score_connections(
         self, context, focus: SiteType, candidates: list[Candidate]
-    ) -> np.ndarray:
+    ) -> Sequence[float]:
         raise NotImplementedError
 
 
@@ -88,19 +96,17 @@ class FrequencyPolicy(Policy):
         self.cyclize_weight = cyclize_weight
         self.temperature = temperature
         # bond order -> (log frequency per pool candidate, site type -> positions)
-        self._pools: dict[str, tuple[np.ndarray, dict[SiteType, list[int]]]] = {}
+        self._pools: dict[str, tuple[list[float], dict[SiteType, list[int]]]] = {}
 
-    def score_start(self, context, motifs: list[Motif]) -> np.ndarray:
-        return np.array([math.log(m.frequency) for m in motifs], dtype=float)
+    def score_start(self, context, motifs: list[Motif]) -> list[float]:
+        return [math.log(m.frequency) for m in motifs]
 
     def _vocabulary_pool(
         self, order: str, candidates: list[Candidate]
-    ) -> tuple[np.ndarray, dict[SiteType, list[int]]]:
+    ) -> tuple[list[float], dict[SiteType, list[int]]]:
         pool = self._pools.get(order)
         if pool is None:
-            log_frequency = np.array(
-                [math.log(cand.motif.frequency) for cand in candidates], dtype=float
-            )
+            log_frequency = [math.log(cand.motif.frequency) for cand in candidates]
             positions: dict[SiteType, list[int]] = {}
             for i, cand in enumerate(candidates):
                 positions.setdefault(cand.site_type, []).append(i)
@@ -109,7 +115,7 @@ class FrequencyPolicy(Policy):
 
     def score_connections(
         self, context, focus: SiteType, candidates: list[Candidate]
-    ) -> np.ndarray:
+    ) -> list[float]:
         partners = self.vocabulary.partners.get(focus, {})
         if candidates is self.vocabulary.candidates_by_order.get(focus[2]):
             log_frequency, positions = self._vocabulary_pool(focus[2], candidates)
@@ -117,13 +123,12 @@ class FrequencyPolicy(Policy):
             for site, pair in partners.items():
                 at = positions.get(site)
                 if at is not None:
-                    scores[at] = math.log1p(pair) + log_frequency[at[0]]
+                    score = math.log1p(pair) + log_frequency[at[0]]
+                    for i in at:
+                        scores[i] = score
             return scores
-        return np.array(
-            [math.log1p(self.cyclize_weight * partners.get(cand.site_type, 0))
-             for cand in candidates],
-            dtype=float,
-        )
+        return [math.log1p(self.cyclize_weight * partners.get(cand.site_type, 0))
+                for cand in candidates]
 
 
 @dataclass
@@ -215,44 +220,54 @@ def _check_selection(mode: str, top_k: int | None) -> None:
         raise ValueError("top_k must be >= 1")
 
 
-def _cumulative(scores: np.ndarray, temperature: float) -> list[float]:
-    """The running sum of the softmax of ``scores / temperature``."""
-    scaled = scores / temperature
-    shifted = np.exp(scaled - scaled.max())
-    return np.cumsum(shifted / shifted.sum()).tolist()
+def _cumulative(scores: list[float], temperature: float) -> tuple[list[float], float]:
+    """The softmax of ``scores / temperature``, unnormalised: the running sum
+    of ``exp(score / temperature - top)``, and ``top``, the largest scaled
+    score."""
+    scaled = [score / temperature for score in scores]
+    top = max(scaled)
+    return list(accumulate(math.exp(x - top) for x in scaled)), top
 
 
-def _sample(cumulative: list[float], rng: Random) -> int:
-    """One draw from a ``_cumulative`` distribution: the index that
-    ``np.searchsorted(cumulative, u, side="right")`` gives, clipped."""
-    return min(bisect_right(cumulative, rng.random()), len(cumulative) - 1)
+def _bisect(cumulative: list[float], x: float) -> int:
+    """The index whose mass holds ``x``, clipped to the last."""
+    return min(bisect_right(cumulative, x), len(cumulative) - 1)
 
 
-def _head(pool: list, scores, mode: str, top_k: int | None) -> tuple[list, np.ndarray, dict]:
+def _finite(scores: Sequence[float]) -> list[float]:
+    """``scores`` as a list, checked finite: a finite sum rules out an
+    infinite or NaN score, so each score is checked only when it is not."""
+    scores = list(scores)
+    if not (math.isfinite(sum(scores)) or all(map(math.isfinite, scores))):
+        raise ValueError("policy produced a non-finite score")
+    return scores
+
+
+def _head(
+    pool: list, scores: Sequence[float], mode: str, top_k: int | None
+) -> tuple[list, list[float], dict]:
     """The items of ``pool`` that selection can pick, with their scores, in
-    pool order: the argmax in greedy mode, else the stable top ``top_k``.
-    The third member maps a temperature to the items' ``_cumulative``
-    distribution at it, filled by ``_choose`` on first use.
+    pool order: the first argmax in greedy mode, else the stable top
+    ``top_k``. The third member maps a temperature to the items'
+    ``_cumulative`` distribution at it, filled by ``_choose`` on first use.
 
     Items that follow the pool can only push pool items out of the top
     ``top_k``, never bring one back, so the rest need not be kept.
     """
-    scores = np.asarray(scores, dtype=float)
-    if not np.all(np.isfinite(scores)):
-        raise ValueError("policy produced a non-finite score")
-    if mode == GREEDY and len(scores):
-        keep = [int(np.argmax(scores))]
+    scores = _finite(scores)
+    if mode == GREEDY and scores:
+        keep = [scores.index(max(scores))]
     elif top_k is not None and top_k < len(scores):
-        keep = np.sort(np.argsort(-scores, kind="stable")[:top_k])
+        keep = sorted(heapq.nlargest(top_k, range(len(scores)), key=scores.__getitem__))
     else:
         return pool, scores, {}
-    return [pool[i] for i in keep], scores[keep], {}
+    return [pool[i] for i in keep], [scores[i] for i in keep], {}
 
 
 def _choose(
-    head: tuple[list, np.ndarray, dict],
+    head: tuple[list, list[float], dict],
     extra: list,
-    extra_scores,
+    extra_scores: Sequence[float] | None,
     mode: str,
     rng: Random,
     temperature: float,
@@ -262,20 +277,33 @@ def _choose(
 
     Greedy mode takes the head's one item; sampling is one draw and a
     bisect of the head's distribution at ``temperature``, stored on first
-    use, so no numpy call is made once it is stored. With ``extra``, the
-    pick is made the same way from a fresh ``_head`` of the head's items
-    followed by ``extra``.
+    use. With ``extra``, greedy and top-k picks (and any pick from an empty
+    head) are made the same way from a fresh ``_head`` of the head's items
+    followed by ``extra``; a full softmax draws once over the head's mass
+    and the extras' mass, both taken relative to their joint top score.
     """
-    if extra:
-        items, scores, _ = head
-        head = _head(items + extra, np.concatenate([scores, extra_scores]), mode, top_k)
     items, scores, distributions = head
+    if extra and (mode == GREEDY or top_k is not None or not items):
+        items, scores, distributions = _head(items + extra, [*scores, *extra_scores], mode, top_k)
+        extra = []
     if mode == GREEDY:
         return items[0]
-    cumulative = distributions.get(temperature)
-    if cumulative is None:
-        cumulative = distributions[temperature] = _cumulative(scores, temperature)
-    return items[_sample(cumulative, rng)]
+    distribution = distributions.get(temperature)
+    if distribution is None:
+        distribution = distributions[temperature] = _cumulative(scores, temperature)
+    cumulative, top = distribution
+    if not extra:
+        return items[_bisect(cumulative, rng.random() * cumulative[-1])]
+    extra_cumulative, extra_top = _cumulative(_finite(extra_scores), temperature)
+    joint_top = max(top, extra_top)
+    scale = math.exp(top - joint_top)
+    extra_scale = math.exp(extra_top - joint_top)
+    extra_cumulative = [mass * extra_scale for mass in extra_cumulative]
+    pool_mass = cumulative[-1] * scale
+    x = rng.random() * (pool_mass + extra_cumulative[-1])
+    if x < pool_mass:
+        return items[_bisect(cumulative, x / scale)]
+    return extra[_bisect(extra_cumulative, x - pool_mass)]
 
 
 def start_generation(
@@ -350,7 +378,7 @@ def generation_step(
     if score_cache is None:
         score_cache = {}
 
-    def score(pool: list[Candidate]) -> np.ndarray:
+    def score(pool: list[Candidate]) -> Sequence[float]:
         return policy.score_connections(state.rng_seed, focus_type, pool)
 
     key = (focus_type, mode, top_k)

@@ -8,9 +8,8 @@ so scores are not comparable to benchmark suites using toolkit descriptors.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-
-import numpy as np
 
 from graphbpe.chem import (
     HALOGENS,
@@ -99,41 +98,50 @@ class EvalReport:
     novel_count: int
 
 
-def _channel_values(descriptors: list[DescriptorVector]) -> dict[str, np.ndarray]:
-    values: dict[str, np.ndarray] = {}
-    for name, _ in _SCALAR_CHANNELS:
-        values[name] = np.array([getattr(d, name) for d in descriptors], dtype=float)
+def _channel_values(descriptors: list[DescriptorVector]) -> dict[str, list[float]]:
+    values = {name: [getattr(d, name) for d in descriptors] for name, _ in _SCALAR_CHANNELS}
     for i, name in enumerate(_BOND_CHANNELS):
-        values[name] = np.array(
-            [d.bond_order_fractions[i] for d in descriptors], dtype=float
-        )
+        values[name] = [d.bond_order_fractions[i] for d in descriptors]
     return values
 
 
+def _bin_counts(values: list[float], edges: list[float]) -> list[int]:
+    """The counts ``np.histogram`` gives: bin i holds the values ``v`` with
+    ``edges[i] <= v < edges[i + 1]``, and the last bin also ``edges[-1]``."""
+    values = sorted(values)
+    below = [bisect_left(values, edge) for edge in edges[:-1]]
+    below.append(bisect_right(values, edges[-1]))
+    return [high - low for low, high in zip(below, below[1:])]
+
+
 def _histogram_pair(
-    train: np.ndarray, gen: np.ndarray, integer: bool
-) -> tuple[np.ndarray, np.ndarray]:
+    train: list[float], gen: list[float], integer: bool
+) -> tuple[list[int], list[int]]:
+    """Counts of both sets over shared bins: unit bins centred on each
+    integer from the smallest to the largest value of either set, or
+    ``_CONTINUOUS_BINS`` equal bins over the training range (edges as
+    ``np.linspace`` places them) with generated values clipped into it."""
     if integer:
-        lo = int(min(train.min(), gen.min()))
-        hi = int(max(train.max(), gen.max()))
-        edges = np.arange(lo - 0.5, hi + 1.5)
+        lo = int(min(min(train), min(gen)))
+        hi = int(max(max(train), max(gen)))
+        edges = [i - 0.5 for i in range(lo, hi + 2)]
     else:
-        lo, hi = float(train.min()), float(train.max())
+        lo, hi = min(train), max(train)
         if lo == hi:
             hi = lo + 1.0
-        edges = np.linspace(lo, hi, _CONTINUOUS_BINS + 1)
-        gen = np.clip(gen, lo, hi)
-    p, _ = np.histogram(train, bins=edges)
-    q, _ = np.histogram(gen, bins=edges)
-    return p.astype(float), q.astype(float)
+        step = (hi - lo) / _CONTINUOUS_BINS
+        edges = [i * step + lo for i in range(_CONTINUOUS_BINS)] + [hi]
+        gen = [lo if value < lo else hi if value > hi else value for value in gen]
+    return _bin_counts(train, edges), _bin_counts(gen, edges)
 
 
-def _kl_divergence(p_counts: np.ndarray, q_counts: np.ndarray) -> float:
-    p = p_counts + _SMOOTHING
-    q = q_counts + _SMOOTHING
-    p /= p.sum()
-    q /= q.sum()
-    return float(np.sum(p * np.log(p / q)))
+def _kl_divergence(p_counts: list[int], q_counts: list[int]) -> float:
+    p = [count + _SMOOTHING for count in p_counts]
+    q = [count + _SMOOTHING for count in q_counts]
+    p_total, q_total = sum(p), sum(q)
+    p = [x / p_total for x in p]
+    q = [x / q_total for x in q]
+    return sum(a * math.log(a / b) for a, b in zip(p, q))
 
 
 def distinct(items: list) -> tuple[list, list[int]]:

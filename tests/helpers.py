@@ -45,7 +45,9 @@ from graphbpe.merging import MergeOperation, MergingGraph
 from graphbpe.metrics import (
     _BOND_CHANNELS,
     _CHANNELS,
+    _CONTINUOUS_BINS,
     _SCALAR_CHANNELS,
+    _SMOOTHING,
     EvalReport,
     _channel_values,
     _histogram_pair,
@@ -377,6 +379,36 @@ def full_array_select(scores: np.ndarray, mode: str, rng: Random, temperature: f
         keep = np.sort(np.argsort(-scores, kind="stable")[:top_k])
         return int(keep[softmax_sample(scores[keep])])
     return softmax_sample(scores)
+
+
+def numpy_histogram_pair(
+    train: np.ndarray, gen: np.ndarray, integer: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """The metrics' histogram pair as numpy computes it: ``np.histogram``
+    over unit bins centred on the integers, or over ``np.linspace`` edges of
+    the training range with generated values clipped into it."""
+    if integer:
+        lo = int(min(train.min(), gen.min()))
+        hi = int(max(train.max(), gen.max()))
+        edges = np.arange(lo - 0.5, hi + 1.5)
+    else:
+        lo, hi = float(train.min()), float(train.max())
+        if lo == hi:
+            hi = lo + 1.0
+        edges = np.linspace(lo, hi, _CONTINUOUS_BINS + 1)
+        gen = np.clip(gen, lo, hi)
+    p, _ = np.histogram(train, bins=edges)
+    q, _ = np.histogram(gen, bins=edges)
+    return p.astype(float), q.astype(float)
+
+
+def numpy_kl_divergence(p_counts: np.ndarray, q_counts: np.ndarray) -> float:
+    """The metrics' smoothed KL(p || q) as numpy computes it."""
+    p = p_counts + _SMOOTHING
+    q = q_counts + _SMOOTHING
+    p /= p.sum()
+    q /= q.sum()
+    return float(np.sum(p * np.log(p / q)))
 
 
 def eager_evaluate(generated: list[MolGraph], training: list[MolGraph]) -> EvalReport:

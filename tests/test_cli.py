@@ -1,5 +1,14 @@
+import os
+import re
+import subprocess
+import sys
+from collections import Counter
+from pathlib import Path
+from random import Random
+
 import pytest
 
+import graphbpe
 from graphbpe.chem import write_smiles
 from graphbpe.cli import main
 from graphbpe.fileio import read_vocabulary
@@ -257,6 +266,19 @@ class TestInspectVocab:
         assert code == 3
 
 
+def test_import_loads_no_numpy():
+    """The package has no runtime dependency: a fresh interpreter that
+    imports it and its CLI has not loaded numpy."""
+    src = str(Path(graphbpe.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", "import graphbpe, graphbpe.cli, sys; print('numpy' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"
+
+
 # (argv, file given a non-UTF-8 byte or None, that byte's line, exit code)
 BAD_INPUT_CASES = [
     ("mine --corpus c.smi --num-ops 2 --out new", "c.smi", 4, 3),
@@ -300,3 +322,73 @@ def test_bad_input_or_output_path_exits_cleanly(
         assert err.startswith("input error:") and f"line {line}:" in err
     else:
         assert "error:" in err
+
+
+# a corpus with rings, aromatic atoms, branches and a double bond, so the
+# mined artifacts carry ring motifs, several site classes and bond orders
+MUTATION_CORPUS = "CC\nCN\nCNN\nCN=O\nCC=O\nc1ccccc1O\nCC(C)Oc1ccncc1\nC1CCNC1C(=O)O\nCC#N\n"
+MUTATION_TOKENS = ["*", "C", "c", "N", "1", "(", ")", "=", "#", ":", "\t", " ", "|",
+                   "[", "]", "+", "-", "0", "7", "x", "%", ",", "\n", "\xe9"]
+DOCUMENTED_EXITS = {0, 2, 3, 4}
+
+
+def mutate(data: str, rng: Random) -> str:
+    """One random edit of an artifact's text: a line dropped, doubled or
+    swapped, a token put in or removed, a number changed, or a cut."""
+    lines = data.split("\n")
+    kind = rng.randrange(7)
+    at = rng.randrange(len(lines))
+    if kind == 0:
+        del lines[at]
+    elif kind == 1:
+        lines.insert(at, lines[rng.randrange(len(lines))])
+    elif kind == 2:
+        other = rng.randrange(len(lines))
+        lines[at], lines[other] = lines[other], lines[at]
+    elif kind == 3:
+        lines[at] = re.sub(r"\d+", lambda m: str(rng.choice([-1, 0, 1, 10**30])),
+                           lines[at], count=1)
+    else:
+        text = "\n".join(lines)
+        cut = rng.randrange(len(text) + 1)
+        if kind == 4:
+            return text[:cut] + rng.choice(MUTATION_TOKENS) + text[cut:]
+        if kind == 5:
+            return text[:cut] + text[cut + 1:]
+        return text[:cut]
+    return "\n".join(lines)
+
+
+def test_mutated_artifacts_exit_with_documented_codes(tmp_path, capsys):
+    """Three hundred seeded mutations of a mined ops/vocab/attach set, each
+    fed to fragmentize, generate and inspect-vocab in-process: every run
+    returns a documented exit code and none raises."""
+    (tmp_path / "corpus.smi").write_text(MUTATION_CORPUS)
+    assert run(["mine", "--corpus", tmp_path / "corpus.smi", "--num-ops", "6",
+                "--out", tmp_path / "mined"]) == 0
+    artifacts = {name: (tmp_path / "mined" / name).read_text()
+                 for name in ("ops.txt", "vocab.txt", "attach.txt")}
+    commands = {
+        "ops.txt": [["fragmentize", "--corpus", tmp_path / "corpus.smi", "--ops", "ops.txt",
+                     "--out", tmp_path / "frag.txt"]],
+        "vocab.txt": [["inspect-vocab", "--vocab", "vocab.txt"]],
+        "attach.txt": [],
+    }
+    generate_argv = ["generate", "--vocab", "vocab.txt", "--attach", "attach.txt", "--num", "4",
+                     "--max-steps", "12", "--out", tmp_path / "gen.smi"]
+    rng = Random(12)
+    exits = Counter()
+    for _ in range(300):
+        name = rng.choice(sorted(artifacts))
+        work = tmp_path / "work"
+        work.mkdir(exist_ok=True)
+        for other, text in artifacts.items():
+            (work / other).write_text(mutate(text, rng) if other == name else text,
+                                      encoding="utf-8")
+        for argv in commands[name] + ([] if name == "ops.txt" else [generate_argv]):
+            argv = [work / a if a in artifacts else a for a in argv]
+            code = run(argv)
+            assert code in DOCUMENTED_EXITS, (name, argv, code)
+            exits[code] += 1
+        capsys.readouterr()
+    assert exits[0] and exits[3]

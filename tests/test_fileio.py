@@ -16,7 +16,8 @@ from graphbpe.fileio import (
     write_trajectories,
     write_vocabulary,
 )
-from graphbpe.generator import DISTRIBUTIONAL, FrequencyPolicy, generate
+from graphbpe.generator import DISTRIBUTIONAL, GREEDY, FrequencyPolicy, generate
+from graphbpe.metrics import evaluate, format_report
 from graphbpe.miner import build_motif_vocabulary, mine_corpus
 from graphbpe.tokenizer import extract_trajectory
 
@@ -206,3 +207,34 @@ def test_golden_artifact_bytes(tmp_path, corpus_1k, ops_500):
         for name in GOLDEN_DIGESTS
     }
     assert digests == GOLDEN_DIGESTS, f"artifact bytes changed; new digests: {digests}"
+
+
+# sha256 of the generated file under each selection rule, and of the eval
+# report of the top-k 25 set, over the vocabulary of test_golden_artifact_bytes
+GOLDEN_SELECTION_DIGESTS = {
+    "greedy": "b300ec27170cae33e372b42a1fd283f64e12272b06d39240a61d77b957eee96c",
+    "top_k_5_cold": "589ee504044d5fea5cf6a426ec647a134005cf2690da2d84ecdae305f55f3da9",
+    "sample": "21f841b1a41969a2701f04b8a10c7a3ba29a639c151519989684cb09c6194346",
+    "report": "76b7b4a9e88fc23e5310a7a232dcece72225cbe228471f0092eb2c1c8ce994ae",
+}
+
+
+def test_golden_selection_bytes(tmp_path, corpus_1k, ops_500):
+    """Greedy, top-k 5 at temperature 0.5 and full-softmax sampling, plus
+    the eval report, pinned so a change to selection or to the metrics shows."""
+    _, mols = corpus_1k
+    vocab = build_motif_vocabulary(mols[:300], ops_500[:200])
+    runs = {
+        "greedy": (FrequencyPolicy(vocab), 300, GREEDY, None),
+        "top_k_5_cold": (FrequencyPolicy(vocab, temperature=0.5), 300, DISTRIBUTIONAL, 5),
+        "sample": (FrequencyPolicy(vocab), 100, DISTRIBUTIONAL, None),
+    }
+    digests = {}
+    for name, (policy, n, mode, top_k) in runs.items():
+        molecules, _ = generate(vocab, policy, n, mode, seed=1, top_k=top_k)
+        write_molecules(tmp_path / name, [write_smiles(m) for m in molecules])
+        digests[name] = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+    molecules, _ = generate(vocab, FrequencyPolicy(vocab), 300, DISTRIBUTIONAL, seed=1, top_k=25)
+    report = format_report(evaluate(molecules, mols))
+    digests["report"] = hashlib.sha256(report.encode()).hexdigest()
+    assert digests == GOLDEN_SELECTION_DIGESTS, f"selection bytes changed; new digests: {digests}"

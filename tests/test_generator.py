@@ -211,16 +211,12 @@ class TestScoring:
             assert got == expected, i
             assert rng_head.getstate() == rng_full.getstate(), i
 
-    def test_a_head_computes_its_distribution_once(self, vocab_80, monkeypatch):
-        """Over one sampled ``generate`` call, distributions are computed at
-        most once per head plus once per step with open-site candidates,
-        and a step that computes none makes no numpy call."""
+    @staticmethod
+    def step_work(vocab, monkeypatch, top_k) -> list[tuple]:
+        """(focus type, counts of ``_head``, ``_cumulative`` and non-empty
+        ``_partial_candidates`` calls) for each step of one sampled
+        ``generate`` call."""
         counts: Counter = Counter()
-
-        class CountingNumpy:
-            def __getattr__(self, name):
-                counts["numpy"] += 1
-                return getattr(np, name)
 
         def spy(name, function, counted=lambda result: True):
             def wrapper(*args, **kwargs):
@@ -234,21 +230,45 @@ class TestScoring:
         spy("_cumulative", gen._cumulative)
         spy("_partial_candidates", gen._partial_candidates, counted=bool)
         step = gen.generation_step
-        step_counts = []
+        work = []
 
-        def counted_step(*args, **kwargs):
+        def counted_step(state, *args, **kwargs):
+            focus_type = state.open_sites[state.queue[0]][1]
             before = Counter(counts)
-            result = step(*args, **kwargs)
-            step_counts.append(counts - before)
+            result = step(state, *args, **kwargs)
+            work.append((focus_type, counts - before))
             return result
 
         monkeypatch.setattr(gen, "generation_step", counted_step)
-        monkeypatch.setattr(gen, "np", CountingNumpy())
-        generate(vocab_80, FrequencyPolicy(vocab_80), 200, DISTRIBUTIONAL, seed=1, top_k=25)
-        assert counts["_cumulative"] <= counts["_head"] + counts["_partial_candidates"]
-        plain = [c for c in step_counts if not (c["_partial_candidates"] or c["_cumulative"])]
-        assert len(plain) > 200
-        assert all(c["numpy"] == 0 and c["_head"] == 0 for c in plain)
+        generate(vocab, FrequencyPolicy(vocab), 200, DISTRIBUTIONAL, seed=1, top_k=top_k)
+        return work
+
+    def check_step_work(self, work, rebuilds: bool) -> None:
+        """A focus type's head is built on its first step only and computes
+        its distribution at most once; a step with no open-site candidate
+        builds nothing else, and one with some builds one more head when
+        ``rebuilds``. Distributions number at most one per head plus one per
+        step with open-site candidates."""
+        seen = set()
+        for focus_type, c in work:
+            rebuilt = bool(c["_partial_candidates"]) and rebuilds
+            assert c["_head"] == (focus_type not in seen) + rebuilt
+            seen.add(focus_type)
+        total = sum((c for _, c in work), Counter())
+        assert total["_cumulative"] <= total["_head"] + total["_partial_candidates"]
+        quiet = [c for _, c in work if not c["_partial_candidates"]]
+        assert sum(c["_cumulative"] for c in quiet) <= len(seen)
+        assert sum(1 for c in quiet if not (c["_head"] or c["_cumulative"])) > 200
+
+    def test_a_head_computes_its_distribution_once(self, vocab_80, monkeypatch):
+        """Top-k sampling: a step with open-site candidates builds one head
+        over the cached head and those candidates."""
+        self.check_step_work(self.step_work(vocab_80, monkeypatch, 25), rebuilds=True)
+
+    def test_full_softmax_builds_no_head_per_step(self, vocab_80, monkeypatch):
+        """Sampling without top-k: a step with open-site candidates draws
+        over the cached head's mass and theirs, and builds no head."""
+        self.check_step_work(self.step_work(vocab_80, monkeypatch, None), rebuilds=False)
 
 
 class TestStart:

@@ -1,9 +1,13 @@
 import json
+import math
 from collections import Counter
 from pathlib import Path
 from random import Random
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import graphbpe.metrics as metrics
 from graphbpe.chem import (
@@ -17,7 +21,13 @@ from graphbpe.chem import (
 )
 from graphbpe.errors import GraphBpeError, RingClosureError
 from graphbpe.metrics import compute_descriptors, evaluate, format_report
-from helpers import eager_evaluate, fused_ladder_smiles, permute_molecule
+from helpers import (
+    eager_evaluate,
+    fused_ladder_smiles,
+    numpy_histogram_pair,
+    numpy_kl_divergence,
+    permute_molecule,
+)
 
 GOLDEN = Path(__file__).parent / "fixtures" / "descriptors_golden.json"
 
@@ -103,6 +113,46 @@ class TestEvaluate:
         text = format_report(evaluate(mols[:20], mols[:20]))
         assert "validity=" in text and "kl_div_score=" in text
         assert "unique valid" in text  # novelty denominator documented
+
+
+# Descriptor-like reals. np.linspace takes another formula when the range
+# divided by the bin count underflows to 0, a range no descriptor reaches; no
+# nonzero value below 1e-200 in magnitude keeps every drawn range clear of it.
+REALS = st.floats(-1e4, 1e4).filter(lambda x: x == 0 or abs(x) >= 1e-200)
+COUNTS = st.integers(0, 60)
+
+
+@st.composite
+def channel_pairs(draw) -> tuple[list, list, bool]:
+    """(training, generated, integer): generated values are drawn partly
+    from the training values, so values equal to the top of the range are
+    common, and partly from anywhere, so they fall outside it too."""
+    integer = draw(st.booleans())
+    values = st.integers(-20, 80) if integer else REALS
+    train = draw(st.lists(COUNTS if integer else values, min_size=1, max_size=40))
+    gen = draw(st.lists(st.sampled_from(train) | values, min_size=1, max_size=40))
+    return train, gen, integer
+
+
+class TestHistogramOracle:
+    @settings(max_examples=500, deadline=None)
+    @given(channel_pairs())
+    @example(([2.5, 2.5], [2.5, 3.5, 1.0], False))  # lo == hi
+    @example(([0.0, 0.5, 1.0], [1.0, 1.0, 0.999], False))  # generated values at hi
+    @example(([3.0, 7.5], [-4.0, 99.0, 7.5], False))  # outside the training range
+    @example(([3, 5, 5], [0, 9, 5], True))  # integer bins widened by generated values
+    @example(([4], [4], True))
+    def test_matches_numpy_reference(self, case):
+        """Counts equal numpy's, and KL agrees to 1e-12 relative (absolute
+        near 0, where a sum of terms of both signs cancels)."""
+        train, gen, integer = case
+        p, q = metrics._histogram_pair(train, gen, integer)
+        ref_p, ref_q = numpy_histogram_pair(
+            np.array(train, dtype=float), np.array(gen, dtype=float), integer
+        )
+        assert (p, q) == (ref_p.astype(int).tolist(), ref_q.astype(int).tolist())
+        kl = metrics._kl_divergence(p, q)
+        assert math.isclose(kl, numpy_kl_divergence(ref_p, ref_q), rel_tol=1e-12, abs_tol=1e-12)
 
 
 # can never pass the valence check, like the CLI's placeholder for a bad line
