@@ -8,7 +8,8 @@ Exit codes: 0 success, 2 usage error (including an output path whose
 directory does not exist), 3 input parse error (including a file that is not
 UTF-8), 4 artifact format/version error. All outputs are deterministic under
 fixed flags and seed; ``mine --threads`` is accepted and ignored, since
-mining runs in one process.
+mining runs in one process. ``generate`` writes each distinct generated
+graph once, and ``eval`` parses each distinct generated line once.
 """
 from __future__ import annotations
 

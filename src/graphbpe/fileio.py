@@ -8,8 +8,8 @@ names it: "line N: <path>: ..." (a header error has no line number).
 
 corpus        one SMILES per line, optional tab-separated id, "#" comments
 ops           header "graphbpe-ops v1 K=<n>", lines "<rank>\t<pattern>\t<count>"
-              where the pattern parses and has two or more atoms, and the
-              count is at least 1
+              where the rank is the line's position from 0, the pattern
+              parses and has two or more atoms, and the count is at least 1
 vocabulary    header "graphbpe-vocab v1", lines "<motif>\t<freq>\t<sites>"
               where sites is "-" or comma-joined "<star>:<class>:<order>"
 attachments   header "graphbpe-attach v1", lines "<siteA>\t<siteB>\t<count>"
@@ -24,7 +24,7 @@ from collections.abc import Iterator
 from pathlib import Path
 from typing import NoReturn
 
-from graphbpe.chem import MolGraph, graph_signature, parse_smiles
+from graphbpe.chem import MolGraph, parse_smiles
 from graphbpe.errors import CorpusError, FileFormatError, FormatVersionError, GraphBpeError
 from graphbpe.miner import (
     MergeOperation,
@@ -119,22 +119,23 @@ def write_operations(path: str | Path, ops: list[MergeOperation]) -> None:
             handle.write(f"{op.rank}\t{op.pattern}\t{op.observed_count}\n")
 
 
-def _op_signature(path: str | Path, line_number: int, pattern: str) -> int:
-    """The signature of an ops-file pattern that some union can have."""
+def _count(path: str | Path, line_number: int, name: str, text: str) -> int:
+    """The integer ``text`` of a count field, which must be at least 1."""
     try:
-        mol = parse_smiles(pattern, validate=False)
-    except GraphBpeError as exc:
-        raise FileFormatError(f"{path}: pattern {pattern!r}: {exc}", line_number) from exc
-    if len(mol.atoms) < 2:
-        raise FileFormatError(f"{path}: pattern {pattern!r} has fewer than two atoms", line_number)
-    return graph_signature(mol)
+        count = int(text)
+    except ValueError as exc:
+        raise FileFormatError(f"{path}: bad {name} {text!r}", line_number) from exc
+    if count < 1:
+        raise FileFormatError(f"{path}: {name} {count} is below 1", line_number)
+    return count
 
 
 def read_operations(path: str | Path) -> list[MergeOperation]:
     """The operations of an ops file, each pattern parsed once for its
-    signature. A pattern no union can have (it does not parse, or has
-    fewer than two atoms) or a count below 1 raises ``FileFormatError``; a
-    "*" atom (a corpus may hold "*" sites, and they merge like any atom), a
+    signature (see ``MergeOperation``). A rank other than the line's
+    position, a pattern no union can have (it does not parse, or has fewer
+    than two atoms) or a count below 1 raises ``FileFormatError``; a "*"
+    atom (a corpus may hold "*" sites, and they merge like any atom), a
     repeated pattern, or a count above the one before, is legitimate."""
     rows = _rows(path, OPS_HEADER, "<rank>\t<pattern>\t<count>")
     _, (declared_text,) = next(rows)
@@ -144,15 +145,13 @@ def read_operations(path: str | Path) -> list[MergeOperation]:
         _raise_version(path, OPS_HEADER, f"{OPS_HEADER} K={declared_text}")
     ops = []
     for line_number, (rank_text, pattern, count_text) in rows:
+        if rank_text != str(len(ops)):
+            raise FileFormatError(f"{path}: rank {rank_text!r} out of order", line_number)
+        count = _count(path, line_number, "count", count_text)
         try:
-            rank, count = int(rank_text), int(count_text)
-        except ValueError as exc:
-            raise FileFormatError(f"{path}: bad integer field: {exc}", line_number) from exc
-        if rank != len(ops):
-            raise FileFormatError(f"{path}: rank {rank} out of order", line_number)
-        if count < 1:
-            raise FileFormatError(f"{path}: count {count} is below 1", line_number)
-        ops.append(MergeOperation(rank, pattern, count, _op_signature(path, line_number, pattern)))
+            ops.append(MergeOperation(len(ops), pattern, count))
+        except GraphBpeError as exc:
+            raise FileFormatError(f"{path}: pattern {pattern!r}: {exc}", line_number) from exc
     if len(ops) != declared:
         raise FileFormatError(
             f"{path}: header declares K={declared} but file has {len(ops)} operations", 1
@@ -204,16 +203,7 @@ def read_vocabulary(
     motifs: dict[str, Motif] = {}
     vocab_rows = _rows(vocab_path, VOCAB_HEADER, "<motif>\t<freq>\t<sites>")
     for line_number, (smiles, freq_str, sites_str) in vocab_rows:
-        try:
-            frequency = int(freq_str)
-        except ValueError as exc:
-            raise FileFormatError(
-                f"{vocab_path}: bad frequency {freq_str!r}", line_number
-            ) from exc
-        if frequency < 1:
-            raise FileFormatError(
-                f"{vocab_path}: frequency {frequency} is not positive", line_number
-            )
+        frequency = _count(vocab_path, line_number, "frequency", freq_str)
         try:
             sites = motif_sites(smiles)
         except GraphBpeError as exc:
@@ -240,18 +230,8 @@ def read_vocabulary(
                     raise FileFormatError(
                         f"{attach_path}: {token!r} is not a vocabulary site", line_number
                     )
-            try:
-                count = int(count_str)
-            except ValueError as exc:
-                raise FileFormatError(
-                    f"{attach_path}: bad count {count_str!r}", line_number
-                ) from exc
-            if count < 1:
-                raise FileFormatError(
-                    f"{attach_path}: count {count} is not positive", line_number
-                )
             site_pair = attachment_key(known_sites[token_a], known_sites[token_b])
-            attachments[site_pair] += count
+            attachments[site_pair] += _count(attach_path, line_number, "count", count_str)
     return MotifVocabulary(motifs, dict(attachments))
 
 

@@ -24,14 +24,17 @@ the token of the lesser key of an edge's two fragments, a lower bound on
 its pattern string, is one ``min`` away.
 
 A pattern fixes its signature: equal canonical strings give equal
-signatures (see ``graph_signature``), so ``pattern_signature(pattern)`` is
-the signature of every union written as ``pattern``. Edges with different
+signatures (see ``graph_signature``), so the signature of the parsed pattern
+is the signature of every union written as ``pattern``. Edges with different
 signatures therefore never share a pattern, and a pass for one pattern
 writes only the unions that carry its signature. Unequal unions may share a
 signature; that only puts them behind one gate, which costs extra writes
 and never another pick, merge or report, since a merge and every count
 compare pattern strings. Each ``MergeOperation`` carries its pattern's
-signature, so replaying operations parses no pattern. ``graphbpe.metrics``
+signature, so replaying operations parses no pattern: the miner passes the
+signature its tally picked the pattern under, and an operation built without
+one parses its pattern once, in ``MergeOperation.__post_init__``, the one
+check that some union can have the pattern. ``graphbpe.metrics``
 uses the same invariant to skip training molecules no generated one can
 equal.
 
@@ -98,7 +101,7 @@ from graphbpe.chem import (
 )
 from graphbpe.chem.canon import tie_broken_ranks
 from graphbpe.chem.mol import BOND_ORDERS, STAR, Atom, Bond
-from graphbpe.errors import NotAdjacentError, SmilesSyntaxError
+from graphbpe.errors import GraphBpeError, NotAdjacentError
 
 Pair = tuple[int, int]
 
@@ -112,18 +115,24 @@ SiteTable = tuple[tuple[int, SiteType], ...]
 class MergeOperation:
     """One learned operation: merge every edge whose union is ``pattern``.
 
-    ``signature`` is ``pattern_signature(pattern)``, computed here when the
-    caller does not pass it; it takes no part in comparisons.
+    ``signature`` is the signature of every union written as ``pattern``.
+    When the caller does not pass it, it is computed here from the pattern,
+    parsed without a valence check; a pattern no union can have (it does
+    not parse, or has fewer than two atoms) raises a ``GraphBpeError``. The
+    signature takes no part in comparisons.
     """
 
     rank: int
     pattern: str
     observed_count: int
-    signature: int | str | None = field(default=None, compare=False, repr=False)
+    signature: int | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if self.signature is None:
-            object.__setattr__(self, "signature", pattern_signature(self.pattern))
+            mol = parse_smiles(self.pattern, validate=False)
+            if len(mol.atoms) < 2:
+                raise GraphBpeError("a merge pattern needs two or more atoms")
+            object.__setattr__(self, "signature", graph_signature(mol))
 
 
 def site_table(smiles: str, stars, ranks, classes) -> SiteTable:
@@ -164,16 +173,6 @@ def _atom_code(atom: Atom) -> str:
                 _CODED_ATOMS.append(atom)
                 code = _ATOM_CODES[atom] = chr(len(_CODED_ATOMS) - 1)
     return code
-
-
-@lru_cache(maxsize=None)
-def pattern_signature(pattern: str) -> int | str:
-    """The signature of every union whose pattern string is ``pattern``; ""
-    (no union's signature) when ``pattern`` does not parse."""
-    try:
-        return graph_signature(parse_smiles(pattern, validate=False))
-    except SmilesSyntaxError:
-        return ""
 
 
 @cache
@@ -413,20 +412,17 @@ class MergingGraph:
             born.append(pair)
         return fnew, dead, born
 
-    def apply_operation(self, pattern: str, signature: int | str | None = None, tally=None) -> int:
+    def apply_operation(self, pattern: str, signature: int, tally=None) -> int:
         """One merge pass: fuse every edge whose current union equals ``pattern``.
 
-        Only the edges with the pattern's signature (``signature``, else
-        ``pattern_signature(pattern)``) are resolved. Edges are scanned in
-        canonical order; pairs invalidated by an earlier merge in the same
-        pass are skipped. ``tally``, when given, hears
+        Only the edges with the pattern's ``signature`` are resolved. Edges
+        are scanned in canonical order; pairs invalidated by an earlier
+        merge in the same pass are skipped. ``tally``, when given, hears
         ``edge_removed(signature, pattern or None)`` for each edge the pass
         removes that existed before it, then ``edge_added(self, pair,
         signature)`` for each edge the pass leaves behind that is new.
         Returns the number of merges.
         """
-        if signature is None:
-            signature = pattern_signature(pattern)
         pairs = self.by_signature.get(signature)
         if not pairs:
             return 0

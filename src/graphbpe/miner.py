@@ -11,7 +11,8 @@ and its edges' strings need not all sort after that pattern. Deep in the
 operation list nearly every pick is such a tie, and a bound on each edge's
 string from its fragments' ``MergingGraph.frag_lead`` rules many tied
 signatures out without a write. Mining runs in one process, one
-operation at a time.
+operation at a time. ``motif_graph`` and ``motif_sites`` are process-wide
+``lru_cache``s over motif strings read from a file or given by a caller.
 """
 from __future__ import annotations
 

@@ -19,7 +19,14 @@ from random import Random
 
 import numpy as np
 
-from graphbpe.chem import atom_token, parse_smiles, signature_value, valence_check, write_smiles
+from graphbpe.chem import (
+    atom_token,
+    graph_signature,
+    parse_smiles,
+    signature_value,
+    valence_check,
+    write_smiles,
+)
 from graphbpe.chem.mol import (
     AROMATIC,
     BOND_ORDERS,
@@ -229,6 +236,11 @@ def union_signature(mol: MolGraph, atom_ids) -> int:
     return total % 2**64
 
 
+def pattern_signature(pattern: str) -> int:
+    """The signature of every union whose pattern string is ``pattern``."""
+    return graph_signature(parse_smiles(pattern, validate=False))
+
+
 def site_type(smiles: str, star_atom: int) -> SiteType:
     """The type of the connection site at atom ``star_atom`` of motif ``smiles``."""
     for atom_id, site in motif_sites(smiles):
@@ -251,7 +263,7 @@ def eager_learn(corpus: list[MolGraph], num_operations: int) -> list[MergeOperat
         pattern = min(p for p, count in counts.items() if count == best)
         ops.append(MergeOperation(rank, pattern, best))
         for state in states:
-            state.apply_operation(pattern)
+            state.apply_operation(pattern, pattern_signature(pattern))
     return ops
 
 

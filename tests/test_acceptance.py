@@ -32,7 +32,13 @@ from graphbpe.tokenizer import (
     extract_trajectory,
     fragmentize,
 )
-from helpers import count_pair_patterns, group_by_isomorphism, isomorphic, random_molecule
+from helpers import (
+    count_pair_patterns,
+    group_by_isomorphism,
+    isomorphic,
+    pattern_signature,
+    random_molecule,
+)
 
 
 def criterion(number: int, description: str):
@@ -120,7 +126,7 @@ def test_03_count_oracle():
             best = max(counts.values())
             pattern = min(k for k, v in counts.items() if v == best)
             for state in states:
-                state.apply_operation(pattern)
+                state.apply_operation(pattern, pattern_signature(pattern))
     assert mismatches == 0
     assert time.perf_counter() - start < 300
 

@@ -3,6 +3,7 @@ import hashlib
 import pytest
 
 from graphbpe.chem import parse_smiles, write_smiles
+from graphbpe.cli import main as cli_main
 from graphbpe.errors import CorpusError, FileFormatError, FormatVersionError
 from graphbpe.fileio import (
     load_corpus,
@@ -107,6 +108,46 @@ class TestOpsFile:
         assert [(op.pattern, op.observed_count) for op in read_operations(path)] == [
             ("c:c:c:c", 2), ("CC", 1), ("c:c:c:c", 5)
         ]
+
+
+# (file, line, field) of one integer field of each kind in the mined files
+INTEGER_FIELDS = {
+    "ops-rank": ("ops.txt", 3, 0),
+    "ops-count": ("ops.txt", 3, 2),
+    "vocab-frequency": ("vocab.txt", 2, 1),
+    "attach-count": ("attach.txt", 2, 2),
+}
+
+
+@pytest.mark.parametrize("field,value", [
+    (field, value)
+    for field in INTEGER_FIELDS
+    for value in ["4x", "", "1.5"] + (["0", "-2"] if field != "ops-rank" else [])
+])
+def test_bad_integer_field_names_file_and_line(mined, capsys, field, value):
+    _, _, tmp_path = mined
+    name, line_number, column = INTEGER_FIELDS[field]
+    path = tmp_path / name
+    lines = path.read_text().split("\n")
+    fields = lines[line_number - 1].split("\t")
+    fields[column] = value
+    lines[line_number - 1] = "\t".join(fields)
+    path.write_text("\n".join(lines))
+    with pytest.raises(FileFormatError) as info:
+        if name == "ops.txt":
+            read_operations(path)
+        else:
+            read_vocabulary(tmp_path / "vocab.txt", tmp_path / "attach.txt")
+    assert str(info.value).startswith(f"line {line_number}: {path}: ")
+    if name == "ops.txt":
+        (tmp_path / "c.smi").write_text("CC\n")
+        args = ["fragmentize", "--corpus", tmp_path / "c.smi", "--ops", path]
+    else:
+        args = ["generate", "--vocab", tmp_path / "vocab.txt", "--num", "3",
+                "--out", tmp_path / "gen.smi"]
+    capsys.readouterr()
+    assert cli_main([str(arg) for arg in args]) == 3
+    assert f"line {line_number}: {path}: " in capsys.readouterr().err
 
 
 class TestVocabularyFile:

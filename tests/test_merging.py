@@ -27,6 +27,7 @@ from graphbpe.chem import (
     write_smiles_with_order,
 )
 from graphbpe.chem.mol import BOND_ORDERS, STAR, Atom, MolGraph, make_bond
+from graphbpe.errors import GraphBpeError
 from graphbpe.fileio import (
     read_operations,
     write_attachments,
@@ -37,19 +38,26 @@ from graphbpe.merging import (
     _CODED_ATOMS,
     BrokenBondLink,
     Fragmentation,
+    MergeOperation,
     MergingGraph,
     MotifInstance,
     _decode,
     apply_operations,
     extract_motifs,
     instance_pattern,
-    pattern_signature,
     union_pattern,
 )
 from graphbpe.metrics import evaluate
 from graphbpe.miner import learn_merging_operations, mine_corpus, motif_sites
 from graphbpe.tokenizer import fragmentize
-from helpers import load_bench_inputs, merge, mined, random_molecule, union_signature
+from helpers import (
+    load_bench_inputs,
+    merge,
+    mined,
+    pattern_signature,
+    random_molecule,
+    union_signature,
+)
 
 AMINE = MolGraph((Atom("C", implicit_h=3), Atom("N", implicit_h=2)),
                  (make_bond(0, 1, "single"),))
@@ -145,11 +153,14 @@ def test_edge_signatures_stay_exact_as_merges_happen(corpus_1k, monkeypatch):
             assert pattern_signature(state.pattern(fa, fb)) == signature
 
 
-def test_unparsable_pattern_merges_nothing():
-    state = MergingGraph(AMINE)
-    assert pattern_signature("C(") == ""
-    assert state.apply_operation("C(") == 0
-    assert len(state.edges) == 1
+@pytest.mark.parametrize("pattern", ["C(", "C", ""])
+def test_an_operation_no_union_can_have_is_rejected(pattern):
+    with pytest.raises(GraphBpeError):
+        MergeOperation(0, pattern, 1)
+
+
+def test_an_operation_signs_a_pattern_with_a_star():
+    assert MergeOperation(0, "*C", 1).signature == pattern_signature("*C")
 
 
 def test_mining_is_the_same_with_a_cold_and_a_warm_cache(corpus_1k):
@@ -193,14 +204,12 @@ def test_a_signature_is_only_a_gate(corpus_1k, tmp_path, monkeypatch):
     for name, module in list(sys.modules.items()):
         if name.startswith("graphbpe") and hasattr(module, "signature_value"):
             monkeypatch.setattr(module, "signature_value", lambda label: 0)
-    pattern_signature.cache_clear()
     label_values.cache_clear()
     try:
         assert len(MergingGraph(mols[0]).by_signature) == 1
         assert graph_signature(mols[0]) == pattern_signature("CC") == 0
         colliding = artifacts(tmp_path / "colliding")
     finally:
-        pattern_signature.cache_clear()
         label_values.cache_clear()
     assert colliding == expected
 
@@ -209,8 +218,8 @@ def test_pattern_signatures_are_the_same_under_any_hash_seed(ops_500):
     patterns = [op.pattern for op in ops_500[:50]]
     script = (
         "import sys\n"
-        "from graphbpe.merging import pattern_signature\n"
-        "print(*(pattern_signature(line) for line in sys.stdin.read().split()))\n"
+        "from graphbpe.merging import MergeOperation\n"
+        "print(*(MergeOperation(0, line, 1).signature for line in sys.stdin.read().split()))\n"
     )
     src = str(Path(graphbpe.merging.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -433,7 +442,6 @@ def test_operations_carry_the_signature_of_their_pattern(corpus_1k, tmp_path):
     learned = learn_merging_operations(corpus_1k[1][:150], 60)
     write_operations(tmp_path / "ops.txt", learned)
     loaded = read_operations(tmp_path / "ops.txt")
-    pattern_signature.cache_clear()
     assert loaded == learned
     for op in learned + loaded:
-        assert op.signature == pattern_signature(op.pattern) != ""
+        assert op.signature == pattern_signature(op.pattern)

@@ -10,7 +10,7 @@ import graphbpe.merging
 from graphbpe.chem import MolGraph, graph_signature, parse_smiles, signature_value, write_smiles
 from graphbpe.errors import NotAdjacentError
 from graphbpe.fileio import write_attachments, write_operations, write_vocabulary
-from graphbpe.merging import MergingGraph, instance_pattern, pattern_signature, union_pattern
+from graphbpe.merging import MergingGraph, instance_pattern, union_pattern
 from graphbpe.miner import (
     PatternTally,
     build_motif_vocabulary,
@@ -29,6 +29,7 @@ from helpers import (
     merge,
     mined,
     open_every_tie,
+    pattern_signature,
     permute_molecule,
     random_molecule,
 )
@@ -148,7 +149,7 @@ class TestCountOracle:
                 best = max(counts.values())
                 pattern = min(k for k, v in counts.items() if v == best)
                 for state in states:
-                    state.apply_operation(pattern)
+                    state.apply_operation(pattern, pattern_signature(pattern))
 
 
 class TestLearning:
@@ -439,7 +440,7 @@ def spied_calls(mols, tmp_path, monkeypatch, function) -> list:
     for name, module in list(sys.modules.items()):
         if name.startswith("graphbpe") and vars(module).get(function.__name__) is function:
             monkeypatch.setattr(module, function.__name__, spy)
-    for memo in (union_pattern, instance_pattern, pattern_signature, motif_sites, motif_graph):
+    for memo in (union_pattern, instance_pattern, motif_sites, motif_graph):
         memo.cache_clear()
     result = mine_corpus(mols[:150], 60)
     write_vocabulary(tmp_path / "vocab.txt", result.vocabulary)
@@ -482,7 +483,6 @@ class TestScaling:
             best = float("inf")
             for _ in range(3):
                 union_pattern.cache_clear()  # time the misses, not a warm memo
-                pattern_signature.cache_clear()
                 start = time.process_time()
                 learn_merging_operations(molecules, 30)
                 best = min(best, time.process_time() - start)
