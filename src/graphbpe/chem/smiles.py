@@ -267,7 +267,7 @@ class _Parser:
                 self.atom(ch, position)
                 return
             sym = two if looks_two_letter else ch
-            raise UnsupportedElementError(f"unsupported element {sym!r}")
+            raise UnsupportedElementError(f"unsupported element {sym!r}", position)
         raise SmilesSyntaxError(f"unexpected character {ch!r}", position)
 
     def default_order(self, a: int, b: int) -> str:

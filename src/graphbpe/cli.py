@@ -21,7 +21,6 @@ from graphbpe import __version__
 from graphbpe.chem import parse_smiles, write_smiles
 from graphbpe.chem.mol import Atom, MolGraph
 from graphbpe.errors import (
-    CorpusError,
     FileFormatError,
     FormatVersionError,
     GraphBpeError,
@@ -289,7 +288,7 @@ def main(argv: list[str] | None = None) -> int:
     except FormatVersionError as exc:
         print(f"format error: {exc}", file=sys.stderr)
         return EXIT_FORMAT
-    except (CorpusError, FileFormatError, SmilesSyntaxError, ValenceError) as exc:
+    except (FileFormatError, SmilesSyntaxError, ValenceError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except GraphBpeError as exc:

@@ -27,10 +27,6 @@ class ValenceError(GraphBpeError):
     """Atom valence or aromatic-ring electron count outside the allowed model."""
 
 
-class NotAdjacentError(GraphBpeError):
-    """Fragment pair is not joined by any molecule bond."""
-
-
 class EmptyVocabularyError(GraphBpeError):
     """Generation requested from a vocabulary with no motifs."""
 
@@ -55,17 +51,13 @@ class FormatVersionError(GraphBpeError):
     """Artifact file header has an unknown format or version tag."""
 
 
-class CorpusError(GraphBpeError):
-    """Corpus line failed to parse; carries the 1-based line number."""
-
-    def __init__(self, message: str, line_number: int):
-        self.line_number = line_number
-        super().__init__(f"line {line_number}: {message}")
-
-
 class FileFormatError(GraphBpeError):
     """Malformed line in an artifact file; carries the 1-based line number."""
 
     def __init__(self, message: str, line_number: int):
         self.line_number = line_number
         super().__init__(f"line {line_number}: {message}")
+
+
+class CorpusError(FileFormatError):
+    """Corpus line failed to parse; carries the 1-based line number."""

@@ -8,18 +8,19 @@ names it: "line N: <path>: ..." (a header error has no line number).
 
 corpus        one SMILES per line, optional tab-separated id, "#" comments
 ops           header "graphbpe-ops v1 K=<n>", lines "<rank>\t<pattern>\t<count>"
-              where the rank is the line's position from 0, the pattern
+              where <n> is the number of operations, written as str(n), the
+              rank is the line's position from 0, the pattern
               parses and has two or more atoms, and the count is at least 1
 vocabulary    header "graphbpe-vocab v1", lines "<motif>\t<freq>\t<sites>"
               where sites is "-" or comma-joined "<star>:<class>:<order>"
 attachments   header "graphbpe-attach v1", lines "<siteA>\t<siteB>\t<count>"
-              where a site is "<motif>|<class>|<order>"
+              where a site is "<motif>|<class>|<order>" and no site pair
+              appears twice, in either order
 trajectories  JSON lines {"start": ..., "steps": [...]}
 """
 from __future__ import annotations
 
 import json
-from collections import Counter
 from collections.abc import Iterator
 from pathlib import Path
 from typing import NoReturn
@@ -139,10 +140,9 @@ def read_operations(path: str | Path) -> list[MergeOperation]:
     repeated pattern, or a count above the one before, is legitimate."""
     rows = _rows(path, OPS_HEADER, "<rank>\t<pattern>\t<count>")
     _, (declared_text,) = next(rows)
-    try:
-        declared = int(declared_text)
-    except ValueError:
+    if not declared_text.isdecimal() or declared_text != str(int(declared_text)):
         _raise_version(path, OPS_HEADER, f"{OPS_HEADER} K={declared_text}")
+    declared = int(declared_text)
     ops = []
     for line_number, (rank_text, pattern, count_text) in rows:
         if rank_text != str(len(ops)):
@@ -218,7 +218,7 @@ def read_vocabulary(
         if smiles in motifs:
             raise FileFormatError(f"{vocab_path}: duplicate motif {smiles!r}", line_number)
         motifs[smiles] = Motif(smiles, frequency, sites)
-    attachments: Counter[tuple[SiteType, SiteType]] = Counter()
+    attachments: dict[tuple[SiteType, SiteType], int] = {}
     if attach_path is not None:
         known_sites = {
             _site_token(site): site for m in motifs.values() for _, site in m.sites
@@ -231,8 +231,12 @@ def read_vocabulary(
                         f"{attach_path}: {token!r} is not a vocabulary site", line_number
                     )
             site_pair = attachment_key(known_sites[token_a], known_sites[token_b])
-            attachments[site_pair] += _count(attach_path, line_number, "count", count_str)
-    return MotifVocabulary(motifs, dict(attachments))
+            if site_pair in attachments:
+                raise FileFormatError(
+                    f"{attach_path}: repeated site pair {token_a!r}, {token_b!r}", line_number
+                )
+            attachments[site_pair] = _count(attach_path, line_number, "count", count_str)
+    return MotifVocabulary(motifs, attachments)
 
 
 def write_trajectories(path: str | Path, trajectories: list[Trajectory]) -> None:

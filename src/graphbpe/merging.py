@@ -74,10 +74,10 @@ A key is only ever built from a checked molecule, so ``_decode`` builds its
 graph without checks: every key bond has a < b, and a star's anchor id is
 below the star's own.
 
-``apply_operation`` is the one merge primitive: the miner drives it pattern
-by pattern, and ``apply_operations`` replays a learned operation list for the
-vocabulary builder and the tokenizer. ``extract_motifs`` turns a final
-partition into the one ``Fragmentation`` record of a molecule
+``apply_operation(op)`` is the one merge primitive: the miner drives it as it
+learns each operation, and ``apply_operations`` replays a learned operation
+list for the vocabulary builder and the tokenizer. ``extract_motifs`` turns a
+final partition into the one ``Fragmentation`` record of a molecule
 (connection-aware motifs plus the two sites each broken bond joins) that the
 tokenizer, the vocabulary builder and trajectories all read.
 """
@@ -101,7 +101,7 @@ from graphbpe.chem import (
 )
 from graphbpe.chem.canon import tie_broken_ranks
 from graphbpe.chem.mol import BOND_ORDERS, STAR, Atom, Bond
-from graphbpe.errors import GraphBpeError, NotAdjacentError
+from graphbpe.errors import GraphBpeError
 
 Pair = tuple[int, int]
 
@@ -336,11 +336,9 @@ class MergingGraph:
         union = self.frag_atoms[fa] + self.frag_atoms[fb]
         return tuple(sorted(self.ranks[a] for a in union))
 
-    def _merge(self, fa: int, fb: int) -> tuple[int, list[tuple[Pair, int, str | None]], list]:
-        """Merge two adjacent fragments; returns the fresh fragment id, the
-        dead edges as (pair, signature, pattern or None) and the new pairs."""
-        if self._pair(fa, fb) not in self.edges:
-            raise NotAdjacentError(f"fragments {fa} and {fb} are not adjacent")
+    def _merge(self, fa: int, fb: int) -> tuple[list[tuple[Pair, int, str | None]], list]:
+        """Merge two adjacent fragments into a fresh one; returns the dead
+        edges as (pair, signature, pattern or None) and the new pairs."""
         frag_of, labels, degree = self.frag_of, self._labels, self._degree
         orders, values, adjacency = self._orders, self._order_values, self.mol._adjacency
         union = self.frag_atoms.pop(fa) + self.frag_atoms.pop(fb)
@@ -410,29 +408,29 @@ class MergingGraph:
             self.edges[pair] = total
             self.by_signature.setdefault(total, {})[pair] = None
             born.append(pair)
-        return fnew, dead, born
+        return dead, born
 
-    def apply_operation(self, pattern: str, signature: int, tally=None) -> int:
-        """One merge pass: fuse every edge whose current union equals ``pattern``.
+    def apply_operation(self, op: MergeOperation, tally=None) -> int:
+        """One merge pass: fuse every edge whose current union is ``op.pattern``.
 
-        Only the edges with the pattern's ``signature`` are resolved. Edges
-        are scanned in canonical order; pairs invalidated by an earlier
-        merge in the same pass are skipped. ``tally``, when given, hears
+        Only the edges with ``op.signature`` are resolved. Edges are scanned
+        in canonical order; pairs invalidated by an earlier merge in the same
+        pass are skipped. ``tally``, when given, hears
         ``edge_removed(signature, pattern or None)`` for each edge the pass
         removes that existed before it, then ``edge_added(self, pair,
         signature)`` for each edge the pass leaves behind that is new.
         Returns the number of merges.
         """
-        pairs = self.by_signature.get(signature)
+        pairs = self.by_signature.get(op.signature)
         if not pairs:
             return 0
-        matches = [pair for pair in list(pairs) if self.pattern(*pair) == pattern]
+        matches = [pair for pair in list(pairs) if self.pattern(*pair) == op.pattern]
         matches.sort(key=lambda p: self.scan_key(*p))
         born: set[Pair] = set()
         merged = 0
         for pair in matches:
             if pair in self.edges:
-                _, dead, new = self._merge(*pair)
+                dead, new = self._merge(*pair)
                 merged += 1
                 if tally is not None:
                     for gone, gone_signature, gone_pattern in dead:
@@ -452,7 +450,7 @@ def apply_operations(mol: MolGraph, ops: list[MergeOperation]) -> MergingGraph:
     for op in ops:
         # most operations find no edge of their signature; skip those calls
         if op.signature in state.by_signature:
-            state.apply_operation(op.pattern, op.signature)
+            state.apply_operation(op)
     return state
 
 

@@ -2,17 +2,18 @@
 
 Learning keeps one merging graph per corpus molecule and a ``PatternTally``
 over all of them, updated by exact deltas as merges happen. Each iteration
-picks the most frequent pattern (ties broken by the lexicographically
-smallest pattern string) and merges every edge matching it. The tally writes
-a union's pattern string only when its signature (see ``graphbpe.merging``)
-is open, and it opens a signature only when that signature could hold the
-next pattern: when it counts more than the best open pattern, or as much
-and its edges' strings need not all sort after that pattern. Deep in the
-operation list nearly every pick is such a tie, and a bound on each edge's
-string from its fragments' ``MergingGraph.frag_lead`` rules many tied
-signatures out without a write. Mining runs in one process, one
-operation at a time. ``motif_graph`` and ``motif_sites`` are process-wide
-``lru_cache``s over motif strings read from a file or given by a caller.
+makes the most frequent pattern (ties to the smallest string) a
+``MergeOperation`` and runs ``MergingGraph.apply_operation(op)`` on each
+molecule with an edge of its signature. The tally writes a union's pattern
+string only when its signature (see ``graphbpe.merging``) is open, and it
+opens a signature only when that signature could hold the next pattern:
+when it counts more than the best open pattern, or as much and its edges'
+strings need not all sort after that pattern. Deep in the operation list
+nearly every pick is such a tie, and a bound on each edge's string from its
+fragments' ``MergingGraph.frag_lead`` rules many tied signatures out
+without a write. Mining runs in one process, one operation at a time.
+``motif_graph`` and ``motif_sites`` are process-wide ``lru_cache``s over
+motif strings read from a file or given by a caller.
 """
 from __future__ import annotations
 
@@ -350,14 +351,12 @@ def _learn(states: list[MergingGraph], num_operations: int) -> list[MergeOperati
         best = tally.best()
         if best is None:
             break
-        pattern, count, signature = best
-        ops.append(MergeOperation(rank, pattern, count, signature))
-        holders = [
-            state for state in tally.holders(signature)
-            if pattern in state.by_signature[signature].values()
-        ]
-        for state in holders:
-            state.apply_operation(pattern, signature, tally)
+        op = MergeOperation(rank, *best)
+        ops.append(op)
+        # a pass grows this list only on a signature collision (a union born
+        # in it has more atoms than the pattern); that visit merges nothing
+        for state in tally.holders(op.signature):
+            state.apply_operation(op, tally)
     return ops
 
 

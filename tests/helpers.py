@@ -210,7 +210,9 @@ def mined(corpus: list[MolGraph], num_operations: int) -> tuple:
 
 def merge(state: MergingGraph, fa: int, fb: int) -> int:
     """Merge two adjacent fragments; returns the fresh fragment id."""
-    return state._merge(fa, fb)[0]
+    atom = state.frag_atoms[fa][0]
+    state._merge(fa, fb)
+    return state.frag_of[atom]
 
 
 def count_pair_patterns(states: list[MergingGraph]) -> Counter[str]:
@@ -261,9 +263,10 @@ def eager_learn(corpus: list[MolGraph], num_operations: int) -> list[MergeOperat
             break
         best = max(counts.values())
         pattern = min(p for p, count in counts.items() if count == best)
-        ops.append(MergeOperation(rank, pattern, best))
+        op = MergeOperation(rank, pattern, best)
+        ops.append(op)
         for state in states:
-            state.apply_operation(pattern, pattern_signature(pattern))
+            state.apply_operation(op)
     return ops
 
 
@@ -700,7 +703,7 @@ class _CharParser:
                     self.pos += 1
                     continue
                 sym = two if looks_two_letter else ch
-                raise UnsupportedElementError(f"unsupported element {sym!r}")
+                raise UnsupportedElementError(f"unsupported element {sym!r}", self.pos)
             raise self.error(f"unexpected character {ch!r}")
         if self.pending is not None:
             raise self.error("dangling bond symbol at end of input", self.pending_pos)

@@ -17,7 +17,7 @@ from graphbpe.generator import (
     generate,
     replay_trajectory,
 )
-from graphbpe.merging import MergingGraph
+from graphbpe.merging import MergeOperation, MergingGraph
 from graphbpe.metrics import evaluate
 from graphbpe.miner import (
     Motif,
@@ -36,7 +36,6 @@ from helpers import (
     count_pair_patterns,
     group_by_isomorphism,
     isomorphic,
-    pattern_signature,
     random_molecule,
 )
 
@@ -124,9 +123,9 @@ def test_03_count_oracle():
             if not counts:
                 break
             best = max(counts.values())
-            pattern = min(k for k, v in counts.items() if v == best)
+            op = MergeOperation(0, min(k for k, v in counts.items() if v == best), best)
             for state in states:
-                state.apply_operation(pattern, pattern_signature(pattern))
+                state.apply_operation(op)
     assert mismatches == 0
     assert time.perf_counter() - start < 300
 

@@ -97,6 +97,13 @@ class TestFragmentize:
                     "--ops", workdir / "ops.txt"])
         assert code == 4
 
+    @pytest.mark.parametrize("k", ["0_1", " 1", "+1", "01", "1 ", "x", ""])
+    def test_ops_header_k_not_as_written_exit_4(self, workdir, capsys, k):
+        (workdir / "ops.txt").write_text(f"graphbpe-ops v1 K={k}\n0\tCC\t3\n")
+        code = run(["fragmentize", "--corpus", workdir / "corpus.smi",
+                    "--ops", workdir / "ops.txt"])
+        assert code == 4
+
     @pytest.mark.parametrize("line", ["0\tC1CC\t3", "0\tCC\t0"], ids=["pattern", "count"])
     def test_bad_op_line_exit_3(self, workdir, capsys, line):
         (workdir / "ops.txt").write_text(f"graphbpe-ops v1 K=1\n{line}\n")
@@ -191,6 +198,24 @@ class TestGenerate:
         assert code == 3
         err = capsys.readouterr().err
         assert "line 2" in err and "attach.txt" in err
+
+    @pytest.mark.parametrize("swapped", [False, True], ids=["same", "swapped"])
+    def test_repeated_attachment_pair_exit_3(self, workdir, capsys, swapped):
+        run(["mine", "--corpus", workdir / "corpus.smi", "--num-ops", "2",
+             "--out", workdir / "mined"])
+        path = workdir / "mined" / "attach.txt"
+        lines = path.read_text().splitlines()
+        site_a, site_b, count = lines[-1].split("\t")
+        if swapped:
+            site_a, site_b = site_b, site_a
+        lines.append(f"{site_a}\t{site_b}\t{count}")
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        code = run(["generate", "--vocab", workdir / "mined" / "vocab.txt",
+                    "--num", "3", "--out", workdir / "gen.smi"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert f"line {len(lines)}: {path}: " in err
 
     @pytest.mark.parametrize("site", ["*CC*|1|single", "*N|7|double"])
     def test_attachment_to_unknown_site_exit_3(self, workdir, capsys, site):

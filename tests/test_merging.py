@@ -163,6 +163,12 @@ def test_an_operation_signs_a_pattern_with_a_star():
     assert MergeOperation(0, "*C", 1).signature == pattern_signature("*C")
 
 
+def test_a_pass_takes_the_operation():
+    state = MergingGraph(parse_smiles("CCO"))
+    assert state.apply_operation(MergeOperation(0, "CC", 1)) == 1
+    assert sorted(state.frag_atoms.values()) == [[0, 1], [2]]
+
+
 def test_mining_is_the_same_with_a_cold_and_a_warm_cache(corpus_1k):
     _, mols = corpus_1k
     union_pattern.cache_clear()

@@ -8,9 +8,8 @@ import pytest
 import graphbpe.chem.smiles
 import graphbpe.merging
 from graphbpe.chem import MolGraph, graph_signature, parse_smiles, signature_value, write_smiles
-from graphbpe.errors import NotAdjacentError
 from graphbpe.fileio import write_attachments, write_operations, write_vocabulary
-from graphbpe.merging import MergingGraph, instance_pattern, union_pattern
+from graphbpe.merging import MergeOperation, MergingGraph, instance_pattern, union_pattern
 from graphbpe.miner import (
     PatternTally,
     build_motif_vocabulary,
@@ -65,11 +64,6 @@ class TestMergeFragments:
     def test_benzene_half_merge(self):
         sub = merged_subgraph(parse_smiles("c1ccccc1"), [0, 1, 2, 3], [4, 5])
         assert len(sub.bonds) == 6  # full ring: both cross bonds included
-
-    def test_not_adjacent(self):
-        state = MergingGraph(parse_smiles("CCC"))
-        with pytest.raises(NotAdjacentError):
-            merge(state, 0, 2)
 
 
 class TestCountPairPatterns:
@@ -147,9 +141,9 @@ class TestCountOracle:
                 if not counts:
                     break
                 best = max(counts.values())
-                pattern = min(k for k, v in counts.items() if v == best)
+                op = MergeOperation(0, min(k for k, v in counts.items() if v == best), best)
                 for state in states:
-                    state.apply_operation(pattern, pattern_signature(pattern))
+                    state.apply_operation(op)
 
 
 class TestLearning:
@@ -258,9 +252,9 @@ class TestPartitionInvariant:
                 break
             top = max(counts.values())
             assert best[:2] == (min(k for k, v in counts.items() if v == top), top)
-            pattern, _, signature = best
+            op = MergeOperation(0, *best)
             for state in states:
-                state.apply_operation(pattern, signature, tally)
+                state.apply_operation(op, tally)
             assert_tally_matches_recount(states, tally)
 
 
@@ -272,6 +266,24 @@ class TestEagerOracle:
         for _ in range(30):
             corpus = [random_molecule(rng, max_atoms=12) for _ in range(rng.randint(1, 12))]
             assert learn_merging_operations(corpus, 40) == eager_learn(corpus, 40)
+
+    def test_a_holder_without_the_picked_pattern_is_visited(self, monkeypatch):
+        # the ortho and meta methyl-benzene-methyl unions share a signature,
+        # so the pass for one also visits the molecule that has the other
+        corpus = [parse_smiles(s) for s in ("Cc1ccccc1C", "Cc1cccc(C)c1")]
+        apply_operation = MergingGraph.apply_operation
+        lacking = []
+
+        def spy(state, op, tally=None):
+            if op.pattern not in state.by_signature[op.signature].values():
+                lacking.append(op.pattern)
+            return apply_operation(state, op, tally)
+
+        monkeypatch.setattr(MergingGraph, "apply_operation", spy)
+        ops = learn_merging_operations(corpus, 10)
+        monkeypatch.undo()
+        assert lacking == ["Cc1:c:c:c:c(C):c:1"]
+        assert ops == eager_learn(corpus, 10)
 
     def test_tie_heavy_corpora_run_down_to_count_one(self):
         # small molecules plus renumbered copies: many equal counts, and

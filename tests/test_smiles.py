@@ -114,6 +114,12 @@ class TestParse:
             parse_smiles("CC.CC")
         assert info.value.position == 2
 
+    @pytest.mark.parametrize("text, position", [("CSi", 1), ("CX", 1), ("Xe", 0), ("C[Si]", 2)])
+    def test_unsupported_element_position_reported(self, text, position):
+        with pytest.raises(UnsupportedElementError) as info:
+            parse_smiles(text)
+        assert info.value.position == position
+
     @pytest.mark.parametrize("text", ["N(C)(C)(C)C", "[C]", "O=C=O=C", "F=F"])
     def test_valence_violations(self, text):
         with pytest.raises(ValenceError):
