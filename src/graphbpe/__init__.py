@@ -18,6 +18,7 @@ from graphbpe.chem import (
 )
 from graphbpe.generator import (
     FrequencyPolicy,
+    GenerationIndex,
     GenerationState,
     Policy,
     finalize,
@@ -46,6 +47,7 @@ from graphbpe.tokenizer import (
 __all__ = [
     "Fragmentation",
     "FrequencyPolicy",
+    "GenerationIndex",
     "GenerationState",
     "MergeOperation",
     "MolGraph",

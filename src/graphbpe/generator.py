@@ -7,16 +7,21 @@ same bond order as the focus, which keeps every merge valence-safe. A
 pluggable policy supplies the scores; selection is argmax (greedy mode) or a
 softmax sample (distributional mode).
 
-The generator reads a policy's scores into a list of floats. A ``generate``
-call scores the starts once and each focus site type's vocabulary pool once
-(see ``Policy``), and of those scores keeps only the head (``_head``): the
-top ``top_k`` (the argmax in greedy mode). Scores outside it are not
-retained, since no later open-site candidate can bring them back into the
-top ``top_k``. A head also keeps its unnormalised cumulative softmax per
-temperature, computed once, so a step whose focus has no open-site
-candidate costs one random draw and a bisect. With open-site candidates, greedy and top-k selection apply the
-same head rule to the cached head plus those candidates. Full-softmax
-sampling instead draws once over the head's stored mass, rescaled to the
+The generator reads a policy's scores into a list of floats. A
+``GenerationIndex`` serves one vocabulary and one policy, and ``generate``
+builds one per call. It scores the starts once, each bond order's
+vocabulary pool once (``Policy.score_pool``) and each focus site type's
+observed partners once (``Policy.score_connections``); every other
+vocabulary candidate keeps its pool score. Of a focus type's scores it
+keeps only the head (``_head``): the top ``top_k`` (the argmax in greedy
+mode), taken from the partners and the first ``top_k`` non-partners by pool
+score. Scores outside the head are not retained, since no later open-site
+candidate can bring them back into it. A head also keeps its unnormalised
+cumulative softmax per temperature, computed once, so a step whose focus has
+no open-site candidate costs one random draw and a bisect. With open-site
+candidates, greedy and top-k selection apply the same head rule to the
+cached head plus those candidates. Full-softmax sampling keeps the whole
+pool as its head and draws once over the head's stored mass, rescaled to the
 new maximum, plus the candidates' mass, so its cost follows the number of
 candidates and not the size of the pool.
 """
@@ -32,7 +37,15 @@ from itertools import accumulate, count
 from random import Random
 
 from graphbpe.chem import MolGraph, valence_check
-from graphbpe.chem.mol import Atom, failing_aromatic_rings, implicit_hydrogens, make_bond
+from graphbpe.chem.mol import (
+    ORDER_X2,
+    Atom,
+    Bond,
+    failing_aromatic_rings,
+    implicit_hydrogens,
+    make_bond,
+    valence_ok,
+)
 from graphbpe.errors import (
     EmptyVocabularyError,
     IncompatibleBondError,
@@ -52,18 +65,26 @@ _SEED_MIX = 0x9E3779B97F4A7C15  # odd constant; decorrelates per-molecule stream
 
 class Policy:
     """Scoring contract: a sequence of finite floats, one per candidate,
-    each independent of the other candidates; vocabulary and open-site pools
-    come in separate calls.
+    each independent of the other candidates.
 
-    Start scores depend only on the motifs, and vocabulary-pool scores only
-    on the focus site type, so one ``generate`` call scores the starts once
-    and each focus site type's vocabulary pool once. Only open-site pools
-    are scored at every step.
+    ``score_start`` scores the motifs, and may depend only on them.
+    ``score_pool`` scores a bond order's vocabulary pool, the same for every
+    focus. ``score_connections`` scores candidates against a focus site
+    type: the focus's observed vocabulary partners in one call, the partial
+    molecule's open sites in another. A vocabulary candidate's connection
+    score must equal its pool score unless (focus, its site type) is a pair
+    in ``vocabulary.attachment_counts``, and may depend only on the focus.
+    So one ``generate`` call scores the starts once, each bond order's pool
+    once and each focus site type's partners once; only open-site pools are
+    scored at every step.
     """
 
     temperature: float = 1.0
 
     def score_start(self, context, motifs: list[Motif]) -> Sequence[float]:
+        raise NotImplementedError
+
+    def score_pool(self, context, candidates: list[Candidate]) -> Sequence[float]:
         raise NotImplementedError
 
     def score_connections(
@@ -73,13 +94,11 @@ class Policy:
 
 
 class FrequencyPolicy(Policy):
-    """Corpus-statistics baseline: log motif frequency for starts, and
-    log(1 + attachment count) co-occurrence scores for connections.
-
-    The vocabulary pool of a bond order starts from its log motif
-    frequencies; only the focus type's observed partners get the
-    co-occurrence term added, since ``log1p(0) + x == x``. An open-site
-    pool scores ``log1p(cyclize_weight * attachment count)``.
+    """Corpus-statistics baseline: log motif frequency for starts and the
+    vocabulary pool, plus log(1 + attachment count) for a vocabulary
+    connection; an open site scores ``log1p(cyclize_weight * attachment
+    count)``. An unobserved pair adds ``log1p(0) == 0``, so a non-partner
+    keeps its pool score.
     """
 
     def __init__(
@@ -95,40 +114,26 @@ class FrequencyPolicy(Policy):
         self.vocabulary = vocabulary
         self.cyclize_weight = cyclize_weight
         self.temperature = temperature
-        # bond order -> (log frequency per pool candidate, site type -> positions)
-        self._pools: dict[str, tuple[list[float], dict[SiteType, list[int]]]] = {}
 
     def score_start(self, context, motifs: list[Motif]) -> list[float]:
         return [math.log(m.frequency) for m in motifs]
 
-    def _vocabulary_pool(
-        self, order: str, candidates: list[Candidate]
-    ) -> tuple[list[float], dict[SiteType, list[int]]]:
-        pool = self._pools.get(order)
-        if pool is None:
-            log_frequency = [math.log(cand.motif.frequency) for cand in candidates]
-            positions: dict[SiteType, list[int]] = {}
-            for i, cand in enumerate(candidates):
-                positions.setdefault(cand.site_type, []).append(i)
-            pool = self._pools[order] = (log_frequency, positions)
-        return pool
+    def score_pool(self, context, candidates: list[Candidate]) -> list[float]:
+        return [math.log(cand.motif.frequency) for cand in candidates]
 
     def score_connections(
         self, context, focus: SiteType, candidates: list[Candidate]
     ) -> list[float]:
-        partners = self.vocabulary.partners.get(focus, {})
-        if candidates is self.vocabulary.candidates_by_order.get(focus[2]):
-            log_frequency, positions = self._vocabulary_pool(focus[2], candidates)
-            scores = log_frequency.copy()
-            for site, pair in partners.items():
-                at = positions.get(site)
-                if at is not None:
-                    score = math.log1p(pair) + log_frequency[at[0]]
-                    for i in at:
-                        scores[i] = score
-            return scores
-        return [math.log1p(self.cyclize_weight * partners.get(cand.site_type, 0))
-                for cand in candidates]
+        counts = self.vocabulary.attachment_counts
+        scores = []
+        for cand in candidates:
+            site = cand.site_type
+            pair = counts.get((focus, site)) or counts.get((site, focus), 0)
+            if cand.kind == "vocab":
+                scores.append(math.log1p(pair) + math.log(cand.motif.frequency))
+            else:
+                scores.append(math.log1p(self.cyclize_weight * pair))
+        return scores
 
 
 @dataclass
@@ -306,29 +311,143 @@ def _choose(
     return extra[_bisect(extra_cumulative, x - pool_mass)]
 
 
+@dataclass
+class _Pool:
+    """The vocabulary candidates of one bond order, in motif then canonical
+    site order; each site type's positions among them; their pool scores;
+    and the positions by pool score, highest first, ties in pool order."""
+
+    candidates: list[Candidate]
+    positions: dict[SiteType, list[int]]
+    scores: list[float]
+    ranking: list[int]
+
+
+class GenerationIndex:
+    """What generation reuses across steps and molecules. One index serves
+    one vocabulary and one policy, whose scores must not change while it is
+    in use.
+
+    Per bond order it holds a ``_Pool``, built and scored
+    (``Policy.score_pool``) when a focus first needs it. Per site type it
+    holds the observed partners, from ``vocabulary.attachment_counts``. It
+    keeps the start head and each focus site type's vocabulary head (see
+    ``_head``) per mode and ``top_k``, and, in ``parts``, one copy of each
+    bond and neighbour tuple of the molecules ``finalize`` builds with it. It
+    writes nothing onto the vocabulary.
+    """
+
+    def __init__(self, vocabulary: MotifVocabulary, policy: Policy):
+        self.vocabulary = vocabulary
+        self.policy = policy
+        self.partners: dict[SiteType, set[SiteType]] = {}
+        for a, b in vocabulary.attachment_counts:
+            self.partners.setdefault(a, set()).add(b)
+            self.partners.setdefault(b, set()).add(a)
+        self.pools: dict[str, _Pool] = {}
+        self.heads: dict[tuple, tuple[list, list[float], dict]] = {}
+        self.parts: dict[tuple, Bond | tuple] = {}
+
+    def pool(self, context, order: str) -> _Pool:
+        """The ``_Pool`` of bond order ``order``, built on first use."""
+        pool = self.pools.get(order)
+        if pool is None:
+            candidates = [
+                Candidate("vocab", site, motif, star_atom)
+                for motif in self.vocabulary.ordered_motifs()
+                for star_atom, site in motif.sites
+                if site[2] == order
+            ]
+            positions: dict[SiteType, list[int]] = {}
+            for i, cand in enumerate(candidates):
+                positions.setdefault(cand.site_type, []).append(i)
+            scores = _finite(self.policy.score_pool(context, candidates)) if candidates else []
+            ranking = sorted(range(len(scores)), key=scores.__getitem__, reverse=True)
+            pool = self.pools[order] = _Pool(candidates, positions, scores, ranking)
+        return pool
+
+    def start_head(self, context, mode: str, top_k: int | None) -> tuple[list, list[float], dict]:
+        key = (None, mode, top_k)
+        head = self.heads.get(key)
+        if head is None:
+            motifs = self.vocabulary.ordered_motifs()
+            head = self.heads[key] = _head(
+                motifs, self.policy.score_start(context, motifs), mode, top_k
+            )
+        return head
+
+    def vocabulary_head(
+        self, context, focus: SiteType, mode: str, top_k: int | None
+    ) -> tuple[list, list[float], dict]:
+        """The head of ``focus``'s vocabulary pool: the partners' connection
+        scores and every other candidate's pool score, put through ``_head``.
+
+        A non-partner's score is its pool score, so the non-partners of the
+        top ``top_k`` are among the first ``top_k`` non-partners of the
+        ranking (the first one in greedy mode). Only those and the partners
+        go into ``_head``, in pool order; with no ``top_k`` every candidate
+        does.
+        """
+        key = (focus, mode, top_k)
+        head = self.heads.get(key)
+        if head is not None:
+            return head
+        pool = self.pool(context, focus[2])
+        candidates = pool.candidates
+        partner_at = sorted(
+            i for site in self.partners.get(focus, ())
+            for i in pool.positions.get(site, ())
+        )
+        partner_scores = self.policy.score_connections(
+            context, focus, [candidates[i] for i in partner_at]
+        ) if partner_at else []
+        need = 1 if mode == GREEDY else top_k
+        if need is None or need >= len(candidates) - len(partner_at):
+            scores = pool.scores.copy()
+            for i, score in zip(partner_at, partner_scores):
+                scores[i] = score
+            head = _head(candidates, scores, mode, top_k)
+        else:
+            scores = dict(zip(partner_at, partner_scores))
+            for i in pool.ranking:
+                if i not in scores:
+                    scores[i] = pool.scores[i]
+                    need -= 1
+                    if not need:
+                        break
+            keep = sorted(scores)
+            head = _head([candidates[i] for i in keep], [scores[i] for i in keep], mode, top_k)
+        self.heads[key] = head
+        return head
+
+
+def _index(
+    index: GenerationIndex | None, vocab: MotifVocabulary, policy: Policy
+) -> GenerationIndex:
+    if index is None:
+        return GenerationIndex(vocab, policy)
+    if index.vocabulary is not vocab or index.policy is not policy:
+        raise ValueError("the generation index serves another vocabulary or policy")
+    return index
+
+
 def start_generation(
     vocab: MotifVocabulary,
     policy: Policy,
     seed: int,
     mode: str = GREEDY,
     top_k: int | None = None,
-    score_cache: dict | None = None,
+    index: GenerationIndex | None = None,
 ) -> GenerationState:
     """Pick the first motif and enqueue its sites in canonical atom order.
 
-    The start head (see ``_head``) is kept in ``score_cache`` (``None``: a
-    fresh cache for this call).
+    The start head is kept in ``index``, a ``GenerationIndex`` of ``vocab``
+    and ``policy`` (``None``: a fresh index for this call).
     """
     _check_selection(mode, top_k)
     if not len(vocab):
         raise EmptyVocabularyError("cannot generate from an empty vocabulary")
-    if score_cache is None:
-        score_cache = {}
-    key = (None, mode, top_k)
-    head = score_cache.get(key)
-    if head is None:
-        motifs = vocab.ordered_motifs()
-        head = score_cache[key] = _head(motifs, policy.score_start(seed, motifs), mode, top_k)
+    head = _index(index, vocab, policy).start_head(seed, mode, top_k)
     state = GenerationState(rng_seed=seed)
     state.start(_choose(head, [], None, mode, state.rng, policy.temperature, top_k))
     return state
@@ -353,39 +472,33 @@ def generation_step(
     policy: Policy,
     mode: str = GREEDY,
     top_k: int | None = None,
-    score_cache: dict | None = None,
+    index: GenerationIndex | None = None,
 ) -> GenerationState:
     """Resolve one focus site: attach a vocabulary motif or cyclize.
 
     Candidates are vocabulary sites plus the partial molecule's other open
-    sites, restricted to the focus site's bond order. The two pools are
-    scored in separate policy calls; the vocabulary head (see ``_head``) is
-    kept in ``score_cache`` per focus site type (``None``: a fresh cache
-    for this call).
+    sites, restricted to the focus site's bond order. The vocabulary head is
+    kept in ``index``, a ``GenerationIndex`` of ``vocab`` and ``policy``
+    (``None``: a fresh index for this call); the open sites are scored in
+    their own ``score_connections`` call.
     """
     _check_selection(mode, top_k)
     if state.terminal:
         raise ValueError("generation state is already terminal")
+    index = _index(index, vocab, policy)
     focus = state.queue.popleft()
     _, focus_type = state.open_sites[focus]
-    focus_order = focus_type[2]
-    vocab_candidates = vocab.candidates_by_order.get(focus_order, [])
+    vocab_candidates = index.pool(state.rng_seed, focus_type[2]).candidates
     partial_candidates = _partial_candidates(state, focus)
     if not (vocab_candidates or partial_candidates):
         raise NoCompatibleCandidateError(
-            f"no candidate shares the focus bond order {focus_order!r}"
+            f"no candidate shares the focus bond order {focus_type[2]!r}"
         )
-    if score_cache is None:
-        score_cache = {}
-
-    def score(pool: list[Candidate]) -> Sequence[float]:
-        return policy.score_connections(state.rng_seed, focus_type, pool)
-
-    key = (focus_type, mode, top_k)
-    head = score_cache.get(key)
-    if head is None:
-        head = score_cache[key] = _head(vocab_candidates, score(vocab_candidates), mode, top_k)
-    partial_scores = score(partial_candidates) if partial_candidates else None
+    head = index.vocabulary_head(state.rng_seed, focus_type, mode, top_k)
+    partial_scores = (
+        policy.score_connections(state.rng_seed, focus_type, partial_candidates)
+        if partial_candidates else None
+    )
     chosen = _choose(head, partial_candidates, partial_scores, mode, state.rng,
                      policy.temperature, top_k)
     if chosen.kind == "vocab":
@@ -395,15 +508,13 @@ def generation_step(
     return state
 
 
-def _recompute_hydrogens(atoms: list[Atom], mol: MolGraph) -> bool:
-    """Set the implicit hydrogens of each unbracketed atom from its bonds in
-    ``mol``, in place; whether any atom changed."""
+def _recompute_hydrogens(atoms: list[Atom], order_sums: list[int]) -> bool:
+    """Set the implicit hydrogens of each unbracketed atom from the sum of
+    its bond orders in half-units, in place; whether any atom changed."""
     changed = False
     for i, atom in enumerate(atoms):
         if not (atom.bracket or atom.is_connection_site):
-            implicit = implicit_hydrogens(
-                atom.element, atom.formal_charge, mol.order_sum_x2(i)
-            )
+            implicit = implicit_hydrogens(atom.element, atom.formal_charge, order_sums[i])
             if implicit != atom.implicit_h:
                 atoms[i] = replace(atom, implicit_h=implicit)
                 changed = True
@@ -437,23 +548,53 @@ def repair_aromatic_rings(mol: MolGraph) -> MolGraph:
             if not still_aromatic and atoms[atom_id].aromatic:
                 atoms[atom_id] = replace(atoms[atom_id], aromatic=False)
         current = MolGraph(tuple(atoms), tuple(bonds))
-    if not _recompute_hydrogens(atoms, current):
+    if not _recompute_hydrogens(atoms, [current.order_sum_x2(i) for i in range(len(atoms))]):
         return current
     return MolGraph(tuple(atoms), tuple(bonds))
 
 
-def finalize(state: GenerationState) -> MolGraph:
-    """The terminal assembly as a MolGraph, invalid aromatic rings repaired."""
+def finalize(state: GenerationState, index: GenerationIndex | None = None) -> MolGraph:
+    """The terminal assembly as a MolGraph, invalid aromatic rings repaired.
+
+    The assembly's bonds are distinct pairs ``a < b`` of placed atoms
+    (``_place_motif``, ``_merge_sites``), so the graph is built without
+    re-checking them, and each atom's bond orders are summed once for both
+    its hydrogens and the valence check. Only an assembly with a failing
+    aromatic ring goes through ``repair_aromatic_rings``. The molecules
+    finalized with one ``index`` share each equal bond and neighbour tuple.
+    """
     if not state.terminal:
         raise ValueError("cannot finalize: open connection sites remain")
-    bonds = (make_bond(a, b, order) for (a, b), order in sorted(state.bonds.items()))
-    mol = MolGraph(tuple(state.atoms), tuple(bonds))
-    repaired = repair_aromatic_rings(mol)
-    if not valence_check(repaired):
+    # a bond's key ((a, b), order) never equals a tuple of (atom, bond) pairs
+    parts = {} if index is None else index.parts
+    atoms = list(state.atoms)
+    bonds = []
+    adjacency: list[list[tuple[int, int]]] = [[] for _ in atoms]
+    order_sums = [0] * len(atoms)
+    for bidx, item in enumerate(sorted(state.bonds.items())):
+        (a, b), order = item
+        bond = parts.get(item)
+        if bond is None:
+            bond = parts[item] = Bond(a, b, order)
+        bonds.append(bond)
+        adjacency[a].append((b, bidx))
+        adjacency[b].append((a, bidx))
+        order_sums[a] += ORDER_X2[order]
+        order_sums[b] += ORDER_X2[order]
+    neighbours = tuple(parts.setdefault(each, each) for each in map(tuple, adjacency))
+    mol = MolGraph.from_adjacency(tuple(atoms), tuple(bonds), neighbours)
+    if failing_aromatic_rings(mol):
+        mol = repair_aromatic_rings(mol)
+        valid = valence_check(mol)
+    else:
+        if _recompute_hydrogens(atoms, order_sums):
+            mol = MolGraph.from_adjacency(tuple(atoms), mol.bonds, neighbours)
+        valid = all(map(valence_ok, atoms, order_sums))
+    if not valid:
         raise IrreparableValenceError(
             "finalized molecule fails the valence check even after repair"
         )
-    return repaired
+    return mol
 
 
 @dataclass
@@ -487,19 +628,17 @@ def generate(
     _check_selection(mode, top_k)
     report = GenerationReport(requested=n)
     molecules: list[MolGraph] = []
-    cache: dict = {}
-    for index in range(n):
-        state = start_generation(
-            vocab, policy, molecule_seed(seed, index), mode, top_k, score_cache=cache
-        )
+    index = GenerationIndex(vocab, policy)
+    for i in range(n):
+        state = start_generation(vocab, policy, molecule_seed(seed, i), mode, top_k, index)
         try:
             while not state.terminal:
                 if state.step_count >= max_steps:
                     report.aborted += 1
                     break
-                generation_step(state, vocab, policy, mode, top_k, score_cache=cache)
+                generation_step(state, vocab, policy, mode, top_k, index)
             else:
-                molecules.append(finalize(state))
+                molecules.append(finalize(state, index))
                 report.emitted += 1
         except (NoCompatibleCandidateError, IrreparableValenceError) as exc:
             report.record_failure(type(exc).__name__)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from heapq import heapify, heappop, heappush
 
 from graphbpe.chem import MolGraph, canonical_rank, parse_smiles
@@ -115,26 +115,6 @@ class MotifVocabulary:
 
     def ordered_motifs(self) -> list[Motif]:
         return [self.motifs[s] for s in sorted(self.motifs)]
-
-    @cached_property
-    def candidates_by_order(self) -> dict[str, list[Candidate]]:
-        """Every vocabulary site as a generation candidate, grouped by bond
-        order in motif then canonical site order; built once per vocabulary."""
-        out: dict[str, list[Candidate]] = {}
-        for motif in self.ordered_motifs():
-            for star_atom, site in motif.sites:
-                out.setdefault(site[2], []).append(Candidate("vocab", site, motif, star_atom))
-        return out
-
-    @cached_property
-    def partners(self) -> dict[SiteType, dict[SiteType, int]]:
-        """Site type -> {partner site type: attachment count}, both ways
-        round; only observed pairs are stored. Built once per vocabulary."""
-        out: dict[SiteType, dict[SiteType, int]] = {}
-        for (a, b), count in self.attachment_counts.items():
-            out.setdefault(a, {})[b] = count
-            out.setdefault(b, {})[a] = count
-        return out
 
 
 def attachment_key(a: SiteType, b: SiteType) -> tuple[SiteType, SiteType]:

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import graphbpe.generator as gen
-from graphbpe.chem import parse_smiles, valence_check, write_smiles
+from graphbpe.chem import MolGraph, parse_smiles, valence_check, write_smiles
+from graphbpe.chem.mol import Atom, make_bond
 from graphbpe.errors import (
     EmptyVocabularyError,
     IncompatibleBondError,
@@ -21,6 +22,7 @@ from graphbpe.generator import (
     DISTRIBUTIONAL,
     GREEDY,
     FrequencyPolicy,
+    GenerationIndex,
     GenerationState,
     Policy,
     _choose,
@@ -65,10 +67,15 @@ def vocab_80(corpus_1k):
 class CountingPolicy(FrequencyPolicy):
     calls = 0
     starts = 0
+    pools = 0
 
     def score_start(self, context, motifs):
         self.starts += 1
         return super().score_start(context, motifs)
+
+    def score_pool(self, context, candidates):
+        self.pools += 1
+        return super().score_pool(context, candidates)
 
     def score_connections(self, context, focus, candidates):
         self.calls += 1
@@ -81,20 +88,37 @@ class PlainPolicy(Policy):
 
     def __init__(self, vocab):
         self.base = FrequencyPolicy(vocab)
-        self.calls = self.starts = 0
+        self.calls = self.starts = self.pools = 0
 
     def score_start(self, context, motifs):
         self.starts += 1
         return self.base.score_start(context, motifs)
+
+    def score_pool(self, context, candidates):
+        self.pools += 1
+        return self.base.score_pool(context, candidates)
 
     def score_connections(self, context, focus, candidates):
         self.calls += 1
         return self.base.score_connections(context, focus, candidates)
 
 
+def bond_orders(vocab) -> list[str]:
+    return sorted({site[2] for motif in vocab.ordered_motifs() for _, site in motif.sites})
+
+
+def reference_pool(vocab, order) -> list[Candidate]:
+    """Every vocabulary site of bond order ``order`` as a candidate, in
+    motif then canonical site order."""
+    return [Candidate("vocab", site, motif, star_atom)
+            for motif in vocab.ordered_motifs()
+            for star_atom, site in motif.sites if site[2] == order]
+
+
 def generate_uncached(vocab, policy, n, mode, seed, top_k) -> list[str]:
-    """The written molecules of ``generate``'s loop with ``score_cache=None``
-    at every call, so every start and every step scores afresh."""
+    """The written molecules of ``generate``'s loop with no index passed to
+    any call, so every start and every step builds its own and scores
+    afresh."""
     written = []
     for index in range(n):
         state = start_generation(vocab, policy, molecule_seed(seed, index), mode, top_k)
@@ -119,7 +143,7 @@ class TestSelectionArguments:
         policy = CountingPolicy(vocab)
         with pytest.raises(ValueError):
             generate(vocab, policy, 3, mode, top_k=top_k)
-        assert (policy.starts, policy.calls) == (0, 0)
+        assert (policy.starts, policy.pools, policy.calls) == (0, 0, 0)
 
     @pytest.mark.parametrize("mode,top_k", BAD)
     def test_start_generation_rejects(self, mode, top_k):
@@ -136,19 +160,29 @@ class TestSelectionArguments:
         state = seeded_state(vocab["*C"])
         with pytest.raises(ValueError):
             generation_step(state, vocab, policy, mode, top_k)
-        assert policy.calls == 0 and len(state.queue) == 1
+        assert policy.pools == policy.calls == 0 and len(state.queue) == 1
 
 
 class TestScoring:
     def test_indexed_scores_are_bit_exact(self, vocab_80):
-        """Both pools against the per-candidate formula over the whole
-        attachment table, for every focus site type of every bond order."""
+        """Pool, vocabulary and open-site scores against the per-candidate
+        formula over the whole attachment table, for every focus site type
+        of every bond order; the index's pools and partners against the
+        vocabulary, and a non-partner's connection score is its pool score."""
         def count(a, b):
             return vocab_80.attachment_counts.get(attachment_key(a, b), 0)
 
         policy = FrequencyPolicy(vocab_80, cyclize_weight=0.7)
+        index = GenerationIndex(vocab_80, policy)
         focus_count = 0
-        for order, pool in vocab_80.candidates_by_order.items():
+        for order in bond_orders(vocab_80):
+            indexed = index.pool(0, order)
+            pool = indexed.candidates
+            assert pool == reference_pool(vocab_80, order)
+            pool_scores = policy.score_pool(0, pool)
+            assert np.array_equal(pool_scores, [math.log(c.motif.frequency) for c in pool])
+            assert indexed.scores == pool_scores
+            assert indexed.ranking == sorted(range(len(pool)), key=lambda i: (-pool_scores[i], i))
             open_pool = [Candidate("partial", c.site_type, star_atom=i)
                          for i, c in enumerate(pool)]
             for focus in sorted({c.site_type for c in pool}):
@@ -159,12 +193,16 @@ class TestScoring:
                     for c in pool
                 ])
                 assert np.array_equal(vocab_scores, reference)
+                partners = index.partners.get(focus, set())
+                for cand, score, pool_score in zip(pool, vocab_scores, pool_scores):
+                    assert (cand.site_type in partners) == (count(focus, cand.site_type) > 0)
+                    assert cand.site_type in partners or score == pool_score
                 open_scores = policy.score_connections(0, focus, open_pool)
                 reference = np.array([
                     math.log1p(0.7 * count(focus, c.site_type)) for c in open_pool
                 ])
                 assert np.array_equal(open_scores, reference)
-        assert focus_count > 50 and len(vocab_80.partners) > 50
+        assert focus_count > 50 and len(index.partners) > 50
 
     @settings(max_examples=400, deadline=None)
     @given(
@@ -271,6 +309,145 @@ class TestScoring:
         self.check_step_work(self.step_work(vocab_80, monkeypatch, None), rebuilds=False)
 
 
+SELECTIONS = [(GREEDY, None), (DISTRIBUTIONAL, 1), (DISTRIBUTIONAL, 25), (DISTRIBUTIONAL, None)]
+
+TOY_MOTIFS = {s: Motif(s, 1) for s in ("*C", "*N", "*O", "*CC*", "*C(*)*", "*CN*",
+                                        "*c1:c:c:c:c:c:1", "*=C", "*=C*", "*=O", "*C=O",
+                                        "*C(*)=O")}
+TOY_SITES = sorted({site for motif in TOY_MOTIFS.values() for _, site in motif.sites})
+
+
+class ToyPolicy(Policy):
+    """Follows the pool contract with scores the test draws: one pool score
+    per site type, and for an observed pair a connection score that may lie
+    below the pool score; every other pair scores the pool score."""
+
+    def __init__(self, pool_scores, pair_scores):
+        self.pool_scores, self.pair_scores = pool_scores, pair_scores
+
+    def score_start(self, context, motifs):
+        return [0.0] * len(motifs)
+
+    def score_pool(self, context, candidates):
+        return [self.pool_scores[c.site_type] for c in candidates]
+
+    def score_connections(self, context, focus, candidates):
+        return [self.pair_scores.get(attachment_key(focus, c.site_type),
+                                     self.pool_scores[c.site_type]) for c in candidates]
+
+
+@st.composite
+def toy_generations(draw):
+    """A vocabulary of ``TOY_MOTIFS`` with drawn observed pairs, and a
+    ``ToyPolicy`` over it with many tied scores."""
+    by_order = {}
+    for site in TOY_SITES:
+        by_order.setdefault(site[2], []).append(site)
+    pair = st.sampled_from(sorted(by_order)).flatmap(
+        lambda order: st.tuples(st.sampled_from(by_order[order]), st.sampled_from(by_order[order])))
+    pairs = {attachment_key(a, b) for a, b in draw(st.lists(pair, max_size=25))}
+    score = st.integers(-2, 2).map(float)
+    pool_scores = {site: draw(score) for site in TOY_SITES}
+    pair_scores = {p: draw(st.integers(-4, 2).map(float)) for p in sorted(pairs)}
+    vocab = MotifVocabulary(TOY_MOTIFS, dict.fromkeys(pairs, 1))
+    return vocab, ToyPolicy(pool_scores, pair_scores)
+
+
+class RecordingPolicy(FrequencyPolicy):
+    """Records the bond order of each pool it scores and the candidates of
+    each ``score_connections`` call."""
+
+    def __init__(self, vocab, **kwargs):
+        super().__init__(vocab, **kwargs)
+        self.pools: Counter = Counter()
+        self.connections: list[tuple] = []
+
+    def score_pool(self, context, candidates):
+        self.pools.update({c.site_type[2] for c in candidates})
+        return super().score_pool(context, candidates)
+
+    def score_connections(self, context, focus, candidates):
+        self.connections.append((focus, list(candidates)))
+        return super().score_connections(context, focus, candidates)
+
+
+class TestIndex:
+    @staticmethod
+    def full_list_head(vocab, policy, focus, mode, top_k):
+        """The reference head: ``_head`` over every candidate of the focus
+        bond order, each scored by ``score_connections``."""
+        pool = reference_pool(vocab, focus[2])
+        return _head(pool, policy.score_connections(0, focus, pool), mode, top_k)
+
+    @pytest.mark.parametrize("mode,top_k", SELECTIONS)
+    def test_heads_match_the_full_score_list(self, vocab_80, mode, top_k):
+        """Every focus site type of every bond order of ``vocab_80``."""
+        policy = FrequencyPolicy(vocab_80)
+        index = GenerationIndex(vocab_80, policy)
+        with_partners = 0
+        for order in bond_orders(vocab_80):
+            for focus in sorted({c.site_type for c in reference_pool(vocab_80, order)}):
+                head = index.vocabulary_head(0, focus, mode, top_k)
+                assert head == self.full_list_head(vocab_80, policy, focus, mode, top_k), focus
+                assert index.vocabulary_head(0, focus, mode, top_k) is head
+                with_partners += focus in index.partners
+        assert with_partners > 50
+
+    @settings(max_examples=300, deadline=None)
+    @given(toy=toy_generations(), selection=st.sampled_from(SELECTIONS + [
+        (DISTRIBUTIONAL, 2), (DISTRIBUTIONAL, 4), (DISTRIBUTIONAL, 9), (GREEDY, 3)]))
+    def test_heads_match_with_partners_scored_below_the_pool(self, toy, selection):
+        """A lowered partner leaves room in the top ``top_k``, which the
+        head must fill from further down the ranking of non-partners."""
+        vocab, policy = toy
+        mode, top_k = selection
+        index = GenerationIndex(vocab, policy)
+        for focus in TOY_SITES:
+            expected = self.full_list_head(vocab, policy, focus, mode, top_k)
+            assert index.vocabulary_head(0, focus, mode, top_k) == expected, focus
+
+    @pytest.mark.parametrize("mode,top_k", SELECTIONS)
+    def test_pools_scored_once_and_connections_only_for_partners(self, vocab_80, mode, top_k):
+        """Per ``generate`` call: each bond order's pool once, each focus
+        type's partners once, and no vocabulary candidate that is not a
+        partner of the focus."""
+        policy = RecordingPolicy(vocab_80)
+        _, report = generate(vocab_80, policy, 150, mode, seed=2, top_k=top_k)
+        assert report.emitted > 0
+        assert policy.pools and set(policy.pools.values()) == {1}
+        partner_calls: Counter = Counter()
+        for focus, candidates in policy.connections:
+            assert len({c.kind for c in candidates}) == 1
+            if candidates[0].kind == "vocab":
+                partner_calls[focus] += 1
+                assert all(attachment_key(focus, c.site_type) in vocab_80.attachment_counts
+                           for c in candidates)
+        assert partner_calls and set(partner_calls.values()) == {1}
+
+    def test_generation_writes_nothing_onto_the_vocabulary(self, vocab_80):
+        vocab = MotifVocabulary(vocab_80.motifs, vocab_80.attachment_counts)
+        before = dict(vars(vocab))
+        policy = FrequencyPolicy(vocab)
+        generate(vocab, policy, 50, DISTRIBUTIONAL, seed=3, top_k=25)
+        assert vars(vocab) == before
+        for index in (GenerationIndex(vocab, policy), None):
+            state = start_generation(vocab, policy, 11, DISTRIBUTIONAL, 5, index)
+            while not state.terminal and state.step_count < 30:
+                generation_step(state, vocab, policy, DISTRIBUTIONAL, 5, index)
+        assert vars(vocab) == before
+
+    def test_an_index_serves_only_its_vocabulary_and_policy(self, vocab_80):
+        policy = FrequencyPolicy(vocab_80)
+        other_vocab = MotifVocabulary(vocab_80.motifs, vocab_80.attachment_counts)
+        for index in (GenerationIndex(other_vocab, policy),
+                      GenerationIndex(vocab_80, FrequencyPolicy(vocab_80))):
+            with pytest.raises(ValueError):
+                start_generation(vocab_80, policy, 0, GREEDY, None, index)
+            state = start_generation(vocab_80, policy, 0, GREEDY)
+            with pytest.raises(ValueError):
+                generation_step(state, vocab_80, policy, GREEDY, None, index)
+
+
 class TestStart:
     def test_empty_vocabulary(self):
         with pytest.raises(EmptyVocabularyError):
@@ -313,6 +490,20 @@ class TestStep:
         result = finalize(state)
         assert write_smiles(result) == write_smiles(parse_smiles("Brc1ccccc1"))
 
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_an_attachment_pair_counts_in_either_order(self, reverse):
+        """The rarer bromine wins only through its observed pair with the
+        ring, keyed either way round."""
+        ring = Motif("*c1:c:c:c:c:c:1", 3)
+        bromine = Motif("*Br", 1)
+        chlorine = Motif("*Cl", 5)
+        pair = sorted([ring.sites[0][1], bromine.sites[0][1]], reverse=reverse)
+        vocab = MotifVocabulary({m.smiles: m for m in (ring, bromine, chlorine)},
+                                {tuple(pair): 10})
+        state = seeded_state(ring)
+        generation_step(state, vocab, FrequencyPolicy(vocab), GREEDY)
+        assert write_smiles(finalize(state)) == write_smiles(parse_smiles("Brc1ccccc1"))
+
     def test_forced_cyclization_yields_novel_ring(self):
         chain = Motif("*CCCCC*", 1)
         state = seeded_state(chain)
@@ -352,6 +543,9 @@ class TestStep:
 
             def score_start(self, context, motifs):
                 return np.asarray(self.base.score_start(context, motifs)) + self.delta
+
+            def score_pool(self, context, candidates):
+                return np.asarray(self.base.score_pool(context, candidates)) + self.delta
 
             def score_connections(self, context, focus, candidates):
                 return (
@@ -401,6 +595,81 @@ class TestFinalize:
             mol = parse_smiles(smiles)
             assert repair_aromatic_rings(mol) is mol
 
+    @staticmethod
+    def assembly_graph(state) -> MolGraph:
+        """The assembly as a checked ``MolGraph``: the reference for
+        ``finalize``'s unchecked build."""
+        bonds = tuple(make_bond(a, b, order) for (a, b), order in sorted(state.bonds.items()))
+        return MolGraph(tuple(state.atoms), bonds)
+
+    @staticmethod
+    def assert_same_graph(got: MolGraph, expected: MolGraph) -> None:
+        assert got.atoms == expected.atoms and got.bonds == expected.bonds
+        assert [got.neighbors(i) for i in range(len(got))] == [
+            expected.neighbors(i) for i in range(len(expected))
+        ]
+
+    def test_failing_ring_goes_through_the_repair_loop(self, monkeypatch):
+        """An assembled 8-ring of aromatic carbons fails the 4n+2 count."""
+        half = Motif("*:c:c:c:c:*", 1)
+        state = seeded_state(half)
+        state.attach(state.queue.popleft(), half, half.sites[0][0])
+        state.cyclize(state.queue.popleft(), state.queue[0])
+        expected = repair_aromatic_rings(self.assembly_graph(state))
+        assert not any(atom.aromatic for atom in expected.atoms)
+        repairs = []
+        monkeypatch.setattr(gen, "repair_aromatic_rings",
+                            lambda mol: repairs.append(mol) or repair_aromatic_rings(mol))
+        self.assert_same_graph(finalize(state), expected)
+        assert len(repairs) == 1
+
+    def test_lean_path_recomputes_hydrogens(self):
+        """Atoms placed with stale hydrogens get them set from their bonds,
+        as the checked graph's repair pass sets them."""
+        state = GenerationState(rng_seed=0)
+        state.atoms = [Atom("C"), Atom("C"), Atom("O"), Atom("N", implicit_h=3)]
+        state.bonds = {(0, 1): "single", (1, 2): "double", (1, 3): "single"}
+        expected = repair_aromatic_rings(self.assembly_graph(state))
+        assert [atom.implicit_h for atom in expected.atoms] == [3, 0, 0, 2]
+        got = finalize(state)
+        self.assert_same_graph(got, expected)
+        assert write_smiles(got) == write_smiles(parse_smiles("CC(N)=O"))
+
+    def test_lean_path_rejects_an_over_valent_atom(self):
+        state = GenerationState(rng_seed=0)
+        state.atoms = [Atom("C", bracket=True, explicit_h=3), Atom("C"), Atom("C")]
+        state.bonds = {(0, 1): "single", (0, 2): "single"}
+        assert not valence_check(repair_aromatic_rings(self.assembly_graph(state)))
+        with pytest.raises(IrreparableValenceError):
+            finalize(state)
+
+    @pytest.mark.parametrize("mode,top_k", SELECTIONS)
+    def test_generated_molecules_equal_the_checked_graph(self, vocab_80, monkeypatch, mode, top_k):
+        """Every terminal assembly of a ``generate`` call finalizes to what
+        the checked graph, repaired and valence-checked, gives; the
+        molecules share each equal bond and neighbour tuple."""
+        emitted = []
+
+        def checked_finalize(state, index=None):
+            expected = repair_aromatic_rings(self.assembly_graph(state))
+            if not valence_check(expected):
+                with pytest.raises(IrreparableValenceError):
+                    finalize(state, index)
+                raise IrreparableValenceError("the checked graph fails too")
+            got = finalize(state, index)
+            self.assert_same_graph(got, expected)
+            emitted.append(got)
+            return got
+
+        monkeypatch.setattr(gen, "finalize", checked_finalize)
+        generate(vocab_80, FrequencyPolicy(vocab_80), 150, mode, seed=4, top_k=top_k)
+        assert len(emitted) > 10
+        shared: dict = {}
+        for mol in emitted:
+            for part in (*mol.bonds, *map(mol.neighbors, range(len(mol)))):
+                assert shared.setdefault(part, part) is part
+        assert len(shared) < sum(len(mol.bonds) + len(mol) for mol in emitted)
+
     def test_finalize_requires_terminal(self):
         state = seeded_state(Motif("*C", 1))
         with pytest.raises(ValueError):
@@ -433,7 +702,8 @@ class TestGenerate:
 
     def test_cached_and_uncached_scoring_agree(self, vocab_80):
         huge = 10**6  # more than any pool holds
-        assert max(len(vocab_80), *map(len, vocab_80.candidates_by_order.values())) < huge
+        orders = bond_orders(vocab_80)
+        assert max(len(vocab_80), *(len(reference_pool(vocab_80, o)) for o in orders)) < huge
         for mode, top_k in [(DISTRIBUTIONAL, 10), (DISTRIBUTIONAL, None),
                             (DISTRIBUTIONAL, huge), (GREEDY, None)]:
             cached, uncached = PlainPolicy(vocab_80), PlainPolicy(vocab_80)
@@ -444,6 +714,7 @@ class TestGenerate:
             ]
             assert runs[0] and runs[0] == runs[1], (mode, top_k)
             assert 0 < cached.calls < uncached.calls, (mode, top_k)
+            assert 0 < cached.pools <= len(orders) < uncached.pools, (mode, top_k)
             assert (cached.starts, uncached.starts) == (1, 40), (mode, top_k)
 
     def test_max_step_guard_reports_aborts(self):
