@@ -18,12 +18,23 @@ mode), taken from the partners and the first ``top_k`` non-partners by pool
 score. Scores outside the head are not retained, since no later open-site
 candidate can bring them back into it. A head also keeps its unnormalised
 cumulative softmax per temperature, computed once, so a step whose focus has
-no open-site candidate costs one random draw and a bisect. With open-site
-candidates, greedy and top-k selection apply the same head rule to the
-cached head plus those candidates. Full-softmax sampling keeps the whole
-pool as its head and draws once over the head's stored mass, rescaled to the
-new maximum, plus the candidates' mass, so its cost follows the number of
-candidates and not the size of the pool.
+no open-site candidate costs one random draw and a bisect. So does a greedy
+or top-k step whose open-site candidates cannot enter the head: the head is
+full (one item, or ``top_k``) and none of them scores above its lowest, so
+the stable head rule would keep it as it is. Otherwise greedy and top-k
+selection apply the head rule to the cached head plus those candidates.
+Full-softmax sampling keeps the whole pool as its head and draws once over
+the head's stored mass, rescaled to the new maximum, plus the candidates'
+mass, so its cost follows the number of candidates and not the size of the
+pool.
+
+Every placement, in ``generate``, ``replay_trajectory`` or a caller's own
+``start``/``attach``, copies a motif's ``_Template``: its atoms, local bonds
+and sites, built from one parse of its string when the motif is first
+placed. The index holds the templates of the states it starts; any other
+state holds its own. ``finalize`` with an index finalizes each distinct
+assembly once and returns the same immutable ``MolGraph`` for an equal one.
+This module caches nothing at module level.
 """
 from __future__ import annotations
 
@@ -36,7 +47,7 @@ from dataclasses import dataclass, field, replace
 from itertools import accumulate, count
 from random import Random
 
-from graphbpe.chem import MolGraph, valence_check
+from graphbpe.chem import MolGraph, parse_smiles, valence_check
 from graphbpe.chem.mol import (
     ORDER_X2,
     Atom,
@@ -136,6 +147,36 @@ class FrequencyPolicy(Policy):
         return scores
 
 
+@dataclass(frozen=True)
+class _Template:
+    """A motif ready to place: its atoms other than "*"; the bonds between
+    them as (a, b, order), a and b their positions in ``atoms``; and per
+    site, in canonical site order, (star atom, position of the star's
+    anchor, site type)."""
+
+    atoms: tuple[Atom, ...]
+    bonds: tuple[tuple[int, int, str], ...]
+    sites: tuple[tuple[int, int, SiteType], ...]
+
+    @classmethod
+    def of(cls, motif: Motif) -> _Template:
+        """The template of ``motif``, from one parse of its string. The
+        parse skips the valence check, since ``finalize`` checks the
+        assembled molecule."""
+        graph = parse_smiles(motif.smiles, validate=False)
+        position = {}
+        for i, atom in enumerate(graph.atoms):
+            if not atom.is_connection_site:
+                position[i] = len(position)
+        return cls(
+            tuple(graph.atoms[i] for i in position),
+            tuple((position[bond.a], position[bond.b], bond.order) for bond in graph.bonds
+                  if bond.a in position and bond.b in position),
+            tuple((star_atom, position[graph.neighbors(star_atom)[0][0]], site)
+                  for star_atom, site in motif.sites),
+        )
+
+
 @dataclass
 class GenerationState:
     """Partial molecule under assembly plus its FIFO of open sites.
@@ -144,8 +185,11 @@ class GenerationState:
     site id to (anchor atom, site type), and ``queue`` holds the ids in FIFO
     order. A motif's "*" atoms never enter ``atoms`` or ``bonds``. ``start``,
     ``attach`` and ``cyclize`` are the only assembly moves; each attach or
-    cyclize counts one step. ``rng_seed`` is the opaque randomness source
-    standing in for a latent vector.
+    cyclize counts one step. Motifs are placed from their ``_Template`` in
+    ``templates`` (keyed by motif string), built when a motif is first
+    placed; a state from ``start_generation`` shares its index's.
+    ``rng_seed`` is the opaque randomness source standing in for a latent
+    vector.
     """
 
     rng_seed: int
@@ -154,6 +198,7 @@ class GenerationState:
     queue: deque[int] = field(default_factory=deque)
     open_sites: dict[int, tuple[int, SiteType]] = field(default_factory=dict)
     step_count: int = 0
+    templates: dict[str, _Template] = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         self.rng = Random(self.rng_seed)
@@ -170,19 +215,17 @@ class GenerationState:
         """Copy a motif's atoms other than "*" and their bonds into the
         assembly and open one site per star; returns {star atom: site id}
         in canonical site order."""
-        graph = motif.graph
-        new_id = {}
-        for i, atom in enumerate(graph.atoms):
-            if not atom.is_connection_site:
-                new_id[i] = len(self.atoms)
-                self.atoms.append(atom)
-        for bond in graph.bonds:
-            if bond.a in new_id and bond.b in new_id:
-                self.bonds[new_id[bond.a], new_id[bond.b]] = bond.order
+        template = self.templates.get(motif.smiles)
+        if template is None:
+            template = self.templates[motif.smiles] = _Template.of(motif)
+        offset = len(self.atoms)
+        self.atoms.extend(template.atoms)
+        for a, b, order in template.bonds:
+            self.bonds[a + offset, b + offset] = order
         placed = {}
-        for star_atom, site in motif.sites:
+        for star_atom, anchor, site in template.sites:
             site_id = placed[star_atom] = next(self._site_ids)
-            self.open_sites[site_id] = (new_id[graph.neighbors(star_atom)[0][0]], site)
+            self.open_sites[site_id] = (anchor + offset, site)
         return placed
 
     def start(self, motif: Motif) -> None:
@@ -282,14 +325,20 @@ def _choose(
 
     Greedy mode takes the head's one item; sampling is one draw and a
     bisect of the head's distribution at ``temperature``, stored on first
-    use. With ``extra``, greedy and top-k picks (and any pick from an empty
+    use. With ``extra``, greedy and top-k picks keep the head when it is
+    full (one item, or ``top_k``) and no extra scores above its lowest:
+    ``_head``'s stable rule keeps the earlier items on a tie, so a fresh
+    head would be this one. Otherwise they (and any pick from an empty
     head) are made the same way from a fresh ``_head`` of the head's items
-    followed by ``extra``; a full softmax draws once over the head's mass
+    followed by ``extra``. A full softmax draws once over the head's mass
     and the extras' mass, both taken relative to their joint top score.
     """
     items, scores, distributions = head
     if extra and (mode == GREEDY or top_k is not None or not items):
-        items, scores, distributions = _head(items + extra, [*scores, *extra_scores], mode, top_k)
+        extra_scores = _finite(extra_scores)
+        full = len(items) == (1 if mode == GREEDY else top_k)
+        if not (full and max(extra_scores) <= min(scores)):
+            items, scores, distributions = _head(items + extra, scores + extra_scores, mode, top_k)
         extra = []
     if mode == GREEDY:
         return items[0]
@@ -332,9 +381,11 @@ class GenerationIndex:
     (``Policy.score_pool``) when a focus first needs it. Per site type it
     holds the observed partners, from ``vocabulary.attachment_counts``. It
     keeps the start head and each focus site type's vocabulary head (see
-    ``_head``) per mode and ``top_k``, and, in ``parts``, one copy of each
-    bond and neighbour tuple of the molecules ``finalize`` builds with it. It
-    writes nothing onto the vocabulary.
+    ``_head``) per mode and ``top_k``; in ``templates``, the ``_Template``
+    of each motif placed by a state it started; in ``molecules``, the one
+    ``MolGraph`` that ``finalize`` built with it from each distinct assembly;
+    and, in ``parts``, one copy of each bond and neighbour tuple of those
+    molecules. It writes nothing onto the vocabulary.
     """
 
     def __init__(self, vocabulary: MotifVocabulary, policy: Policy):
@@ -346,6 +397,8 @@ class GenerationIndex:
             self.partners.setdefault(b, set()).add(a)
         self.pools: dict[str, _Pool] = {}
         self.heads: dict[tuple, tuple[list, list[float], dict]] = {}
+        self.templates: dict[str, _Template] = {}
+        self.molecules: dict[tuple, MolGraph] = {}
         self.parts: dict[tuple, Bond | tuple] = {}
 
     def pool(self, context, order: str) -> _Pool:
@@ -442,13 +495,15 @@ def start_generation(
     """Pick the first motif and enqueue its sites in canonical atom order.
 
     The start head is kept in ``index``, a ``GenerationIndex`` of ``vocab``
-    and ``policy`` (``None``: a fresh index for this call).
+    and ``policy`` (``None``: a fresh index for this call), and the state
+    places motifs from the index's templates.
     """
     _check_selection(mode, top_k)
     if not len(vocab):
         raise EmptyVocabularyError("cannot generate from an empty vocabulary")
-    head = _index(index, vocab, policy).start_head(seed, mode, top_k)
-    state = GenerationState(rng_seed=seed)
+    index = _index(index, vocab, policy)
+    head = index.start_head(seed, mode, top_k)
+    state = GenerationState(rng_seed=seed, templates=index.templates)
     state.start(_choose(head, [], None, mode, state.rng, policy.temperature, top_k))
     return state
 
@@ -560,18 +615,23 @@ def finalize(state: GenerationState, index: GenerationIndex | None = None) -> Mo
     (``_place_motif``, ``_merge_sites``), so the graph is built without
     re-checking them, and each atom's bond orders are summed once for both
     its hydrogens and the valence check. Only an assembly with a failing
-    aromatic ring goes through ``repair_aromatic_rings``. The molecules
-    finalized with one ``index`` share each equal bond and neighbour tuple.
+    aromatic ring goes through ``repair_aromatic_rings``. With an ``index``,
+    each distinct assembly (its atoms and its sorted bonds) is finalized
+    once: an equal one gets the same immutable ``MolGraph`` back, and the
+    molecules share each equal bond and neighbour tuple. An assembly that
+    fails is not kept, so it fails again.
     """
     if not state.terminal:
         raise ValueError("cannot finalize: open connection sites remain")
+    atoms, bond_items = key = (tuple(state.atoms), tuple(sorted(state.bonds.items())))
+    if index is not None and (mol := index.molecules.get(key)) is not None:
+        return mol
     # a bond's key ((a, b), order) never equals a tuple of (atom, bond) pairs
     parts = {} if index is None else index.parts
-    atoms = list(state.atoms)
     bonds = []
     adjacency: list[list[tuple[int, int]]] = [[] for _ in atoms]
     order_sums = [0] * len(atoms)
-    for bidx, item in enumerate(sorted(state.bonds.items())):
+    for bidx, item in enumerate(bond_items):
         (a, b), order = item
         bond = parts.get(item)
         if bond is None:
@@ -582,11 +642,12 @@ def finalize(state: GenerationState, index: GenerationIndex | None = None) -> Mo
         order_sums[a] += ORDER_X2[order]
         order_sums[b] += ORDER_X2[order]
     neighbours = tuple(parts.setdefault(each, each) for each in map(tuple, adjacency))
-    mol = MolGraph.from_adjacency(tuple(atoms), tuple(bonds), neighbours)
+    mol = MolGraph.from_adjacency(atoms, tuple(bonds), neighbours)
     if failing_aromatic_rings(mol):
         mol = repair_aromatic_rings(mol)
         valid = valence_check(mol)
     else:
+        atoms = list(atoms)
         if _recompute_hydrogens(atoms, order_sums):
             mol = MolGraph.from_adjacency(tuple(atoms), mol.bonds, neighbours)
         valid = all(map(valence_ok, atoms, order_sums))
@@ -594,6 +655,8 @@ def finalize(state: GenerationState, index: GenerationIndex | None = None) -> Mo
         raise IrreparableValenceError(
             "finalized molecule fails the valence check even after repair"
         )
+    if index is not None:
+        index.molecules[key] = mol
     return mol
 
 

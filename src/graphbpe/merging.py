@@ -49,11 +49,10 @@ canonical form is not yet invariant; a miss decodes the key and calls
 ``write_smiles``, once. ``_decode`` takes each ``Bond`` from ``_key_bond``,
 a ``functools`` cache over the key's three-character bond entries, so equal
 entries across keys share one ``Bond`` and a decode builds none anew. The
-memo is process-wide (an ``lru_cache``, like the
-miner's motif caches), cannot go stale because the key is the whole input,
-and ``union_pattern.cache_clear()`` resets it. A bond's own union (the
-starting edges) gets its signature and key straight from its two atoms'
-label values and codes and its bond's value and order code.
+memo is process-wide (an ``lru_cache``), cannot go stale because the key is
+the whole input, and ``union_pattern.cache_clear()`` resets it. A bond's own
+union (the starting edges) gets its signature and key straight from its two
+atoms' label values and codes and its bond's value and order code.
 
 Motif instances recur the same way, so ``instance_pattern`` memoizes the
 string, star positions and site table of each one on its exact input to

@@ -12,14 +12,11 @@ strings need not all sort after that pattern. Deep in the operation list
 nearly every pick is such a tie, and a bound on each edge's string from its
 fragments' ``MergingGraph.frag_lead`` rules many tied signatures out
 without a write. Mining runs in one process, one operation at a time.
-``motif_graph`` and ``motif_sites`` are process-wide ``lru_cache``s over
-motif strings read from a file or given by a caller.
 """
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import lru_cache
 from heapq import heapify, heappop, heappush
 
 from graphbpe.chem import MolGraph, canonical_rank, parse_smiles
@@ -34,12 +31,6 @@ from graphbpe.merging import (
 )
 
 
-@lru_cache(maxsize=None)
-def motif_graph(smiles: str) -> MolGraph:
-    return parse_smiles(smiles)
-
-
-@lru_cache(maxsize=None)
 def motif_sites(smiles: str) -> SiteTable:
     """(star atom id, site type) per connection site of the parsed motif
     string, in canonical atom order (see ``graphbpe.merging.site_table``).
@@ -47,7 +38,7 @@ def motif_sites(smiles: str) -> SiteTable:
     Mining takes each motif's table from its instance write instead; this
     parses only strings read from files or given by callers.
     """
-    mol = motif_graph(smiles)
+    mol = parse_smiles(smiles)
     ranking = canonical_rank(mol)
     stars = [
         (i, mol.bonds[mol.neighbors(i)[0][1]].order)
@@ -73,10 +64,6 @@ class Motif:
     def __post_init__(self):
         if self.sites is None:
             object.__setattr__(self, "sites", motif_sites(self.smiles))
-
-    @property
-    def graph(self) -> MolGraph:
-        return motif_graph(self.smiles)
 
 
 @dataclass(frozen=True)

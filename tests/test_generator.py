@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import graphbpe.generator as gen
+import graphbpe.miner
 from graphbpe.chem import MolGraph, parse_smiles, valence_check, write_smiles
 from graphbpe.chem.mol import Atom, make_bond
 from graphbpe.errors import (
@@ -252,8 +253,10 @@ class TestScoring:
     @staticmethod
     def step_work(vocab, monkeypatch, top_k) -> list[tuple]:
         """(focus type, counts of ``_head``, ``_cumulative`` and non-empty
-        ``_partial_candidates`` calls) for each step of one sampled
-        ``generate`` call."""
+        ``_partial_candidates`` calls, and of ``_choose`` calls whose head
+        an open-site candidate can enter) for each step of one sampled
+        ``generate`` call. A candidate can enter a top-k head that is short
+        of ``top_k`` items, or one whose lowest score is below its own."""
         counts: Counter = Counter()
 
         def spy(name, function, counted=lambda result: True):
@@ -267,6 +270,17 @@ class TestScoring:
         spy("_head", gen._head)
         spy("_cumulative", gen._cumulative)
         spy("_partial_candidates", gen._partial_candidates, counted=bool)
+        choose = gen._choose
+
+        def spied_choose(head, extra, extra_scores, *args):
+            _, scores, _ = head
+            if extra and top_k is not None and (
+                len(scores) < top_k or max(extra_scores) > min(scores)
+            ):
+                counts["enterable"] += 1
+            return choose(head, extra, extra_scores, *args)
+
+        monkeypatch.setattr(gen, "_choose", spied_choose)
         step = gen.generation_step
         work = []
 
@@ -281,16 +295,15 @@ class TestScoring:
         generate(vocab, FrequencyPolicy(vocab), 200, DISTRIBUTIONAL, seed=1, top_k=top_k)
         return work
 
-    def check_step_work(self, work, rebuilds: bool) -> None:
+    def check_step_work(self, work) -> None:
         """A focus type's head is built on its first step only and computes
-        its distribution at most once; a step with no open-site candidate
-        builds nothing else, and one with some builds one more head when
-        ``rebuilds``. Distributions number at most one per head plus one per
-        step with open-site candidates."""
+        its distribution at most once; a step builds one more head only
+        when an open-site candidate can enter the cached one. Distributions
+        number at most one per head plus one per step with open-site
+        candidates."""
         seen = set()
         for focus_type, c in work:
-            rebuilt = bool(c["_partial_candidates"]) and rebuilds
-            assert c["_head"] == (focus_type not in seen) + rebuilt
+            assert c["_head"] == (focus_type not in seen) + c["enterable"]
             seen.add(focus_type)
         total = sum((c for _, c in work), Counter())
         assert total["_cumulative"] <= total["_head"] + total["_partial_candidates"]
@@ -299,14 +312,58 @@ class TestScoring:
         assert sum(1 for c in quiet if not (c["_head"] or c["_cumulative"])) > 200
 
     def test_a_head_computes_its_distribution_once(self, vocab_80, monkeypatch):
-        """Top-k sampling: a step with open-site candidates builds one head
-        over the cached head and those candidates."""
-        self.check_step_work(self.step_work(vocab_80, monkeypatch, 25), rebuilds=True)
+        """Top-k sampling: a step with open-site candidates builds a head
+        over the cached head and those candidates only when one of them
+        scores above the cached head's lowest or the head is short; most
+        such steps keep the cached head and its distribution."""
+        work = self.step_work(vocab_80, monkeypatch, 25)
+        self.check_step_work(work)
+        open_steps = [c for _, c in work if c["_partial_candidates"]]
+        kept = [c for c in open_steps if not c["_head"]]
+        assert len(kept) > len(open_steps) / 2
 
     def test_full_softmax_builds_no_head_per_step(self, vocab_80, monkeypatch):
         """Sampling without top-k: a step with open-site candidates draws
         over the cached head's mass and theirs, and builds no head."""
-        self.check_step_work(self.step_work(vocab_80, monkeypatch, None), rebuilds=False)
+        work = self.step_work(vocab_80, monkeypatch, None)
+        self.check_step_work(work)
+        assert not any(c["enterable"] for _, c in work)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        pool=st.lists(st.integers(-3, 3).map(float), max_size=40),
+        top_k=st.one_of(st.just(None), st.integers(1, 30)),
+        picks=st.lists(st.tuples(st.lists(st.integers(-4, 4), min_size=1, max_size=6),
+                                 st.sampled_from([0.5, 1.0, 3.0])), min_size=1, max_size=6),
+        seed=st.integers(0, 2**32),
+    )
+    def test_a_kept_head_picks_as_a_rebuilt_head(self, pool, top_k, picks, seed):
+        """Greedy (``top_k`` None) and top-k 1-30 picks from one cached head
+        against a reference that builds ``_head(items + extra)`` at every
+        pick. Extra scores are drawn around the head's lowest score, ties
+        included; heads may be short of ``top_k`` or empty."""
+        mode = GREEDY if top_k is None else DISTRIBUTIONAL
+        head = _head(list(range(len(pool))), pool, mode, top_k)
+        low = min(head[1], default=0.0)
+        rng_kept, rng_rebuilt = Random(seed), Random(seed)
+        for offsets, temperature in picks:
+            extra_scores = [low + offset / 2 for offset in offsets]
+            extra = list(range(len(pool), len(pool) + len(extra_scores)))
+            items, scores, _ = head
+            rebuilt = _head(items + extra, scores + extra_scores, mode, top_k)
+            expected = _choose(rebuilt, [], None, mode, rng_rebuilt, temperature, top_k)
+            got = _choose(head, extra, extra_scores, mode, rng_kept, temperature, top_k)
+            assert got == expected
+            assert rng_kept.getstate() == rng_rebuilt.getstate()
+
+    @pytest.mark.parametrize("mode,top_k", [(GREEDY, None), (DISTRIBUTIONAL, 2),
+                                            (DISTRIBUTIONAL, 5), (DISTRIBUTIONAL, None)])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_a_non_finite_open_site_score_raises(self, mode, top_k, bad):
+        """Also when the head is full and every finite score is below it."""
+        head = _head([0, 1, 2, 3], [1.0, 2.0, 3.0, 4.0], mode, top_k)
+        with pytest.raises(ValueError):
+            _choose(head, [4, 5], [bad, -9.0], mode, Random(0), 1.0, top_k)
 
 
 SELECTIONS = [(GREEDY, None), (DISTRIBUTIONAL, 1), (DISTRIBUTIONAL, 25), (DISTRIBUTIONAL, None)]
@@ -446,6 +503,63 @@ class TestIndex:
             state = start_generation(vocab_80, policy, 0, GREEDY)
             with pytest.raises(ValueError):
                 generation_step(state, vocab_80, policy, GREEDY, None, index)
+
+
+def walked_start(state: GenerationState, motif: Motif) -> None:
+    """``GenerationState.start`` as a walk of the motif's parsed graph: its
+    atoms other than "*", the bonds between them, and one open site per
+    star at the star's neighbour, enqueued in canonical site order."""
+    graph = parse_smiles(motif.smiles)
+    new_id = {}
+    for i, atom in enumerate(graph.atoms):
+        if not atom.is_connection_site:
+            new_id[i] = len(state.atoms)
+            state.atoms.append(atom)
+    for bond in graph.bonds:
+        if bond.a in new_id and bond.b in new_id:
+            state.bonds[new_id[bond.a], new_id[bond.b]] = bond.order
+    for star_atom, site in motif.sites:
+        site_id = next(state._site_ids)
+        state.open_sites[site_id] = (new_id[graph.neighbors(star_atom)[0][0]], site)
+        state.queue.append(site_id)
+
+
+class TestPlacement:
+    def test_templates_place_as_the_graph_walk(self, vocab_80):
+        """Every motif of ``vocab_80``, each placed after the ones before
+        it: the same atoms, bonds, open sites and queue, in the same order."""
+        placed, walked = GenerationState(rng_seed=0), GenerationState(rng_seed=0)
+        for motif in vocab_80.ordered_motifs():
+            placed.start(motif)
+            walked_start(walked, motif)
+            assert placed.atoms == walked.atoms, motif.smiles
+            assert list(placed.bonds.items()) == list(walked.bonds.items()), motif.smiles
+            assert list(placed.open_sites.items()) == list(walked.open_sites.items())
+            assert list(placed.queue) == list(walked.queue), motif.smiles
+        assert set(placed.templates) == set(vocab_80.motifs)
+
+    def test_a_template_is_built_once_and_only_for_a_placed_motif(self, vocab_80, monkeypatch):
+        built, placed = [], set()
+        of = gen._Template.of
+        monkeypatch.setattr(gen._Template, "of",
+                            lambda motif: built.append(motif.smiles) or of(motif))
+        place = GenerationState._place_motif
+
+        def recorded(state, motif):
+            placed.add(motif.smiles)
+            return place(state, motif)
+
+        monkeypatch.setattr(GenerationState, "_place_motif", recorded)
+        policy = FrequencyPolicy(vocab_80)
+        index = GenerationIndex(vocab_80, policy)
+        assert index.templates == {}
+        for seed in range(30):
+            state = start_generation(vocab_80, policy, seed, DISTRIBUTIONAL, 25, index)
+            assert state.templates is index.templates
+            while not state.terminal and state.step_count < 30:
+                generation_step(state, vocab_80, policy, DISTRIBUTIONAL, 25, index)
+        assert sorted(built) == sorted(placed) == sorted(index.templates)
+        assert 0 < len(placed) < len(vocab_80)
 
 
 class TestStart:
@@ -646,9 +760,10 @@ class TestFinalize:
     @pytest.mark.parametrize("mode,top_k", SELECTIONS)
     def test_generated_molecules_equal_the_checked_graph(self, vocab_80, monkeypatch, mode, top_k):
         """Every terminal assembly of a ``generate`` call finalizes to what
-        the checked graph, repaired and valence-checked, gives; the
-        molecules share each equal bond and neighbour tuple."""
-        emitted = []
+        the checked graph, repaired and valence-checked, gives; equal
+        assemblies get one object, and the molecules share each equal bond
+        and neighbour tuple."""
+        emitted, assemblies = [], []
 
         def checked_finalize(state, index=None):
             expected = repair_aromatic_rings(self.assembly_graph(state))
@@ -659,6 +774,7 @@ class TestFinalize:
             got = finalize(state, index)
             self.assert_same_graph(got, expected)
             emitted.append(got)
+            assemblies.append((tuple(state.atoms), tuple(sorted(state.bonds.items()))))
             return got
 
         monkeypatch.setattr(gen, "finalize", checked_finalize)
@@ -669,6 +785,43 @@ class TestFinalize:
             for part in (*mol.bonds, *map(mol.neighbors, range(len(mol)))):
                 assert shared.setdefault(part, part) is part
         assert len(shared) < sum(len(mol.bonds) + len(mol) for mol in emitted)
+        by_assembly = {}
+        for assembly, mol in zip(assemblies, emitted):
+            assert by_assembly.setdefault(assembly, mol) is mol
+        assert len({id(mol) for mol in emitted}) == len(by_assembly)
+
+    def test_equal_assemblies_share_a_molecule_only_through_an_index(self):
+        vocab = micro_vocab(("*C", 1))
+        index = GenerationIndex(vocab, FrequencyPolicy(vocab))
+        molecules = []
+        for _ in range(2):
+            state = seeded_state(vocab["*C"])
+            state.attach(state.queue.popleft(), vocab["*C"], 0)
+            molecules += [finalize(state, index), finalize(state)]
+        assert molecules[0] is molecules[2]
+        assert molecules[1] is not molecules[3] and molecules[1] == molecules[0]
+        assert list(index.molecules.values()) == [molecules[0]]
+
+    def test_assemblies_differing_only_in_bonds_stay_apart(self):
+        vocab = micro_vocab(("*C", 1))
+        index = GenerationIndex(vocab, FrequencyPolicy(vocab))
+        for bonds in ({(0, 1): "single", (1, 2): "single"},
+                      {(0, 1): "single", (0, 2): "single"}):
+            state = GenerationState(rng_seed=0)
+            state.atoms, state.bonds = [Atom("C"), Atom("O"), Atom("C")], bonds
+            self.assert_same_graph(finalize(state, index), finalize(state))
+        assert len(index.molecules) == 2
+
+    def test_a_failing_assembly_fails_again(self):
+        vocab = micro_vocab(("*C", 1))
+        index = GenerationIndex(vocab, FrequencyPolicy(vocab))
+        for _ in range(2):
+            state = GenerationState(rng_seed=0)
+            state.atoms = [Atom("C", bracket=True, explicit_h=3), Atom("C"), Atom("C")]
+            state.bonds = {(0, 1): "single", (0, 2): "single"}
+            with pytest.raises(IrreparableValenceError):
+                finalize(state, index)
+        assert index.molecules == {}
 
     def test_finalize_requires_terminal(self):
         state = seeded_state(Motif("*C", 1))
@@ -737,6 +890,13 @@ class TestGenerate:
         _, report = generate(vocab, policy, 200, DISTRIBUTIONAL, seed=4,
                              max_steps=10**9)
         assert report.aborted == 0 and report.emitted == 200
+
+
+@pytest.mark.parametrize("module", [gen, graphbpe.miner])
+def test_generation_modules_hold_no_process_wide_cache(module):
+    """What generation reuses lives in a ``GenerationIndex``, so no module
+    value can carry generation state from one call to the next."""
+    assert [name for name, value in vars(module).items() if hasattr(value, "cache_clear")] == []
 
 
 class TestReplayErrors:
