@@ -134,9 +134,6 @@ class MolGraph:
         object.__setattr__(mol, "_adjacency", adjacency)
         return mol
 
-    def __len__(self) -> int:
-        return len(self.atoms)
-
     def neighbors(self, atom_id: int) -> tuple[tuple[int, int], ...]:
         """(neighbor atom id, bond index) pairs for one atom."""
         return self._adjacency[atom_id]

@@ -15,7 +15,7 @@ from graphbpe.chem import (
     write_smiles,
     write_smiles_with_order,
 )
-from graphbpe.chem.canon import tie_broken_ranks
+from graphbpe.chem.canon import FLAT_MAX_ATOMS, tie_broken_ranks
 from graphbpe.merging import instance_pattern, union_pattern
 from graphbpe.miner import mine_corpus
 from helpers import (
@@ -246,20 +246,52 @@ def test_leading_key_bounds_random_strings(seed):
     assert_leading_key_bounds(mol, write_smiles(mol))
 
 
+def check_tie_breaks_follow_relabelling(mol, perm):
+    """Breaking ties by each atom's new id gives the relabelled graph's
+    ranks; returns whether ``mol`` has a tie."""
+    n = len(mol.atoms)
+    ranking = canonical_rank(mol)
+    relabelled = canonical_rank(permute_molecule(mol, perm)).ranks
+    expected = tuple(relabelled[perm[atom]] for atom in range(n))
+    assert tie_broken_ranks(mol, ranking.symmetry_classes, perm) == expected
+    return ranking.ranks != ranking.symmetry_classes
+
+
 def test_tie_broken_ranks_are_the_ranks_of_the_relabelled_graph(corpus_1k):
-    # breaking ties by each atom's new id gives the relabelled graph's ranks
     rng = Random(2718)
     mols = [*golden_graphs(corpus_1k[1]), *(random_molecule(rng, max_atoms=12) for _ in range(300))]
     tied = 0
     for mol in mols:
         n = len(mol.atoms)
-        perm = rng.sample(range(n), n)
-        ranking = canonical_rank(mol)
-        relabelled = canonical_rank(permute_molecule(mol, perm)).ranks
-        expected = tuple(relabelled[perm[atom]] for atom in range(n))
-        assert tie_broken_ranks(mol, ranking.symmetry_classes, perm) == expected
-        tied += ranking.ranks != ranking.symmetry_classes
+        tied += check_tie_breaks_follow_relabelling(mol, rng.sample(range(n), n))
     assert tied > 20
+
+
+def tie_heavy_smiles(n):
+    """A chain, a ring, branched and star-bearing graphs of ``n`` atoms,
+    each with atoms that only a tie-break separates."""
+    third, quarter, ring = (n - 1) // 3, (n - 1) // 4, n - 2
+    yield "C" * n
+    yield "C1" + "C" * (n - 2) + "C1"
+    yield "C" * third + "C(" + "C" * third + ")" + "C" * (n - 1 - 2 * third)
+    yield "C" * quarter + "C(" + "C" * quarter + ")(" + "C" * quarter + ")" + "C" * (n - 1 - 3 * quarter)
+    yield "C1CCCCC1" + "C" * (n - 12) + "C1CCCCC1"
+    yield "*" + "C" * (n - 2) + "*"
+    yield "*C1" + "C" * (ring // 2 - 1) + "C(*)" + "C" * (ring - ring // 2 - 2) + "C1"
+
+
+@pytest.mark.parametrize("n", range(FLAT_MAX_ATOMS - 2, FLAT_MAX_ATOMS + 3))
+def test_oracles_hold_on_both_sides_of_the_flat_size_limit(n):
+    # canonical_rank and tie_broken_ranks refine by flat rounds up to
+    # FLAT_MAX_ATOMS atoms and by touched-atom refinement above
+    rng = Random(n)
+    for smiles in tie_heavy_smiles(n):
+        mol = parse_smiles(smiles)
+        assert len(mol.atoms) == n, smiles
+        for _ in range(4):
+            shuffled = permute_molecule(mol, rng.sample(range(n), n))
+            assert_kernels_match_reference(shuffled)
+            assert check_tie_breaks_follow_relabelling(shuffled, rng.sample(range(n), n)), smiles
 
 
 @settings(max_examples=200, deadline=None)

@@ -439,8 +439,8 @@ def test_keys_decode_to_the_checked_graph(corpus_1k, monkeypatch):
     for key, end, stars in shapes:
         got, want = _decode(key, end, stars), checked_decode(key, end, stars)
         assert (got.atoms, got.bonds) == (want.atoms, want.bonds)
-        assert [got.neighbors(i) for i in range(len(got))] == [
-            want.neighbors(i) for i in range(len(want))
+        assert [got.neighbors(i) for i in range(len(got.atoms))] == [
+            want.neighbors(i) for i in range(len(want.atoms))
         ]
 
 
