@@ -7,19 +7,26 @@ same bond order as the focus, which keeps every merge valence-safe. A
 pluggable policy supplies the scores; selection is argmax (greedy mode) or a
 softmax sample (distributional mode).
 
-The generator reads a policy's scores into a list of floats. A
-``GenerationIndex`` serves one vocabulary and one policy, and ``generate``
-builds one per call. It scores the starts once, each bond order's
-vocabulary pool once (``Policy.score_pool``) and each focus site type's
-observed partners once (``Policy.score_connections``); every other
-vocabulary candidate keeps its pool score. Of a focus type's scores it
-keeps only the head (``_head``): the top ``top_k`` (the argmax in greedy
-mode), taken from the partners and the first ``top_k`` non-partners by pool
-score. Scores outside the head are not retained, since no later open-site
-candidate can bring them back into it. A head also keeps its unnormalised
-cumulative softmax per temperature, computed once, so a step whose focus has
-no open-site candidate costs one random draw and a bisect. So does a greedy
-or top-k step whose open-site candidates cannot enter the head: the head is
+Generation is driven through one ``GenerationIndex(vocab, policy, mode,
+top_k)``: ``start_generation(index, seed)`` starts a molecule,
+``generation_step(state, index)`` resolves one open site and
+``finalize(state)`` builds the molecule; ``generate`` makes one index per
+call and runs that loop. The index checks the selection (``mode`` and
+``top_k``) when it is built and reads the policy's temperature then, so
+every pick it serves uses the same ones.
+
+The generator reads a policy's scores into a list of floats. The index
+scores the starts once, each bond order's vocabulary pool once
+(``Policy.score_pool``) and each focus site type's observed partners once
+(``Policy.score_connections``); every other vocabulary candidate keeps its
+pool score. Of a focus type's scores it keeps only the head
+(``GenerationIndex._head``): the top ``top_k`` (the argmax in greedy mode),
+taken from the partners and the first ``top_k`` non-partners by pool score.
+Scores outside the head are not retained, since no later open-site
+candidate can bring them back into it. In distributional mode a head also
+keeps its unnormalised cumulative softmax, so a step whose focus has no
+open-site candidate costs one random draw and a bisect. So does a greedy or
+top-k step whose open-site candidates cannot enter the head: the head is
 full (one item, or ``top_k``) and none of them scores above its lowest, so
 the stable head rule would keep it as it is. Otherwise greedy and top-k
 selection apply the head rule to the cached head plus those candidates.
@@ -28,13 +35,13 @@ the head's stored mass, rescaled to the new maximum, plus the candidates'
 mass, so its cost follows the number of candidates and not the size of the
 pool.
 
-Every placement, in ``generate``, ``replay_trajectory`` or a caller's own
-``start``/``attach``, copies a motif's ``_Template``: its atoms, local bonds
-and sites, built from one parse of its string when the motif is first
-placed. The index holds the templates of the states it starts; any other
-state holds its own. ``finalize`` with an index finalizes each distinct
-assembly once and returns the same immutable ``MolGraph`` for an equal one.
-This module caches nothing at module level.
+Every placement copies a motif's ``_Template``: its atoms, local bonds and
+sites, built from one parse of its string when the motif is first placed.
+``finalize`` finalizes each distinct assembly once and returns the same
+immutable ``MolGraph`` for an equal one. A state started from an index
+shares the index's templates and finalized molecules; any other state
+(``replay_trajectory``'s, or one a caller builds) holds its own. This module
+caches nothing at module level.
 """
 from __future__ import annotations
 
@@ -64,7 +71,7 @@ from graphbpe.errors import (
     NoCompatibleCandidateError,
     UnknownMotifError,
 )
-from graphbpe.miner import Candidate, Motif, MotifVocabulary, SiteType
+from graphbpe.miner import Motif, MotifVocabulary, SiteType
 from graphbpe.tokenizer import Trajectory
 
 GREEDY = "greedy"
@@ -72,6 +79,20 @@ DISTRIBUTIONAL = "distributional"
 DEFAULT_MAX_STEPS = 100
 
 _SEED_MIX = 0x9E3779B97F4A7C15  # odd constant; decorrelates per-molecule streams
+
+
+@dataclass(frozen=True)
+class Candidate:
+    """One selectable connection: a vocabulary site or an open partial site.
+
+    ``star_atom`` is the star's atom id in the motif graph for a vocabulary
+    candidate and the open-site id in the assembly for a partial one.
+    """
+
+    kind: str  # "vocab" | "partial"
+    site_type: SiteType
+    motif: Motif | None = None
+    star_atom: int = 0
 
 
 class Policy:
@@ -187,9 +208,11 @@ class GenerationState:
     ``attach`` and ``cyclize`` are the only assembly moves; each attach or
     cyclize counts one step. Motifs are placed from their ``_Template`` in
     ``templates`` (keyed by motif string), built when a motif is first
-    placed; a state from ``start_generation`` shares its index's.
-    ``rng_seed`` is the opaque randomness source standing in for a latent
-    vector.
+    placed. ``finalize`` keeps the ``MolGraph`` of each distinct assembly in
+    ``molecules``, and one copy of each of their bond and neighbour tuples
+    in ``parts``. A state from ``start_generation`` shares all three with
+    its index. ``rng_seed`` is the opaque randomness source standing in for
+    a latent vector.
     """
 
     rng_seed: int
@@ -199,6 +222,8 @@ class GenerationState:
     open_sites: dict[int, tuple[int, SiteType]] = field(default_factory=dict)
     step_count: int = 0
     templates: dict[str, _Template] = field(default_factory=dict, repr=False, compare=False)
+    molecules: dict[tuple, MolGraph] = field(default_factory=dict, repr=False, compare=False)
+    parts: dict[tuple, Bond | tuple] = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         self.rng = Random(self.rng_seed)
@@ -261,13 +286,6 @@ class GenerationState:
         self.bonds[pair] = order_a
 
 
-def _check_selection(mode: str, top_k: int | None) -> None:
-    if mode not in (GREEDY, DISTRIBUTIONAL):
-        raise ValueError(f"unknown generation mode {mode!r}")
-    if top_k is not None and top_k < 1:
-        raise ValueError("top_k must be >= 1")
-
-
 def _cumulative(scores: list[float], temperature: float) -> tuple[list[float], float]:
     """The softmax of ``scores / temperature``, unnormalised: the running sum
     of ``exp(score / temperature - top)``, and ``top``, the largest scaled
@@ -291,75 +309,6 @@ def _finite(scores: Sequence[float]) -> list[float]:
     return scores
 
 
-def _head(
-    pool: list, scores: Sequence[float], mode: str, top_k: int | None
-) -> tuple[list, list[float], dict]:
-    """The items of ``pool`` that selection can pick, with their scores, in
-    pool order: the first argmax in greedy mode, else the stable top
-    ``top_k``. The third member maps a temperature to the items'
-    ``_cumulative`` distribution at it, filled by ``_choose`` on first use.
-
-    Items that follow the pool can only push pool items out of the top
-    ``top_k``, never bring one back, so the rest need not be kept.
-    """
-    scores = _finite(scores)
-    if mode == GREEDY and scores:
-        keep = [scores.index(max(scores))]
-    elif top_k is not None and top_k < len(scores):
-        keep = sorted(heapq.nlargest(top_k, range(len(scores)), key=scores.__getitem__))
-    else:
-        return pool, scores, {}
-    return [pool[i] for i in keep], [scores[i] for i in keep], {}
-
-
-def _choose(
-    head: tuple[list, list[float], dict],
-    extra: list,
-    extra_scores: Sequence[float] | None,
-    mode: str,
-    rng: Random,
-    temperature: float,
-    top_k: int | None,
-):
-    """The item selection picks from the head's pool followed by ``extra``.
-
-    Greedy mode takes the head's one item; sampling is one draw and a
-    bisect of the head's distribution at ``temperature``, stored on first
-    use. With ``extra``, greedy and top-k picks keep the head when it is
-    full (one item, or ``top_k``) and no extra scores above its lowest:
-    ``_head``'s stable rule keeps the earlier items on a tie, so a fresh
-    head would be this one. Otherwise they (and any pick from an empty
-    head) are made the same way from a fresh ``_head`` of the head's items
-    followed by ``extra``. A full softmax draws once over the head's mass
-    and the extras' mass, both taken relative to their joint top score.
-    """
-    items, scores, distributions = head
-    if extra and (mode == GREEDY or top_k is not None or not items):
-        extra_scores = _finite(extra_scores)
-        full = len(items) == (1 if mode == GREEDY else top_k)
-        if not (full and max(extra_scores) <= min(scores)):
-            items, scores, distributions = _head(items + extra, scores + extra_scores, mode, top_k)
-        extra = []
-    if mode == GREEDY:
-        return items[0]
-    distribution = distributions.get(temperature)
-    if distribution is None:
-        distribution = distributions[temperature] = _cumulative(scores, temperature)
-    cumulative, top = distribution
-    if not extra:
-        return items[_bisect(cumulative, rng.random() * cumulative[-1])]
-    extra_cumulative, extra_top = _cumulative(_finite(extra_scores), temperature)
-    joint_top = max(top, extra_top)
-    scale = math.exp(top - joint_top)
-    extra_scale = math.exp(extra_top - joint_top)
-    extra_cumulative = [mass * extra_scale for mass in extra_cumulative]
-    pool_mass = cumulative[-1] * scale
-    x = rng.random() * (pool_mass + extra_cumulative[-1])
-    if x < pool_mass:
-        return items[_bisect(cumulative, x / scale)]
-    return extra[_bisect(extra_cumulative, x - pool_mass)]
-
-
 @dataclass
 class _Pool:
     """The vocabulary candidates of one bond order, in motif then canonical
@@ -372,31 +321,48 @@ class _Pool:
     ranking: list[int]
 
 
+# a head: its items, their scores and, in distributional mode, their
+# ``_cumulative`` distribution (None in greedy mode or when it is empty)
+_Head = tuple[list, list[float], tuple[list[float], float] | None]
+
+
 class GenerationIndex:
     """What generation reuses across steps and molecules. One index serves
-    one vocabulary and one policy, whose scores must not change while it is
-    in use.
+    one vocabulary, one policy, whose scores must not change while it is in
+    use, and one selection: ``mode`` and ``top_k`` (``None`` keeps every
+    candidate), checked here, and the policy's temperature, read here.
 
     Per bond order it holds a ``_Pool``, built and scored
     (``Policy.score_pool``) when a focus first needs it. Per site type it
-    holds the observed partners, from ``vocabulary.attachment_counts``. It
-    keeps the start head and each focus site type's vocabulary head (see
-    ``_head``) per mode and ``top_k``; in ``templates``, the ``_Template``
-    of each motif placed by a state it started; in ``molecules``, the one
-    ``MolGraph`` that ``finalize`` built with it from each distinct assembly;
-    and, in ``parts``, one copy of each bond and neighbour tuple of those
-    molecules. It writes nothing onto the vocabulary.
+    holds the observed partners, from ``vocabulary.attachment_counts``. In
+    ``heads`` it keeps the start head (key ``None``) and each focus site
+    type's vocabulary head (see ``_head``). It also holds the ``templates``,
+    ``molecules`` and ``parts`` that every state it starts shares (see
+    ``GenerationState``). It writes nothing onto the vocabulary.
     """
 
-    def __init__(self, vocabulary: MotifVocabulary, policy: Policy):
+    def __init__(
+        self,
+        vocabulary: MotifVocabulary,
+        policy: Policy,
+        mode: str = GREEDY,
+        top_k: int | None = None,
+    ):
+        if mode not in (GREEDY, DISTRIBUTIONAL):
+            raise ValueError(f"unknown generation mode {mode!r}")
+        if top_k is not None and not (isinstance(top_k, int) and top_k >= 1):
+            raise ValueError("top_k must be an int >= 1")
         self.vocabulary = vocabulary
         self.policy = policy
+        self.mode = mode
+        self.top_k = top_k
+        self.temperature = policy.temperature
         self.partners: dict[SiteType, set[SiteType]] = {}
         for a, b in vocabulary.attachment_counts:
             self.partners.setdefault(a, set()).add(b)
             self.partners.setdefault(b, set()).add(a)
         self.pools: dict[str, _Pool] = {}
-        self.heads: dict[tuple, tuple[list, list[float], dict]] = {}
+        self.heads: dict[SiteType | None, _Head] = {}
         self.templates: dict[str, _Template] = {}
         self.molecules: dict[tuple, MolGraph] = {}
         self.parts: dict[tuple, Bond | tuple] = {}
@@ -419,19 +385,14 @@ class GenerationIndex:
             pool = self.pools[order] = _Pool(candidates, positions, scores, ranking)
         return pool
 
-    def start_head(self, context, mode: str, top_k: int | None) -> tuple[list, list[float], dict]:
-        key = (None, mode, top_k)
-        head = self.heads.get(key)
+    def start_head(self, context) -> _Head:
+        head = self.heads.get(None)
         if head is None:
             motifs = self.vocabulary.ordered_motifs()
-            head = self.heads[key] = _head(
-                motifs, self.policy.score_start(context, motifs), mode, top_k
-            )
+            head = self.heads[None] = self._head(motifs, self.policy.score_start(context, motifs))
         return head
 
-    def vocabulary_head(
-        self, context, focus: SiteType, mode: str, top_k: int | None
-    ) -> tuple[list, list[float], dict]:
+    def vocabulary_head(self, context, focus: SiteType) -> _Head:
         """The head of ``focus``'s vocabulary pool: the partners' connection
         scores and every other candidate's pool score, put through ``_head``.
 
@@ -441,8 +402,7 @@ class GenerationIndex:
         go into ``_head``, in pool order; with no ``top_k`` every candidate
         does.
         """
-        key = (focus, mode, top_k)
-        head = self.heads.get(key)
+        head = self.heads.get(focus)
         if head is not None:
             return head
         pool = self.pool(context, focus[2])
@@ -454,12 +414,12 @@ class GenerationIndex:
         partner_scores = self.policy.score_connections(
             context, focus, [candidates[i] for i in partner_at]
         ) if partner_at else []
-        need = 1 if mode == GREEDY else top_k
+        need = 1 if self.mode == GREEDY else self.top_k
         if need is None or need >= len(candidates) - len(partner_at):
             scores = pool.scores.copy()
             for i, score in zip(partner_at, partner_scores):
                 scores[i] = score
-            head = _head(candidates, scores, mode, top_k)
+            head = self._head(candidates, scores)
         else:
             scores = dict(zip(partner_at, partner_scores))
             for i in pool.ranking:
@@ -469,42 +429,79 @@ class GenerationIndex:
                     if not need:
                         break
             keep = sorted(scores)
-            head = _head([candidates[i] for i in keep], [scores[i] for i in keep], mode, top_k)
-        self.heads[key] = head
+            head = self._head([candidates[i] for i in keep], [scores[i] for i in keep])
+        self.heads[focus] = head
         return head
 
+    def _head(self, pool: list, scores: Sequence[float]) -> _Head:
+        """The items of ``pool`` that selection can pick, with their scores,
+        in pool order: the first argmax in greedy mode, else the stable top
+        ``top_k``, with their ``_cumulative`` distribution.
 
-def _index(
-    index: GenerationIndex | None, vocab: MotifVocabulary, policy: Policy
-) -> GenerationIndex:
-    if index is None:
-        return GenerationIndex(vocab, policy)
-    if index.vocabulary is not vocab or index.policy is not policy:
-        raise ValueError("the generation index serves another vocabulary or policy")
-    return index
+        Items that follow the pool can only push pool items out of the top
+        ``top_k``, never bring one back, so the rest need not be kept.
+        """
+        scores = _finite(scores)
+        if self.mode == GREEDY and scores:
+            keep = [scores.index(max(scores))]
+        elif self.top_k is not None and self.top_k < len(scores):
+            keep = sorted(heapq.nlargest(self.top_k, range(len(scores)), key=scores.__getitem__))
+        else:
+            keep = None
+        if keep is not None:
+            pool, scores = [pool[i] for i in keep], [scores[i] for i in keep]
+        if self.mode == GREEDY or not scores:
+            return pool, scores, None
+        return pool, scores, _cumulative(scores, self.temperature)
+
+    def _choose(self, head: _Head, extra: list, extra_scores: Sequence[float] | None, rng: Random):
+        """The item selection picks from the head's pool followed by ``extra``.
+
+        Greedy mode takes the head's one item; sampling is one draw and a
+        bisect of the head's distribution. With ``extra``, greedy and top-k
+        picks keep the head when it is full (one item, or ``top_k``) and no
+        extra scores above its lowest: ``_head``'s stable rule keeps the
+        earlier items on a tie, so a fresh head would be this one. Otherwise
+        they (and any pick from an empty head) are made the same way from a
+        fresh ``_head`` of the head's items followed by ``extra``. A full
+        softmax draws once over the head's mass and the extras' mass, both
+        taken relative to their joint top score.
+        """
+        items, scores, distribution = head
+        greedy = self.mode == GREEDY
+        if extra and (greedy or self.top_k is not None or not items):
+            extra_scores = _finite(extra_scores)
+            full = len(items) == (1 if greedy else self.top_k)
+            if not (full and max(extra_scores) <= min(scores)):
+                items, scores, distribution = self._head(items + extra, scores + extra_scores)
+            extra = []
+        if greedy:
+            return items[0]
+        cumulative, top = distribution
+        if not extra:
+            return items[_bisect(cumulative, rng.random() * cumulative[-1])]
+        extra_cumulative, extra_top = _cumulative(_finite(extra_scores), self.temperature)
+        joint_top = max(top, extra_top)
+        scale = math.exp(top - joint_top)
+        extra_scale = math.exp(extra_top - joint_top)
+        extra_cumulative = [mass * extra_scale for mass in extra_cumulative]
+        pool_mass = cumulative[-1] * scale
+        x = rng.random() * (pool_mass + extra_cumulative[-1])
+        if x < pool_mass:
+            return items[_bisect(cumulative, x / scale)]
+        return extra[_bisect(extra_cumulative, x - pool_mass)]
 
 
-def start_generation(
-    vocab: MotifVocabulary,
-    policy: Policy,
-    seed: int,
-    mode: str = GREEDY,
-    top_k: int | None = None,
-    index: GenerationIndex | None = None,
-) -> GenerationState:
-    """Pick the first motif and enqueue its sites in canonical atom order.
-
-    The start head is kept in ``index``, a ``GenerationIndex`` of ``vocab``
-    and ``policy`` (``None``: a fresh index for this call), and the state
-    places motifs from the index's templates.
-    """
-    _check_selection(mode, top_k)
-    if not len(vocab):
+def start_generation(index: GenerationIndex, seed: int) -> GenerationState:
+    """Pick the first motif from ``index``'s start head and enqueue its
+    sites in canonical atom order. The state shares the index's templates
+    and finalized molecules."""
+    if not len(index.vocabulary):
         raise EmptyVocabularyError("cannot generate from an empty vocabulary")
-    index = _index(index, vocab, policy)
-    head = index.start_head(seed, mode, top_k)
-    state = GenerationState(rng_seed=seed, templates=index.templates)
-    state.start(_choose(head, [], None, mode, state.rng, policy.temperature, top_k))
+    head = index.start_head(seed)
+    state = GenerationState(seed, templates=index.templates, molecules=index.molecules,
+                            parts=index.parts)
+    state.start(index._choose(head, [], None, state.rng))
     return state
 
 
@@ -521,26 +518,16 @@ def _partial_candidates(state: GenerationState, focus: int) -> list[Candidate]:
     return out
 
 
-def generation_step(
-    state: GenerationState,
-    vocab: MotifVocabulary,
-    policy: Policy,
-    mode: str = GREEDY,
-    top_k: int | None = None,
-    index: GenerationIndex | None = None,
-) -> GenerationState:
+def generation_step(state: GenerationState, index: GenerationIndex) -> GenerationState:
     """Resolve one focus site: attach a vocabulary motif or cyclize.
 
     Candidates are vocabulary sites plus the partial molecule's other open
     sites, restricted to the focus site's bond order. The vocabulary head is
-    kept in ``index``, a ``GenerationIndex`` of ``vocab`` and ``policy``
-    (``None``: a fresh index for this call); the open sites are scored in
-    their own ``score_connections`` call.
+    kept in ``index``; the open sites are scored in their own
+    ``score_connections`` call.
     """
-    _check_selection(mode, top_k)
     if state.terminal:
         raise ValueError("generation state is already terminal")
-    index = _index(index, vocab, policy)
     focus = state.queue.popleft()
     _, focus_type = state.open_sites[focus]
     vocab_candidates = index.pool(state.rng_seed, focus_type[2]).candidates
@@ -549,13 +536,12 @@ def generation_step(
         raise NoCompatibleCandidateError(
             f"no candidate shares the focus bond order {focus_type[2]!r}"
         )
-    head = index.vocabulary_head(state.rng_seed, focus_type, mode, top_k)
+    head = index.vocabulary_head(state.rng_seed, focus_type)
     partial_scores = (
-        policy.score_connections(state.rng_seed, focus_type, partial_candidates)
+        index.policy.score_connections(state.rng_seed, focus_type, partial_candidates)
         if partial_candidates else None
     )
-    chosen = _choose(head, partial_candidates, partial_scores, mode, state.rng,
-                     policy.temperature, top_k)
+    chosen = index._choose(head, partial_candidates, partial_scores, state.rng)
     if chosen.kind == "vocab":
         state.attach(focus, chosen.motif, chosen.star_atom)
     else:
@@ -608,26 +594,28 @@ def repair_aromatic_rings(mol: MolGraph) -> MolGraph:
     return MolGraph(tuple(atoms), tuple(bonds))
 
 
-def finalize(state: GenerationState, index: GenerationIndex | None = None) -> MolGraph:
+def finalize(state: GenerationState) -> MolGraph:
     """The terminal assembly as a MolGraph, invalid aromatic rings repaired.
 
     The assembly's bonds are distinct pairs ``a < b`` of placed atoms
     (``_place_motif``, ``_merge_sites``), so the graph is built without
     re-checking them, and each atom's bond orders are summed once for both
     its hydrogens and the valence check. Only an assembly with a failing
-    aromatic ring goes through ``repair_aromatic_rings``. With an ``index``,
-    each distinct assembly (its atoms and its sorted bonds) is finalized
-    once: an equal one gets the same immutable ``MolGraph`` back, and the
-    molecules share each equal bond and neighbour tuple. An assembly that
-    fails is not kept, so it fails again.
+    aromatic ring goes through ``repair_aromatic_rings``. Each distinct
+    assembly (its atoms and its sorted bonds) of the states that share
+    ``state.molecules`` is finalized once: an equal one gets the same
+    immutable ``MolGraph`` back, and the molecules share each equal bond
+    and neighbour tuple through ``state.parts``. An assembly that fails is
+    not kept, so it fails again.
     """
     if not state.terminal:
         raise ValueError("cannot finalize: open connection sites remain")
     atoms, bond_items = key = (tuple(state.atoms), tuple(sorted(state.bonds.items())))
-    if index is not None and (mol := index.molecules.get(key)) is not None:
+    mol = state.molecules.get(key)
+    if mol is not None:
         return mol
     # a bond's key ((a, b), order) never equals a tuple of (atom, bond) pairs
-    parts = {} if index is None else index.parts
+    parts = state.parts
     bonds = []
     adjacency: list[list[tuple[int, int]]] = [[] for _ in atoms]
     order_sums = [0] * len(atoms)
@@ -655,8 +643,7 @@ def finalize(state: GenerationState, index: GenerationIndex | None = None) -> Mo
         raise IrreparableValenceError(
             "finalized molecule fails the valence check even after repair"
         )
-    if index is not None:
-        index.molecules[key] = mol
+    state.molecules[key] = mol
     return mol
 
 
@@ -688,20 +675,19 @@ def generate(
     never emitted. Per-molecule seeds derive from the master seed by index."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    _check_selection(mode, top_k)
+    index = GenerationIndex(vocab, policy, mode, top_k)
     report = GenerationReport(requested=n)
     molecules: list[MolGraph] = []
-    index = GenerationIndex(vocab, policy)
     for i in range(n):
-        state = start_generation(vocab, policy, molecule_seed(seed, i), mode, top_k, index)
+        state = start_generation(index, molecule_seed(seed, i))
         try:
             while not state.terminal:
                 if state.step_count >= max_steps:
                     report.aborted += 1
                     break
-                generation_step(state, vocab, policy, mode, top_k, index)
+                generation_step(state, index)
             else:
-                molecules.append(finalize(state, index))
+                molecules.append(finalize(state))
                 report.emitted += 1
         except (NoCompatibleCandidateError, IrreparableValenceError) as exc:
             report.record_failure(type(exc).__name__)

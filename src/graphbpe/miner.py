@@ -53,31 +53,13 @@ class Motif:
     """A connection-aware vocabulary entry keyed by its canonical string.
 
     ``sites`` is its site table, (star atom id, site type) sorted by
-    canonical atom rank; ``motif_sites(smiles)`` when not given. It takes no
+    canonical atom rank, as ``motif_sites(smiles)`` gives it. It takes no
     part in comparisons.
     """
 
     smiles: str
     frequency: int
-    sites: SiteTable | None = field(default=None, compare=False, repr=False)
-
-    def __post_init__(self):
-        if self.sites is None:
-            object.__setattr__(self, "sites", motif_sites(self.smiles))
-
-
-@dataclass(frozen=True)
-class Candidate:
-    """One selectable connection: a vocabulary site or an open partial site.
-
-    ``star_atom`` is the star's atom id in the motif graph for a vocabulary
-    candidate and the open-site id in the assembly for a partial one.
-    """
-
-    kind: str  # "vocab" | "partial"
-    site_type: SiteType
-    motif: Motif | None = None
-    star_atom: int = 0
+    sites: SiteTable = field(compare=False, repr=False)
 
 
 class MotifVocabulary:

@@ -61,7 +61,7 @@ from graphbpe.metrics import (
     _kl_divergence,
     compute_descriptors,
 )
-from graphbpe.miner import SiteType, mine_corpus, motif_sites
+from graphbpe.miner import Motif, SiteType, mine_corpus, motif_sites
 
 _MAX_X2 = {"C": 8, "N": 6, "O": 4, "S": 4, "F": 2, "Cl": 2, "Br": 2}
 
@@ -241,6 +241,12 @@ def union_signature(mol: MolGraph, atom_ids) -> int:
 def pattern_signature(pattern: str) -> int:
     """The signature of every union whose pattern string is ``pattern``."""
     return graph_signature(parse_smiles(pattern, validate=False))
+
+
+def make_motif(smiles: str, frequency: int = 1) -> Motif:
+    """The vocabulary entry of ``smiles``, with the site table that
+    ``motif_sites`` parses from it."""
+    return Motif(smiles, frequency, motif_sites(smiles))
 
 
 def site_type(smiles: str, star_atom: int) -> SiteType:

@@ -20,7 +20,6 @@ from graphbpe.generator import (
 from graphbpe.merging import MergeOperation, MergingGraph
 from graphbpe.metrics import evaluate
 from graphbpe.miner import (
-    Motif,
     MotifVocabulary,
     build_motif_vocabulary,
     learn_merging_operations,
@@ -36,6 +35,7 @@ from helpers import (
     count_pair_patterns,
     group_by_isomorphism,
     isomorphic,
+    make_motif,
     random_molecule,
 )
 
@@ -171,7 +171,7 @@ def test_05_generation_validity(corpus_1k, ops_500):
 
 @criterion(6, "8-membered all-aromatic carbocycle finalizes to the saturated ring")
 def test_06_aromatic_repair():
-    half = Motif("*:c:c:c:c:*", 1)
+    half = make_motif("*:c:c:c:c:*")
     vocab = MotifVocabulary({half.smiles: half}, {})
     trajectory = Trajectory(half.smiles, (
         TrajectoryStep(kind="attach", motif=half.smiles, site=half.sites[0][0]),

@@ -22,12 +22,11 @@ from graphbpe.generator import (
     DEFAULT_MAX_STEPS,
     DISTRIBUTIONAL,
     GREEDY,
+    Candidate,
     FrequencyPolicy,
     GenerationIndex,
     GenerationState,
     Policy,
-    _choose,
-    _head,
     finalize,
     generate,
     generation_step,
@@ -37,19 +36,25 @@ from graphbpe.generator import (
     start_generation,
 )
 from graphbpe.miner import (
-    Candidate,
     Motif,
     MotifVocabulary,
     attachment_key,
     mine_corpus,
 )
 from graphbpe.tokenizer import Trajectory, TrajectoryStep
-from helpers import full_array_select, site_type
+from helpers import full_array_select, make_motif, site_type
 
 
 def micro_vocab(*entries, attachments=None):
-    motifs = {s: Motif(s, f) for s, f in entries}
+    motifs = {s: make_motif(s, f) for s, f in entries}
     return MotifVocabulary(motifs, attachments or {})
+
+
+def selecting_index(mode, top_k, temperature=1.0) -> GenerationIndex:
+    """An index that selects by ``mode``, ``top_k`` and ``temperature``,
+    for calling its ``_head`` and ``_choose`` on drawn scores."""
+    vocab = micro_vocab(("*C", 1))
+    return GenerationIndex(vocab, FrequencyPolicy(vocab, temperature=temperature), mode, top_k)
 
 
 def seeded_state(motif: Motif, seed: int = 0) -> GenerationState:
@@ -117,17 +122,19 @@ def reference_pool(vocab, order) -> list[Candidate]:
 
 
 def generate_uncached(vocab, policy, n, mode, seed, top_k) -> list[str]:
-    """The written molecules of ``generate``'s loop with no index passed to
-    any call, so every start and every step builds its own and scores
-    afresh."""
+    """The written molecules of ``generate``'s loop with a fresh index for
+    every start and every step, so each of them scores afresh."""
+    def fresh():
+        return GenerationIndex(vocab, policy, mode, top_k)
+
     written = []
     for index in range(n):
-        state = start_generation(vocab, policy, molecule_seed(seed, index), mode, top_k)
+        state = start_generation(fresh(), molecule_seed(seed, index))
         try:
             while not state.terminal:
                 if state.step_count >= DEFAULT_MAX_STEPS:
                     break
-                generation_step(state, vocab, policy, mode, top_k)
+                generation_step(state, fresh())
             else:
                 written.append(write_smiles(finalize(state)))
         except (NoCompatibleCandidateError, IrreparableValenceError):
@@ -136,7 +143,8 @@ def generate_uncached(vocab, policy, n, mode, seed, top_k) -> list[str]:
 
 
 class TestSelectionArguments:
-    BAD = [(GREEDY, 0), (DISTRIBUTIONAL, 0), (DISTRIBUTIONAL, -1), ("beam", None)]
+    BAD = [(GREEDY, 0), (DISTRIBUTIONAL, 0), (DISTRIBUTIONAL, -1), ("beam", None),
+           (DISTRIBUTIONAL, 2.5), (DISTRIBUTIONAL, "3"), (GREEDY, 2.5)]
 
     @pytest.mark.parametrize("mode,top_k", BAD)
     def test_generate_rejects(self, mode, top_k):
@@ -147,21 +155,10 @@ class TestSelectionArguments:
         assert (policy.starts, policy.pools, policy.calls) == (0, 0, 0)
 
     @pytest.mark.parametrize("mode,top_k", BAD)
-    def test_start_generation_rejects(self, mode, top_k):
+    def test_index_rejects(self, mode, top_k):
         vocab = micro_vocab(("*C", 1))
-        policy = CountingPolicy(vocab)
         with pytest.raises(ValueError):
-            start_generation(vocab, policy, 0, mode, top_k)
-        assert policy.starts == 0
-
-    @pytest.mark.parametrize("mode,top_k", BAD)
-    def test_generation_step_rejects(self, mode, top_k):
-        vocab = micro_vocab(("*C", 1))
-        policy = CountingPolicy(vocab)
-        state = seeded_state(vocab["*C"])
-        with pytest.raises(ValueError):
-            generation_step(state, vocab, policy, mode, top_k)
-        assert policy.pools == policy.calls == 0 and len(state.queue) == 1
+            GenerationIndex(vocab, CountingPolicy(vocab), mode, top_k)
 
 
 class TestScoring:
@@ -222,33 +219,35 @@ class TestScoring:
         expected = full_array_select(
             np.concatenate([scores, extra_scores]), mode, rng_full, temperature, top_k
         )
-        head = _head(list(range(len(pool))), scores, mode, top_k)
+        index = selecting_index(mode, top_k, temperature)
+        head = index._head(list(range(len(pool))), scores)
         extra_ids = list(range(len(pool), len(pool) + len(extra)))
-        got = _choose(head, extra_ids, extra_scores, mode, rng_head, temperature, top_k)
+        got = index._choose(head, extra_ids, extra_scores, rng_head)
         assert got == expected
         assert rng_head.random() == rng_full.random()
 
     @pytest.mark.parametrize("mode", [GREEDY, DISTRIBUTIONAL])
     @pytest.mark.parametrize("top_k", [None, 1, 25])
     def test_one_head_reused_matches_full_array_rule(self, mode, top_k):
-        """One head serves 240 picks, with and without extras, alternating
-        temperatures 0.5 and 2.0; each pick and the rng after it match the
-        rule over every score."""
+        """One head per temperature, 0.5 and 2.0, serves 240 picks, with and
+        without extras; each pick and the rng after it match the rule over
+        every score."""
         draw = Random(top_k or 0)
         scores = np.array([float(draw.randint(-6, 6)) / 2 for _ in range(60)])
-        head = _head(list(range(len(scores))), scores, mode, top_k)
-        rng_full, rng_head = Random(7), Random(7)
-        for i in range(240):
-            temperature = (0.5, 2.0)[i % 2]
-            extra_scores = np.array(
-                [float(draw.randint(-6, 6)) / 2 for _ in range(draw.choice([0, 0, 1, 4]))]
-            )
-            extra_ids = list(range(len(scores), len(scores) + len(extra_scores)))
-            expected = full_array_select(np.concatenate([scores, extra_scores]), mode,
-                                         rng_full, temperature, top_k)
-            got = _choose(head, extra_ids, extra_scores, mode, rng_head, temperature, top_k)
-            assert got == expected, i
-            assert rng_head.getstate() == rng_full.getstate(), i
+        for temperature in (0.5, 2.0):
+            index = selecting_index(mode, top_k, temperature)
+            head = index._head(list(range(len(scores))), scores)
+            rng_full, rng_head = Random(7), Random(7)
+            for i in range(240):
+                extra_scores = np.array(
+                    [float(draw.randint(-6, 6)) / 2 for _ in range(draw.choice([0, 0, 1, 4]))]
+                )
+                extra_ids = list(range(len(scores), len(scores) + len(extra_scores)))
+                expected = full_array_select(np.concatenate([scores, extra_scores]), mode,
+                                             rng_full, temperature, top_k)
+                got = index._choose(head, extra_ids, extra_scores, rng_head)
+                assert got == expected, (temperature, i)
+                assert rng_head.getstate() == rng_full.getstate(), (temperature, i)
 
     @staticmethod
     def step_work(vocab, monkeypatch, top_k) -> list[tuple]:
@@ -259,28 +258,30 @@ class TestScoring:
         of ``top_k`` items, or one whose lowest score is below its own."""
         counts: Counter = Counter()
 
-        def spy(name, function, counted=lambda result: True):
+        def spy(owner, name, counted=lambda result: True):
+            function = getattr(owner, name)
+
             def wrapper(*args, **kwargs):
                 result = function(*args, **kwargs)
                 if counted(result):
                     counts[name] += 1
                 return result
-            monkeypatch.setattr(gen, name, wrapper)
+            monkeypatch.setattr(owner, name, wrapper)
 
-        spy("_head", gen._head)
-        spy("_cumulative", gen._cumulative)
-        spy("_partial_candidates", gen._partial_candidates, counted=bool)
-        choose = gen._choose
+        spy(GenerationIndex, "_head")
+        spy(gen, "_cumulative")
+        spy(gen, "_partial_candidates", counted=bool)
+        choose = GenerationIndex._choose
 
-        def spied_choose(head, extra, extra_scores, *args):
+        def spied_choose(index, head, extra, extra_scores, rng):
             _, scores, _ = head
             if extra and top_k is not None and (
                 len(scores) < top_k or max(extra_scores) > min(scores)
             ):
                 counts["enterable"] += 1
-            return choose(head, extra, extra_scores, *args)
+            return choose(index, head, extra, extra_scores, rng)
 
-        monkeypatch.setattr(gen, "_choose", spied_choose)
+        monkeypatch.setattr(GenerationIndex, "_choose", spied_choose)
         step = gen.generation_step
         work = []
 
@@ -333,26 +334,28 @@ class TestScoring:
     @given(
         pool=st.lists(st.integers(-3, 3).map(float), max_size=40),
         top_k=st.one_of(st.just(None), st.integers(1, 30)),
-        picks=st.lists(st.tuples(st.lists(st.integers(-4, 4), min_size=1, max_size=6),
-                                 st.sampled_from([0.5, 1.0, 3.0])), min_size=1, max_size=6),
+        picks=st.lists(st.lists(st.integers(-4, 4), min_size=1, max_size=6),
+                       min_size=1, max_size=6),
+        temperature=st.sampled_from([0.5, 1.0, 3.0]),
         seed=st.integers(0, 2**32),
     )
-    def test_a_kept_head_picks_as_a_rebuilt_head(self, pool, top_k, picks, seed):
+    def test_a_kept_head_picks_as_a_rebuilt_head(self, pool, top_k, picks, temperature, seed):
         """Greedy (``top_k`` None) and top-k 1-30 picks from one cached head
         against a reference that builds ``_head(items + extra)`` at every
         pick. Extra scores are drawn around the head's lowest score, ties
         included; heads may be short of ``top_k`` or empty."""
         mode = GREEDY if top_k is None else DISTRIBUTIONAL
-        head = _head(list(range(len(pool))), pool, mode, top_k)
+        index = selecting_index(mode, top_k, temperature)
+        head = index._head(list(range(len(pool))), pool)
         low = min(head[1], default=0.0)
         rng_kept, rng_rebuilt = Random(seed), Random(seed)
-        for offsets, temperature in picks:
+        for offsets in picks:
             extra_scores = [low + offset / 2 for offset in offsets]
             extra = list(range(len(pool), len(pool) + len(extra_scores)))
             items, scores, _ = head
-            rebuilt = _head(items + extra, scores + extra_scores, mode, top_k)
-            expected = _choose(rebuilt, [], None, mode, rng_rebuilt, temperature, top_k)
-            got = _choose(head, extra, extra_scores, mode, rng_kept, temperature, top_k)
+            rebuilt = index._head(items + extra, scores + extra_scores)
+            expected = index._choose(rebuilt, [], None, rng_rebuilt)
+            got = index._choose(head, extra, extra_scores, rng_kept)
             assert got == expected
             assert rng_kept.getstate() == rng_rebuilt.getstate()
 
@@ -361,14 +364,15 @@ class TestScoring:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_a_non_finite_open_site_score_raises(self, mode, top_k, bad):
         """Also when the head is full and every finite score is below it."""
-        head = _head([0, 1, 2, 3], [1.0, 2.0, 3.0, 4.0], mode, top_k)
+        index = selecting_index(mode, top_k)
+        head = index._head([0, 1, 2, 3], [1.0, 2.0, 3.0, 4.0])
         with pytest.raises(ValueError):
-            _choose(head, [4, 5], [bad, -9.0], mode, Random(0), 1.0, top_k)
+            index._choose(head, [4, 5], [bad, -9.0], Random(0))
 
 
 SELECTIONS = [(GREEDY, None), (DISTRIBUTIONAL, 1), (DISTRIBUTIONAL, 25), (DISTRIBUTIONAL, None)]
 
-TOY_MOTIFS = {s: Motif(s, 1) for s in ("*C", "*N", "*O", "*CC*", "*C(*)*", "*CN*",
+TOY_MOTIFS = {s: make_motif(s) for s in ("*C", "*N", "*O", "*CC*", "*C(*)*", "*CN*",
                                         "*c1:c:c:c:c:c:1", "*=C", "*=C*", "*=O", "*C=O",
                                         "*C(*)=O")}
 TOY_SITES = sorted({site for motif in TOY_MOTIFS.values() for _, site in motif.sites})
@@ -430,23 +434,22 @@ class RecordingPolicy(FrequencyPolicy):
 
 class TestIndex:
     @staticmethod
-    def full_list_head(vocab, policy, focus, mode, top_k):
+    def full_list_head(index, focus):
         """The reference head: ``_head`` over every candidate of the focus
         bond order, each scored by ``score_connections``."""
-        pool = reference_pool(vocab, focus[2])
-        return _head(pool, policy.score_connections(0, focus, pool), mode, top_k)
+        pool = reference_pool(index.vocabulary, focus[2])
+        return index._head(pool, index.policy.score_connections(0, focus, pool))
 
     @pytest.mark.parametrize("mode,top_k", SELECTIONS)
     def test_heads_match_the_full_score_list(self, vocab_80, mode, top_k):
         """Every focus site type of every bond order of ``vocab_80``."""
-        policy = FrequencyPolicy(vocab_80)
-        index = GenerationIndex(vocab_80, policy)
+        index = GenerationIndex(vocab_80, FrequencyPolicy(vocab_80), mode, top_k)
         with_partners = 0
         for order in bond_orders(vocab_80):
             for focus in sorted({c.site_type for c in reference_pool(vocab_80, order)}):
-                head = index.vocabulary_head(0, focus, mode, top_k)
-                assert head == self.full_list_head(vocab_80, policy, focus, mode, top_k), focus
-                assert index.vocabulary_head(0, focus, mode, top_k) is head
+                head = index.vocabulary_head(0, focus)
+                assert head == self.full_list_head(index, focus), focus
+                assert index.vocabulary_head(0, focus) is head
                 with_partners += focus in index.partners
         assert with_partners > 50
 
@@ -458,10 +461,9 @@ class TestIndex:
         head must fill from further down the ranking of non-partners."""
         vocab, policy = toy
         mode, top_k = selection
-        index = GenerationIndex(vocab, policy)
+        index = GenerationIndex(vocab, policy, mode, top_k)
         for focus in TOY_SITES:
-            expected = self.full_list_head(vocab, policy, focus, mode, top_k)
-            assert index.vocabulary_head(0, focus, mode, top_k) == expected, focus
+            assert index.vocabulary_head(0, focus) == self.full_list_head(index, focus), focus
 
     @pytest.mark.parametrize("mode,top_k", SELECTIONS)
     def test_pools_scored_once_and_connections_only_for_partners(self, vocab_80, mode, top_k):
@@ -487,22 +489,11 @@ class TestIndex:
         policy = FrequencyPolicy(vocab)
         generate(vocab, policy, 50, DISTRIBUTIONAL, seed=3, top_k=25)
         assert vars(vocab) == before
-        for index in (GenerationIndex(vocab, policy), None):
-            state = start_generation(vocab, policy, 11, DISTRIBUTIONAL, 5, index)
-            while not state.terminal and state.step_count < 30:
-                generation_step(state, vocab, policy, DISTRIBUTIONAL, 5, index)
+        index = GenerationIndex(vocab, policy, DISTRIBUTIONAL, 5)
+        state = start_generation(index, 11)
+        while not state.terminal and state.step_count < 30:
+            generation_step(state, index)
         assert vars(vocab) == before
-
-    def test_an_index_serves_only_its_vocabulary_and_policy(self, vocab_80):
-        policy = FrequencyPolicy(vocab_80)
-        other_vocab = MotifVocabulary(vocab_80.motifs, vocab_80.attachment_counts)
-        for index in (GenerationIndex(other_vocab, policy),
-                      GenerationIndex(vocab_80, FrequencyPolicy(vocab_80))):
-            with pytest.raises(ValueError):
-                start_generation(vocab_80, policy, 0, GREEDY, None, index)
-            state = start_generation(vocab_80, policy, 0, GREEDY)
-            with pytest.raises(ValueError):
-                generation_step(state, vocab_80, policy, GREEDY, None, index)
 
 
 def walked_start(state: GenerationState, motif: Motif) -> None:
@@ -550,39 +541,39 @@ class TestPlacement:
             return place(state, motif)
 
         monkeypatch.setattr(GenerationState, "_place_motif", recorded)
-        policy = FrequencyPolicy(vocab_80)
-        index = GenerationIndex(vocab_80, policy)
+        index = GenerationIndex(vocab_80, FrequencyPolicy(vocab_80), DISTRIBUTIONAL, 25)
         assert index.templates == {}
         for seed in range(30):
-            state = start_generation(vocab_80, policy, seed, DISTRIBUTIONAL, 25, index)
+            state = start_generation(index, seed)
             assert state.templates is index.templates
             while not state.terminal and state.step_count < 30:
-                generation_step(state, vocab_80, policy, DISTRIBUTIONAL, 25, index)
+                generation_step(state, index)
         assert sorted(built) == sorted(placed) == sorted(index.templates)
         assert 0 < len(placed) < len(vocab_80)
 
 
 class TestStart:
     def test_empty_vocabulary(self):
+        index = GenerationIndex(micro_vocab(), FrequencyPolicy(micro_vocab(("C", 1))))
         with pytest.raises(EmptyVocabularyError):
-            start_generation(micro_vocab(), FrequencyPolicy(micro_vocab(("C", 1))), 0)
+            start_generation(index, 0)
 
     def test_zero_site_motif_terminal_immediately(self):
         vocab = micro_vocab(("CC", 5))
-        state = start_generation(vocab, FrequencyPolicy(vocab), 0, GREEDY)
+        state = start_generation(GenerationIndex(vocab, FrequencyPolicy(vocab)), 0)
         assert state.terminal
         assert write_smiles(finalize(state)) == "CC"
 
     def test_greedy_picks_most_frequent(self):
         vocab = micro_vocab(("CC", 5), ("CN", 50))
-        state = start_generation(vocab, FrequencyPolicy(vocab), 0, GREEDY)
+        state = start_generation(GenerationIndex(vocab, FrequencyPolicy(vocab)), 0)
         assert write_smiles(finalize(state)) == "CN"
 
     def test_fixed_seed_distributional_start_is_stable(self):
         vocab = micro_vocab(("CC", 5), ("CN", 5), ("CO", 5))
         picks = {
-            write_smiles(finalize(start_generation(vocab, FrequencyPolicy(vocab), 123,
-                                                    DISTRIBUTIONAL)))
+            write_smiles(finalize(start_generation(
+                GenerationIndex(vocab, FrequencyPolicy(vocab), DISTRIBUTIONAL), 123)))
             for _ in range(5)
         }
         assert len(picks) == 1
@@ -590,9 +581,9 @@ class TestStart:
 
 class TestStep:
     def test_bromobenzene_micro_vocabulary(self):
-        ring = Motif("*c1:c:c:c:c:c:1", 3)
-        bromine = Motif("*Br", 5)
-        chlorine = Motif("*Cl", 1)
+        ring = make_motif("*c1:c:c:c:c:c:1", 3)
+        bromine = make_motif("*Br", 5)
+        chlorine = make_motif("*Cl", 1)
         ring_site = site_type(ring.smiles, ring.sites[0][0])
         br_site = site_type(bromine.smiles, bromine.sites[0][0])
         attachments = {tuple(sorted([ring_site, br_site])): 10}
@@ -600,7 +591,7 @@ class TestStep:
             {m.smiles: m for m in (ring, bromine, chlorine)}, attachments
         )
         state = seeded_state(ring)
-        generation_step(state, vocab, FrequencyPolicy(vocab), GREEDY)
+        generation_step(state, GenerationIndex(vocab, FrequencyPolicy(vocab)))
         result = finalize(state)
         assert write_smiles(result) == write_smiles(parse_smiles("Brc1ccccc1"))
 
@@ -608,45 +599,45 @@ class TestStep:
     def test_an_attachment_pair_counts_in_either_order(self, reverse):
         """The rarer bromine wins only through its observed pair with the
         ring, keyed either way round."""
-        ring = Motif("*c1:c:c:c:c:c:1", 3)
-        bromine = Motif("*Br", 1)
-        chlorine = Motif("*Cl", 5)
+        ring = make_motif("*c1:c:c:c:c:c:1", 3)
+        bromine = make_motif("*Br", 1)
+        chlorine = make_motif("*Cl", 5)
         pair = sorted([ring.sites[0][1], bromine.sites[0][1]], reverse=reverse)
         vocab = MotifVocabulary({m.smiles: m for m in (ring, bromine, chlorine)},
                                 {tuple(pair): 10})
         state = seeded_state(ring)
-        generation_step(state, vocab, FrequencyPolicy(vocab), GREEDY)
+        generation_step(state, GenerationIndex(vocab, FrequencyPolicy(vocab)))
         assert write_smiles(finalize(state)) == write_smiles(parse_smiles("Brc1ccccc1"))
 
     def test_forced_cyclization_yields_novel_ring(self):
-        chain = Motif("*CCCCC*", 1)
+        chain = make_motif("*CCCCC*")
         state = seeded_state(chain)
         vocab = micro_vocab()  # nothing to attach: must cyclize
         policy = FrequencyPolicy(micro_vocab((chain.smiles, 1)))
-        generation_step(state, vocab, policy, GREEDY)
+        generation_step(state, GenerationIndex(vocab, policy))
         result = finalize(state)
         assert write_smiles(result) == write_smiles(parse_smiles("C1CCCC1"))
         assert chain.smiles not in {"C1CCCC1"}  # emitted ring absent from vocab
 
     def test_bond_order_filter_blocks_mismatches(self):
-        double_end = Motif("*=C", 1)
-        single_cap = Motif("*C", 9)
+        double_end = make_motif("*=C")
+        single_cap = make_motif("*C", 9)
         vocab = micro_vocab((single_cap.smiles, 9))
         state = seeded_state(double_end)
         with pytest.raises(NoCompatibleCandidateError):
-            generation_step(state, vocab, FrequencyPolicy(vocab), GREEDY)
+            generation_step(state, GenerationIndex(vocab, FrequencyPolicy(vocab)))
 
     def test_queue_conservation(self):
         corpus = [parse_smiles(s) for s in ["CC", "CN", "CNN", "CN=O", "CC=O"]]
         result = mine_corpus(corpus, 1)
         vocab = result.vocabulary
-        policy = FrequencyPolicy(vocab)
-        state = start_generation(vocab, policy, 5, DISTRIBUTIONAL)
+        index = GenerationIndex(vocab, FrequencyPolicy(vocab), DISTRIBUTIONAL)
+        state = start_generation(index, 5)
         while not state.terminal and state.step_count < 30:
             assert len(state.open_sites) == len(state.queue)
             assert set(state.open_sites) == set(state.queue)
             assert not any(atom.is_connection_site for atom in state.atoms)
-            generation_step(state, vocab, policy, DISTRIBUTIONAL)
+            generation_step(state, index)
         assert state.terminal or state.step_count >= 30
 
     def test_argmax_invariant_to_score_shift(self):
@@ -679,7 +670,7 @@ class TestStep:
 
 class TestFinalize:
     def test_eight_ring_repaired_to_saturated(self):
-        half = Motif("*:c:c:c:c:*", 1)
+        half = make_motif("*:c:c:c:c:*")
         vocab = micro_vocab((half.smiles, 1))
         traj = Trajectory(half.smiles, (
             TrajectoryStep(kind="attach", motif=half.smiles, site=half.sites[0][0]),
@@ -690,7 +681,7 @@ class TestFinalize:
         assert valence_check(result)
 
     def test_valid_benzene_assembly_untouched(self):
-        half = Motif("*:c:c:c:*", 1)
+        half = make_motif("*:c:c:c:*")
         vocab = micro_vocab((half.smiles, 1))
         traj = Trajectory(half.smiles, (
             TrajectoryStep(kind="attach", motif=half.smiles, site=half.sites[0][0]),
@@ -725,7 +716,7 @@ class TestFinalize:
 
     def test_failing_ring_goes_through_the_repair_loop(self, monkeypatch):
         """An assembled 8-ring of aromatic carbons fails the 4n+2 count."""
-        half = Motif("*:c:c:c:c:*", 1)
+        half = make_motif("*:c:c:c:c:*")
         state = seeded_state(half)
         state.attach(state.queue.popleft(), half, half.sites[0][0])
         state.cyclize(state.queue.popleft(), state.queue[0])
@@ -765,13 +756,13 @@ class TestFinalize:
         and neighbour tuple."""
         emitted, assemblies = [], []
 
-        def checked_finalize(state, index=None):
+        def checked_finalize(state):
             expected = repair_aromatic_rings(self.assembly_graph(state))
             if not valence_check(expected):
                 with pytest.raises(IrreparableValenceError):
-                    finalize(state, index)
+                    finalize(state)
                 raise IrreparableValenceError("the checked graph fails too")
-            got = finalize(state, index)
+            got = finalize(state)
             self.assert_same_graph(got, expected)
             emitted.append(got)
             assemblies.append((tuple(state.atoms), tuple(sorted(state.bonds.items()))))
@@ -791,40 +782,44 @@ class TestFinalize:
         assert len({id(mol) for mol in emitted}) == len(by_assembly)
 
     def test_equal_assemblies_share_a_molecule_only_through_an_index(self):
+        """States started from one index share their finalized molecules;
+        states built apart each hold their own."""
         vocab = micro_vocab(("*C", 1))
         index = GenerationIndex(vocab, FrequencyPolicy(vocab))
         molecules = []
-        for _ in range(2):
-            state = seeded_state(vocab["*C"])
-            state.attach(state.queue.popleft(), vocab["*C"], 0)
-            molecules += [finalize(state, index), finalize(state)]
+        for seed in range(2):
+            state = start_generation(index, seed)
+            assert state.molecules is index.molecules and state.parts is index.parts
+            generation_step(state, index)
+            alone = seeded_state(vocab["*C"])
+            alone.attach(alone.queue.popleft(), vocab["*C"], 0)
+            molecules += [finalize(state), finalize(alone)]
         assert molecules[0] is molecules[2]
         assert molecules[1] is not molecules[3] and molecules[1] == molecules[0]
         assert list(index.molecules.values()) == [molecules[0]]
 
     def test_assemblies_differing_only_in_bonds_stay_apart(self):
-        vocab = micro_vocab(("*C", 1))
-        index = GenerationIndex(vocab, FrequencyPolicy(vocab))
+        molecules: dict = {}
         for bonds in ({(0, 1): "single", (1, 2): "single"},
                       {(0, 1): "single", (0, 2): "single"}):
-            state = GenerationState(rng_seed=0)
+            state = GenerationState(rng_seed=0, molecules=molecules)
             state.atoms, state.bonds = [Atom("C"), Atom("O"), Atom("C")], bonds
-            self.assert_same_graph(finalize(state, index), finalize(state))
-        assert len(index.molecules) == 2
+            expected = repair_aromatic_rings(self.assembly_graph(state))
+            self.assert_same_graph(finalize(state), expected)
+        assert len(molecules) == 2
 
     def test_a_failing_assembly_fails_again(self):
-        vocab = micro_vocab(("*C", 1))
-        index = GenerationIndex(vocab, FrequencyPolicy(vocab))
+        molecules: dict = {}
         for _ in range(2):
-            state = GenerationState(rng_seed=0)
+            state = GenerationState(rng_seed=0, molecules=molecules)
             state.atoms = [Atom("C", bracket=True, explicit_h=3), Atom("C"), Atom("C")]
             state.bonds = {(0, 1): "single", (0, 2): "single"}
             with pytest.raises(IrreparableValenceError):
-                finalize(state, index)
-        assert index.molecules == {}
+                finalize(state)
+        assert molecules == {}
 
     def test_finalize_requires_terminal(self):
-        state = seeded_state(Motif("*C", 1))
+        state = seeded_state(make_motif("*C"))
         with pytest.raises(ValueError):
             finalize(state)
 
@@ -872,7 +867,7 @@ class TestGenerate:
 
     def test_max_step_guard_reports_aborts(self):
         # two-site chain motif with self-attachment counts: grows unboundedly
-        chain = Motif("*CC*", 50)
+        chain = make_motif("*CC*", 50)
         site = site_type(chain.smiles, chain.sites[0][0])
         vocab = MotifVocabulary({chain.smiles: chain},
                                 {tuple(sorted([site, site])): 100})

@@ -1,5 +1,6 @@
 """README names every public name, every command-line option and every
-exit code, so a user can find each of them there."""
+exit code, so a user can find each of them there, and its library example
+runs."""
 import argparse
 import re
 from pathlib import Path
@@ -50,3 +51,11 @@ def test_every_exit_code_is_documented():
     listing = listing[: listing.index("\n\n")]
     for code in codes:
         assert f"`{code}`" in listing
+
+
+def test_library_example_runs():
+    """The Python block under "Library use" runs as written."""
+    section = README[README.index("## Library use"):]
+    code = section[section.index("```python\n") + len("```python\n"):]
+    code = code[: code.index("```")]
+    exec(compile(code, "README.md", "exec"), {})
