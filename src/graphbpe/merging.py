@@ -467,13 +467,13 @@ class MotifInstance:
 @dataclass(frozen=True)
 class BrokenBondLink:
     """One broken bond as (motif index, star atom) on each side; a star atom
-    id is in the atom numbering of ``parse_smiles(motif.smiles)``."""
+    id is in the atom numbering of ``parse_smiles(motif.smiles)``, and the
+    bond's order is each star's site-type order."""
 
     motif_a: int
     star_a: int
     motif_b: int
     star_b: int
-    order: str
 
 
 @dataclass(frozen=True)
@@ -524,5 +524,5 @@ def extract_motifs(state: MergingGraph) -> Fragmentation:
     for bidx, bond in enumerate(mol.bonds):
         ma, mb = motif_of[bond.a], motif_of[bond.b]
         if ma != mb:
-            links.append(BrokenBondLink(ma, star_of[ma, bidx], mb, star_of[mb, bidx], bond.order))
+            links.append(BrokenBondLink(ma, star_of[ma, bidx], mb, star_of[mb, bidx]))
     return Fragmentation(tuple(motifs), tuple(links))

@@ -27,6 +27,7 @@ from graphbpe.generator import (
     GenerationIndex,
     GenerationState,
     Policy,
+    _Pool,
     finalize,
     generate,
     generation_step,
@@ -123,18 +124,37 @@ def reference_pool(vocab, order) -> list[Candidate]:
 
 def generate_uncached(vocab, policy, n, mode, seed, top_k) -> list[str]:
     """The written molecules of ``generate``'s loop with a fresh index for
-    every start and every step, so each of them scores afresh."""
-    def fresh():
-        return GenerationIndex(vocab, policy, mode, top_k)
+    every start and every step: fresh pools, each scored afresh, and fresh
+    heads. The indexes share what holds no score: one partner map, and each
+    bond order's candidates and their positions."""
+    shared = GenerationIndex(vocab, policy, mode, top_k)
+    candidates = {order: reference_pool(vocab, order) for order in bond_orders(vocab)}
+    positions = {}
+    for order, pool in candidates.items():
+        for i, cand in enumerate(pool):
+            positions.setdefault(order, {}).setdefault(cand.site_type, []).append(i)
+
+    class Fresh(GenerationIndex):
+        def __init__(self):
+            vars(self).update(vars(shared), pools={}, heads={})
+
+        def pool(self, context, order):
+            if order not in self.pools:
+                pool = candidates.get(order, [])
+                scores = list(policy.score_pool(context, pool)) if pool else []
+                # a stable sort keeps ties in pool order
+                ranking = sorted(range(len(scores)), key=scores.__getitem__, reverse=True)
+                self.pools[order] = _Pool(pool, positions.get(order, {}), scores, ranking)
+            return self.pools[order]
 
     written = []
     for index in range(n):
-        state = start_generation(fresh(), molecule_seed(seed, index))
+        state = start_generation(Fresh(), molecule_seed(seed, index))
         try:
             while not state.terminal:
                 if state.step_count >= DEFAULT_MAX_STEPS:
                     break
-                generation_step(state, fresh())
+                generation_step(state, Fresh())
             else:
                 written.append(write_smiles(finalize(state)))
         except (NoCompatibleCandidateError, IrreparableValenceError):

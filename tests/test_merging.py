@@ -263,7 +263,7 @@ def fresh_fragmentation(state: MergingGraph) -> Fragmentation:
             star_of[index, bidx] = order.index(raw)
         motifs.append(MotifInstance(smiles, len(atom_ids), atom_ids, motif_sites(smiles)))
     links = tuple(
-        BrokenBondLink(ma, star_of[ma, bidx], mb, star_of[mb, bidx], bond.order)
+        BrokenBondLink(ma, star_of[ma, bidx], mb, star_of[mb, bidx])
         for bidx, bond in enumerate(mol.bonds)
         for ma, mb in [(motif_of[bond.a], motif_of[bond.b])]
         if ma != mb

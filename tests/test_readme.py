@@ -9,6 +9,7 @@ import pytest
 
 import graphbpe
 from graphbpe import cli
+from test_reachability import readme_example
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
 
@@ -55,7 +56,4 @@ def test_every_exit_code_is_documented():
 
 def test_library_example_runs():
     """The Python block under "Library use" runs as written."""
-    section = README[README.index("## Library use"):]
-    code = section[section.index("```python\n") + len("```python\n"):]
-    code = code[: code.index("```")]
-    exec(compile(code, "README.md", "exec"), {})
+    readme_example()

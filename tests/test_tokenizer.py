@@ -46,8 +46,9 @@ class TestFragmentize:
         _, ops = a1_ops()
         frag = fragmentize(parse_smiles("CCN"), ops)
         assert sorted(frag.motif_strings()) == ["*C", "*CN"]
-        assert len(frag.broken_bonds) == 1
-        assert frag.broken_bonds[0].order == "single"
+        (link,) = frag.broken_bonds
+        for motif, star in ((link.motif_a, link.star_a), (link.motif_b, link.star_b)):
+            assert dict(frag.motifs[motif].sites)[star][2] == "single"
 
     def test_single_fragment_no_breaks(self):
         corpus = [parse_smiles("CC")]
@@ -80,19 +81,25 @@ class TestFragmentize:
 
 
     def test_links_name_the_star_sites(self, corpus_1k, ops_500):
+        """One link per broken molecule bond, in bond order; each side's star
+        is bonded by that bond's order, which is also its site type's."""
         _, mols = corpus_1k
         for mol in mols[:40]:
             frag = fragmentize(mol, ops_500[:50])
             firsts = [m.parent_atoms[0] for m in frag.motifs]
             assert firsts == sorted(firsts)
+            motif_of = {atom: i for i, m in enumerate(frag.motifs) for atom in m.parent_atoms}
+            broken = [bond for bond in mol.bonds if motif_of[bond.a] != motif_of[bond.b]]
+            assert len(frag.broken_bonds) == len(broken)
             graphs = [parse_smiles(m.smiles) for m in frag.motifs]
             linked = Counter()
-            for link in frag.broken_bonds:
+            for link, bond in zip(frag.broken_bonds, broken):
                 for motif, star in ((link.motif_a, link.star_a), (link.motif_b, link.star_b)):
                     graph = graphs[motif]
                     assert graph.atoms[star].is_connection_site
                     ((_, bidx),) = graph.neighbors(star)
-                    assert graph.bonds[bidx].order == link.order
+                    assert graph.bonds[bidx].order == bond.order
+                    assert dict(frag.motifs[motif].sites)[star][2] == bond.order
                     linked[motif, star] += 1
             stars = Counter(
                 (motif, atom_id)
