@@ -110,11 +110,15 @@ class MolGraph:
     )
 
     def __post_init__(self):
+        """Check the bonds as ``make_bond`` builds them: atom ids ``0 <= a <
+        b`` of present atoms, a known order, and no pair bonded twice."""
         adj: list[list[tuple[int, int]]] = [[] for _ in self.atoms]
         seen = set()
         for idx, bond in enumerate(self.bonds):
-            if bond.a >= len(self.atoms) or bond.b >= len(self.atoms) or bond.a < 0:
-                raise ValueError(f"bond {bond} references a missing atom")
+            if not 0 <= bond.a < bond.b < len(self.atoms):
+                raise ValueError(f"bond {bond} needs atom ids 0 <= a < b < {len(self.atoms)}")
+            if bond.order not in ORDER_X2:
+                raise ValueError(f"bond {bond} has an unknown order")
             pair = (bond.a, bond.b)
             if pair in seen:
                 raise ValueError(f"duplicate bond between atoms {bond.a} and {bond.b}")
@@ -184,6 +188,33 @@ class MolGraph:
             for nbr, bidx in self._adjacency[atom]
             if nbr > atom and nbr in atom_ids
         )
+
+
+def shared_graph(atoms, bonds, adjacency, parts: dict | None = None) -> MolGraph:
+    """The graph of ``atoms``, ``bonds`` given as checked ``(a, b, order)``
+    triples with ``a < b``, and the neighbour lists ``MolGraph.__post_init__``
+    would build from them; nothing is checked again.
+
+    ``parts``, a table the caller owns and passes to every graph it builds,
+    makes equal parts one object: each bond and each neighbour tuple equal
+    to one the table holds is that object, and a new one is added. Every
+    part is immutable, so graphs can share them. A bond's key is its ``(a,
+    b, order)`` triple and a neighbour tuple is its own key; the two never
+    collide, since a triple holds a string and a neighbour tuple only
+    pairs. The parser keys a bracket ``Atom`` by itself in the same table.
+    """
+    if parts is None:
+        shared = tuple([Bond(a, b, order) for a, b, order in bonds])
+        return MolGraph.from_adjacency(atoms, shared, tuple([tuple(nbrs) for nbrs in adjacency]))
+    get = parts.get
+    shared = []
+    for key in bonds:
+        bond = get(key)
+        if bond is None:
+            bond = parts[key] = Bond(*key)
+        shared.append(bond)
+    neighbours = tuple([parts.setdefault(nbrs, nbrs) for nbrs in map(tuple, adjacency)])
+    return MolGraph.from_adjacency(atoms, tuple(shared), neighbours)
 
 
 def allowed_valences(element: str, charge: int) -> tuple[int, ...]:

@@ -40,10 +40,10 @@ from graphbpe.chem.mol import (
     STAR,
     TRIPLE,
     Atom,
-    Bond,
     MolGraph,
     check_molecule,
     implicit_hydrogens,
+    shared_graph,
     valence_ok,
 )
 from graphbpe.errors import (
@@ -161,6 +161,7 @@ class _Parser:
     atom; ``kinds`` its (element, aromatic); ``positions`` where its token
     starts; ``adjacency`` its (neighbour, bond index) pairs in bond order, as
     ``MolGraph`` lists them; and ``order_x2`` its bond order sum in half-units.
+    ``bonds`` holds each bond as an ``(a, b, order)`` triple with ``a < b``.
     """
 
     def __init__(self, text: str):
@@ -170,7 +171,7 @@ class _Parser:
         self.positions: list[int] = []
         self.adjacency: list[list[tuple[int, int]]] = []
         self.order_x2: list[int] = []
-        self.bonds: list[Bond] = []
+        self.bonds: list[tuple[int, int, str]] = []
         self.prev: int | None = None
         self.branch_stack: list[int] = []
         self.pending: str | None = None
@@ -308,7 +309,7 @@ class _Parser:
                     raise SmilesSyntaxError("aromatic bond on a non-aromatic atom", position)
         lo, hi = (a, b) if a < b else (b, a)
         bidx = len(self.bonds)
-        self.bonds.append(Bond(lo, hi, order))
+        self.bonds.append((lo, hi, order))
         adjacency[lo].append((hi, bidx))
         adjacency[hi].append((lo, bidx))
         x2 = ORDER_X2[order]
@@ -316,12 +317,19 @@ class _Parser:
         self.order_x2[b] += x2
 
 
-def parse_smiles(text: str, validate: bool = True) -> MolGraph:
+def parse_smiles(text: str, validate: bool = True, *, parts: dict | None = None) -> MolGraph:
     """Parse a SMILES string into a MolGraph.
 
     With ``validate=True`` (the default) the molecule must pass the per-atom
     valence table and the aromatic-ring electron check; ``validate=False``
     skips both so callers can measure validity themselves.
+
+    ``parts`` is a table the caller owns and passes to every parse of a
+    corpus (see ``graphbpe.chem.mol.shared_graph``): equal bonds, bracket
+    atoms and neighbour tuples of the molecules it parses are then one
+    object each. Atoms, bonds and tuples are immutable, so sharing them
+    changes no molecule. Plain atoms are shared without a table. A string
+    that fails to parse or validate may still have added parts.
     """
     parser = _Parser(text)
     parser.run()
@@ -332,6 +340,8 @@ def parse_smiles(text: str, validate: bool = True) -> MolGraph:
         if entry.__class__ is str:
             atom, ok = _PLAIN_ATOMS.get((entry, order_x2)) or _plain_atom(entry, order_x2)
         else:
+            if parts is not None:
+                entry = parts.setdefault(entry, entry)
             atom, ok = entry, valence_ok(entry, order_x2)
         if atom.element == STAR and len(parser.adjacency[idx]) != 1:
             raise SmilesSyntaxError(
@@ -340,8 +350,7 @@ def parse_smiles(text: str, validate: bool = True) -> MolGraph:
             )
         atoms.append(atom)
         atom_ok.append(ok)
-    adjacency = tuple(tuple(nbrs) for nbrs in parser.adjacency)
-    mol = MolGraph.from_adjacency(tuple(atoms), tuple(parser.bonds), adjacency)
+    mol = shared_graph(tuple(atoms), parser.bonds, parser.adjacency, parts)
     # every atom after the first is bonded to an earlier one, so the graph is connected
     if validate:
         check_molecule(mol, atom_ok)

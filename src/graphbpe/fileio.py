@@ -96,11 +96,17 @@ def read_smiles_lines(path: str | Path) -> list[tuple[str, str, int]]:
 
 
 def load_corpus(path: str | Path) -> tuple[list[str], list[MolGraph]]:
-    """Parse a corpus file; any bad line raises CorpusError with its number."""
+    """Parse a corpus file; any bad line raises CorpusError with its number.
+
+    One ``parts`` table serves every line (see ``parse_smiles``), so equal
+    bonds, bracket atoms and neighbour tuples across the corpus are one
+    object each.
+    """
     ids, mols = [], []
+    parts: dict = {}
     for mol_id, smiles, line_number in read_smiles_lines(path):
         try:
-            mols.append(parse_smiles(smiles))
+            mols.append(parse_smiles(smiles, parts=parts))
         except GraphBpeError as exc:
             raise CorpusError(f"{path}: {smiles!r}: {exc}", line_number) from exc
         ids.append(mol_id)

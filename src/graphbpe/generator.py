@@ -58,10 +58,10 @@ from graphbpe.chem import MolGraph, parse_smiles, valence_check
 from graphbpe.chem.mol import (
     ORDER_X2,
     Atom,
-    Bond,
     failing_aromatic_rings,
     implicit_hydrogens,
     make_bond,
+    shared_graph,
     valence_ok,
 )
 from graphbpe.errors import (
@@ -223,7 +223,7 @@ class GenerationState:
     step_count: int = 0
     templates: dict[str, _Template] = field(default_factory=dict, repr=False, compare=False)
     molecules: dict[tuple, MolGraph] = field(default_factory=dict, repr=False, compare=False)
-    parts: dict[tuple, Bond | tuple] = field(default_factory=dict, repr=False, compare=False)
+    parts: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         self.rng = Random(self.rng_seed)
@@ -365,7 +365,7 @@ class GenerationIndex:
         self.heads: dict[SiteType | None, _Head] = {}
         self.templates: dict[str, _Template] = {}
         self.molecules: dict[tuple, MolGraph] = {}
-        self.parts: dict[tuple, Bond | tuple] = {}
+        self.parts: dict = {}
 
     def pool(self, context, order: str) -> _Pool:
         """The ``_Pool`` of bond order ``order``, built on first use."""
@@ -605,8 +605,9 @@ def finalize(state: GenerationState) -> MolGraph:
     assembly (its atoms and its sorted bonds) of the states that share
     ``state.molecules`` is finalized once: an equal one gets the same
     immutable ``MolGraph`` back, and the molecules share each equal bond
-    and neighbour tuple through ``state.parts``. An assembly that fails is
-    not kept, so it fails again.
+    and neighbour tuple through ``state.parts``, a table of the kind
+    ``parse_smiles`` takes (``graphbpe.chem.mol.shared_graph``). An
+    assembly that fails is not kept, so it fails again.
     """
     if not state.terminal:
         raise ValueError("cannot finalize: open connection sites remain")
@@ -614,30 +615,23 @@ def finalize(state: GenerationState) -> MolGraph:
     mol = state.molecules.get(key)
     if mol is not None:
         return mol
-    # a bond's key ((a, b), order) never equals a tuple of (atom, bond) pairs
-    parts = state.parts
     bonds = []
     adjacency: list[list[tuple[int, int]]] = [[] for _ in atoms]
     order_sums = [0] * len(atoms)
-    for bidx, item in enumerate(bond_items):
-        (a, b), order = item
-        bond = parts.get(item)
-        if bond is None:
-            bond = parts[item] = Bond(a, b, order)
-        bonds.append(bond)
+    for bidx, ((a, b), order) in enumerate(bond_items):
+        bonds.append((a, b, order))
         adjacency[a].append((b, bidx))
         adjacency[b].append((a, bidx))
         order_sums[a] += ORDER_X2[order]
         order_sums[b] += ORDER_X2[order]
-    neighbours = tuple(parts.setdefault(each, each) for each in map(tuple, adjacency))
-    mol = MolGraph.from_adjacency(atoms, tuple(bonds), neighbours)
+    mol = shared_graph(atoms, bonds, adjacency, state.parts)
     if failing_aromatic_rings(mol):
         mol = repair_aromatic_rings(mol)
         valid = valence_check(mol)
     else:
         atoms = list(atoms)
         if _recompute_hydrogens(atoms, order_sums):
-            mol = MolGraph.from_adjacency(tuple(atoms), mol.bonds, neighbours)
+            mol = MolGraph.from_adjacency(tuple(atoms), mol.bonds, mol._adjacency)
         valid = all(map(valence_ok, atoms, order_sums))
     if not valid:
         raise IrreparableValenceError(

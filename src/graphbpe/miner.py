@@ -147,11 +147,11 @@ class PatternTally:
         self._signature_of: dict[str, int] = {}  # pattern -> its open signature
         self._holders: dict[int, list[MergingGraph]] = {}
         for state in states:
-            for signature, pairs in state.by_signature.items():
-                self.closed[signature] += len(pairs)
-                for pair in pairs:
-                    self._lower_bound(signature, state, pair)
+            for signature, count in state.by_signature.items():
+                self.closed[signature] += count
                 self._holders.setdefault(signature, []).append(state)
+            for pair, signature in state.edges.items():
+                self._lower_bound(signature, state, pair)
         self._pattern_heap: list[tuple[int, str]] = []
         self._closed_heap = [self._closed_entry(*item) for item in self.closed.items()]
         heapify(self._closed_heap)
@@ -180,7 +180,7 @@ class PatternTally:
         return -count, self.bounds[signature], signature
 
     def _count(self, state: MergingGraph, pair, signature: int) -> None:
-        pattern = state.pattern(*pair)
+        pattern = state.pattern(pair)
         self.patterns[pattern] += 1
         self._signature_of[pattern] = signature
         self._changed_patterns.add(pattern)
@@ -189,7 +189,7 @@ class PatternTally:
         self.opened[signature] = self.closed.pop(signature)
         del self.bounds[signature]
         for state in self.holders(signature):
-            for pair in list(state.by_signature[signature]):
+            for pair in state.pairs(signature):
                 self._count(state, pair, signature)
 
     def best(self) -> tuple[str, int, int] | None:
@@ -268,12 +268,14 @@ def _heap_top(heap: list, counts: Counter, changed, entry) -> int:
 
 def _count_motifs(states: list[MergingGraph]) -> tuple[MotifVocabulary, int]:
     """The vocabulary of the final partitions, each motif with the site
-    table of its instances, and the number of fragments."""
+    table of its instances, and the number of fragments. Each graph leaves
+    ``states`` once counted, so its memory is freed as the vocabulary grows."""
     motif_counter: Counter[str] = Counter()
     sites: dict[str, SiteTable] = {}
     attach_counter: Counter[tuple[SiteType, SiteType]] = Counter()
     fragment_total = 0
-    for state in states:
+    for index, state in enumerate(states):
+        states[index] = None
         frag = extract_motifs(state)
         fragment_total += len(frag.motifs)
         site_of = []  # per motif: star atom -> site type

@@ -210,7 +210,7 @@ def mined(corpus: list[MolGraph], num_operations: int) -> tuple:
 
 def merge(state: MergingGraph, fa: int, fb: int) -> int:
     """Merge two adjacent fragments; returns the fresh fragment id."""
-    atom = state.frag_atoms[fa][0]
+    atom = state.fragments()[fa][0]
     state._merge(fa, fb)
     return state.frag_of[atom]
 
@@ -218,7 +218,7 @@ def merge(state: MergingGraph, fa: int, fb: int) -> int:
 def count_pair_patterns(states: list[MergingGraph]) -> Counter[str]:
     """Pattern counts over all fragment-pair edges of all merging graphs;
     resolves the pattern of every edge."""
-    return Counter(state.pattern(fa, fb) for state in states for fa, fb in state.edges)
+    return Counter(state.pattern(pair) for state in states for pair in state.edges)
 
 
 def union_signature(mol: MolGraph, atom_ids) -> int:

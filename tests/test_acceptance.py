@@ -94,7 +94,8 @@ def test_03_count_oracle():
             oracle_subgraphs = []
             keyed = []
             for state in states:
-                frags = list(state.frag_atoms.values())
+                fragments = state.fragments()
+                frags = list(fragments.values())
                 for i in range(len(frags)):
                     for j in range(i + 1, len(frags)):
                         set_i, set_j = set(frags[i]), set(frags[j])
@@ -108,9 +109,9 @@ def test_03_count_oracle():
                             oracle_subgraphs.append(sub)
                 for fa, fb in state.edges:
                     sub, _ = state.mol.subgraph(
-                        set(state.frag_atoms[fa]) | set(state.frag_atoms[fb])
+                        set(fragments[fa]) | set(fragments[fb])
                     )
-                    keyed.append((state.pattern(fa, fb), sub))
+                    keyed.append((state.pattern((fa, fb)), sub))
             groups = group_by_isomorphism(oracle_subgraphs)
             if sorted(counts.values()) != sorted(len(g) for g in groups):
                 mismatches += 1
@@ -187,7 +188,7 @@ def test_07_compression_monotonic(corpus_1k, ops_500):
     means = []
     for k in (0, 10, 50, 200, 500):
         ops = ops_500[:k]
-        total = sum(len(apply_operations(mol, ops).frag_atoms) for mol in mols)
+        total = sum(len(apply_operations(mol, ops).fragments()) for mol in mols)
         means.append(total / len(mols))
     assert all(a >= b for a, b in zip(means, means[1:])), means
     assert means[0] > means[-1]

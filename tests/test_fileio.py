@@ -1,4 +1,5 @@
 import hashlib
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +23,8 @@ from graphbpe.metrics import evaluate, format_report
 from graphbpe.miner import build_motif_vocabulary, mine_corpus
 from graphbpe.tokenizer import extract_trajectory
 
+FIXTURES = Path(__file__).parent / "fixtures"
+
 
 @pytest.fixture()
 def mined(tmp_path):
@@ -40,6 +43,43 @@ class TestCorpus:
         ids, mols = load_corpus(path)
         assert ids == ["first", "mol1"]
         assert len(mols) == 2
+
+    def test_molecules_share_equal_parts(self, tmp_path):
+        text = (FIXTURES / "corpus_1k.smi").read_text()
+        lines = [line.split("\t")[0] for line in text.splitlines()[:300]]
+        path = tmp_path / "c.smi"
+        path.write_text("\n".join(lines) + "\n")
+        _, mols = load_corpus(path)
+        # each molecule is the one its line parses to
+        for mol, line in zip(mols, lines, strict=True):
+            alone = parse_smiles(line)
+            assert mol == alone
+            assert list(map(mol.neighbors, range(len(mol.atoms)))) == list(
+                map(alone.neighbors, range(len(alone.atoms)))
+            )
+        # and each equal bond, bracket atom and neighbour tuple is one object
+        objects = {}
+        bracket = bonds = neighbours = 0
+        for mol in mols:
+            for bond in mol.bonds:
+                assert objects.setdefault(bond, bond) is bond
+                bonds += 1
+            for atom in mol.atoms:
+                if atom.bracket:
+                    assert objects.setdefault(atom, atom) is atom
+                    bracket += 1
+            for i in range(len(mol.atoms)):
+                nbrs = mol.neighbors(i)
+                assert objects.setdefault(nbrs, nbrs) is nbrs
+                neighbours += 1
+        assert bracket > 50 and len(objects) < (bracket + bonds + neighbours) / 2
+
+    def test_bad_middle_line_reports_number_with_shared_parts(self, tmp_path):
+        path = tmp_path / "c.smi"
+        path.write_text("CC[NH3+]\nc1cc[nH]c1\n# note\nC1CC\nCC[NH3+]\n")
+        with pytest.raises(CorpusError) as info:
+            load_corpus(path)
+        assert info.value.line_number == 4
 
     def test_bad_line_reports_number(self, tmp_path):
         path = tmp_path / "c.smi"

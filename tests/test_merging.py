@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import threading
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 from random import Random
@@ -134,12 +135,14 @@ def test_edge_signatures_stay_exact_as_merges_happen(corpus_1k, monkeypatch):
         merged = apply_operation(state, *args, **kwargs)
         if merged:
             mol = state.mol
+            fragments = state.fragments()
             for (fa, fb), signature in state.edges.items():
-                assert signature == union_signature(mol, state.frag_atoms[fa] + state.frag_atoms[fb])
-                assert (fa, fb) in state.by_signature[signature]
-            for fid, atoms in state.frag_atoms.items():
+                assert signature == union_signature(mol, fragments[fa] + fragments[fb])
+                assert (fa, fb) in state.pairs(signature)
+            for fid, atoms in fragments.items():
                 assert state.frag_signature[fid] == union_signature(mol, atoms)
-            assert sum(len(pairs) for pairs in state.by_signature.values()) == len(state.edges)
+            assert sum(map(len, map(state.pairs, state.by_signature))) == len(state.edges)
+            assert state.by_signature == Counter(state.edges.values())
             checked.append(merged)
         return merged
 
@@ -149,8 +152,8 @@ def test_edge_signatures_stay_exact_as_merges_happen(corpus_1k, monkeypatch):
     monkeypatch.undo()
     for mol in mols[100:160]:
         state = apply_operations(mol, ops)
-        for (fa, fb), signature in state.edges.items():
-            assert pattern_signature(state.pattern(fa, fb)) == signature
+        for pair, signature in state.edges.items():
+            assert pattern_signature(state.pattern(pair)) == signature
 
 
 @pytest.mark.parametrize("pattern", ["C(", "C", ""])
@@ -166,7 +169,7 @@ def test_an_operation_signs_a_pattern_with_a_star():
 def test_a_pass_takes_the_operation():
     state = MergingGraph(parse_smiles("CCO"))
     assert state.apply_operation(MergeOperation(0, "CC", 1)) == 1
-    assert sorted(state.frag_atoms.values()) == [[0, 1], [2]]
+    assert sorted(state.fragments().values()) == [[0, 1], [2]]
 
 
 def test_mining_is_the_same_with_a_cold_and_a_warm_cache(corpus_1k):
@@ -246,7 +249,7 @@ def fresh_fragmentation(state: MergingGraph) -> Fragmentation:
     cut from the molecule and written afresh, and its site table is read
     from the parsed string."""
     mol = state.mol
-    parts = sorted(tuple(sorted(atoms)) for atoms in state.frag_atoms.values())
+    parts = sorted(tuple(sorted(atoms)) for atoms in state.fragments().values())
     motif_of = {atom: index for index, atoms in enumerate(parts) for atom in atoms}
     motifs, star_of = [], {}
     for index, atom_ids in enumerate(parts):

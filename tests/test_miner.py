@@ -47,7 +47,7 @@ def merged_subgraph(mol, *groups):
     fid = fids[0]
     for other in fids[1:]:
         fid = merge(state, fid, other)
-    sub, _ = mol.subgraph(state.frag_atoms[fid])
+    sub, _ = mol.subgraph(state.fragments()[fid])
     return sub
 
 
@@ -85,7 +85,7 @@ def oracle_adjacent_pairs(state):
     """Brute force straight off the partition: every adjacent fragment pair's
     merged subgraph, independent of the incremental edge bookkeeping."""
     pairs = []
-    frags = list(state.frag_atoms.values())
+    frags = list(state.fragments().values())
     for i in range(len(frags)):
         for j in range(i + 1, len(frags)):
             set_i, set_j = set(frags[i]), set(frags[j])
@@ -104,11 +104,10 @@ def assert_counts_match_oracle(states):
     # (pattern key, merged subgraph) per fragment-pair edge, via our machinery
     keyed = []
     for state in states:
+        fragments = state.fragments()
         for fa, fb in state.edges:
-            sub, _ = state.mol.subgraph(
-                set(state.frag_atoms[fa]) | set(state.frag_atoms[fb])
-            )
-            keyed.append((state.pattern(fa, fb), sub))
+            sub, _ = state.mol.subgraph(set(fragments[fa]) | set(fragments[fb]))
+            keyed.append((state.pattern((fa, fb)), sub))
     oracle_subgraphs = [sub for state in states for sub in oracle_adjacent_pairs(state)]
     groups = group_by_isomorphism(oracle_subgraphs)
     # the oracle enumerates the same number of adjacent pairs
@@ -183,8 +182,9 @@ def fresh_unions(state):
         if fa != fb:
             pairs.add((min(fa, fb), max(fa, fb)))
     out = []
+    fragments = state.fragments()
     for fa, fb in sorted(pairs):
-        pattern = write_smiles(state.mol.subgraph(state.frag_atoms[fa] + state.frag_atoms[fb])[0])
+        pattern = write_smiles(state.mol.subgraph(fragments[fa] + fragments[fb])[0])
         out.append((pattern_signature(pattern), pattern))
     return out
 
@@ -199,11 +199,12 @@ def assert_tally_matches_recount(states, tally):
             else:
                 closed[signature] += 1
         # every edge of an open signature is resolved, to its fresh string
-        for signature, pairs in state.by_signature.items():
+        fragments = state.fragments()
+        for signature in state.by_signature:
             if signature in tally.opened:
-                for (fa, fb), pattern in pairs.items():
-                    union = state.frag_atoms[fa] + state.frag_atoms[fb]
-                    assert pattern == write_smiles(state.mol.subgraph(union)[0])
+                for fa, fb in state.pairs(signature):
+                    union = fragments[fa] + fragments[fb]
+                    assert state.patterns.get((fa, fb)) == write_smiles(state.mol.subgraph(union)[0])
     assert tally.closed == closed
     assert tally.opened == opened
     assert tally.patterns == patterns
@@ -213,10 +214,11 @@ def assert_tally_matches_recount(states, tally):
     # and every edge's bound holds for its fresh string
     assert tally.bounds.keys() == tally.closed.keys()
     for state in states:
-        for signature, pairs in state.by_signature.items():
-            for fa, fb in pairs:
+        fragments = state.fragments()
+        for signature in state.by_signature:
+            for fa, fb in state.pairs(signature):
                 bound = min(state.frag_lead[fa], state.frag_lead[fb])[1]
-                union = state.frag_atoms[fa] + state.frag_atoms[fb]
+                union = fragments[fa] + fragments[fb]
                 assert write_smiles(state.mol.subgraph(union)[0])[: len(bound)] >= bound
                 if signature in tally.closed:
                     assert tally.bounds[signature] <= bound
@@ -232,9 +234,10 @@ class TestPartitionInvariant:
         assert_tally_matches_recount(states, tally)
         for _ in range(12):
             for state in states:
-                atoms = sorted(a for atoms in state.frag_atoms.values() for a in atoms)
+                fragments = state.fragments()
+                atoms = sorted(a for atoms in fragments.values() for a in atoms)
                 assert atoms == list(range(len(state.mol.atoms)))
-                for fid, members in state.frag_atoms.items():
+                for fid, members in fragments.items():
                     assert all(state.frag_of[a] == fid for a in members)
                     sub, _ = state.mol.subgraph(members)
                     assert sub.component_count() == 1
@@ -274,7 +277,8 @@ class TestEagerOracle:
         lacking = []
 
         def spy(state, op, tally=None):
-            if op.pattern not in state.by_signature[op.signature].values():
+            patterns = [state.patterns.get(pair) for pair in state.pairs(op.signature)]
+            if op.pattern not in patterns:
                 lacking.append(op.pattern)
             return apply_operation(state, op, tally)
 

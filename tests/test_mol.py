@@ -10,6 +10,10 @@ from graphbpe.chem import (
 )
 from graphbpe.chem.mol import (
     AROMATIC,
+    SINGLE,
+    Atom,
+    Bond,
+    MolGraph,
     _aromatic_adjacency,
     _pi_electrons,
     _shortest_aromatic_cycle,
@@ -127,3 +131,37 @@ class TestSubgraph:
                 make_bond(mapping[b.a], mapping[b.b], b.order)
                 for b in mol.bonds if b.a in mapping and b.b in mapping
             )
+
+
+class TestBondChecks:
+    """``MolGraph`` takes only bonds as ``make_bond`` builds them."""
+
+    ATOMS = (Atom("C"), Atom("C"), Atom("O"))
+
+    def test_bonds_from_make_bond_are_accepted(self):
+        mol = MolGraph(self.ATOMS, (make_bond(1, 0, SINGLE), make_bond(2, 1, SINGLE)))
+        assert mol.neighbors(1) == ((0, 0), (2, 1))
+
+    def test_negative_atom_id_is_rejected(self):
+        with pytest.raises(ValueError, match="0 <= a < b"):
+            MolGraph(self.ATOMS, (Bond(0, -1, SINGLE),))
+
+    def test_atom_id_past_the_last_atom_is_rejected(self):
+        with pytest.raises(ValueError, match="0 <= a < b"):
+            MolGraph(self.ATOMS, (Bond(0, 3, SINGLE),))
+
+    def test_pair_stated_in_both_orders_is_rejected(self):
+        with pytest.raises(ValueError, match="0 <= a < b"):
+            MolGraph(self.ATOMS, (Bond(0, 1, SINGLE), Bond(1, 0, SINGLE)))
+
+    def test_self_bond_is_rejected(self):
+        with pytest.raises(ValueError, match="0 <= a < b"):
+            MolGraph(self.ATOMS, (Bond(0, 0, SINGLE),))
+
+    def test_unknown_order_is_rejected(self):
+        with pytest.raises(ValueError, match="unknown order"):
+            MolGraph(self.ATOMS, (Bond(0, 1, "quadruple"),))
+
+    def test_duplicate_bond_is_rejected(self):
+        with pytest.raises(ValueError, match="duplicate bond"):
+            MolGraph(self.ATOMS, (make_bond(0, 1, SINGLE), make_bond(0, 1, "double")))

@@ -18,14 +18,14 @@ class TestApplyOperations:
         _, ops = a1_ops()
         state = apply_operations(parse_smiles("CCN"), ops)
         parts = sorted(
-            write_smiles(state.mol.subgraph(atoms)[0]) for atoms in state.frag_atoms.values()
+            write_smiles(state.mol.subgraph(atoms)[0]) for atoms in state.fragments().values()
         )
         assert parts == ["C", "CN"]  # sequential application; never {CC, N}
 
     def test_no_ops_yields_atom_partition(self):
         mol = parse_smiles("CC(=O)N")
         state = apply_operations(mol, [])
-        assert len(state.frag_atoms) == len(mol.atoms)
+        assert len(state.fragments()) == len(mol.atoms)
 
     def test_matches_miner_partition_on_corpus(self, corpus_1k):
         _, mols = corpus_1k
