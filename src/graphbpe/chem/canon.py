@@ -15,9 +15,14 @@ symmetry classes, and ``canonical_rank`` returns one tuple as both.
 Each neighbour term of a signature is one int, ``x2 * (n + 1) + label``,
 where ``x2`` is twice the bond order and ``label`` the neighbour cell's start
 position. A label lies in 0..n-1, below ``n + 1``, so the int is the pair
-(x2, label) written in base n + 1: two terms compare, and so sort, exactly as
-the pairs would, and a sorted signature orders like the sorted pair list.
-The weight ``x2 * (n + 1)`` of each bond is computed at most once per call.
+(x2, label) written in base n + 1 and compares exactly as the pair would.
+An atom's key is its term at degree 1, its terms ``x <= y`` folded into
+``x * B + y`` at degree 2, where ``B = 7 * (n + 1)`` is above every term
+(``x2`` is at most 6), and its sorted term list otherwise; among atoms of one
+degree, keys order like sorted pair lists. Keys meet only within a cell, and
+every atom of a cell has the same degree: seeds carry the degree, and
+``tie_broken_ranks`` starts from symmetry classes, which refine the seeds.
+Each bond's weight ``x2 * (n + 1)`` is computed at most once per call.
 
 Two refinements compute this partition, chosen by atom count: flat rounds
 up to ``FLAT_MAX_ATOMS`` atoms and touched-atom refinement above;
@@ -51,15 +56,13 @@ round would give:
   them, and a cell with no touched atom cannot split.
 
 A full re-sort needs one round per unit of diameter, each over every atom, so
-with flat rounds a chain of n atoms costs O(n^2); with touched-atom
-refinement each of its rounds touches a few atoms. On small graphs that
-bookkeeping costs more than it saves. On a 2-core host with Python 3.11.7,
-flat rounds ranked the unions and motif instances written while mining
-drug-like molecules and fragmentizing them 1.6-1.9x faster in every size bin
-from 13 to 28 atoms, but lost on chains and rings from 16 atoms on (a
-24-atom chain took 316 us against 161 us) and on the bench's large-molecule
-unions of 29-32 atoms (0.43x), and only broke even on those of 13-24 atoms:
-hence ``FLAT_MAX_ATOMS`` = 24.
+with flat rounds a chain of n atoms costs O(n^2), while touched-atom rounds
+each touch a few atoms; on small graphs that bookkeeping costs more than it
+saves. On a 2-core host (Python 3.11.7), flat rounds ranked the graphs that
+mining and fragmentizing drug-like molecules rank 2.0x faster in each size
+bin of 13-28 atoms and the bench's large-molecule ones 1.3-1.6x faster, but
+lost on chains and rings from 20 atoms (0.73x at 24) and on large-molecule
+unions of 29-32 atoms (0.61x): hence ``FLAT_MAX_ATOMS`` = 24.
 
 Tie-breaking by the lowest atom index is not yet a canonical form: when a
 refined cell is not an automorphism orbit, the chosen atom depends on input
@@ -68,7 +71,6 @@ order (ROADMAP item 2).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import groupby
 
 from graphbpe.chem.mol import ORDER_X2, MolGraph
 
@@ -77,7 +79,7 @@ from graphbpe.chem.mol import ORDER_X2, MolGraph
 FLAT_MAX_ATOMS = 24
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CanonicalRanking:
     """ranks: permutation of 0..n-1, each atom's position in the final,
     discrete ordered partition. symmetry_classes: dense ids of the cells of
@@ -101,27 +103,22 @@ class _OrderedPartition:
     positions ``start[c]`` .. ``start[c] + len(members[c]) - 1``; its label in
     signatures is ``start[c]``. ``cell_at[p]`` is the cell starting at ``p``.
     ``neighbors[i]`` holds (neighbour, bond) per bond of atom ``i`` (the
-    graph's own neighbour tuples), and
-    ``weight[b]`` is bond ``b``'s x2 * (n + 1), so the term of a neighbour
-    across bond ``b`` is ``weight[b]`` plus the neighbour's label."""
+    graph's own neighbour tuples), and the term of a neighbour across bond
+    ``b`` is ``weight[b]``, its x2 * (n + 1), plus the neighbour's label."""
 
     def __init__(self, mol: MolGraph, keys: list) -> None:
         """One cell per distinct key, cells in key order."""
         n = len(keys)
         self.weight = [ORDER_X2[bond.order] * (n + 1) for bond in mol.bonds]
         self.neighbors = mol._adjacency
-        cell_of, cell_at = [0] * n, [0] * n
-        start: list[int] = []
-        members: list[set[int]] = []
-        pos = 0
-        for _, group in groupby(sorted(range(n), key=keys.__getitem__), key=keys.__getitem__):
-            atoms = list(group)
-            cell_at[pos] = len(start)
-            for atom in atoms:
-                cell_of[atom] = len(start)
-            start.append(pos)
-            members.append(set(atoms))
-            pos += len(atoms)
+        cell_of, cell_at, start, members, previous = [0] * n, [0] * n, [], [], None
+        for pos, atom in enumerate(sorted(range(n), key=keys.__getitem__)):
+            if keys[atom] != previous:
+                previous, cell_at[pos] = keys[atom], len(start)
+                start.append(pos)
+                members.append(set())
+            cell_of[atom] = len(start) - 1
+            members[-1].add(atom)
         self.cell_of, self.cell_at, self.start, self.members = cell_of, cell_at, start, members
 
     def labels(self) -> list[int]:
@@ -133,9 +130,10 @@ class _OrderedPartition:
 
     def refine(self, moved: list[int] | None = None) -> None:
         """Split cells until a fixed point; ``moved`` changed cell last
-        (``None``: every atom did, so the first round signs every atom)."""
+        (``None``: every atom did, so the first round signs every atom).
+        A round sorts (key, atom) per cell over the atoms it signs."""
         neighbors, weight, cell_of, start = self.neighbors, self.weight, self.cell_of, self.start
-        members, cell_at = self.members, self.cell_at
+        members, cell_at, base = self.members, self.cell_at, 7 * (len(cell_of) + 1)
         if moved is None:
             touched: set[int] = set()
             by_cell = {c: list(atoms) for c, atoms in enumerate(members) if len(atoms) > 1}
@@ -152,10 +150,19 @@ class _OrderedPartition:
                         if rep not in touched:
                             break
                     atoms.append(rep)
-                signed = sorted([
-                    (sorted([weight[b] + start[cell_of[nbr]] for nbr, b in neighbors[a]]), a)
-                    for a in atoms
-                ])
+                signed = []
+                for a in atoms:
+                    pairs = neighbors[a]
+                    if len(pairs) == 2:
+                        (i, b), (j, c) = pairs
+                        x, y = weight[b] + start[cell_of[i]], weight[c] + start[cell_of[j]]
+                        key = x * base + y if x < y else y * base + x
+                    elif len(pairs) == 1:
+                        key = weight[pairs[0][1]] + start[cell_of[pairs[0][0]]]
+                    else:
+                        key = sorted([weight[b] + start[cell_of[i]] for i, b in pairs])
+                    signed.append((key, a))
+                signed.sort()
                 if signed[0][0] == signed[-1][0]:
                     continue
                 # parts in signature order: [atoms that change cell, size]
@@ -248,22 +255,21 @@ class _FlatPartition:
     """The ordered partition of ``_OrderedPartition`` kept as one label per
     atom, the start position of its cell, and refined by synchronous rounds
     that re-sign every atom of every cell of more than one atom, the atoms
-    ``active`` holds. Bond weights are built only when some cell has more
-    than one atom."""
+    ``active`` holds."""
 
     def __init__(self, mol: MolGraph, keys: list) -> None:
         """One cell per distinct key, cells in key order."""
         n = len(keys)
-        label = [0] * n
-        active: list[int] = []
-        pos = 0
-        for _, group in groupby(sorted(range(n), key=keys.__getitem__), key=keys.__getitem__):
-            atoms = list(group)
-            for atom in atoms:
-                label[atom] = pos
-            if len(atoms) > 1:
-                active += atoms
-            pos += len(atoms)
+        label, active, previous = [0] * n, [], None
+        order = sorted(range(n), key=keys.__getitem__)
+        for pos, atom in enumerate(order):
+            if keys[atom] != previous:
+                start, previous = pos, keys[atom]
+            elif pos == start + 1:
+                active += (order[start], atom)
+            else:
+                active.append(atom)
+            label[atom] = start
         self.label, self.active, self.neighbors = label, active, mol._adjacency
         self.weight = [ORDER_X2[bond.order] * (n + 1) for bond in mol.bonds] if active else []
 
@@ -274,16 +280,26 @@ class _FlatPartition:
         return not self.active
 
     def refine(self) -> None:
-        """Rounds until one splits nothing. Each sorts (label, signature,
-        atom) over the active atoms once, so every cell's parts come out in
-        signature order, and gives each part its start in the cell's range."""
+        """Rounds until one splits nothing. Each sorts (label, key, atom)
+        over the active atoms once, so every cell's parts come out in key
+        order, and gives each part its start in the cell's range."""
         label, active, neighbors, weight = self.label, self.active, self.neighbors, self.weight
+        base = 7 * (len(label) + 1)
         split = True
         while split and active:
-            signed = sorted([
-                (label[a], sorted([weight[b] + label[nbr] for nbr, b in neighbors[a]]), a)
-                for a in active
-            ])
+            signed = []
+            for a in active:
+                pairs = neighbors[a]
+                if len(pairs) == 2:
+                    (i, b), (j, c) = pairs
+                    x, y = weight[b] + label[i], weight[c] + label[j]
+                    key = x * base + y if x < y else y * base + x
+                elif len(pairs) == 1:
+                    key = weight[pairs[0][1]] + label[pairs[0][0]]
+                else:
+                    key = sorted([weight[b] + label[i] for i, b in pairs])
+                signed.append((label[a], key, a))
+            signed.sort()
             split = False
             active = []
             part: list[int] = []

@@ -123,7 +123,7 @@ SiteType = tuple[str, int, str]
 SiteTable = tuple[tuple[int, SiteType], ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MergeOperation:
     """One learned operation: merge every edge whose union is ``pattern``.
 
@@ -518,7 +518,7 @@ def apply_operations(mol: MolGraph, ops: list[MergeOperation]) -> MergingGraph:
     return state
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MotifInstance:
     """One fragment rendered as a connection-aware motif, with the site
     table of its string."""
@@ -529,7 +529,7 @@ class MotifInstance:
     sites: SiteTable
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BrokenBondLink:
     """One broken bond as (motif index, star atom) on each side; a star atom
     id is in the atom numbering of ``parse_smiles(motif.smiles)``, and the
@@ -541,7 +541,7 @@ class BrokenBondLink:
     star_b: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Fragmentation:
     """Connection-aware motifs of one molecule plus how they were joined.
 

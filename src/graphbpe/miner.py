@@ -48,7 +48,7 @@ def motif_sites(smiles: str) -> SiteTable:
     return site_table(smiles, stars, ranking.ranks, ranking.symmetry_classes)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Motif:
     """A connection-aware vocabulary entry keyed by its canonical string.
 
@@ -322,7 +322,7 @@ def learn_merging_operations(
     return _learn([MergingGraph(mol) for mol in corpus], num_operations)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MiningResult:
     operations: list[MergeOperation]
     vocabulary: MotifVocabulary

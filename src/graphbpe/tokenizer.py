@@ -23,7 +23,7 @@ def fragmentize(mol: MolGraph, ops: list[MergeOperation]) -> Fragmentation:
     return extract_motifs(apply_operations(mol, ops))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrajectoryStep:
     """attach: add ``motif`` merging its star ``site`` with the focus.
     cyclize: merge the focus with the open site at ``target`` in the queue."""
@@ -34,7 +34,7 @@ class TrajectoryStep:
     target: int | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Trajectory:
     start_motif: str
     steps: tuple[TrajectoryStep, ...]

@@ -1,16 +1,21 @@
 """Shared test utilities: random valid molecules and relabelled variants,
 a switch that makes the miner open every tied signature, the benchmark's
-input module, permutation tools, mined artifacts as values, a single
-fragment merge, a brute-force pattern counter and an eager reference miner
-built on it, a from-scratch union signature, a site-type lookup by star
-atom, an isomorphism matcher independent of the package's canonical
-ranking, the generator's full-array selection rule, an eager reference
-``evaluate``, a character-loop reference parser, and reference copies of
-the canonical ranking and writer kernels."""
+input module, a script runner on the 1k fixture in a fresh interpreter,
+permutation tools, mined artifacts as values, a single fragment merge, a
+brute-force pattern counter and an eager reference miner built on it, a
+from-scratch union signature, a site-type lookup by star atom, an
+isomorphism matcher independent of the package's canonical ranking, the
+generator's full-array selection rule, an eager reference ``evaluate``, a
+character-loop reference parser, and reference copies of the canonical
+ranking and writer kernels."""
 from __future__ import annotations
 
 import importlib.util
+import json
 import math
+import os
+import subprocess
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from itertools import groupby
@@ -19,6 +24,7 @@ from random import Random
 
 import numpy as np
 
+import graphbpe
 from graphbpe.chem import (
     atom_token,
     graph_signature,
@@ -189,6 +195,22 @@ def load_bench_inputs():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+FIXTURE_1K = Path(__file__).parent / "fixtures" / "corpus_1k.smi"
+
+
+def run_fresh(script: str) -> dict:
+    """The JSON line ``script`` prints, run in a fresh interpreter with the
+    1k fixture's path as ``sys.argv[1]``."""
+    src = str(Path(graphbpe.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", script, str(FIXTURE_1K)],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
 
 
 def permute_molecule(mol: MolGraph, perm: list[int]) -> MolGraph:

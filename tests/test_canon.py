@@ -16,6 +16,7 @@ from graphbpe.chem import (
     write_smiles_with_order,
 )
 from graphbpe.chem.canon import FLAT_MAX_ATOMS, tie_broken_ranks
+from graphbpe.chem.mol import BOND_ORDERS
 from graphbpe.merging import instance_pattern, union_pattern
 from graphbpe.miner import mine_corpus
 from helpers import (
@@ -292,6 +293,40 @@ def test_oracles_hold_on_both_sides_of_the_flat_size_limit(n):
             shuffled = permute_molecule(mol, rng.sample(range(n), n))
             assert_kernels_match_reference(shuffled)
             assert check_tie_breaks_follow_relabelling(shuffled, rng.sample(range(n), n)), smiles
+
+
+def key_shape_smiles(n):
+    """Graphs of ``n`` atoms that between them have atoms of every degree
+    from 1 to 6, every bond order (an aromatic single ``-`` too), an acid's
+    two oxygens that only their bond orders tell apart, an alkene carbon
+    in a cell of chain carbons, and symmetric ends that only a tie-break
+    separates."""
+    yield "FS(F)(F)(F)(F)C(C)(C)C(C)" + "C" * (n - 16) + "P(F)(F)(F)F"
+    yield "C" * (n - 16) + "C(=O)c1ccc(-c2ccc(C#N)cc2)cc1"
+    yield "CC=C" + "C" * (n - 6) + "C(=O)O"
+    yield "FS(F)(F)(F)(F)" + "C" * (n - 12) + "S(F)(F)(F)(F)F"
+    yield "CC(C)(C)" + "C" * (n - 8) + "C(C)(C)C"
+
+
+@pytest.mark.parametrize("n", [*range(FLAT_MAX_ATOMS - 2, FLAT_MAX_ATOMS + 3), 40])
+def test_oracles_hold_for_every_key_shape(n):
+    # a refinement key is one term at degree 1, a folded pair at degree 2
+    # and a sorted term list above; flat rounds up to FLAT_MAX_ATOMS atoms
+    # and touched-atom refinement above each build all three
+    rng = Random(n)
+    degrees, orders, tied = set(), set(), 0
+    for smiles in key_shape_smiles(n):
+        mol = parse_smiles(smiles)
+        assert len(mol.atoms) == n, smiles
+        degrees.update(len(mol.neighbors(atom)) for atom in range(n))
+        orders.update(bond.order for bond in mol.bonds)
+        for _ in range(3):
+            shuffled = permute_molecule(mol, rng.sample(range(n), n))
+            assert_kernels_match_reference(shuffled)
+            tied += check_tie_breaks_follow_relabelling(shuffled, rng.sample(range(n), n))
+    assert degrees == set(range(1, 7))
+    assert orders == set(BOND_ORDERS)
+    assert tied >= 6
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,5 +1,7 @@
 """Memory contract: what a parsed corpus, its merging graphs and a mining
-run cost per molecule, measured with tracemalloc on the 1k fixture.
+run cost per molecule, measured with tracemalloc on the 1k fixture, and no
+per-instance ``__dict__`` on the frozen records built per rank, operation,
+motif and fragmentation.
 
 Each figure is taken in a fresh interpreter, with both pattern memos empty,
 so it includes every memo entry the run adds and nothing earlier tests
@@ -13,15 +15,10 @@ parsed) and a 6.2 KB mining peak, against 13.4 KB and 10.5 KB while the
 parser built every bond and neighbour tuple anew and the merging graph kept
 a pair dict per signature and one atom list per atom.
 """
-import json
-import os
-import subprocess
-import sys
-from pathlib import Path
-
-import graphbpe
-
-FIXTURE = Path(__file__).parent / "fixtures" / "corpus_1k.smi"
+from graphbpe.chem import canonical_rank
+from graphbpe.miner import mine_corpus
+from graphbpe.tokenizer import extract_trajectory, fragmentize
+from helpers import run_fresh
 
 PARSED_AND_BUILT_KB = 6.5  # per molecule, every fixture molecule
 MINING_PEAK_KB = 7.0  # per molecule, mine_corpus(first 250 molecules, 100) above them
@@ -53,20 +50,8 @@ print(json.dumps({"count": len(mols), "peak": tracemalloc.get_traced_memory()[1]
 """
 
 
-def measure(script: str) -> dict:
-    """The JSON line ``script`` prints, run in a fresh interpreter on the fixture."""
-    src = str(Path(graphbpe.__file__).parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, "-c", script, str(FIXTURE)],
-        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=60,
-    )
-    assert done.returncode == 0, done.stderr
-    return json.loads(done.stdout)
-
-
 def test_parsed_corpus_and_merging_graphs_per_molecule():
-    run = measure(PARSED_AND_BUILT)
+    run = run_fresh(PARSED_AND_BUILT)
     parsed = run["parsed"] / run["count"] / 1024
     built = run["built"] / run["count"] / 1024
     assert built <= PARSED_AND_BUILT_KB, (
@@ -76,9 +61,30 @@ def test_parsed_corpus_and_merging_graphs_per_molecule():
 
 
 def test_mining_peak_per_molecule():
-    run = measure(MINING_PEAK)
+    run = run_fresh(MINING_PEAK)
     peak = run["peak"] / run["count"] / 1024
     assert peak <= MINING_PEAK_KB, (
         f"mining peaks {peak:.2f} KB per molecule above the parsed corpus, "
         f"against a gate of {MINING_PEAK_KB} KB"
     )
+
+
+def test_record_classes_keep_no_instance_dict(corpus_1k):
+    # frozen records are built per rank call, operation, motif and
+    # fragmentation; slots keep a __dict__ off every instance
+    mols = corpus_1k[1][:40]
+    result = mine_corpus(mols, 20)
+    mol = next(m for m in mols if fragmentize(m, result.operations).broken_bonds)
+    fragmentation = fragmentize(mol, result.operations)
+    trajectory = extract_trajectory(mol, result.operations)
+    records = [
+        canonical_rank(mol), result, result.operations[0],
+        next(iter(result.vocabulary.motifs.values())), fragmentation,
+        fragmentation.motifs[0], fragmentation.broken_bonds[0], trajectory, trajectory.steps[0],
+    ]
+    assert sorted(type(record).__name__ for record in records) == [
+        "BrokenBondLink", "CanonicalRanking", "Fragmentation", "MergeOperation",
+        "MiningResult", "Motif", "MotifInstance", "Trajectory", "TrajectoryStep",
+    ]
+    for record in records:
+        assert not hasattr(record, "__dict__"), type(record).__name__

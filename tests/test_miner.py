@@ -1,5 +1,4 @@
 import sys
-import time
 from collections import Counter
 from random import Random
 
@@ -30,6 +29,7 @@ from helpers import (
     pattern_signature,
     permute_molecule,
     random_molecule,
+    run_fresh,
 )
 
 
@@ -489,20 +489,29 @@ class TestInvariance:
         assert mined([shuffled_molecule(m, rng) for m in corpus], 60) == expected
 
 
+# mining time of the first 150 and 300 fixture molecules at K=30: best of
+# three CPU times of a fresh interpreter, each from a cold union memo, so
+# neither the memo nor the heap that earlier tests left moves the ratio
+MINE_TIMES = """
+import json, sys, time
+from graphbpe.fileio import load_corpus
+from graphbpe.merging import union_pattern
+from graphbpe.miner import learn_merging_operations
+mols = load_corpus(sys.argv[1])[1]
+def mine_time(molecules):
+    best = float("inf")
+    for _ in range(3):
+        union_pattern.cache_clear()
+        start = time.process_time()
+        learn_merging_operations(molecules, 30)
+        best = min(best, time.process_time() - start)
+    return best
+print(json.dumps({"t1": mine_time(mols[:150]), "t2": mine_time(mols[:300])}))
+"""
+
+
 class TestScaling:
-    def test_roughly_linear_in_corpus_size(self, corpus_1k):
-        _, mols = corpus_1k
-
-        def mine_time(molecules):
-            # CPU time of this process: other load on the host adds none
-            best = float("inf")
-            for _ in range(3):
-                union_pattern.cache_clear()  # time the misses, not a warm memo
-                start = time.process_time()
-                learn_merging_operations(molecules, 30)
-                best = min(best, time.process_time() - start)
-            return best
-
-        t1 = mine_time(mols[:150])
-        t2 = mine_time(mols[:300])
+    def test_roughly_linear_in_corpus_size(self):
+        times = run_fresh(MINE_TIMES)
+        t1, t2 = times["t1"], times["t2"]
         assert t2 <= 2.8 * t1, f"t1={t1:.3f}s t2={t2:.3f}s ratio={t2 / t1:.2f}"
