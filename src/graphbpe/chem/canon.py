@@ -64,13 +64,16 @@ bin of 13-28 atoms and the bench's large-molecule ones 1.3-1.6x faster, but
 lost on chains and rings from 20 atoms (0.73x at 24) and on large-molecule
 unions of 29-32 atoms (0.61x): hence ``FLAT_MAX_ATOMS`` = 24.
 
-Tie-breaking by the lowest atom index is not yet a canonical form: when a
-refined cell is not an automorphism orbit, the chosen atom depends on input
-order (ROADMAP item 2).
+One function, ``break_ties(partition, choose)``, breaks ties through either
+partition's ``first_ambiguous_cell`` and ``individualize``. ``canonical_rank``
+chooses by lowest atom index, ``tie_broken_ranks`` by ``priority[atom]``.
+The index rule is not yet a canonical form: when a refined cell is not an
+automorphism orbit, the chosen atom depends on input order (ROADMAP item 2).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from graphbpe.chem.mol import ORDER_X2, MolGraph
 
@@ -120,13 +123,11 @@ class _OrderedPartition:
             cell_of[atom] = len(start) - 1
             members[-1].add(atom)
         self.cell_of, self.cell_at, self.start, self.members = cell_of, cell_at, start, members
+        self.scan = 0  # positions before it hold single-atom cells
 
     def labels(self) -> list[int]:
         start = self.start
         return [start[c] for c in self.cell_of]
-
-    def discrete(self) -> bool:
-        return len(self.start) == len(self.cell_of)
 
     def refine(self, moved: list[int] | None = None) -> None:
         """Split cells until a fixed point; ``moved`` changed cell last
@@ -220,42 +221,34 @@ class _OrderedPartition:
                             by_cell[cell] = [nbr]
         return touched, by_cell
 
-    def break_ties(self, priority=None) -> tuple[int, ...]:
-        """The labels once every tie is broken: repeatedly, the first cell
-        of more than one atom gives its lowest-index atom (lowest
-        ``priority[atom]``, when given) a cell of its own placed first, and
-        the partition is refined from that atom."""
-        pos, n = 0, len(self.cell_at)
-        while pos < n:
-            pos = self._individualize_first_ambiguous(pos, priority)
-        return tuple(self.labels())
-
-    def _individualize_first_ambiguous(self, pos: int, priority) -> int:
-        """Individualize one atom of the first cell of more than one atom at
-        or after ``pos`` (see ``break_ties``), and return that cell's start;
-        ``len(atoms)`` once all are singletons."""
-        cell_at, members, start = self.cell_at, self.members, self.start
-        n = len(cell_at)
-        while pos < n and len(members[cell_at[pos]]) == 1:
+    def first_ambiguous_cell(self) -> set[int]:
+        """The members of the first cell of more than one atom, empty once
+        every cell is one atom. Cells only split in place, so the scan
+        resumes where the last call stopped: k ties cost one pass."""
+        cell_at, members, pos, cells = self.cell_at, self.members, self.scan, len(self.start)
+        while cells < len(cell_at) and len(members[cell_at[pos]]) == 1:
             pos += 1
-        if pos < n:
-            cell = cell_at[pos]
-            chosen = min(members[cell], key=None if priority is None else priority.__getitem__)
-            members[cell].discard(chosen)
-            start[cell] = pos + 1
-            cell_at[pos + 1] = cell
-            cell_at[pos] = self.cell_of[chosen] = len(start)
-            start.append(pos)
-            members.append({chosen})
-            self.refine([chosen])
-        return pos
+        self.scan = pos
+        return members[cell_at[pos]] if cells < len(cell_at) else set()
+
+    def individualize(self, atom: int) -> None:
+        """Give ``atom`` its cell's start, move the rest of the cell up one
+        and refine from ``atom``."""
+        cell, members, start, cell_at = self.cell_of[atom], self.members, self.start, self.cell_at
+        pos = start[cell]
+        members[cell].discard(atom)
+        start[cell], cell_at[pos + 1] = pos + 1, cell
+        cell_at[pos] = self.cell_of[atom] = len(start)
+        start.append(pos)
+        members.append({atom})
+        self.refine([atom])
 
 
 class _FlatPartition:
     """The ordered partition of ``_OrderedPartition`` kept as one label per
     atom, the start position of its cell, and refined by synchronous rounds
     that re-sign every atom of every cell of more than one atom, the atoms
-    ``active`` holds."""
+    ``active`` holds in label order."""
 
     def __init__(self, mol: MolGraph, keys: list) -> None:
         """One cell per distinct key, cells in key order."""
@@ -275,9 +268,6 @@ class _FlatPartition:
 
     def labels(self) -> list[int]:
         return self.label
-
-    def discrete(self) -> bool:
-        return not self.active
 
     def refine(self) -> None:
         """Rounds until one splits nothing. Each sorts (label, key, atom)
@@ -323,22 +313,23 @@ class _FlatPartition:
                 active += part
         self.active = active
 
-    def break_ties(self, priority=None) -> tuple[int, ...]:
-        """As ``_OrderedPartition.break_ties``: the first cell of more than
-        one atom gives its lowest-index atom (lowest ``priority[atom]``)
-        the cell's start, the rest move up one, and rounds resume."""
+    def first_ambiguous_cell(self) -> list[int]:
+        """As ``_OrderedPartition.first_ambiguous_cell``; it leads ``active``."""
         label, active = self.label, self.active
-        while active:
-            first = min([label[atom] for atom in active])
-            cell = [atom for atom in active if label[atom] == first]
-            chosen = min(cell, key=None if priority is None else priority.__getitem__)
-            for atom in cell:
-                label[atom] = first + 1
-            label[chosen] = first
-            active.remove(chosen)
-            self.refine()
-            active = self.active
-        return tuple(label)
+        if not active:
+            return active
+        first = label[active[0]]
+        return [atom for atom in active if label[atom] == first]
+
+    def individualize(self, atom: int) -> None:
+        """As ``_OrderedPartition.individualize``, by flat rounds."""
+        label, active, first = self.label, self.active, self.label[atom]
+        active.remove(atom)
+        for other in active:  # the cell leads ``active``
+            if label[other] != first:
+                break
+            label[other] = first + 1
+        self.refine()
 
 
 def _partition(mol: MolGraph, keys: list):
@@ -347,11 +338,20 @@ def _partition(mol: MolGraph, keys: list):
     return (_FlatPartition if len(keys) <= FLAT_MAX_ATOMS else _OrderedPartition)(mol, keys)
 
 
+def break_ties(partition, choose) -> tuple[int, ...]:
+    """The labels of the refined ``partition`` once every tie is broken:
+    while a cell holds more than one atom, the first such cell's atom
+    ``choose(members)`` is individualized."""
+    while cell := partition.first_ambiguous_cell():
+        partition.individualize(choose(cell))
+    return tuple(partition.labels())
+
+
 def canonical_rank(mol: MolGraph) -> CanonicalRanking:
     """Refine the atoms of ``mol`` from their local invariants, by flat
     rounds up to ``FLAT_MAX_ATOMS`` atoms and by touched-atom refinement
     above, which give the same partition; return as soon as that separates
-    every atom, else break the ties (see the module docstring).
+    every atom, else ``break_ties`` with ``min``, the lowest atom index.
 
     Cells start in seed order and only ever split in place, so the rank-0
     atom has the least seed, and so the least (element, formal charge,
@@ -369,19 +369,18 @@ def canonical_rank(mol: MolGraph) -> CanonicalRanking:
     partition = _partition(mol, seeds)
     partition.refine()
     labels = tuple(partition.labels())
-    if partition.discrete():
+    if not partition.first_ambiguous_cell():
         # refinement alone separated every atom: the labels are 0..n-1
         return CanonicalRanking(labels, labels)
     dense = {label: k for k, label in enumerate(sorted(set(labels)))}
     symmetry = tuple([dense[label] for label in labels])
-    return CanonicalRanking(partition.break_ties(), symmetry)
+    return CanonicalRanking(break_ties(partition, min), symmetry)
 
 
 def tie_broken_ranks(mol: MolGraph, symmetry_classes, priority) -> tuple[int, ...]:
-    """The ranks ``canonical_rank`` gives ``mol`` with every tie going to
-    the atom of lowest ``priority[atom]`` instead of lowest index, from its
-    ``symmetry_classes``: their cells, in class order, are the refinement
-    fixed point, so only the tie-breaks run again. With ``priority[atom]``
-    the position of each atom in a relabelling, these are the ranks of the
-    relabelled graph, indexed by the old atom ids."""
-    return _partition(mol, symmetry_classes).break_ties(priority)
+    """The ranks ``canonical_rank`` gives ``mol`` when ``break_ties``
+    chooses the lowest ``priority[atom]``, from the cells of
+    ``symmetry_classes`` in class order: the refinement fixed point, so only
+    the tie-breaks run again. With ``priority[atom]`` an atom's position in
+    a relabelling, these are the relabelled graph's ranks, by old atom id."""
+    return break_ties(_partition(mol, symmetry_classes), partial(min, key=priority.__getitem__))

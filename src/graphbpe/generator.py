@@ -81,7 +81,7 @@ DEFAULT_MAX_STEPS = 100
 _SEED_MIX = 0x9E3779B97F4A7C15  # odd constant; decorrelates per-molecule streams
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Candidate:
     """One selectable connection: a vocabulary site or an open partial site.
 
@@ -168,7 +168,7 @@ class FrequencyPolicy(Policy):
         return scores
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class _Template:
     """A motif ready to place: its atoms other than "*"; the bonds between
     them as (a, b, order), a and b their positions in ``atoms``; and per

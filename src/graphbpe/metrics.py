@@ -27,7 +27,7 @@ _SMOOTHING = 1e-10
 _CONTINUOUS_BINS = 100
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DescriptorVector:
     mol_weight: float
     heavy_atom_count: int

@@ -1,5 +1,6 @@
 import hashlib
 import time
+from functools import partial
 from itertools import permutations
 from random import Random
 
@@ -15,7 +16,13 @@ from graphbpe.chem import (
     write_smiles,
     write_smiles_with_order,
 )
-from graphbpe.chem.canon import FLAT_MAX_ATOMS, tie_broken_ranks
+from graphbpe.chem.canon import (
+    FLAT_MAX_ATOMS,
+    _FlatPartition,
+    _OrderedPartition,
+    break_ties,
+    tie_broken_ranks,
+)
 from graphbpe.chem.mol import BOND_ORDERS
 from graphbpe.merging import instance_pattern, union_pattern
 from graphbpe.miner import mine_corpus
@@ -163,6 +170,28 @@ def test_chain_scaling_near_linear():
     t2 = rank_time(1600)
     # linear would be 4x and quadratic 16x
     assert t2 <= 8 * t1, f"C400={t1:.4f}s C1600={t2:.4f}s ratio={t2 / t1:.2f}"
+
+
+def test_tie_breaking_scaling_near_linear():
+    # every C(C)(C) holds two methyls that only a tie-break separates, so
+    # k units need k + 1 tie-breaks; a tie-break loop that looked for each
+    # next ambiguous cell from position 0 would cost k passes over the atoms.
+    # That scan is cheap per position, so it only dominates from about a
+    # thousand atoms: at k = 100 and 400 such a loop read 5.8-8.1x on a
+    # 2-core host. CPU time, since a preempted 20 ms run reads as a rescan
+    def rank_time(units):
+        mol = parse_smiles("C" + "C(C)(C)" * units)
+        best = float("inf")
+        for _ in range(3):
+            start = time.process_time()
+            canonical_rank(mol)
+            best = min(best, time.process_time() - start)
+        return best
+
+    t1 = rank_time(400)
+    t2 = rank_time(1600)
+    # 1,201 and 4,801 atoms: linear would be 4x and quadratic 16x
+    assert t2 <= 8 * t1, f"k=400 {t1:.4f}s k=1600 {t2:.4f}s ratio={t2 / t1:.2f}"
 
 
 def write_outcome(write, mol):
@@ -327,6 +356,59 @@ def test_oracles_hold_for_every_key_shape(n):
     assert degrees == set(range(1, 7))
     assert orders == set(BOND_ORDERS)
     assert tied >= 6
+
+
+def refinements_agree(mol, rng):
+    """Flat rounds and touched-atom refinement, from ``canonical_rank``'s
+    seeds, give equal labels after ``refine()``, the same first ambiguous
+    cell and equal labels after each ``individualize``, and equal
+    ``break_ties`` results, choosing by lowest index and by a random
+    priority. Returns whether ``mol`` has a tie."""
+    keys = [
+        (a.element, a.formal_charge, a.aromatic, mol.degree(i), a.explicit_h)
+        for i, a in enumerate(mol.atoms)
+    ]
+    priority = rng.sample(range(len(keys)), len(keys))
+    ties = 0
+    for choose in (min, partial(min, key=priority.__getitem__)):
+        flat, ordered = _FlatPartition(mol, keys), _OrderedPartition(mol, keys)
+        flat.refine()
+        ordered.refine()
+        assert flat.labels() == ordered.labels()
+        while cell := flat.first_ambiguous_cell():
+            assert set(cell) == set(ordered.first_ambiguous_cell())
+            atom = choose(cell)
+            flat.individualize(atom)
+            ordered.individualize(atom)
+            assert flat.labels() == ordered.labels()
+            ties += 1
+        assert not ordered.first_ambiguous_cell()
+        broken = set()
+        for partition in (_FlatPartition(mol, keys), _OrderedPartition(mol, keys)):
+            partition.refine()
+            broken.add(break_ties(partition, choose))
+        assert broken == {tuple(flat.labels())}
+        if choose is min:
+            assert broken == {canonical_rank(mol).ranks}
+    return ties > 0
+
+
+@pytest.mark.parametrize("n", range(12, 41))
+def test_refinements_agree_on_tie_heavy_and_key_shape_graphs(n):
+    # tie_heavy_smiles needs 12 atoms and key_shape_smiles 16
+    rng = Random(n)
+    tied = 0
+    for smiles in [*tie_heavy_smiles(n), *(key_shape_smiles(n) if n >= 16 else ())]:
+        mol = parse_smiles(smiles)
+        assert len(mol.atoms) == n, smiles
+        tied += refinements_agree(mol, rng)
+    assert tied >= 5
+
+
+def test_refinements_agree_on_random_molecules():
+    rng = Random(4242)
+    tied = sum(refinements_agree(random_molecule(rng, max_atoms=20), rng) for _ in range(200))
+    assert tied > 20
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,7 +1,8 @@
 """Memory contract: what a parsed corpus, its merging graphs and a mining
 run cost per molecule, measured with tracemalloc on the 1k fixture, and no
 per-instance ``__dict__`` on the frozen records built per rank, operation,
-motif and fragmentation.
+motif, fragmentation, generation candidate, placement template and
+descriptor vector.
 
 Each figure is taken in a fresh interpreter, with both pattern memos empty,
 so it includes every memo entry the run adds and nothing earlier tests
@@ -16,6 +17,8 @@ parser built every bond and neighbour tuple anew and the merging graph kept
 a pair dict per signature and one atom list per atom.
 """
 from graphbpe.chem import canonical_rank
+from graphbpe.generator import Candidate, _Template
+from graphbpe.metrics import compute_descriptors
 from graphbpe.miner import mine_corpus
 from graphbpe.tokenizer import extract_trajectory, fragmentize
 from helpers import run_fresh
@@ -70,21 +73,25 @@ def test_mining_peak_per_molecule():
 
 
 def test_record_classes_keep_no_instance_dict(corpus_1k):
-    # frozen records are built per rank call, operation, motif and
-    # fragmentation; slots keep a __dict__ off every instance
+    # frozen records are built per rank call, operation, motif,
+    # fragmentation, generation candidate, placed motif and evaluated
+    # molecule; slots keep a __dict__ off every instance
     mols = corpus_1k[1][:40]
     result = mine_corpus(mols, 20)
     mol = next(m for m in mols if fragmentize(m, result.operations).broken_bonds)
     fragmentation = fragmentize(mol, result.operations)
     trajectory = extract_trajectory(mol, result.operations)
+    motif = next(m for m in result.vocabulary.motifs.values() if m.sites)
+    star_atom, site = motif.sites[0]
     records = [
-        canonical_rank(mol), result, result.operations[0],
-        next(iter(result.vocabulary.motifs.values())), fragmentation,
+        canonical_rank(mol), result, result.operations[0], motif, fragmentation,
         fragmentation.motifs[0], fragmentation.broken_bonds[0], trajectory, trajectory.steps[0],
+        Candidate("vocab", site, motif, star_atom), _Template.of(motif), compute_descriptors(mol),
     ]
     assert sorted(type(record).__name__ for record in records) == [
-        "BrokenBondLink", "CanonicalRanking", "Fragmentation", "MergeOperation",
-        "MiningResult", "Motif", "MotifInstance", "Trajectory", "TrajectoryStep",
+        "BrokenBondLink", "Candidate", "CanonicalRanking", "DescriptorVector", "Fragmentation",
+        "MergeOperation", "MiningResult", "Motif", "MotifInstance", "Trajectory",
+        "TrajectoryStep", "_Template",
     ]
     for record in records:
         assert not hasattr(record, "__dict__"), type(record).__name__
