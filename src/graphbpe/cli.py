@@ -79,9 +79,7 @@ _CHECKS = (
 )
 
 
-def _input_path(value: str | None, flag: str) -> Path | None:
-    if value is None:
-        return None
+def _input_path(value: str, flag: str) -> Path:
     path = Path(value)
     if not path.is_file():
         raise UsageError(f"{flag}: no such file: {path}")

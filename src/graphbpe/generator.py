@@ -12,8 +12,9 @@ top_k)``: ``start_generation(index, seed)`` starts a molecule,
 ``generation_step(state, index)`` resolves one open site and
 ``finalize(state)`` builds the molecule; ``generate`` makes one index per
 call and runs that loop. The index checks the selection (``mode`` and
-``top_k``) when it is built and reads the policy's temperature then, so
-every pick it serves uses the same ones.
+``top_k``) when it is built, decides then how many candidates a head keeps
+and whether a pick samples, and reads the policy's temperature, so every
+pick it serves uses the same ones.
 
 The generator reads a policy's scores into a list of floats. The index
 scores the starts once, each bond order's vocabulary pool once
@@ -39,9 +40,9 @@ Every placement copies a motif's ``_Template``: its atoms, local bonds and
 sites, built from one parse of its string when the motif is first placed.
 ``finalize`` finalizes each distinct assembly once and returns the same
 immutable ``MolGraph`` for an equal one. A state started from an index
-shares the index's templates and finalized molecules; any other state
-(``replay_trajectory``'s, or one a caller builds) holds its own. This module
-caches nothing at module level.
+shares the index's templates and finalized molecules; the only other
+state, ``replay_trajectory``'s, holds its own. This module caches nothing
+at module level.
 """
 from __future__ import annotations
 
@@ -204,9 +205,14 @@ class GenerationState:
 
     An open site is a record, not an atom: ``open_sites`` maps an opaque
     site id to (anchor atom, site type), and ``queue`` holds the ids in FIFO
-    order. A motif's "*" atoms never enter ``atoms`` or ``bonds``. ``start``,
-    ``attach`` and ``cyclize`` are the only assembly moves; each attach or
-    cyclize counts one step. Motifs are placed from their ``_Template`` in
+    order. A motif's "*" atoms never enter ``atoms`` or ``bonds``. A state
+    comes from ``start_generation`` or ``replay_trajectory``, and ``start``,
+    ``attach`` and ``cyclize`` are the only moves that build it; each attach
+    or cyclize counts one step. A move bonds the anchors of two sites of one
+    bond order (``_merge_sites`` raises otherwise), each in place of its
+    star's bond, and a motif's sites are ``motif_sites(smiles)``: so every
+    atom keeps the bond-order sum, and the implicit hydrogens, that its
+    motif string gave it. Motifs are placed from their ``_Template`` in
     ``templates`` (keyed by motif string), built when a motif is first
     placed. ``finalize`` keeps the ``MolGraph`` of each distinct assembly in
     ``molecules``, and one copy of each of their bond and neighbour tuples
@@ -330,7 +336,8 @@ class GenerationIndex:
     """What generation reuses across steps and molecules. One index serves
     one vocabulary, one policy, whose scores must not change while it is in
     use, and one selection: ``mode`` and ``top_k`` (``None`` keeps every
-    candidate), checked here, and the policy's temperature, read here.
+    candidate), checked here and kept as ``keep`` and ``sample``, and the
+    policy's temperature, read here.
 
     Per bond order it holds a ``_Pool``, built and scored
     (``Policy.score_pool``) when a focus first needs it. Per site type it
@@ -354,8 +361,10 @@ class GenerationIndex:
             raise ValueError("top_k must be an int >= 1")
         self.vocabulary = vocabulary
         self.policy = policy
-        self.mode = mode
-        self.top_k = top_k
+        # the selection rule: how many candidates a head keeps (None: all)
+        # and whether a pick samples from them
+        self.keep = 1 if mode == GREEDY else top_k
+        self.sample = mode == DISTRIBUTIONAL
         self.temperature = policy.temperature
         self.partners: dict[SiteType, set[SiteType]] = {}
         for a, b in vocabulary.attachment_counts:
@@ -414,7 +423,7 @@ class GenerationIndex:
         partner_scores = self.policy.score_connections(
             context, focus, [candidates[i] for i in partner_at]
         ) if partner_at else []
-        need = 1 if self.mode == GREEDY else self.top_k
+        need = self.keep
         if need is None or need >= len(candidates) - len(partner_at):
             scores = pool.scores.copy()
             for i, score in zip(partner_at, partner_scores):
@@ -435,22 +444,17 @@ class GenerationIndex:
 
     def _head(self, pool: list, scores: Sequence[float]) -> _Head:
         """The items of ``pool`` that selection can pick, with their scores,
-        in pool order: the first argmax in greedy mode, else the stable top
-        ``top_k``, with their ``_cumulative`` distribution.
+        in pool order: the stable top ``keep`` (in greedy mode the first
+        argmax), and when picks sample, their ``_cumulative`` distribution.
 
         Items that follow the pool can only push pool items out of the top
-        ``top_k``, never bring one back, so the rest need not be kept.
+        ``keep``, never bring one back, so the rest need not be kept.
         """
         scores = _finite(scores)
-        if self.mode == GREEDY and scores:
-            keep = [scores.index(max(scores))]
-        elif self.top_k is not None and self.top_k < len(scores):
-            keep = sorted(heapq.nlargest(self.top_k, range(len(scores)), key=scores.__getitem__))
-        else:
-            keep = None
-        if keep is not None:
+        if self.keep is not None and self.keep < len(scores):
+            keep = sorted(heapq.nlargest(self.keep, range(len(scores)), key=scores.__getitem__))
             pool, scores = [pool[i] for i in keep], [scores[i] for i in keep]
-        if self.mode == GREEDY or not scores:
+        if not (self.sample and scores):
             return pool, scores, None
         return pool, scores, _cumulative(scores, self.temperature)
 
@@ -459,7 +463,7 @@ class GenerationIndex:
 
         Greedy mode takes the head's one item; sampling is one draw and a
         bisect of the head's distribution. With ``extra``, greedy and top-k
-        picks keep the head when it is full (one item, or ``top_k``) and no
+        picks keep the head when it is full (``keep`` items) and no
         extra scores above its lowest: ``_head``'s stable rule keeps the
         earlier items on a tie, so a fresh head would be this one. Otherwise
         they (and any pick from an empty head) are made the same way from a
@@ -468,14 +472,13 @@ class GenerationIndex:
         taken relative to their joint top score.
         """
         items, scores, distribution = head
-        greedy = self.mode == GREEDY
-        if extra and (greedy or self.top_k is not None or not items):
+        if extra and (self.keep is not None or not items):
             extra_scores = _finite(extra_scores)
-            full = len(items) == (1 if greedy else self.top_k)
+            full = len(items) == self.keep
             if not (full and max(extra_scores) <= min(scores)):
                 items, scores, distribution = self._head(items + extra, scores + extra_scores)
             extra = []
-        if greedy:
+        if not self.sample:
             return items[0]
         cumulative, top = distribution
         if not extra:
@@ -530,13 +533,13 @@ def generation_step(state: GenerationState, index: GenerationIndex) -> Generatio
         raise ValueError("generation state is already terminal")
     focus = state.queue.popleft()
     _, focus_type = state.open_sites[focus]
-    vocab_candidates = index.pool(state.rng_seed, focus_type[2]).candidates
+    head = index.vocabulary_head(state.rng_seed, focus_type)
     partial_candidates = _partial_candidates(state, focus)
-    if not (vocab_candidates or partial_candidates):
+    # a head keeps at least one candidate of a non-empty pool
+    if not (head[0] or partial_candidates):
         raise NoCompatibleCandidateError(
             f"no candidate shares the focus bond order {focus_type[2]!r}"
         )
-    head = index.vocabulary_head(state.rng_seed, focus_type)
     partial_scores = (
         index.policy.score_connections(state.rng_seed, focus_type, partial_candidates)
         if partial_candidates else None
@@ -549,26 +552,13 @@ def generation_step(state: GenerationState, index: GenerationIndex) -> Generatio
     return state
 
 
-def _recompute_hydrogens(atoms: list[Atom], order_sums: list[int]) -> bool:
-    """Set the implicit hydrogens of each unbracketed atom from the sum of
-    its bond orders in half-units, in place; whether any atom changed."""
-    changed = False
-    for i, atom in enumerate(atoms):
-        if not (atom.bracket or atom.is_connection_site):
-            implicit = implicit_hydrogens(atom.element, atom.formal_charge, order_sums[i])
-            if implicit != atom.implicit_h:
-                atoms[i] = replace(atom, implicit_h=implicit)
-                changed = True
-    return changed
-
-
 def repair_aromatic_rings(mol: MolGraph) -> MolGraph:
     """Downgrade invalid aromatic rings to saturated ones.
 
     Every minimal aromatic ring failing the electron count has its bonds set
-    to single; atoms left without aromatic bonds lose the aromatic flag and
-    get their implicit hydrogens recomputed. When nothing changes, ``mol``
-    itself is returned.
+    to single, and atoms left without aromatic bonds lose the aromatic flag;
+    then each unbracketed atom's implicit hydrogens are set from its bonds.
+    When nothing changes, ``mol`` itself is returned.
     """
     atoms = list(mol.atoms)
     bonds = list(mol.bonds)
@@ -589,9 +579,15 @@ def repair_aromatic_rings(mol: MolGraph) -> MolGraph:
             if not still_aromatic and atoms[atom_id].aromatic:
                 atoms[atom_id] = replace(atoms[atom_id], aromatic=False)
         current = MolGraph(tuple(atoms), tuple(bonds))
-    if not _recompute_hydrogens(atoms, [current.order_sum_x2(i) for i in range(len(atoms))]):
-        return current
-    return MolGraph(tuple(atoms), tuple(bonds))
+    changed = False
+    for i, atom in enumerate(atoms):
+        if atom.bracket or atom.is_connection_site:
+            continue
+        implicit = implicit_hydrogens(atom.element, atom.formal_charge, current.order_sum_x2(i))
+        if implicit != atom.implicit_h:
+            atoms[i] = replace(atom, implicit_h=implicit)
+            changed = True
+    return MolGraph(tuple(atoms), tuple(bonds)) if changed else current
 
 
 def finalize(state: GenerationState) -> MolGraph:
@@ -599,9 +595,10 @@ def finalize(state: GenerationState) -> MolGraph:
 
     The assembly's bonds are distinct pairs ``a < b`` of placed atoms
     (``_place_motif``, ``_merge_sites``), so the graph is built without
-    re-checking them, and each atom's bond orders are summed once for both
-    its hydrogens and the valence check. Only an assembly with a failing
-    aromatic ring goes through ``repair_aromatic_rings``. Each distinct
+    re-checking them, and each atom's bond orders are summed once for the
+    valence check. Every atom already holds the hydrogens its bonds need
+    (see ``GenerationState``), so only an assembly with a failing aromatic
+    ring goes through ``repair_aromatic_rings``. Each distinct
     assembly (its atoms and its sorted bonds) of the states that share
     ``state.molecules`` is finalized once: an equal one gets the same
     immutable ``MolGraph`` back, and the molecules share each equal bond
@@ -629,9 +626,6 @@ def finalize(state: GenerationState) -> MolGraph:
         mol = repair_aromatic_rings(mol)
         valid = valence_check(mol)
     else:
-        atoms = list(atoms)
-        if _recompute_hydrogens(atoms, order_sums):
-            mol = MolGraph.from_adjacency(tuple(atoms), mol.bonds, mol._adjacency)
         valid = all(map(valence_ok, atoms, order_sums))
     if not valid:
         raise IrreparableValenceError(
@@ -647,9 +641,6 @@ class GenerationReport:
     emitted: int = 0
     aborted: int = 0
     failures: dict[str, int] = field(default_factory=dict)
-
-    def record_failure(self, kind: str) -> None:
-        self.failures[kind] = self.failures.get(kind, 0) + 1
 
 
 def molecule_seed(master_seed: int, index: int) -> int:
@@ -684,7 +675,8 @@ def generate(
                 molecules.append(finalize(state))
                 report.emitted += 1
         except (NoCompatibleCandidateError, IrreparableValenceError) as exc:
-            report.record_failure(type(exc).__name__)
+            kind = type(exc).__name__
+            report.failures[kind] = report.failures.get(kind, 0) + 1
     return molecules, report
 
 

@@ -9,8 +9,7 @@ bond's order. The union's canonical pattern string is written only when
 asked for (``MergingGraph.pattern``) and kept until the edge dies.
 
 Mining keeps one graph per corpus molecule, so the layout is lean: about
-3.8 KB per graph at build, against 8.5 KB with a pair dict per signature
-and an atom list per atom (tracemalloc on ``tests/fixtures/corpus_1k.smi``,
+3.8 KB per graph at build (tracemalloc on ``tests/fixtures/corpus_1k.smi``,
 17.6 atoms and 19.3 bonds per molecule). An atom never merged is its own
 fragment, under its own id, with no atom list; ``MergingGraph.fragments``
 reads every fragment. Each edge is one pair tuple that every table shares,
@@ -18,8 +17,7 @@ and a pair of ids below 64 comes from one constant table, so at build the
 pairs cost nothing (the ``MergingGraph`` docstring itemizes the rest). A
 dict keeps its table when keys are deleted, so once half the edges the three
 dicts were sized for are gone, a pass that merged copies them to the size
-of the edges left; the mining peak is about 0.9 KB per molecule lower for
-it.
+of the edges left.
 
 A sum composes, so no signature is built from scratch. Each fragment keeps
 its own signature and each atom its degree inside its fragment. A merge
@@ -477,10 +475,11 @@ class MergingGraph:
         ``edge_removed(signature, pattern or None)`` for each edge the pass
         removes that existed before it, then ``edge_added(self, pair,
         signature)`` for each edge the pass leaves behind that is new.
-        Returns the number of merges.
+        Returns the number of merges. Callers call it only on a graph with
+        an edge of ``op.signature`` (``apply_operations`` gates on it, the
+        miner through ``PatternTally.holders``); on any other graph it scans
+        ``edges`` and merges nothing.
         """
-        if op.signature not in self.by_signature:
-            return 0
         matches = [pair for pair in self.pairs(op.signature) if self.pattern(pair) == op.pattern]
         matches.sort(key=lambda p: self.scan_key(*p))
         born: set[Pair] = set()
@@ -512,7 +511,8 @@ def apply_operations(mol: MolGraph, ops: list[MergeOperation]) -> MergingGraph:
     """Run every merge operation in rank order over a fresh merging graph."""
     state = MergingGraph(mol)
     for op in ops:
-        # most operations find no edge of their signature; skip those calls
+        # the gate: most operations find no edge of their signature, and
+        # apply_operation does not check it again
         if op.signature in state.by_signature:
             state.apply_operation(op)
     return state

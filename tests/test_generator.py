@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import graphbpe.generator as gen
 import graphbpe.miner
 from graphbpe.chem import MolGraph, parse_smiles, valence_check, write_smiles
-from graphbpe.chem.mol import Atom, make_bond
+from graphbpe.chem.mol import Atom, implicit_hydrogens, make_bond
 from graphbpe.errors import (
     EmptyVocabularyError,
     IncompatibleBondError,
@@ -40,9 +40,10 @@ from graphbpe.miner import (
     Motif,
     MotifVocabulary,
     attachment_key,
+    build_motif_vocabulary,
     mine_corpus,
 )
-from graphbpe.tokenizer import Trajectory, TrajectoryStep
+from graphbpe.tokenizer import Trajectory, TrajectoryStep, extract_trajectory
 from helpers import full_array_select, make_motif, site_type
 
 
@@ -748,17 +749,24 @@ class TestFinalize:
         self.assert_same_graph(finalize(state), expected)
         assert len(repairs) == 1
 
-    def test_lean_path_recomputes_hydrogens(self):
-        """Atoms placed with stale hydrogens get them set from their bonds,
-        as the checked graph's repair pass sets them."""
-        state = GenerationState(rng_seed=0)
-        state.atoms = [Atom("C"), Atom("C"), Atom("O"), Atom("N", implicit_h=3)]
-        state.bonds = {(0, 1): "single", (1, 2): "double", (1, 3): "single"}
-        expected = repair_aromatic_rings(self.assembly_graph(state))
-        assert [atom.implicit_h for atom in expected.atoms] == [3, 0, 0, 2]
-        got = finalize(state)
-        self.assert_same_graph(got, expected)
-        assert write_smiles(got) == write_smiles(parse_smiles("CC(N)=O"))
+    def test_replayed_atoms_keep_the_hydrogens_their_bonds_need(self, corpus_1k, ops_500):
+        """``finalize`` does not recompute hydrogens, since a move keeps each
+        placed atom's bond-order sum; every replayed fixture molecule at
+        K=200 shows it. ``write_smiles`` does not write an unbracketed
+        atom's hydrogens, so a round trip would not."""
+        _, mols = corpus_1k
+        ops = ops_500[:200]
+        vocab = build_motif_vocabulary(mols, ops)
+        checked = 0
+        for mol in mols:
+            replayed = replay_trajectory(extract_trajectory(mol, ops), vocab)
+            for i, atom in enumerate(replayed.atoms):
+                if not atom.bracket:
+                    need = implicit_hydrogens(atom.element, atom.formal_charge,
+                                              replayed.order_sum_x2(i))
+                    assert atom.implicit_h == need, (write_smiles(mol), i)
+                    checked += atom.implicit_h > 0
+        assert checked > len(mols)
 
     def test_lean_path_rejects_an_over_valent_atom(self):
         state = GenerationState(rng_seed=0)
@@ -819,11 +827,15 @@ class TestFinalize:
         assert list(index.molecules.values()) == [molecules[0]]
 
     def test_assemblies_differing_only_in_bonds_stay_apart(self):
+        """CCOO and COCO: each atom has as many bonds, and so as many
+        hydrogens, in both."""
         molecules: dict = {}
-        for bonds in ({(0, 1): "single", (1, 2): "single"},
-                      {(0, 1): "single", (0, 2): "single"}):
+        atoms = [Atom("C", implicit_h=3), Atom("C", implicit_h=2),
+                 Atom("O"), Atom("O", implicit_h=1)]
+        for bonds in ({(0, 1): "single", (1, 2): "single", (2, 3): "single"},
+                      {(0, 2): "single", (1, 2): "single", (1, 3): "single"}):
             state = GenerationState(rng_seed=0, molecules=molecules)
-            state.atoms, state.bonds = [Atom("C"), Atom("O"), Atom("C")], bonds
+            state.atoms, state.bonds = list(atoms), bonds
             expected = repair_aromatic_rings(self.assembly_graph(state))
             self.assert_same_graph(finalize(state), expected)
         assert len(molecules) == 2

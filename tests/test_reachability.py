@@ -56,8 +56,6 @@ ALLOWED = {
     "graphbpe.generator.Policy.score_start": ("override", "FrequencyPolicy"),
     "graphbpe.generator.Policy.score_pool": ("override", "FrequencyPolicy"),
     "graphbpe.generator.Policy.score_connections": ("override", "FrequencyPolicy"),
-    "graphbpe.generator.GenerationReport.record_failure": (
-        "error", "a molecule that ends in NoCompatibleCandidateError or IrreparableValenceError"),
 }
 
 
